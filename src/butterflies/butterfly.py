@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlinalg import IntMatrix, hstack, vstack
+from .intlinalg import IntMatrix, InvariantError, hstack, vstack
 from .fgab import (
     FgAbGroup, FgAbMap, map_equal, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective,
@@ -197,7 +197,8 @@ def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
         ("pre", m, FgAbMap.identity(a.carrier)),
         ("post", m, FgAbMap.identity(b.carrier)),
     ])
-    assert inv is not None, "five lemma: wing-commuting carrier map must be invertible"
+    if inv is None:
+        raise InvariantError("five lemma: wing-commuting carrier map must be invertible")
     return TwoMorphism(a, b, m, inv)
 
 
@@ -228,7 +229,7 @@ def homology_action(y: Butterfly) -> tuple:
     hs, hd = homology(y.src), homology(y.dst)
     u = factor_through_injection(y.i, y.j * hs.incl)
     hm1 = hd.corestrict_to_hm1(u)
-    lifts = generator_lift(y.q, hs._cok._fro.matrix)
+    lifts = generator_lift(y.q, hs.cok.fro.matrix)
     if lifts is None:
         raise ValueError("q is not surjective; butterfly invalid")
     h0 = FgAbMap(hs.h0, hd.h0, hd.proj.matrix * y.p.matrix * lifts)
@@ -305,8 +306,10 @@ def classify(y: Butterfly) -> Classification:
     faithful = pip(y).is_trivial()
     cofaithful = copip(y).is_trivial()
     hm1, h0 = homology_action(y)
-    assert faithful == j_inj == is_injective(hm1)
-    assert cofaithful == p_surj == is_surjective(h0)
+    if not faithful == j_inj == is_injective(hm1):
+        raise InvariantError("pip, j and the H^-1 action disagree on faithfulness")
+    if not cofaithful == p_surj == is_surjective(h0):
+        raise InvariantError("copip, p and the H^0 action disagree on cofaithfulness")
     return Classification(mono=j_inj and mid, epi=mid and p_surj,
                           faithful=faithful, cofaithful=cofaithful)
 
@@ -450,6 +453,8 @@ def random_butterfly(e: TwoTermComplex, f: TwoTermComplex, seed) -> Butterfly:
             for km in pres[1]:
                 pm = pm + rng.randint(-1, 1) * km
             b = Butterfly(e, f, ycar, i, j, FgAbMap(ycar, f.deg_0, pm), q)
-            assert not validate(b)
+            bad = validate(b)
+            if bad:
+                raise InvariantError(f"random butterfly fails its axioms: {bad[0]}")
             return b
     return zero_butterfly(e, f)

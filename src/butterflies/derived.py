@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, hstack, vstack, kron, solve_matrix
+from .intlinalg import IntMatrix, InvariantError, hstack, vstack, kron, solve_matrix
 from .fgab import (
     FgAbGroup, FgAbMap, kernel, cokernel, hom_group, power_group,
     free_presentation, ext1_realize, hom_solve_all,
@@ -82,7 +82,8 @@ def biext_groups(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> BiextGroups:
     nc = c.ngens
     dmat = k.d.matrix
     dprime = solve_matrix(r0, dmat * r1)  # D*R1 = R0*D' exactly
-    assert dprime is not None
+    if dprime is None:
+        raise InvariantError("the differential must lift through the free presentations")
 
     ambient = power_group(c, m0 + n1)  # (c, v) blocks, copy-major
     constraint = FgAbMap(ambient, power_group(c, m1),
@@ -141,7 +142,9 @@ def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
                 jm = jm + cf * km
             j = FgAbMap(k.deg_m1, ycar, jm)
             bf = Butterfly(k, c1, ycar, i, j, FgAbMap.zero(ycar, c1.deg_0), q)
-            assert not validate(bf)
+            bad = validate(bf)
+            if bad:
+                raise InvariantError(f"enumerated butterfly fails its axioms: {bad[0]}")
             if not any(two_morphism_find(bf, other) is not None for other in reps):
                 reps.append(bf)
     return reps

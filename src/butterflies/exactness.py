@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import IntMatrix, hstack, vstack, block
+from .intlinalg import IntMatrix, InvariantError, hstack, vstack, block
 from .fgab import (
     FgAbGroup, FgAbMap, map_equal, kernel, cokernel, is_exact_at,
     is_injective, is_surjective, hom_solve, random_map,
@@ -124,7 +124,8 @@ def is_exact(s: ButterflyShortSeq) -> bool:
            and is_surjective(s.z.p))
     alt1 = seq74_exact(s) and is_surjective(s.z.p)
     alt2 = seq75_exact(s) and is_injective(s.y.j)
-    assert out == alt1 == alt2, "exactness criteria disagree"
+    if not out == alt1 == alt2:
+        raise InvariantError("exactness criteria disagree")
     return out
 
 
@@ -208,7 +209,8 @@ def les(s: ButterflyShortSeq) -> LongExactSequence:
         ("pre", phi_prime, FgAbMap.identity(yprime.group)),
         ("post", phi_prime, FgAbMap.identity(zprime.group)),
     ])
-    assert rho is not None, "induced carrier map Y' -> Z' must be an isomorphism"
+    if rho is None:
+        raise InvariantError("induced carrier map Y' -> Z' must be an isomorphism")
     into_zprime = zprime.factor(s.z.i * hg.incl)
     qbar = cj.induce(he.proj * s.y.q)
     delta = qbar * yprime.incl * rho * into_zprime
@@ -280,12 +282,7 @@ def cokernel_seq(rng: random.Random, e: TwoTermComplex,
     if w is None:
         return None
     s = ButterflyShortSeq(e, f, gcx, y, z, w)
-    try:
-        if is_exact(s):
-            return s
-    except AssertionError:
-        return None
-    return None
+    return s if is_exact(s) else None
 
 
 def random_exact_seq(rng: random.Random) -> ButterflyShortSeq:
@@ -302,5 +299,6 @@ def random_exact_seq(rng: random.Random) -> ButterflyShortSeq:
     e = random_complex(rng, max_rank=1, max_order=8)
     g = random_complex(rng, max_rank=1, max_order=8)
     s = twisted_extension_seq(rng, e, g)
-    assert is_exact(s)
+    if not is_exact(s):
+        raise InvariantError("a twisted extension must be exact")
     return s

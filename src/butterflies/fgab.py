@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .intlinalg import (
-    IntMatrix, hstack, vstack, block, kron, snf,
-    solve, solve_matrix, kernel_basis, _col_echelon,
+    IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
+    solve, solve_matrix, kernel_basis, in_col_span, _col_echelon,
 )
 
 
@@ -102,7 +102,7 @@ class FgAbMap:
             raise ValueError(
                 f"matrix is {self.matrix.rows}x{self.matrix.cols}, "
                 f"expected {self.dst.ngens}x{self.src.ngens}")
-        if not _descends(self.matrix, self.src.relations, self.dst.relations):
+        if not in_col_span(self.dst.relations, self.matrix * self.src.relations):
             raise ValueError("matrix does not define a homomorphism on the presentations")
 
     @staticmethod
@@ -133,30 +133,21 @@ class FgAbMap:
         return FgAbMap(self.src, self.dst, -self.matrix)
 
     def is_zero(self) -> bool:
-        return _descends(self.matrix, IntMatrix.identity(self.src.ngens), self.dst.relations)
-
-
-def _descends(m: IntMatrix, src_rel: IntMatrix, dst_rel: IntMatrix) -> bool:
-    """Does every column of m * src_rel lie in the column span of dst_rel?"""
-    prod = m * src_rel
-    for j in range(prod.cols):
-        if solve(dst_rel, list(prod.col(j))) is None:
-            return False
-    return True
+        return in_col_span(self.dst.relations, self.matrix)
 
 
 def is_well_defined(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
     """Would FgAbMap(src, dst, matrix) be accepted?"""
     if (matrix.rows, matrix.cols) != (dst.ngens, src.ngens):
         raise ValueError("dimension mismatch")
-    return _descends(matrix, src.relations, dst.relations)
+    return in_col_span(dst.relations, matrix * src.relations)
 
 
 def map_equal(f: FgAbMap, g: FgAbMap) -> bool:
     """Do f and g agree as group homomorphisms?  Endpoints must be the same presentations."""
     if (f.src, f.dst) != (g.src, g.dst):
         raise ValueError("map_equal requires identical endpoints")
-    return _descends(f.matrix - g.matrix, IntMatrix.identity(f.src.ngens), f.dst.relations)
+    return in_col_span(f.dst.relations, f.matrix - g.matrix)
 
 
 # -- direct sums -----------------------------------------------------------
@@ -173,16 +164,6 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup):
     pa = FgAbMap(s, a, hstack(IntMatrix.identity(a.ngens), IntMatrix.zeros(a.ngens, b.ngens)))
     pb = FgAbMap(s, b, hstack(IntMatrix.zeros(b.ngens, a.ngens), IntMatrix.identity(b.ngens)))
     return s, ia, ib, pa, pb
-
-
-def pair_into(f: FgAbMap, g: FgAbMap, target_sum: FgAbGroup) -> FgAbMap:
-    """(f; g): X -> A+B from f: X->A, g: X->B."""
-    return FgAbMap(f.src, target_sum, vstack(f.matrix, g.matrix))
-
-
-def copair_from(f: FgAbMap, g: FgAbMap, source_sum: FgAbGroup) -> FgAbMap:
-    """(f, g): A+B -> X from f: A->X, g: B->X."""
-    return FgAbMap(source_sum, f.dst, hstack(f.matrix, g.matrix))
 
 
 # -- presentation simplification --------------------------------------------
@@ -231,10 +212,7 @@ class Kernel:
 
     def factor(self, x: FgAbMap) -> FgAbMap:
         """Factor x: X -> src through incl; x must be killed by the original map."""
-        u = _lift_through(self.incl.matrix, self.incl.dst.relations, x.matrix)
-        if u is None:
-            raise ValueError("map does not factor through the kernel")
-        return FgAbMap(x.src, self.group, u)
+        return factor_through_injection(self.incl, x)
 
 
 def kernel(f: FgAbMap) -> Kernel:
@@ -242,29 +220,28 @@ def kernel(f: FgAbMap) -> Kernel:
     big = kernel_basis(hstack(f.matrix, b.relations))
     gens = IntMatrix(a.ngens, big.cols,
                      (big[i, j] for i in range(a.ngens) for j in range(big.cols)))
-    return _subgroup(gens, a)
+    simp = _span(gens, a)
+    return Kernel(simp.group, FgAbMap(simp.group, a, gens * simp.fro.matrix))
 
 
-def _subgroup(gens: IntMatrix, ambient: FgAbGroup) -> Kernel:
-    """The subgroup of ambient generated by the columns of gens."""
+def _span(gens: IntMatrix, ambient: FgAbGroup) -> Simplified:
+    """The subgroup of ambient generated by the columns of gens, presented
+    on those columns (generator k is column k) and then simplified."""
     rel_big = kernel_basis(hstack(gens, ambient.relations))
     rel = IntMatrix(gens.cols, rel_big.cols,
                     (rel_big[i, j] for i in range(gens.cols) for j in range(rel_big.cols)))
-    pre = FgAbGroup(gens.cols, rel)
-    simp = simplify(pre)
-    incl = FgAbMap(simp.group, ambient, gens * simp.fro.matrix)
-    return Kernel(simp.group, incl)
+    return simplify(FgAbGroup(gens.cols, rel))
 
 
 @dataclass(frozen=True)
 class Cokernel:
     group: FgAbGroup
     proj: FgAbMap  # dst of the original map -> group; surjective
-    _fro: FgAbMap
+    fro: FgAbMap   # group -> dst's generators modulo the image; inverse to proj
 
     def induce(self, y: FgAbMap) -> FgAbMap:
         """Descend y: dst -> X along proj; y must kill the original image."""
-        return FgAbMap(self.group, y.dst, y.matrix * self._fro.matrix)
+        return FgAbMap(self.group, y.dst, y.matrix * self.fro.matrix)
 
 
 def cokernel(f: FgAbMap) -> Cokernel:
@@ -283,13 +260,7 @@ class Image:
 
 
 def image(f: FgAbMap) -> Image:
-    sub = _subgroup(f.matrix, f.dst)
-    # pre-simplification, generator k of the subgroup is f(e_k)
-    pre_rel = kernel_basis(hstack(f.matrix, f.dst.relations))
-    pre = FgAbGroup(f.src.ngens,
-                    IntMatrix(f.src.ngens, pre_rel.cols,
-                              (pre_rel[i, j] for i in range(f.src.ngens) for j in range(pre_rel.cols))))
-    simp = simplify(pre)
+    simp = _span(f.matrix, f.dst)
     incl = FgAbMap(simp.group, f.dst, f.matrix * simp.fro.matrix)
     cores = FgAbMap(f.src, simp.group, simp.to.matrix)
     return Image(simp.group, incl, cores)
@@ -302,7 +273,7 @@ class Subquotient:
     group: FgAbGroup
     ker: Kernel          # kernel of b
     proj: FgAbMap        # ker.group -> group
-    _fro: FgAbMap        # group -> ker.group coordinates (from the cokernel)
+    fro: FgAbMap         # group -> ker.group coordinates (from the cokernel)
 
     def lift_in(self, x: FgAbMap) -> FgAbMap:
         """x: X -> mid with b*x = 0 induces X -> H."""
@@ -311,7 +282,7 @@ class Subquotient:
     def induce_out(self, y: FgAbMap) -> FgAbMap:
         """y: mid -> X with y*a = 0 induces H -> X."""
         return FgAbMap(self.group, y.dst,
-                       y.matrix * self.ker.incl.matrix * self._fro.matrix)
+                       y.matrix * self.ker.incl.matrix * self.fro.matrix)
 
 
 def subquotient(a: FgAbMap, b: FgAbMap) -> Subquotient:
@@ -322,7 +293,7 @@ def subquotient(a: FgAbMap, b: FgAbMap) -> Subquotient:
     ker = kernel(b)
     atilde = ker.factor(a)
     cok = cokernel(atilde)
-    return Subquotient(cok.group, ker, cok.proj, cok._fro)
+    return Subquotient(cok.group, ker, cok.proj, cok.fro)
 
 
 def is_exact_at(a: FgAbMap, b: FgAbMap) -> bool:
@@ -342,31 +313,22 @@ def is_surjective(f: FgAbMap) -> bool:
     return cokernel(f).group.is_trivial()
 
 
-def _lift_through(m: IntMatrix, mod_rel: IntMatrix, targets: IntMatrix) -> Optional[IntMatrix]:
-    """Solve m * Y = targets modulo the column span of mod_rel, columnwise."""
-    aug = hstack(m, mod_rel)
-    cols = []
-    for j in range(targets.cols):
-        res = solve(aug, list(targets.col(j)))
-        if res is None:
-            return None
-        x0 = res[0]
-        cols.append([x0[i, 0] for i in range(m.cols)])
-    return IntMatrix(m.cols, targets.cols, (cols[j][i] for i in range(m.cols) for j in range(targets.cols)))
-
-
 def generator_lift(f: FgAbMap, targets: IntMatrix) -> Optional[IntMatrix]:
     """Generator-wise preimages: a raw matrix Y with f(Y e_j) = targets e_j in dst.
 
     The result need not define a homomorphism on src generators' relations;
     callers compose it so the composite does.
     """
-    return _lift_through(f.matrix, f.dst.relations, targets)
+    x = solve_matrix(hstack(f.matrix, f.dst.relations), targets)
+    if x is None:
+        return None
+    n = f.src.ngens
+    return IntMatrix(n, targets.cols, x.entries[:n * targets.cols])
 
 
 def factor_through_injection(incl: FgAbMap, g: FgAbMap) -> FgAbMap:
     """For injective incl: K -> A and g: X -> A landing in the image, the map X -> K."""
-    u = _lift_through(incl.matrix, incl.dst.relations, g.matrix)
+    u = generator_lift(incl, g.matrix)
     if u is None:
         raise ValueError("map does not land in the subgroup")
     return FgAbMap(g.src, incl.src, u)
@@ -462,13 +424,19 @@ def power_group(c: FgAbGroup, k: int) -> FgAbGroup:
     return FgAbGroup(k * c.ngens, kron(IntMatrix.identity(k), c.relations))
 
 
+def _dual_presentation(a: FgAbGroup, c: FgAbGroup) -> tuple:
+    """(r, c^n -> c^m): a's free presentation r and precomposition with it.
+
+    The map's kernel is Hom(a, c) and its cokernel Ext^1(a, c).
+    """
+    r = free_presentation(a)
+    return r, FgAbMap(power_group(c, a.ngens), power_group(c, r.cols),
+                      kron(r.transpose(), IntMatrix.identity(c.ngens)))
+
+
 def hom_group(a: FgAbGroup, c: FgAbGroup) -> FgAbGroup:
     """Hom(a, c) as a group."""
-    r = free_presentation(a)
-    m = r.cols
-    pre = FgAbMap(power_group(c, a.ngens), power_group(c, m),
-                  kron(r.transpose(), IntMatrix.identity(c.ngens)))
-    return kernel(pre).group
+    return kernel(_dual_presentation(a, c)[1]).group
 
 
 @dataclass(frozen=True)
@@ -504,12 +472,9 @@ class Ext1:
 @lru_cache(maxsize=None)
 def ext1_realize(a: FgAbGroup, c: FgAbGroup) -> Ext1:
     """Ext^1(a, c) from a free presentation, with explicit realizations."""
-    r = free_presentation(a)
-    m = r.cols
-    pre = FgAbMap(power_group(c, a.ngens), power_group(c, m),
-                  kron(r.transpose(), IntMatrix.identity(c.ngens)))
+    r, pre = _dual_presentation(a, c)
     cok = cokernel(pre)
-    return Ext1(cok.group, a, c, r, cok._fro)
+    return Ext1(cok.group, a, c, r, cok.fro)
 
 
 # -- randomized instances ----------------------------------------------------
@@ -557,7 +522,8 @@ def _prod(xs):
 def random_map(rng: random.Random, a: FgAbGroup, b: FgAbGroup) -> FgAbMap:
     """A random homomorphism a -> b, uniform-ish over small coefficients."""
     res = hom_solve_all(a, b, [])
-    assert res is not None
+    if res is None:
+        raise InvariantError("the zero map solves the empty system")
     base, kmats = res
     m = base.matrix
     for km in kmats:

@@ -15,6 +15,10 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a defect in this library, never bad input."""
+
+
 class IntMatrix:
     """An immutable rows x cols matrix of Python ints, row major.
 
@@ -200,7 +204,6 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 # -- Hermite normal form ---------------------------------------------------
 
-@lru_cache(maxsize=None)
 def hnf(m: IntMatrix) -> tuple:
     """Row Hermite normal form with transformation: returns (H, U), U*m = H.
 
@@ -386,6 +389,27 @@ def _col_echelon(a: IntMatrix) -> tuple:
     return (h, v, tuple(pivot_rows))
 
 
+def _back_substitute(a: IntMatrix, bvec) -> Optional[list]:
+    """y with (a*V)*y = bvec, for the V of a's column echelon form, or None."""
+    h, _, pivot_rows = _col_echelon(a)
+    r = list(bvec)
+    y = [0] * a.cols
+    for k, p in enumerate(pivot_rows):
+        piv = h[p, k]
+        q, rem = divmod(r[p], piv)
+        if rem:
+            return None
+        if q:
+            y[k] = q
+            for i in range(p, a.rows):
+                hik = h[i, k]
+                if hik:
+                    r[i] -= q * hik
+    if any(r):
+        return None
+    return y
+
+
 def solve(a: IntMatrix, b) -> Optional[tuple]:
     """Solve a*x = b over the integers.
 
@@ -402,56 +426,49 @@ def solve(a: IntMatrix, b) -> Optional[tuple]:
     if isinstance(b, IntMatrix):
         if b.cols != 1:
             raise ValueError("b must be a column vector")
-        bvec = list(b.col(0))
+        bvec = b.col(0)
     else:
         bvec = [int(x) for x in b]
     if len(bvec) != a.rows:
         raise ValueError("dimension mismatch in solve")
-    h, v, pivot_rows = _col_echelon(a)
-    r = bvec[:]
-    y = [0] * a.cols
-    for k, p in enumerate(pivot_rows):
-        piv = h[p, k]
-        q, rem = divmod(r[p], piv)
-        if rem:
-            return None
-        if q:
-            y[k] = q
-            for i in range(p, a.rows):
-                hik = h[i, k]
-                if hik:
-                    r[i] -= q * hik
-    if any(r):
+    y = _back_substitute(a, bvec)
+    if y is None:
         return None
-    npiv = len(pivot_rows)
-    x0 = v * IntMatrix.column(y)
-    kern = IntMatrix(a.cols, a.cols - npiv,
-                     (v[i, j] for i in range(a.cols) for j in range(npiv, a.cols)))
-    return (x0, kern)
+    v = _col_echelon(a)[1]
+    return (v * IntMatrix.column(y), kernel_basis(a))
 
 
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """Solve a*X = b columnwise; returns X or None. Shares a's factorization."""
     if b.rows != a.rows:
         raise ValueError("dimension mismatch in solve_matrix")
-    cols = []
+    ys = []
     for j in range(b.cols):
-        res = solve(a, list(b.col(j)))
-        if res is None:
+        y = _back_substitute(a, b.col(j))
+        if y is None:
             return None
-        cols.append(res[0])
-    if not cols:
-        return IntMatrix(a.cols, 0, ())
-    return hstack(*cols)
+        ys.append(y)
+    v = _col_echelon(a)[1]
+    return v * IntMatrix(a.cols, b.cols, (y[i] for i in range(a.cols) for y in ys))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns generate {x : a*x = 0}."""
-    res = solve(a, [0] * a.rows)
-    assert res is not None
-    return res[1]
+    _, v, pivot_rows = _col_echelon(a)
+    npiv = len(pivot_rows)
+    return IntMatrix(a.cols, a.cols - npiv,
+                     (v[i, j] for i in range(a.cols) for j in range(npiv, a.cols)))
 
 
-def in_col_span(a: IntMatrix, vec) -> bool:
-    """Is vec an integer combination of the columns of a?"""
-    return solve(a, vec) is not None
+def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
+    """Is every column of b an integer combination of the columns of a?
+
+    >>> a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    >>> in_col_span(a, IntMatrix.from_rows([[4, 0], [3, 6]]))
+    True
+    >>> in_col_span(a, IntMatrix.column([1, 0]))
+    False
+    """
+    if b.rows != a.rows:
+        raise ValueError("dimension mismatch in in_col_span")
+    return all(_back_substitute(a, b.col(j)) is not None for j in range(b.cols))

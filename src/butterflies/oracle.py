@@ -92,12 +92,6 @@ class Realization:
         """Image of el under f, landing in other's coordinates."""
         return other.to_element(f.matrix * self.rep_of(el))
 
-    def gen_images(self) -> dict:
-        """Element of each presentation generator, keyed by generator index."""
-        n = self.group.ngens
-        return {k: self.to_element([1 if i == k else 0 for i in range(n)])
-                for k in range(n)}
-
 
 def realize(g: FgAbGroup, cap: int = DEFAULT_CAP) -> Realization:
     """Cyclic decomposition of a finite presented group, via snf.

@@ -68,10 +68,6 @@ class ChainMap:
         return ChainMap(self.src, self.dst, self.f_m1 + other.f_m1, self.f_0 + other.f_0)
 
 
-def chain_compose(g: ChainMap, f: ChainMap) -> ChainMap:
-    return g * f
-
-
 def shift1(a: FgAbGroup) -> TwoTermComplex:
     """[a -> 0], the complex a[1]."""
     zero = FgAbGroup.trivial()
@@ -96,16 +92,16 @@ class Homology:
     incl: FgAbMap   # hm1 -> deg_m1
     h0: FgAbGroup
     proj: FgAbMap   # deg_0 -> h0
-    _ker: Kernel
-    _cok: Cokernel
+    ker: Kernel
+    cok: Cokernel
 
     def corestrict_to_hm1(self, x: FgAbMap) -> FgAbMap:
         """Factor x: X -> deg_m1 (with d*x = 0) through the inclusion."""
-        return self._ker.factor(x)
+        return self.ker.factor(x)
 
     def descend_from_h0(self, y: FgAbMap) -> FgAbMap:
         """Descend y: deg_0 -> X (with y*d = 0) to H^0 -> X."""
-        return self._cok.induce(y)
+        return self.cok.induce(y)
 
 
 @lru_cache(maxsize=None)

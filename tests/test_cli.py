@@ -113,6 +113,65 @@ class TestExitCodes:
         assert main(["validate", str(p)]) == 1
 
 
+def pretty(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+B_SQUARED = {
+    "carrier": {"ngens": 2, "relations": [["2", "0"], ["0", "2"]]},
+    "dst": {"d": [["0"]], "deg-1": {"ngens": 1, "relations": [["2"]]},
+            "deg0": {"ngens": 1, "relations": [["2"]]}},
+    "i": [["1"], ["-2"]], "j": [["-1"], ["0"]], "kind": "butterfly",
+    "p": [["0", "-1"]], "q": [["-2", "-1"]],
+    "src": {"d": [["0"]], "deg-1": {"ngens": 1, "relations": [["2"]]},
+            "deg0": {"ngens": 1, "relations": [["2"]]}},
+}
+
+
+def _inv(rank, *torsion):
+    return {"rank": rank, "torsion": [str(d) for d in torsion]}
+
+
+def _cx_inv(h_m1, h_0):
+    return {"deg-1": _inv(0, 2), "deg0": _inv(0, 2), "h-1": h_m1, "h0": h_0}
+
+
+B_REPORT = {
+    "cofaithful": True, "epi": True, "faithful": True, "invertible": True, "mono": True,
+    "coimage": _cx_inv(_inv(0, 2), _inv(0, 2)),
+    "cokernel": _cx_inv(_inv(0), _inv(0)),
+    "copip": _inv(0),
+    "homology_action": {"h-1": [["1"]], "h0": [["1"]]},
+    "image": _cx_inv(_inv(0, 2), _inv(0, 2)),
+    "kernel": _cx_inv(_inv(0), _inv(0)),
+    "pip": _inv(0),
+}
+
+SEQ10_LES = {
+    "all_exact": True, "exact": [True] * 6,
+    "groups": [_inv(0), _inv(0), _inv(1), _inv(1), _inv(0, 2), _inv(0)],
+    "maps": [[], [[]], [["2"]], [["1"]], []],
+}
+
+
+def test_output_bytes_pinned(docs, capsys):
+    """Exact stdout of the golden commands: these bytes are the CLI contract."""
+    cases = [
+        (["compose", docs["B.json"], docs["B.json"]], pretty(B_SQUARED)),
+        (["report", docs["B.json"]], pretty(B_REPORT)),
+        (["les", docs["seq10.json"]], pretty(SEQ10_LES)),
+        (["compose", docs["B.json"], docs["B.json"], "--out", docs["out"]], ""),
+        (["iso2", docs["out"], docs["IK2.json"]],
+         "isomorphic\n" + pretty({"matrix": [["-2", "-1"], ["-1", "-1"]]})),
+        (["iso2", docs["B.json"], docs["IK2.json"]], "none\n"),
+        (["biext", "2", "2", "Z"], pretty({"pi0": _inv(0, 2), "pi1": _inv(0)})),
+    ]
+    for argv, want in cases:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want, argv[0]
+    assert open(docs["out"]).read() == pretty(B_SQUARED)
+
+
 class TestRoundTrip:
     def test_butterfly_byte_stable(self, docs):
         text1 = open(docs["B.json"]).read()

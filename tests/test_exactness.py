@@ -86,6 +86,14 @@ class TestExactnessCriteria:
             assert (seq74_exact(s) and is_surjective(s.z.p)) == is_exact(s)
             assert (seq75_exact(s) and is_injective(s.y.j)) == is_exact(s)
 
+    def test_disagreeing_criteria_raise(self, monkeypatch):
+        from butterflies import exactness
+        from butterflies.intlinalg import InvariantError
+        s = standard_seq_10(e2())
+        monkeypatch.setattr(exactness, "seq75_exact", lambda s: not seq75_exact(s))
+        with pytest.raises(InvariantError):
+            is_exact(s)
+
 
 class TestLes:
     def test_seq51_of_e2(self):

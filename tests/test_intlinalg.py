@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from butterflies.intlinalg import (
-    IntMatrix, hnf, snf, solve, solve_matrix, kernel_basis, hstack, vstack, kron,
+    IntMatrix, hnf, snf, solve, solve_matrix, kernel_basis, in_col_span, hstack, vstack, kron,
 )
 
 
@@ -155,6 +155,9 @@ class TestSolve:
                 break
         if box is not None:
             assert res is not None
+        assert in_col_span(a, IntMatrix.column(b)) == (res is not None)
+        x = solve_matrix(a, IntMatrix.column(b))
+        assert x == (None if res is None else res[0])
         if res is not None:
             x0, k = res
             assert all(sum(a[i, j] * x0[j, 0] for j in range(c)) == b[i] for i in range(r))
