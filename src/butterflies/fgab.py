@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
-    solve, solve_matrix, kernel_basis, in_col_span, _col_echelon,
+    solve, solve_matrix, kernel_basis, in_col_span, col_echelon,
 )
 
 
@@ -59,7 +59,7 @@ class FgAbGroup:
 
     def invariant_factors(self) -> tuple:
         """(free rank, torsion divisor chain), a complete isomorphism invariant."""
-        s, _, _ = snf(self.relations)
+        s, _, _, _ = snf(self.relations)
         diag = [s[i, i] for i in range(min(s.rows, s.cols))]
         nonzero = [d for d in diag if d != 0]
         rank = self.ngens - len(nonzero)
@@ -181,15 +181,14 @@ def simplify(g: FgAbGroup):
     Internal constructions (kernels, subquotients, ...) pass through this so
     presentations never accumulate redundant generators.
     """
-    s, u, _ = snf(g.relations)
+    s, u, _, uinv = snf(g.relations)
     n = g.ngens
-    uinv = solve_matrix(u, IntMatrix.identity(n))
     orders = [s[i, i] if i < min(s.rows, s.cols) else 0 for i in range(n)]
     kept = [i for i in range(n) if orders[i] != 1]
     new = _diag_group(orders, kept)
     to = FgAbMap(g, new, IntMatrix.from_rows([list(u.row(i)) for i in kept], n))
     fro = FgAbMap(new, g, IntMatrix(n, len(kept),
-                                    (uinv[i, k] for i in range(n) for k in kept)))
+                                    (r[k] for r in map(uinv.row, range(n)) for k in kept)))
     return Simplified(new, to, fro)
 
 
@@ -414,7 +413,7 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple]):
 def free_presentation(a: FgAbGroup) -> IntMatrix:
     """Relations of a with redundant relators discarded: independent columns
     spanning the same lattice, giving 0 -> Z^m -> Z^n -> a -> 0."""
-    h, _, pivot_rows = _col_echelon(a.relations)
+    h, _, pivot_rows = col_echelon(a.relations)
     m = len(pivot_rows)
     return IntMatrix(a.ngens, m, (h[i, j] for i in range(a.ngens) for j in range(m)))
 

@@ -12,6 +12,8 @@ groups and zero complexes and must behave as zero objects.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -32,7 +34,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        ent = tuple(int(e) for e in entries)
+        ent = tuple(map(int, entries))
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
         object.__setattr__(self, "rows", rows)
@@ -84,11 +86,15 @@ class IntMatrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} of a {self.rows}x{self.cols} matrix")
         c = self.cols
         return self.entries[i * c:(i + 1) * c]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
+        return self.entries[j::self.cols]
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -100,24 +106,16 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols, (other * e for e in self.entries))
+            return IntMatrix(self.rows, self.cols, map(other.__mul__, self.entries))
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        n, m, k = self.rows, self.cols, other.cols
+        m, k = self.cols, other.cols
         a, b = self.entries, other.entries
-        out = [0] * (n * k)
-        for i in range(n):
-            ai = i * m
-            oi = i * k
-            for j in range(m):
-                aij = a[ai + j]
-                if aij:
-                    bj = j * k
-                    for t in range(k):
-                        out[oi + t] += aij * b[bj + t]
-        return IntMatrix(n, k, out)
+        bcols = [b[j::k] for j in range(k)]
+        return IntMatrix(self.rows, k, [sum(map(mul, a[i * m:(i + 1) * m], bj))
+                                        for i in range(self.rows) for bj in bcols])
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -129,17 +127,17 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return IntMatrix(self.rows, self.cols, (x + y for x, y in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols, map(add, self.entries, other.entries))
 
     def __sub__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in -")
-        return IntMatrix(self.rows, self.cols, (x - y for x, y in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols, map(sub, self.entries, other.entries))
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, (-e for e in self.entries))
+        return IntMatrix(self.rows, self.cols, map(neg, self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -155,9 +153,8 @@ class IntMatrix:
         return "IntMatrix(" + "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows)) + ")"
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         (self.entries[i * self.cols + j]
-                          for j in range(self.cols) for i in range(self.rows)))
+        c = self.cols
+        return IntMatrix(c, self.rows, chain.from_iterable(self.entries[j::c] for j in range(c)))
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
@@ -274,33 +271,51 @@ def hnf(m: IntMatrix) -> tuple:
 
 @lru_cache(maxsize=None)
 def snf(m: IntMatrix) -> tuple:
-    """Smith normal form with transformations: returns (S, U, V), U*m*V = S.
+    """Smith normal form with transformations: returns (S, U, V, W), U*m*V = S.
 
-    U, V unimodular; S diagonal with nonnegative entries d1 | d2 | ...,
-    zeros last.
+    U, V unimodular and W = U^-1; S diagonal with nonnegative entries
+    d1 | d2 | ..., zeros last.
 
-    >>> s, u, v = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    >>> s, u, v, w = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> s.to_lists()
     [[2, 0], [0, 4]]
+    >>> u * w == IntMatrix.identity(2)
+    True
     """
     nr, nc = m.rows, m.cols
     a = m.to_lists()
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    # W and V are kept transposed, so their column operations are row operations
+    wt = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    vt = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
-    def row_op(i, t, q):  # row i -= q * row t
+    def row_op(i, t, q):  # row i -= q * row t; column t of W += q * column i
         ai, at = a[i], a[t]
         for j in range(nc):
             ai[j] -= q * at[j]
         ui, ut = u[i], u[t]
         for j in range(nr):
             ui[j] -= q * ut[j]
+        wi, wt_ = wt[i], wt[t]
+        for j in range(nr):
+            wt_[j] += q * wi[j]
+
+    def swap_rows(t, i):  # and columns t, i of W
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        wt[t], wt[i] = wt[i], wt[t]
 
     def col_op(j, t, q):  # col j -= q * col t
-        for i in range(nr):
-            a[i][j] -= q * a[i][t]
+        for ai in a:
+            ai[j] -= q * ai[t]
+        vj, vt_ = vt[j], vt[t]
         for i in range(nc):
-            v[i][j] -= q * v[i][t]
+            vj[i] -= q * vt_[i]
+
+    def swap_cols(t, j):
+        for ai in a:
+            ai[t], ai[j] = ai[j], ai[t]
+        vt[t], vt[j] = vt[j], vt[t]
 
     t = 0
     while t < min(nr, nc):
@@ -314,13 +329,9 @@ def snf(m: IntMatrix) -> tuple:
             break
         _, bi, bj = best
         if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-            u[t], u[bi] = u[bi], u[t]
+            swap_rows(t, bi)
         if bj != t:
-            for i in range(nr):
-                a[i][t], a[i][bj] = a[i][bj], a[i][t]
-            for i in range(nc):
-                v[i][t], v[i][bj] = v[i][bj], v[i][t]
+            swap_cols(t, bj)
         while True:
             # clear column t
             col_clear = True
@@ -329,8 +340,7 @@ def snf(m: IntMatrix) -> tuple:
                     q = a[i][t] // a[t][t]
                     row_op(i, t, q)
                     if a[i][t]:  # remainder became the smaller pivot
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
+                        swap_rows(t, i)
                         col_clear = False
             if not col_clear:
                 continue
@@ -341,10 +351,7 @@ def snf(m: IntMatrix) -> tuple:
                     q = a[t][j] // a[t][t]
                     col_op(j, t, q)
                     if a[t][j]:
-                        for i in range(nr):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        for i in range(nc):
-                            v[i][t], v[i][j] = v[i][j], v[i][t]
+                        swap_cols(t, j)
                         row_clear = False
             if row_clear and all(a[i][t] == 0 for i in range(nr) if i != t):
                 break
@@ -364,45 +371,44 @@ def snf(m: IntMatrix) -> tuple:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
+            wt[t] = [-x for x in wt[t]]
         t += 1
-    return (IntMatrix.from_rows(a, nc), IntMatrix.from_rows(u, nr), IntMatrix.from_rows(v, nc))
+    return (IntMatrix.from_rows(a, nc), IntMatrix.from_rows(u, nr),
+            IntMatrix.from_rows(vt, nc).transpose(), IntMatrix.from_rows(wt, nr).transpose())
 
 
 # -- Diophantine systems ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _col_echelon(a: IntMatrix) -> tuple:
+def col_echelon(a: IntMatrix) -> tuple:
     """Cached column echelon factorization a*V = H (H = transposed row HNF).
 
     Returns (H, V, pivot rows per pivot column).
     """
     ht, ut = hnf(a.transpose())
-    h = ht.transpose()
-    v = ut.transpose()
     pivot_rows = []
-    for k in range(h.cols):
-        colk = h.col(k)
-        nz = [i for i, e in enumerate(colk) if e]
-        if not nz:
+    for k in range(ht.rows):
+        nz = next((i for i, e in enumerate(ht.row(k)) if e), None)
+        if nz is None:
             break
-        pivot_rows.append(nz[0])
-    return (h, v, tuple(pivot_rows))
+        pivot_rows.append(nz)
+    return (ht.transpose(), ut.transpose(), tuple(pivot_rows))
 
 
 def _back_substitute(a: IntMatrix, bvec) -> Optional[list]:
     """y with (a*V)*y = bvec, for the V of a's column echelon form, or None."""
-    h, _, pivot_rows = _col_echelon(a)
+    h, _, pivot_rows = col_echelon(a)
+    he, nc = h.entries, h.cols
     r = list(bvec)
-    y = [0] * a.cols
+    y = [0] * nc
     for k, p in enumerate(pivot_rows):
-        piv = h[p, k]
-        q, rem = divmod(r[p], piv)
+        q, rem = divmod(r[p], he[p * nc + k])
         if rem:
             return None
         if q:
             y[k] = q
-            for i in range(p, a.rows):
-                hik = h[i, k]
+            for i in range(p, h.rows):
+                hik = he[i * nc + k]
                 if hik:
                     r[i] -= q * hik
     if any(r):
@@ -434,7 +440,7 @@ def solve(a: IntMatrix, b) -> Optional[tuple]:
     y = _back_substitute(a, bvec)
     if y is None:
         return None
-    v = _col_echelon(a)[1]
+    v = col_echelon(a)[1]
     return (v * IntMatrix.column(y), kernel_basis(a))
 
 
@@ -448,16 +454,16 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
         if y is None:
             return None
         ys.append(y)
-    v = _col_echelon(a)[1]
-    return v * IntMatrix(a.cols, b.cols, (y[i] for i in range(a.cols) for y in ys))
+    v = col_echelon(a)[1]
+    return v * IntMatrix(b.cols, a.cols, chain.from_iterable(ys)).transpose()
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns generate {x : a*x = 0}."""
-    _, v, pivot_rows = _col_echelon(a)
+    _, v, pivot_rows = col_echelon(a)
     npiv = len(pivot_rows)
     return IntMatrix(a.cols, a.cols - npiv,
-                     (v[i, j] for i in range(a.cols) for j in range(npiv, a.cols)))
+                     chain.from_iterable(v.row(i)[npiv:] for i in range(a.cols)))
 
 
 def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:

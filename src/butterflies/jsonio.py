@@ -9,6 +9,7 @@ because the schema fixes them.
 from __future__ import annotations
 
 import json
+import re
 
 from .intlinalg import IntMatrix
 from .fgab import FgAbGroup, FgAbMap
@@ -28,10 +29,52 @@ class RefusalError(ValueError):
 KINDS = ("group", "map", "complex", "butterfly", "sequence")
 
 
+# -- integers of any size ----------------------------------------------------
+# int() and str() refuse more than 4300 decimal digits by default; the limit
+# is process-global, so long numbers are converted here in chunks instead.
+
+_CHUNK = 4000
+_BASE = 10 ** _CHUNK
+_LONG_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _int_to_str(n: int) -> str:
+    """str(n) for an int of any size."""
+    if -_BASE < n < _BASE:
+        return str(n)
+    sign, n = ("-" if n < 0 else ""), abs(n)
+    chunks = []
+    while n >= _BASE:
+        n, r = divmod(n, _BASE)
+        chunks.append(str(r).zfill(_CHUNK))
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
+
+
+def _str_to_int(s: str) -> int:
+    """int(s) for a decimal literal of any length; raises ValueError if bad."""
+    s = s.strip()
+    if len(s) <= _CHUNK:
+        return int(s)
+    if not _LONG_LITERAL.fullmatch(s):
+        raise ValueError(f"invalid literal of length {len(s)}")
+    digits = s.lstrip("+-").replace("_", "")
+    n = 0
+    for k in range(0, len(digits), _CHUNK):
+        chunk = digits[k:k + _CHUNK]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if s[0] == "-" else n
+
+
+def _shorten(text: str) -> str:
+    """text cut to 40 characters for an error message."""
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 # -- encoding ----------------------------------------------------------------
 
 def matrix_to_json(m: IntMatrix) -> list:
-    return [[str(e) for e in m.row(i)] for i in range(m.rows)]
+    return [[_int_to_str(e) for e in m.row(i)] for i in range(m.rows)]
 
 
 def group_to_json(g: FgAbGroup) -> dict:
@@ -89,9 +132,9 @@ def matrix_from_json(data, rows: int, cols: int) -> IntMatrix:
         for e in r:
             _expect(isinstance(e, (str, int)), "matrix entries must be decimal strings")
             try:
-                flat.append(int(e))
+                flat.append(e if isinstance(e, int) else _str_to_int(e))
             except ValueError:
-                raise SchemaError(f"bad integer literal {e!r}")
+                raise SchemaError(f"bad integer literal {_shorten(repr(e))}")
     return IntMatrix(rows, cols, flat)
 
 
@@ -172,7 +215,7 @@ PARSERS = {
 
 def parse_document(text: str):
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_str_to_int)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}")
     _expect(isinstance(data, dict), "document must be an object")
@@ -183,7 +226,7 @@ def parse_document(text: str):
 
 def invariants_to_json(g: FgAbGroup) -> dict:
     rank, tors = g.invariant_factors()
-    return {"rank": rank, "torsion": [str(d) for d in tors]}
+    return {"rank": rank, "torsion": [_int_to_str(d) for d in tors]}
 
 
 def parse_group_shorthand(text: str) -> FgAbGroup:
@@ -206,9 +249,9 @@ def parse_group_shorthand(text: str) -> FgAbGroup:
 
 def _positive_int(s: str) -> int:
     try:
-        n = int(s)
+        n = _str_to_int(s)
     except ValueError:
-        raise SchemaError(f"bad group shorthand token {s!r}")
+        raise SchemaError(f"bad group shorthand token {_shorten(repr(s))}")
     if n < 2:
         raise SchemaError(f"torsion factor must be >= 2, got {n}")
     return n

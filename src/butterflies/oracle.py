@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .intlinalg import IntMatrix, snf, solve_matrix
+from .intlinalg import IntMatrix, snf
 from .fgab import FgAbGroup, FgAbMap
 
 DEFAULT_CAP = 4096
@@ -98,7 +98,7 @@ def realize(g: FgAbGroup, cap: int = DEFAULT_CAP) -> Realization:
 
     Raises OracleError for infinite groups or order above the cap.
     """
-    s, u, _ = snf(g.relations)
+    s, u, _, uinv = snf(g.relations)
     n = g.ngens
     orders = [s[i, i] if i < min(s.rows, s.cols) else 0 for i in range(n)]
     if any(d == 0 for d in orders):
@@ -109,7 +109,6 @@ def realize(g: FgAbGroup, cap: int = DEFAULT_CAP) -> Realization:
         total *= orders[i]
     if total > cap:
         raise OracleError(f"group order {total} exceeds cap {cap}")
-    uinv = solve_matrix(u, IntMatrix.identity(n))
     return Realization(g, ElementGroup(tuple(orders[i] for i in kept)), u, uinv, kept)
 
 

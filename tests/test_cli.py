@@ -204,6 +204,30 @@ class TestRoundTrip:
             assert got_kind == kind
             assert jsonio.emit(jsonio.document(kind, rebuild(obj))) == text1
 
+    def test_integers_beyond_4300_digits(self, tmp_path, capsys):
+        # int() and str() refuse more than 4300 digits by default
+        big = ["9" * 5001, "-1" + "0" * 7999 + "7", "1" + "0" * 3999, "-" + "9" * 4000]
+        values = (10 ** 5001 - 1, -(10 ** 8000) - 7, 10 ** 3999, 1 - 10 ** 4000)
+        text = jsonio.emit({"kind": "group", "ngens": 1, "relations": [big]})
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        kind, g = jsonio.parse_document(text)
+        assert g.relations.entries == values
+        assert jsonio.emit(jsonio.document(kind, jsonio.group_to_json(g))) == text
+        # an unquoted JSON number of that size parses to the same entry
+        kind, g2 = jsonio.parse_document(text.replace(f'"{big[0]}"', big[0]))
+        assert g2 == g
+
+    def test_long_bad_literal_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(jsonio.emit({"kind": "group", "ngens": 1,
+                                     "relations": [["9" * 5000 + "x"]]}))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad integer literal" in err and len(err) < 200
+
     def test_gen_output_revalidates(self, docs, tmp_path):
         for seed in (0, 3, 11):
             out = str(tmp_path / f"gen{seed}.json")

@@ -155,8 +155,10 @@ class TestInvariantFactors:
 
     def test_simplify_is_isomorphism(self):
         rng = random.Random(4)
-        for _ in range(25):
-            g = random_group(rng)
+        # dense n x n relations with entries in [-9, 9] have large U^-1 entries
+        dense = [FgAbGroup(n, IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]))
+                 for n in (4, 5, 6, 7, 8)]
+        for g in [random_group(rng) for _ in range(25)] + dense:
             s = simplify(g)
             assert s.group.invariant_factors() == g.invariant_factors()
             assert map_equal(s.fro * s.to, FgAbMap.identity(g))

@@ -79,23 +79,25 @@ class TestHnf:
 class TestSnf:
     def test_zero(self):
         m = IntMatrix.zeros(2, 3)
-        s, u, v = snf(m)
+        s, u, v, w = snf(m)
         assert s.is_zero()
         assert u == IntMatrix.identity(2) and v == IntMatrix.identity(3)
+        assert w == IntMatrix.identity(2)
 
     def test_2x2(self):
-        s, _, _ = snf(mat([[2, 4], [6, 8]]))
+        s, _, _, _ = snf(mat([[2, 4], [6, 8]]))
         assert s.to_lists() == [[2, 0], [0, 4]]
 
     def test_already_diagonal(self):
-        s, _, _ = snf(mat([[1, 0], [0, 6]]))
+        s, _, _, _ = snf(mat([[1, 0], [0, 6]]))
         assert s.to_lists() == [[1, 0], [0, 6]]
 
     @given(small_matrices)
     @settings(max_examples=60, deadline=None)
     def test_recompose_divisibility(self, m):
-        s, u, v = snf(m)
+        s, u, v, w = snf(m)
         assert u * m * v == s
+        assert u * w == IntMatrix.identity(m.rows) == w * u
         diag = [s[i, i] for i in range(min(m.rows, m.cols))]
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
@@ -114,10 +116,23 @@ class TestSnf:
         from butterflies.fgab import random_unimodular
         p = random_unimodular(rng, m.rows)
         q = random_unimodular(rng, m.cols)
-        s1, _, _ = snf(m)
-        s2, _, _ = snf(p * m * q)
+        s1, _, _, _ = snf(m)
+        s2, _, _, _ = snf(p * m * q)
         assert [s1[i, i] for i in range(min(m.rows, m.cols))] == \
                [s2[i, i] for i in range(min(m.rows, m.cols))]
+
+    @given(small_matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_matches_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+        s, _, _, _ = snf(m)
+        ours = [s[i, i] for i in range(min(m.rows, m.cols))]
+        theirs = smith_normal_form(sympy.Matrix(m.rows, m.cols, list(m.entries)),
+                                   domain=sympy.ZZ)
+        theirs = [abs(int(theirs[i, i])) for i in range(min(m.rows, m.cols))]
+        # sympy fixes neither the signs nor the place of the zeros
+        assert ours == [d for d in theirs if d] + [d for d in theirs if not d]
 
 
 class TestSolve:
@@ -178,6 +193,27 @@ def test_block_helpers():
     assert vstack(a, IntMatrix.zeros(1, 2)).rows == 3
     k = kron(mat([[2]]), IntMatrix.identity(2))
     assert k.to_lists() == [[2, 0], [0, 2]]
+
+
+def test_row_and_col_indices_checked():
+    m = mat([[1, 2], [3, 4]])
+    assert m.row(1) == (3, 4) and m.col(1) == (2, 4)
+    for bad in (-1, 2, 5):
+        with pytest.raises(IndexError):
+            m.row(bad)
+        with pytest.raises(IndexError):
+            m.col(bad)
+
+
+@given(small_matrices)
+@settings(max_examples=60, deadline=None)
+def test_transpose_product_reference(m):
+    t = m.transpose()
+    assert [t.col(i) for i in range(t.cols)] == [m.row(i) for i in range(m.rows)]
+    # the product against a plain triple loop
+    p = m * t
+    assert p.entries == tuple(sum(m.row(i)[k] * t.col(j)[k] for k in range(m.cols))
+                              for i in range(m.rows) for j in range(m.rows))
 
 
 def test_immutability_and_hash():
