@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlinalg import IntMatrix, InvariantError, hstack, vstack
+from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack
 from .fgab import (
     FgAbGroup, FgAbMap, map_equal, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective,
@@ -104,7 +104,7 @@ class TwoMorphism:
 
 # -- basic builders ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def identity_butterfly(e: TwoTermComplex) -> Butterfly:
     """Carrier E^0 (+) E^-1 with i = (0;1), j = (d;1), p = (1,-d), q = (1,0)."""
     n0, n1 = e.deg_0.ngens, e.deg_m1.ngens

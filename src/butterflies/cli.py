@@ -2,7 +2,8 @@
 JSON-described inputs.
 
 Exit codes: 0 success, 1 mathematical refusal (axiom or precondition
-violated), 2 I/O or schema error.
+violated), 2 I/O, usage or schema error (including an unwritable --out
+path and an unknown selftest criterion).
 """
 
 from __future__ import annotations
@@ -44,8 +45,11 @@ def _read_kind(path: str, kind: str):
 def _write_or_print(doc: dict, out_path):
     text = jsonio.emit(doc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -228,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--suite", nargs="*", help="criterion numbers to run, e.g. 1 6 9")
+    p.add_argument("--suite", nargs="*", choices=selftest.criterion_numbers(), metavar="N",
+                   help="criterion numbers to run, e.g. 1 6 9")
     p.set_defaults(fn=cmd_selftest)
 
     return ap

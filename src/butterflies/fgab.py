@@ -8,7 +8,9 @@ question answered by invariant_factors (plus an explicit map when needed).
 
 Kernels, cokernels, images and subquotients return groups in simplified
 (diagonal) presentation together with the maps tying them to the inputs;
-nothing downstream ever needs to re-derive those maps.
+nothing downstream ever needs to re-derive those maps.  kernel and cokernel
+are memoized (bounded by intlinalg.CACHE_SIZE), so the exactness criteria
+that rebuild the same kernels and cokernels share one computation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .intlinalg import (
-    IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
+    CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
     solve, solve_matrix, kernel_basis, in_col_span, col_echelon,
 )
 
@@ -214,6 +216,7 @@ class Kernel:
         return factor_through_injection(self.incl, x)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def kernel(f: FgAbMap) -> Kernel:
     a, b = f.src, f.dst
     big = kernel_basis(hstack(f.matrix, b.relations))
@@ -243,6 +246,7 @@ class Cokernel:
         return FgAbMap(self.group, y.dst, y.matrix * self.fro.matrix)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def cokernel(f: FgAbMap) -> Cokernel:
     b = f.dst
     pre = FgAbGroup(b.ngens, hstack(b.relations, f.matrix))
@@ -468,7 +472,7 @@ class Ext1:
         return simp.group, i, q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def ext1_realize(a: FgAbGroup, c: FgAbGroup) -> Ext1:
     """Ext^1(a, c) from a free presentation, with explicit realizations."""
     r, pre = _dual_presentation(a, c)

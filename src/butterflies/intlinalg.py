@@ -17,6 +17,11 @@ from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
 
+# The one bound on every memo cache in the package: results are pure
+# functions of immutable values, and the bound caps memory in long-running use.
+CACHE_SIZE = 4096
+
+
 class InvariantError(RuntimeError):
     """An internal invariant failed: a defect in this library, never bad input."""
 
@@ -269,7 +274,7 @@ def hnf(m: IntMatrix) -> tuple:
 
 # -- Smith normal form -----------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def snf(m: IntMatrix) -> tuple:
     """Smith normal form with transformations: returns (S, U, V, W), U*m*V = S.
 
@@ -379,7 +384,7 @@ def snf(m: IntMatrix) -> tuple:
 
 # -- Diophantine systems ---------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def col_echelon(a: IntMatrix) -> tuple:
     """Cached column echelon factorization a*V = H (H = transposed row HNF).
 

@@ -485,6 +485,11 @@ CRITERIA = [
 ]
 
 
+def criterion_numbers() -> list:
+    """The numbers run() accepts in only, as strings, in criterion order."""
+    return [name.split()[0] for name, _ in CRITERIA]
+
+
 def run(scale: float = 1.0, only=None, out=print) -> bool:
     ok_all = True
     for name, fn in CRITERIA:

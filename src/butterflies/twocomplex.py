@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import IntMatrix
+from .intlinalg import CACHE_SIZE, IntMatrix
 from .fgab import (
     FgAbGroup, FgAbMap, Kernel, Cokernel,
     kernel, cokernel, map_equal, random_group, random_map,
@@ -104,7 +104,7 @@ class Homology:
         return self.cok.induce(y)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def homology(e: TwoTermComplex) -> Homology:
     ker = kernel(e.d)
     cok = cokernel(e.d)

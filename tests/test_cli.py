@@ -93,6 +93,20 @@ class TestExitCodes:
     def test_biext_bad_shorthand(self, docs):
         assert main(["biext", "Z/x", "2", "2"]) == 2
 
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert main(["gen", "butterfly", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: cannot write {out}: ") and err.count("\n") == 1
+
+    def test_selftest_unknown_criterion_is_usage_error(self, capsys):
+        for suite in (["99"], ["x"], ["1", "99"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["selftest", "--suite", *suite])
+            assert exc.value.code == 2
+            got = capsys.readouterr()
+            assert got.out == "" and "choose from '1', '2', '3'" in got.err
+
     def test_ill_defined_map_document_is_refusal(self, tmp_path):
         # shape-valid JSON whose matrix fails to descend: exit 1, not 2
         doc = {"kind": "map",

@@ -140,6 +140,17 @@ class TestExactness:
         assert not is_exact_at(FgAbMap.zero(Z2, Z2), FgAbMap.zero(Z2, Z2))
 
 
+def simplify_inputs():
+    """(25 random groups, 5 groups with dense n x n relations).
+
+    Dense relations with entries in [-9, 9] have large U^-1 entries.
+    """
+    rng = random.Random(4)
+    dense = [FgAbGroup(n, IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]))
+             for n in (4, 5, 6, 7, 8)]
+    return [random_group(rng) for _ in range(25)], dense
+
+
 class TestInvariantFactors:
     def test_free(self):
         assert Z.invariant_factors() == (1, ())
@@ -154,15 +165,27 @@ class TestInvariantFactors:
         assert quo.invariant_factors() == (0, (2, 4))
 
     def test_simplify_is_isomorphism(self):
-        rng = random.Random(4)
-        # dense n x n relations with entries in [-9, 9] have large U^-1 entries
-        dense = [FgAbGroup(n, IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]))
-                 for n in (4, 5, 6, 7, 8)]
-        for g in [random_group(rng) for _ in range(25)] + dense:
+        randoms, dense = simplify_inputs()
+        for g in randoms + dense:
             s = simplify(g)
             assert s.group.invariant_factors() == g.invariant_factors()
             assert map_equal(s.fro * s.to, FgAbMap.identity(g))
             assert map_equal(s.to * s.fro, FgAbMap.identity(s.group))
+
+
+def test_cached_kernel_and_cokernel_match_fresh():
+    for g in simplify_inputs()[1]:
+        n = g.ngens
+        doubling = FgAbMap(g, g, 2 * IntMatrix.identity(n))
+        into = FgAbMap(FgAbGroup.free(n), g, IntMatrix(n, n, g.relations.entries[::-1]))
+        for f in (doubling, into):
+            for construction in (kernel, cokernel):
+                construction.cache_clear()
+                fresh = construction(f)
+                assert construction(f) is fresh
+                assert construction.cache_info().hits == 1
+                construction.cache_clear()
+                assert construction(f) == fresh
 
 
 class TestHomSolve:

@@ -1,10 +1,14 @@
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import butterflies
 from butterflies.intlinalg import (
-    IntMatrix, hnf, snf, solve, solve_matrix, kernel_basis, in_col_span, hstack, vstack, kron,
+    CACHE_SIZE, IntMatrix, hnf, snf, solve, solve_matrix, kernel_basis, in_col_span,
+    hstack, vstack, kron,
 )
 
 
@@ -221,3 +225,23 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         m.rows = 5
     assert hash(m) == hash(IntMatrix(2, 2, (1, 2, 3, 4)))
+
+
+class TestCachePolicy:
+    def test_every_cache_has_the_one_bound(self):
+        caches = {}
+        for info in pkgutil.iter_modules(butterflies.__path__, "butterflies."):
+            mod = importlib.import_module(info.name)
+            for name, obj in vars(mod).items():
+                if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                    caches[f"{mod.__name__}.{name}"] = obj.cache_info().maxsize
+        assert {"butterflies.fgab.kernel", "butterflies.fgab.cokernel",
+                "butterflies.intlinalg.snf"} <= set(caches)
+        assert caches == dict.fromkeys(caches, CACHE_SIZE)
+
+    def test_cache_stays_within_the_bound(self):
+        snf.cache_clear()
+        for n in range(CACHE_SIZE + 1):
+            snf(IntMatrix(1, 1, (n,)))
+        assert snf.cache_info().currsize <= CACHE_SIZE
+        snf.cache_clear()
