@@ -108,7 +108,7 @@ class TwoMorphism:
 def identity_butterfly(e: TwoTermComplex) -> Butterfly:
     """Carrier E^0 (+) E^-1 with i = (0;1), j = (d;1), p = (1,-d), q = (1,0)."""
     n0, n1 = e.deg_0.ngens, e.deg_m1.ngens
-    car, _, _, _, _ = direct_sum(e.deg_0, e.deg_m1)
+    car = direct_sum(e.deg_0, e.deg_m1)
     i = FgAbMap(e.deg_m1, car, vstack(IntMatrix.zeros(n0, n1), IntMatrix.identity(n1)))
     j = FgAbMap(e.deg_m1, car, vstack(e.d.matrix, IntMatrix.identity(n1)))
     p = FgAbMap(car, e.deg_0, hstack(IntMatrix.identity(n0), -e.d.matrix))
@@ -120,7 +120,7 @@ def from_chain_map(f: ChainMap) -> Butterfly:
     """Carrier E^0 (+) F^-1 with i = (0;1), j = (d;f^-1), p = (f^0,-d), q = (1,0)."""
     e, ff = f.src, f.dst
     n0, m1 = e.deg_0.ngens, ff.deg_m1.ngens
-    car, _, _, _, _ = direct_sum(e.deg_0, ff.deg_m1)
+    car = direct_sum(e.deg_0, ff.deg_m1)
     i = FgAbMap(ff.deg_m1, car, vstack(IntMatrix.zeros(n0, m1), IntMatrix.identity(m1)))
     j = FgAbMap(e.deg_m1, car, vstack(e.d.matrix, f.f_m1.matrix))
     p = FgAbMap(car, ff.deg_0, hstack(f.f_0.matrix, -ff.d.matrix))
@@ -161,7 +161,7 @@ def compose(z: Butterfly, y: Butterfly) -> Butterfly:
     if y.dst != z.src:
         raise ValueError("compose endpoint mismatch")
     f = y.dst
-    yz, _, _, _, _ = direct_sum(y.carrier, z.carrier)
+    yz = direct_sum(y.carrier, z.carrier)
     a = FgAbMap(f.deg_m1, yz, vstack(y.i.matrix, -z.j.matrix))
     bmap = FgAbMap(yz, f.deg_0, hstack(-y.p.matrix, z.q.matrix))
     sq = subquotient(a, bmap)
@@ -208,7 +208,7 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
     if (a.src, a.dst) != (b.src, b.dst):
         raise ValueError("Baer sum needs parallel butterflies")
     e, f = a.src, a.dst
-    s, _, _, _, _ = direct_sum(a.carrier, b.carrier)
+    s = direct_sum(a.carrier, b.carrier)
     anti = FgAbMap(f.deg_m1, s, vstack(a.i.matrix, -b.i.matrix))
     diff = FgAbMap(s, e.deg_0, hstack(a.q.matrix, -b.q.matrix))
     sq = subquotient(anti, diff)
@@ -389,7 +389,7 @@ def pullback_compose(z: Butterfly, f: ChainMap) -> Butterfly:
     if f.dst != z.src:
         raise ValueError("pullback endpoints mismatch")
     e = f.src
-    s, _, _, _, _ = direct_sum(e.deg_0, z.carrier)
+    s = direct_sum(e.deg_0, z.carrier)
     kk = kernel(FgAbMap(s, f.dst.deg_0, hstack(-f.f_0.matrix, z.q.matrix)))
     w = kk.group
     j = kk.factor(FgAbMap(e.deg_m1, s, vstack(e.d.matrix, (z.j * f.f_m1).matrix)))
@@ -409,7 +409,7 @@ def pushout_compose(g: ChainMap, y: Butterfly) -> Butterfly:
     if y.dst != g.src:
         raise ValueError("pushout endpoints mismatch")
     gg = g.dst
-    s, _, _, _, _ = direct_sum(y.carrier, gg.deg_m1)
+    s = direct_sum(y.carrier, gg.deg_m1)
     ck = cokernel(FgAbMap(y.dst.deg_m1, s, vstack(y.i.matrix, -g.f_m1.matrix)))
     w = ck.group
     j = ck.proj * FgAbMap(y.src.deg_m1, s,

@@ -154,18 +154,13 @@ def map_equal(f: FgAbMap, g: FgAbMap) -> bool:
 
 # -- direct sums -----------------------------------------------------------
 
-def direct_sum(a: FgAbGroup, b: FgAbGroup):
-    """Returns (a+b, inj_a, inj_b, proj_a, proj_b); first summand leads."""
+def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
+    """a + b, generators of a first: block-diagonal relations."""
     rel = block([
         [a.relations, IntMatrix.zeros(a.ngens, b.relations.cols)],
         [IntMatrix.zeros(b.ngens, a.relations.cols), b.relations],
     ])
-    s = FgAbGroup(a.ngens + b.ngens, rel)
-    ia = FgAbMap(a, s, vstack(IntMatrix.identity(a.ngens), IntMatrix.zeros(b.ngens, a.ngens)))
-    ib = FgAbMap(b, s, vstack(IntMatrix.zeros(a.ngens, b.ngens), IntMatrix.identity(b.ngens)))
-    pa = FgAbMap(s, a, hstack(IntMatrix.identity(a.ngens), IntMatrix.zeros(a.ngens, b.ngens)))
-    pb = FgAbMap(s, b, hstack(IntMatrix.zeros(b.ngens, a.ngens), IntMatrix.identity(b.ngens)))
-    return s, ia, ib, pa, pb
+    return FgAbGroup(a.ngens + b.ngens, rel)
 
 
 # -- presentation simplification --------------------------------------------
@@ -220,8 +215,7 @@ class Kernel:
 def kernel(f: FgAbMap) -> Kernel:
     a, b = f.src, f.dst
     big = kernel_basis(hstack(f.matrix, b.relations))
-    gens = IntMatrix(a.ngens, big.cols,
-                     (big[i, j] for i in range(a.ngens) for j in range(big.cols)))
+    gens = IntMatrix(a.ngens, big.cols, big.entries[:a.ngens * big.cols])
     simp = _span(gens, a)
     return Kernel(simp.group, FgAbMap(simp.group, a, gens * simp.fro.matrix))
 
@@ -230,8 +224,7 @@ def _span(gens: IntMatrix, ambient: FgAbGroup) -> Simplified:
     """The subgroup of ambient generated by the columns of gens, presented
     on those columns (generator k is column k) and then simplified."""
     rel_big = kernel_basis(hstack(gens, ambient.relations))
-    rel = IntMatrix(gens.cols, rel_big.cols,
-                    (rel_big[i, j] for i in range(gens.cols) for j in range(rel_big.cols)))
+    rel = IntMatrix(gens.cols, rel_big.cols, rel_big.entries[:gens.cols * rel_big.cols])
     return simplify(FgAbGroup(gens.cols, rel))
 
 
@@ -381,7 +374,7 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple]):
     for (lm, rm, cm, rel) in congruences:
         a, bcols, ra = lm.rows, rm.cols, rel.cols
         for v in range(bcols):
-            rmcol = rm.col(v)
+            rmcol, cmcol = rm.col(v), cm.col(v)
             for u in range(a):
                 row = [0] * (nx + slack_cols)
                 lrow = lm.row(u)
@@ -392,21 +385,22 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple]):
                         for cc in range(na):
                             if rmcol[cc]:
                                 row[base + cc] += lur * rmcol[cc]
-                for t in range(ra):
-                    if rel[u, t]:
-                        row[slack_base + v * ra + t] = -rel[u, t]
+                slack = slack_base + v * ra
+                for t, e in enumerate(rel.row(u)):
+                    if e:
+                        row[slack + t] = -e
                 rows.append(row)
-                rhs.append(cm[u, v])
+                rhs.append(cmcol[u])
         slack_base += ra * bcols
     big = IntMatrix(len(rows), nx + slack_cols, (e for row in rows for e in row))
     res = solve(big, rhs)
     if res is None:
         return None
     x0, kern = res
-    xmat = IntMatrix(nb, na, (x0[i, 0] for i in range(nx)))
+    xmat = IntMatrix(nb, na, x0.entries[:nx])
     kmats = []
     for j in range(kern.cols):
-        km = IntMatrix(nb, na, (kern[i, j] for i in range(nx)))
+        km = IntMatrix(nb, na, kern.col(j)[:nx])
         if not km.is_zero():
             kmats.append(km)
     return FgAbMap(src, dst, xmat), kmats
@@ -417,9 +411,9 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple]):
 def free_presentation(a: FgAbGroup) -> IntMatrix:
     """Relations of a with redundant relators discarded: independent columns
     spanning the same lattice, giving 0 -> Z^m -> Z^n -> a -> 0."""
-    h, _, pivot_rows = col_echelon(a.relations)
+    ht, _, pivot_rows = col_echelon(a.relations)
     m = len(pivot_rows)
-    return IntMatrix(a.ngens, m, (h[i, j] for i in range(a.ngens) for j in range(m)))
+    return IntMatrix(m, a.ngens, ht.entries[:m * a.ngens]).transpose()
 
 
 def power_group(c: FgAbGroup, k: int) -> FgAbGroup:

@@ -42,10 +42,13 @@ class IntMatrix:
         ent = tuple(map(int, entries))
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "_hash", hash((rows, cols, ent)))
+        _fill(self, rows, cols, ent)
+
+    @staticmethod
+    def _of(rows: int, cols: int, ent: tuple) -> "IntMatrix":
+        """The trusted constructor, for this module's own results only: ent
+        must already be a tuple of rows * cols ints, and nothing is checked."""
+        return _fill(object.__new__(IntMatrix), rows, cols, ent)
 
     def __setattr__(self, *a):
         raise AttributeError("IntMatrix is immutable")
@@ -67,11 +70,15 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
+        if n < 0:
+            raise ValueError("negative dimensions")
+        return IntMatrix._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions")
+        return IntMatrix._of(rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def diagonal(diag: Sequence[int]) -> "IntMatrix":
@@ -111,7 +118,7 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols, map(other.__mul__, self.entries))
+            return IntMatrix._of(self.rows, self.cols, tuple(map(int(other).__mul__, self.entries)))
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -119,8 +126,8 @@ class IntMatrix:
         m, k = self.cols, other.cols
         a, b = self.entries, other.entries
         bcols = [b[j::k] for j in range(k)]
-        return IntMatrix(self.rows, k, [sum(map(mul, a[i * m:(i + 1) * m], bj))
-                                        for i in range(self.rows) for bj in bcols])
+        return IntMatrix._of(self.rows, k, tuple([sum(map(mul, a[i * m:(i + 1) * m], bj))
+                                                  for i in range(self.rows) for bj in bcols]))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -132,17 +139,17 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return IntMatrix(self.rows, self.cols, map(add, self.entries, other.entries))
+        return IntMatrix._of(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in -")
-        return IntMatrix(self.rows, self.cols, map(sub, self.entries, other.entries))
+        return IntMatrix._of(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, map(neg, self.entries))
+        return IntMatrix._of(self.rows, self.cols, tuple(map(neg, self.entries)))
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -159,12 +166,31 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         c = self.cols
-        return IntMatrix(c, self.rows, chain.from_iterable(self.entries[j::c] for j in range(c)))
+        return IntMatrix._of(c, self.rows,
+                             tuple(chain.from_iterable(self.entries[j::c] for j in range(c))))
+
+
+# The slots' own setters, which bypass the immutability guard in __setattr__.
+_set_rows, _set_cols, _set_entries, _set_hash = (
+    IntMatrix.rows.__set__, IntMatrix.cols.__set__,
+    IntMatrix.entries.__set__, IntMatrix._hash.__set__)
+
+
+def _fill(m: IntMatrix, rows: int, cols: int, ent: tuple) -> IntMatrix:
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_entries(m, ent)
+    _set_hash(m, hash((rows, cols, ent)))
+    return m
+
+
+def _from_lists(rows: int, cols: int, lists: list) -> IntMatrix:
+    """Rows held as lists of ints, computed in this module, as a matrix."""
+    return IntMatrix._of(rows, cols, tuple(chain.from_iterable(lists)))
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
     """Concatenate matrices left to right (all must share a row count)."""
-    mats = [m for m in mats]
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack: row counts differ")
@@ -172,19 +198,16 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     for i in range(rows):
         for m in mats:
             flat.extend(m.row(i))
-    return IntMatrix(rows, sum(m.cols for m in mats), flat)
+    return IntMatrix._of(rows, sum(m.cols for m in mats), tuple(flat))
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
     """Concatenate matrices top to bottom (all must share a column count)."""
-    mats = [m for m in mats]
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack: column counts differ")
-    flat = []
-    for m in mats:
-        flat.extend(m.entries)
-    return IntMatrix(sum(m.rows for m in mats), cols, flat)
+    return IntMatrix._of(sum(m.rows for m in mats), cols,
+                         tuple(chain.from_iterable(m.entries for m in mats)))
 
 
 def block(rows_of_blocks: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
@@ -201,7 +224,7 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 aij = a.entries[i * a.cols + j]
                 row.extend(aij * e for e in b.row(s))
             out.append(row)
-    return IntMatrix(a.rows * b.rows, a.cols * b.cols, [e for r in out for e in r])
+    return _from_lists(a.rows * b.rows, a.cols * b.cols, out)
 
 
 # -- Hermite normal form ---------------------------------------------------
@@ -269,7 +292,7 @@ def hnf(m: IntMatrix) -> tuple:
                 ui, ur = u[i], u[pr]
                 for j in range(nr):
                     ui[j] -= q * ur[j]
-    return (IntMatrix.from_rows(a, nc), IntMatrix.from_rows(u, nr))
+    return (_from_lists(nr, nc, a), _from_lists(nr, nr, u))
 
 
 # -- Smith normal form -----------------------------------------------------
@@ -378,42 +401,45 @@ def snf(m: IntMatrix) -> tuple:
             u[t] = [-x for x in u[t]]
             wt[t] = [-x for x in wt[t]]
         t += 1
-    return (IntMatrix.from_rows(a, nc), IntMatrix.from_rows(u, nr),
-            IntMatrix.from_rows(vt, nc).transpose(), IntMatrix.from_rows(wt, nr).transpose())
+    return (_from_lists(nr, nc, a), _from_lists(nr, nr, u),
+            _from_lists(nc, nc, vt).transpose(), _from_lists(nr, nr, wt).transpose())
 
 
 # -- Diophantine systems ---------------------------------------------------
 
 @lru_cache(maxsize=CACHE_SIZE)
 def col_echelon(a: IntMatrix) -> tuple:
-    """Cached column echelon factorization a*V = H (H = transposed row HNF).
+    """Cached column echelon factorization a*V = H, kept transposed.
 
-    Returns (H, V, pivot rows per pivot column).
+    Returns (H^T, V^T, pivot rows per pivot column), where (H^T, V^T) is the
+    row HNF of a^T; column k of H is row k of H^T.
     """
-    ht, ut = hnf(a.transpose())
+    ht, vt = hnf(a.transpose())
     pivot_rows = []
     for k in range(ht.rows):
         nz = next((i for i, e in enumerate(ht.row(k)) if e), None)
         if nz is None:
             break
         pivot_rows.append(nz)
-    return (ht.transpose(), ut.transpose(), tuple(pivot_rows))
+    return (ht, vt, tuple(pivot_rows))
 
 
-def _back_substitute(a: IntMatrix, bvec) -> Optional[list]:
-    """y with (a*V)*y = bvec, for the V of a's column echelon form, or None."""
-    h, _, pivot_rows = col_echelon(a)
-    he, nc = h.entries, h.cols
+def _back_substitute(echelon: tuple, bvec) -> Optional[list]:
+    """y with H*y = bvec, for echelon = col_echelon(a) = (H^T, V^T, pivot
+    rows), so that a*(V*y) = bvec; or None."""
+    ht, _, pivot_rows = echelon
+    he, nr = ht.entries, ht.cols
     r = list(bvec)
-    y = [0] * nc
+    y = [0] * ht.rows
     for k, p in enumerate(pivot_rows):
-        q, rem = divmod(r[p], he[p * nc + k])
+        base = k * nr
+        q, rem = divmod(r[p], he[base + p])
         if rem:
             return None
         if q:
             y[k] = q
-            for i in range(p, h.rows):
-                hik = he[i * nc + k]
+            for i in range(p, nr):
+                hik = he[base + i]
                 if hik:
                     r[i] -= q * hik
     if any(r):
@@ -442,33 +468,33 @@ def solve(a: IntMatrix, b) -> Optional[tuple]:
         bvec = [int(x) for x in b]
     if len(bvec) != a.rows:
         raise ValueError("dimension mismatch in solve")
-    y = _back_substitute(a, bvec)
+    echelon = col_echelon(a)
+    y = _back_substitute(echelon, bvec)
     if y is None:
         return None
-    v = col_echelon(a)[1]
-    return (v * IntMatrix.column(y), kernel_basis(a))
+    x0 = IntMatrix._of(1, len(y), tuple(y)) * echelon[1]  # (V*y)^T = y^T * V^T
+    return (IntMatrix._of(a.cols, 1, x0.entries), kernel_basis(a))
 
 
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """Solve a*X = b columnwise; returns X or None. Shares a's factorization."""
     if b.rows != a.rows:
         raise ValueError("dimension mismatch in solve_matrix")
+    echelon = col_echelon(a)
     ys = []
     for j in range(b.cols):
-        y = _back_substitute(a, b.col(j))
+        y = _back_substitute(echelon, b.col(j))
         if y is None:
             return None
         ys.append(y)
-    v = col_echelon(a)[1]
-    return v * IntMatrix(b.cols, a.cols, chain.from_iterable(ys)).transpose()
+    return (_from_lists(b.cols, a.cols, ys) * echelon[1]).transpose()
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns generate {x : a*x = 0}."""
-    _, v, pivot_rows = col_echelon(a)
-    npiv = len(pivot_rows)
-    return IntMatrix(a.cols, a.cols - npiv,
-                     chain.from_iterable(v.row(i)[npiv:] for i in range(a.cols)))
+    _, vt, pivot_rows = col_echelon(a)
+    n, npiv = a.cols, len(pivot_rows)
+    return IntMatrix._of(n - npiv, n, vt.entries[npiv * n:]).transpose()
 
 
 def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
@@ -482,4 +508,7 @@ def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
     """
     if b.rows != a.rows:
         raise ValueError("dimension mismatch in in_col_span")
-    return all(_back_substitute(a, b.col(j)) is not None for j in range(b.cols))
+    if not b.cols:
+        return True
+    echelon = col_echelon(a)
+    return all(_back_substitute(echelon, b.col(j)) is not None for j in range(b.cols))

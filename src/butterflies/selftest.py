@@ -367,7 +367,7 @@ def crit7_oracle_differential(scale: float = 1.0):
             continue
         w = compose(z, y)
         from .fgab import direct_sum
-        yz, _, _, _, _ = direct_sum(y.carrier, z.carrier)
+        yz = direct_sum(y.carrier, z.carrier)
         from .intlinalg import vstack, hstack
         a = FgAbMap(f_.deg_m1, yz, vstack(y.i.matrix, -z.j.matrix))
         bmap = FgAbMap(yz, f_.deg_0, hstack(-y.p.matrix, z.q.matrix))
@@ -491,6 +491,15 @@ def criterion_numbers() -> list:
 
 
 def run(scale: float = 1.0, only=None, out=print) -> bool:
+    """Run the criteria (those numbered in only, when given); True if all pass.
+
+    Raises ValueError, before running anything, when only names a number
+    that is not a criterion.
+    """
+    if only is not None:
+        unknown = sorted(map(str, set(only) - set(criterion_numbers())))
+        if unknown:
+            raise ValueError(f"no criterion numbered {', '.join(unknown)}")
     ok_all = True
     for name, fn in CRITERIA:
         if only is not None and name.split()[0] not in only:

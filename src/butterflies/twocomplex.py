@@ -10,9 +10,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import CACHE_SIZE, IntMatrix
+from .intlinalg import CACHE_SIZE, IntMatrix, block
 from .fgab import (
-    FgAbGroup, FgAbMap, Kernel, Cokernel,
+    FgAbGroup, FgAbMap, Kernel, Cokernel, direct_sum,
     kernel, cokernel, map_equal, random_group, random_map,
 )
 
@@ -124,10 +124,8 @@ def induced_h0(f: ChainMap) -> FgAbMap:
 
 
 def complex_direct_sum(a: TwoTermComplex, b: TwoTermComplex) -> TwoTermComplex:
-    from .fgab import direct_sum
-    from .intlinalg import block
-    sm1, _, _, _, _ = direct_sum(a.deg_m1, b.deg_m1)
-    s0, _, _, _, _ = direct_sum(a.deg_0, b.deg_0)
+    sm1 = direct_sum(a.deg_m1, b.deg_m1)
+    s0 = direct_sum(a.deg_0, b.deg_0)
     dm = block([
         [a.d.matrix, IntMatrix.zeros(a.deg_0.ngens, b.deg_m1.ngens)],
         [IntMatrix.zeros(b.deg_0.ngens, a.deg_m1.ngens), b.d.matrix],

@@ -6,6 +6,8 @@ documented exit-code contract)."""
 import json
 import time
 
+import pytest
+
 from butterflies import selftest, jsonio
 from butterflies.cli import main
 from butterflies.fixtures import bockstein, ik2, br, e2, k2
@@ -67,6 +69,12 @@ class TestCriterion10Cli:
         out = capsys.readouterr().out
         for k in range(1, 10):
             assert f"PASS criterion {k} " in out
+
+    def test_run_rejects_unknown_criterion(self):
+        lines = []
+        with pytest.raises(ValueError, match="99"):
+            selftest.run(scale=0.02, only={"1", "99"}, out=lines.append)
+        assert lines == []
 
     def test_round_trip_byte_stable(self, tmp_path):
         docs = [

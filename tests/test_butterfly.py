@@ -139,7 +139,7 @@ class TestTripleComposite:
             x = random_butterfly(d_, e_, rng)
             y = random_butterfly(e_, f_, rng)
             z = random_butterfly(f_, g_, rng)
-            mid, _, _, _, _ = direct_sum(e_.deg_m1, f_.deg_m1)
+            mid = direct_sum(e_.deg_m1, f_.deg_m1)
             xyz = FgAbGroup(
                 x.carrier.ngens + y.carrier.ngens + z.carrier.ngens,
                 block([
@@ -153,7 +153,7 @@ class TestTripleComposite:
                      IM.zeros(z.carrier.ngens, y.carrier.relations.cols),
                      z.carrier.relations],
                 ]))
-            out, _, _, _, _ = direct_sum(e_.deg_0, f_.deg_0)
+            out = direct_sum(e_.deg_0, f_.deg_0)
             amat = block([
                 [x.i.matrix, IM.zeros(x.carrier.ngens, f_.deg_m1.ngens)],
                 [-y.j.matrix, y.i.matrix],

@@ -1,6 +1,10 @@
+import ast
 import importlib
+import io
 import itertools
 import pkgutil
+import tokenize
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,3 +249,83 @@ class TestCachePolicy:
             snf(IntMatrix(1, 1, (n,)))
         assert snf.cache_info().currsize <= CACHE_SIZE
         snf.cache_clear()
+
+
+def shaped(r, c):
+    return st.lists(st.integers(-20, 20), min_size=r * c, max_size=r * c).map(
+        lambda e: IntMatrix(r, c, e))
+
+
+def assert_as_checked(m):
+    """m is what the checked public constructor makes of its own entries."""
+    rebuilt = IntMatrix(m.rows, m.cols, list(m.entries))
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert type(m.entries) is tuple
+    assert all(type(e) is int for e in m.entries)
+
+
+class TestTrustedResults:
+    """The library's own results skip the entry check; they must still be
+    exactly what the checked constructor would build."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_results_equal_checked_construction(self, data):
+        r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a, a2 = data.draw(shaped(r, k)), data.draw(shaped(r, k))
+        b = data.draw(shaped(k, c))
+        n = data.draw(st.integers(-9, 9))
+        results = [a * b, a + a2, a - a2, -a, a * n, n * a, a.transpose(),
+                   hstack(a, a2), vstack(a, a2), kron(a, b), kernel_basis(a),
+                   IntMatrix.identity(r), IntMatrix.zeros(r, c), *hnf(a), *snf(a)]
+        for m in results:
+            assert_as_checked(m)
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError):
+            IntMatrix(2, 2, [1, 2, 3])
+        with pytest.raises(ValueError):
+            IntMatrix(1, 1, [1, 2])
+        for rows, cols in ((-1, 0), (0, -1), (-1, -1)):
+            with pytest.raises(ValueError):
+                IntMatrix(rows, cols, [])
+        with pytest.raises(ValueError):
+            IntMatrix(1, 1, ["x"])
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, [None])
+        with pytest.raises(ValueError):
+            IntMatrix.identity(-1)
+        with pytest.raises(ValueError):
+            IntMatrix.zeros(2, -1)
+        assert_as_checked(IntMatrix(1, 2, [True, "3"]))
+
+
+SRC = Path(butterflies.__file__).resolve().parent
+
+
+def source_files():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    return files
+
+
+class TestSourceRules:
+    def test_trusted_constructor_stays_in_intlinalg(self):
+        users = set()
+        for path in source_files():
+            toks = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if any(t.type == tokenize.NAME and t.string == "_of" for t in toks):
+                users.add(path.name)
+        assert users == {"intlinalg.py"}
+
+    def test_no_assert_statements(self):
+        found = []
+        for path in source_files():
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Assert):
+                    found.append(f"{path.name}:{node.lineno} assert")
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    if any(isinstance(t, ast.Name) and t.id == "AssertionError" for t in caught):
+                        found.append(f"{path.name}:{node.lineno} except AssertionError")
+        assert found == []

@@ -74,7 +74,7 @@ class TestElementHomology:
         assert element_homology(idm, z, rZ4.egroup, rZ4.egroup, rZ4.egroup.zero()) == ()
 
     def test_order8_subquotient(self):
-        z44, _, _, _, _ = direct_sum(Z4, Z4)
+        z44 = direct_sum(Z4, Z4)
         r44, rZ2 = realize(z44), realize(Z2)
         a = element_map(FgAbMap(Z2, z44, m([[2], [2]])), rZ2, r44)
         b = element_map(FgAbMap(z44, Z2, m([[-1, 1]])), r44, rZ2)
@@ -88,7 +88,7 @@ class TestElementHomology:
 
 
 def test_quotient_structure_z4_z4_mod_diagonal():
-    z44, _, _, _, _ = direct_sum(Z4, Z4)
+    z44 = direct_sum(Z4, Z4)
     r = realize(z44)
     quo = ElementQuotient(r.egroup, frozenset(r.egroup.elements()),
                           span([r.to_element([2, 2])], r.egroup))
