@@ -3,7 +3,8 @@ JSON-described inputs.
 
 Exit codes: 0 success, 1 mathematical refusal (axiom or precondition
 violated), 2 I/O, usage or schema error (including an unwritable --out
-path and an unknown selftest criterion).
+path and an unknown selftest criterion), 3 internal error (a failed
+invariant of this library, never bad input; one line, no traceback).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .twocomplex import homology
 from .derived import biext_groups
 from .exactness import is_exact, les, random_exact_seq
 from . import jsonio
+from .intlinalg import InvariantError
 from .jsonio import SchemaError, RefusalError
 from . import selftest
 
@@ -249,6 +251,9 @@ def main(argv=None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

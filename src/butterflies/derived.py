@@ -18,6 +18,7 @@ explicitly, and is validated against exhaustive butterfly enumeration.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .intlinalg import IntMatrix, InvariantError, hstack, vstack, kron, solve_matrix
@@ -135,7 +136,6 @@ def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
             continue
         base, kmats = lifted
         coeff_ranges = [range(-lift_bound, lift_bound + 1)] * len(kmats)
-        import itertools
         for coeffs in itertools.product(*coeff_ranges):
             jm = base.matrix
             for cf, km in zip(coeffs, kmats):

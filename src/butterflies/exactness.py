@@ -15,7 +15,7 @@ from typing import Optional
 
 from .intlinalg import IntMatrix, InvariantError, hstack, vstack, block
 from .fgab import (
-    FgAbGroup, FgAbMap, map_equal, kernel, cokernel, is_exact_at,
+    FgAbMap, direct_sum, map_equal, kernel, cokernel, is_exact_at,
     is_injective, is_surjective, hom_solve, random_map,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology, embed0, shift1, random_complex
@@ -235,14 +235,8 @@ def twisted_extension_seq(rng: random.Random, e: TwoTermComplex,
     """A degreewise-split extension F = E (+) G with a random twist
     t: G^-1 -> E^0 folded into the differential; the witness is explicit."""
     t = random_map(rng, g.deg_m1, e.deg_0)
-    fm1 = FgAbGroup(e.deg_m1.ngens + g.deg_m1.ngens, block([
-        [e.deg_m1.relations, IntMatrix.zeros(e.deg_m1.ngens, g.deg_m1.relations.cols)],
-        [IntMatrix.zeros(g.deg_m1.ngens, e.deg_m1.relations.cols), g.deg_m1.relations],
-    ]))
-    f0 = FgAbGroup(e.deg_0.ngens + g.deg_0.ngens, block([
-        [e.deg_0.relations, IntMatrix.zeros(e.deg_0.ngens, g.deg_0.relations.cols)],
-        [IntMatrix.zeros(g.deg_0.ngens, e.deg_0.relations.cols), g.deg_0.relations],
-    ]))
+    fm1 = direct_sum(e.deg_m1, g.deg_m1)
+    f0 = direct_sum(e.deg_0, g.deg_0)
     df = FgAbMap(fm1, f0, block([
         [e.d.matrix, t.matrix],
         [IntMatrix.zeros(g.deg_0.ngens, e.deg_m1.ngens), g.d.matrix],
@@ -271,8 +265,7 @@ def twisted_extension_seq(rng: random.Random, e: TwoTermComplex,
     return ButterflyShortSeq(e, f, g, y, z, ZeroWitness(y, z, phi))
 
 
-def cokernel_seq(rng: random.Random, e: TwoTermComplex,
-                 f: TwoTermComplex, seed) -> Optional[ButterflyShortSeq]:
+def cokernel_seq(e: TwoTermComplex, f: TwoTermComplex, seed) -> Optional[ButterflyShortSeq]:
     """0 -> E -> F -> coker(Y) -> 0 for a random monomorphism Y, with the
     witness resolved by the morphism solver; None when Y is not mono or no
     witness choice is exact."""
@@ -291,7 +284,7 @@ def random_exact_seq(rng: random.Random) -> ButterflyShortSeq:
         if rng.random() < 0.3:
             e = random_complex(rng, max_rank=1, max_order=8)
             f = random_complex(rng, max_rank=1, max_order=8)
-            s = cokernel_seq(rng, e, f, rng)
+            s = cokernel_seq(e, f, rng)
             if s is not None:
                 return s
         else:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
-    solve, solve_matrix, kernel_basis, in_col_span, col_echelon,
+    solve, solve_matrix, kernel_basis, in_col_span, col_echelon, top_rows,
 )
 
 
@@ -215,7 +215,7 @@ class Kernel:
 def kernel(f: FgAbMap) -> Kernel:
     a, b = f.src, f.dst
     big = kernel_basis(hstack(f.matrix, b.relations))
-    gens = IntMatrix(a.ngens, big.cols, big.entries[:a.ngens * big.cols])
+    gens = top_rows(big, a.ngens)
     simp = _span(gens, a)
     return Kernel(simp.group, FgAbMap(simp.group, a, gens * simp.fro.matrix))
 
@@ -224,8 +224,7 @@ def _span(gens: IntMatrix, ambient: FgAbGroup) -> Simplified:
     """The subgroup of ambient generated by the columns of gens, presented
     on those columns (generator k is column k) and then simplified."""
     rel_big = kernel_basis(hstack(gens, ambient.relations))
-    rel = IntMatrix(gens.cols, rel_big.cols, rel_big.entries[:gens.cols * rel_big.cols])
-    return simplify(FgAbGroup(gens.cols, rel))
+    return simplify(FgAbGroup(gens.cols, top_rows(rel_big, gens.cols)))
 
 
 @dataclass(frozen=True)
@@ -318,8 +317,7 @@ def generator_lift(f: FgAbMap, targets: IntMatrix) -> Optional[IntMatrix]:
     x = solve_matrix(hstack(f.matrix, f.dst.relations), targets)
     if x is None:
         return None
-    n = f.src.ngens
-    return IntMatrix(n, targets.cols, x.entries[:n * targets.cols])
+    return top_rows(x, f.src.ngens)
 
 
 def factor_through_injection(incl: FgAbMap, g: FgAbMap) -> FgAbMap:
@@ -412,8 +410,7 @@ def free_presentation(a: FgAbGroup) -> IntMatrix:
     """Relations of a with redundant relators discarded: independent columns
     spanning the same lattice, giving 0 -> Z^m -> Z^n -> a -> 0."""
     ht, _, pivot_rows = col_echelon(a.relations)
-    m = len(pivot_rows)
-    return IntMatrix(m, a.ngens, ht.entries[:m * a.ngens]).transpose()
+    return top_rows(ht, len(pivot_rows)).transpose()
 
 
 def power_group(c: FgAbGroup, k: int) -> FgAbGroup:

@@ -185,7 +185,7 @@ def _fill(m: IntMatrix, rows: int, cols: int, ent: tuple) -> IntMatrix:
 
 
 def _from_lists(rows: int, cols: int, lists: list) -> IntMatrix:
-    """Rows held as lists of ints, computed in this module, as a matrix."""
+    """Rows held as sequences of ints, computed in this module, as a matrix."""
     return IntMatrix._of(rows, cols, tuple(chain.from_iterable(lists)))
 
 
@@ -210,6 +210,13 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
                          tuple(chain.from_iterable(m.entries for m in mats)))
 
 
+def top_rows(m: IntMatrix, n: int) -> IntMatrix:
+    """The first n rows of m."""
+    if not 0 <= n <= m.rows:
+        raise ValueError(f"top_rows: {n} rows of a {m.rows}x{m.cols} matrix")
+    return IntMatrix._of(n, m.cols, m.entries[:n * m.cols])
+
+
 def block(rows_of_blocks: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
     return vstack(*(hstack(*row) for row in rows_of_blocks))
 
@@ -227,7 +234,86 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return _from_lists(a.rows * b.rows, a.cols * b.cols, out)
 
 
-# -- Hermite normal form ---------------------------------------------------
+# -- Hermite and Smith normal forms -----------------------------------------
+
+def _eye(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _hermite(a: list, u: list, wt: list, nc: int) -> None:
+    """Row Hermite normal form in place: the rows a (lists of nc ints) become
+    H = E*a for a unimodular E.  Every row operation is done to the square
+    u (len(a) rows of len(a) ints) as well, and its inverse transpose to the
+    rows wt, so they end as E*u and E^-T*wt: with u = wt = I, u is E and wt
+    transposed is E^-1.  Rows of wt may be empty when E^-1 is not wanted.
+
+    Euclidean elimination with a smallest pivot, then the entries above each
+    pivot are reduced into [0, pivot)."""
+    nr = len(a)
+    nw = len(wt[0]) if nr else 0
+    r = 0
+    pivots = []
+    for c in range(nc):
+        if r == nr:
+            break
+        # euclidean elimination below row r in column c
+        while True:
+            piv, best = r, 0  # the first row of smallest nonzero |a[i][c]|
+            for i in range(r, nr):
+                x = a[i][c]
+                if x:
+                    if x < 0:
+                        x = -x
+                    if not best or x < best:
+                        piv, best = i, x
+            if not best:
+                break
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                u[r], u[piv] = u[piv], u[r]
+                wt[r], wt[piv] = wt[piv], wt[r]
+            done = True
+            ar, ur, wr = a[r], u[r], wt[r]
+            arc = ar[c]
+            for i in range(r + 1, nr):
+                ai = a[i]
+                if ai[c]:
+                    q = ai[c] // arc
+                    if q:
+                        for j in range(c, nc):
+                            ai[j] -= q * ar[j]
+                        ui = u[i]
+                        for j in range(nr):
+                            ui[j] -= q * ur[j]
+                        wi = wt[i]
+                        for j in range(nw):
+                            wr[j] += q * wi[j]
+                    if ai[c]:
+                        done = False
+            if done:
+                break
+        if a[r][c]:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+                u[r] = [-x for x in u[r]]
+                wt[r] = [-x for x in wt[r]]
+            pivots.append((r, c))
+            r += 1
+    # reduce entries above each pivot into [0, pivot)
+    for (pr, pc) in pivots:
+        ar, ur, wr = a[pr], u[pr], wt[pr]
+        piv = ar[pc]
+        for i in range(pr):
+            q = a[i][pc] // piv
+            if q:
+                ai, ui, wi = a[i], u[i], wt[i]
+                for j in range(pc, nc):
+                    ai[j] -= q * ar[j]
+                for j in range(nr):
+                    ui[j] -= q * ur[j]
+                for j in range(nw):
+                    wr[j] += q * wi[j]
+
 
 def hnf(m: IntMatrix) -> tuple:
     """Row Hermite normal form with transformation: returns (H, U), U*m = H.
@@ -241,68 +327,35 @@ def hnf(m: IntMatrix) -> tuple:
     >>> (u * IntMatrix.from_rows([[2, 4], [6, 8]])) == h
     True
     """
-    nr, nc = m.rows, m.cols
-    a = m.to_lists()
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    r = 0
-    pivots = []
-    for c in range(nc):
-        if r == nr:
-            break
-        # euclidean elimination below row r in column c
-        while True:
-            nz = [i for i in range(r, nr) if a[i][c]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(a[i][c]))
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-                u[r], u[piv] = u[piv], u[r]
-            done = True
-            arc = a[r][c]
-            for i in range(r + 1, nr):
-                if a[i][c]:
-                    q = a[i][c] // arc
-                    if q:
-                        ai, ar = a[i], a[r]
-                        for j in range(c, nc):
-                            ai[j] -= q * ar[j]
-                        ui, ur = u[i], u[r]
-                        for j in range(nr):
-                            ui[j] -= q * ur[j]
-                    if a[i][c]:
-                        done = False
-            if done:
-                break
-        if r < nr and a[r][c]:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
-            pivots.append((r, c))
-            r += 1
-    # reduce entries above each pivot into [0, pivot)
-    for (pr, pc) in pivots:
-        piv = a[pr][pc]
-        for i in range(pr):
-            q = a[i][pc] // piv
-            if q:
-                ai, ar = a[i], a[pr]
-                for j in range(pc, nc):
-                    ai[j] -= q * ar[j]
-                ui, ur = u[i], u[pr]
-                for j in range(nr):
-                    ui[j] -= q * ur[j]
-    return (_from_lists(nr, nc, a), _from_lists(nr, nr, u))
+    a, u = m.to_lists(), _eye(m.rows)
+    _hermite(a, u, [[]] * m.rows, m.cols)
+    return (_from_lists(m.rows, m.cols, a), _from_lists(m.rows, m.rows, u))
 
 
-# -- Smith normal form -----------------------------------------------------
+def _is_diagonal(a: list) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
+
+
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def snf(m: IntMatrix) -> tuple:
     """Smith normal form with transformations: returns (S, U, V, W), U*m*V = S.
 
     U, V unimodular and W = U^-1; S diagonal with nonnegative entries
-    d1 | d2 | ..., zeros last.
+    d1 | d2 | ..., zeros last.  Row Hermite passes on the matrix and on its
+    transpose alternate until it is diagonal (Kannan and Bachem, SIAM J.
+    Comput. 8(4), 1979), which keeps the transforms' entries small; 2x2
+    Bezout steps then make each diagonal entry divide the next.
 
     >>> s, u, v, w = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> s.to_lists()
@@ -311,98 +364,38 @@ def snf(m: IntMatrix) -> tuple:
     True
     """
     nr, nc = m.rows, m.cols
-    a = m.to_lists()
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    a, u, wt, vt = m.to_lists(), _eye(nr), _eye(nr), _eye(nc)
     # W and V are kept transposed, so their column operations are row operations
-    wt = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    vt = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, t, q):  # row i -= q * row t; column t of W += q * column i
-        ai, at = a[i], a[t]
-        for j in range(nc):
-            ai[j] -= q * at[j]
-        ui, ut = u[i], u[t]
-        for j in range(nr):
-            ui[j] -= q * ut[j]
-        wi, wt_ = wt[i], wt[t]
-        for j in range(nr):
-            wt_[j] += q * wi[j]
-
-    def swap_rows(t, i):  # and columns t, i of W
-        a[t], a[i] = a[i], a[t]
-        u[t], u[i] = u[i], u[t]
-        wt[t], wt[i] = wt[i], wt[t]
-
-    def col_op(j, t, q):  # col j -= q * col t
-        for ai in a:
-            ai[j] -= q * ai[t]
-        vj, vt_ = vt[j], vt[t]
-        for i in range(nc):
-            vj[i] -= q * vt_[i]
-
-    def swap_cols(t, j):
-        for ai in a:
-            ai[t], ai[j] = ai[j], ai[t]
-        vt[t], vt[j] = vt[j], vt[t]
-
-    t = 0
-    while t < min(nr, nc):
-        # pick a smallest-magnitude nonzero pivot in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
-        if best is None:
+    while True:
+        _hermite(a, u, wt, nc)
+        if _is_diagonal(a):
             break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
-            # clear column t
-            col_clear = True
-            for i in range(nr):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:  # remainder became the smaller pivot
-                        swap_rows(t, i)
-                        col_clear = False
-            if not col_clear:
-                continue
-            # clear row t
-            row_clear = True
-            for j in range(nc):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        row_clear = False
-            if row_clear and all(a[i][t] == 0 for i in range(nr) if i != t):
-                break
-        # divisibility: a[t][t] must divide every trailing entry
-        d = a[t][t]
-        fixed = True
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % d:
-                    row_op(t, i, -1)  # fold row i into row t, re-eliminate
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-            wt[t] = [-x for x in wt[t]]
-        t += 1
-    return (_from_lists(nr, nc, a), _from_lists(nr, nr, u),
-            _from_lists(nc, nc, vt).transpose(), _from_lists(nr, nr, wt).transpose())
+        at = [list(col) for col in zip(*a)]
+        _hermite(at, vt, [[]] * nc, nr)
+        a = [list(row) for row in zip(*at)]
+        if _is_diagonal(a):
+            break
+    d = [a[i][i] for i in range(min(nr, nc))]
+    k = sum(1 for x in d if x)  # the nonzero entries, positive and first
+    for i in range(k):
+        for j in range(i + 1, k):
+            if d[j] % d[i]:
+                # [[s, t], [-y, x]] * diag(d_i, d_j) * [[1, -t*y], [1, s*x]]
+                # = diag(g, lcm), with s*x + t*y = 1 making both unimodular
+                g, s, t = _xgcd(d[i], d[j])
+                x, y = d[i] // g, d[j] // g
+                ui, uj, wi, wj, vi, vj = u[i], u[j], wt[i], wt[j], vt[i], vt[j]
+                u[i] = [s * p + t * q for p, q in zip(ui, uj)]
+                u[j] = [x * q - y * p for p, q in zip(ui, uj)]
+                wt[i] = [x * p + y * q for p, q in zip(wi, wj)]
+                wt[j] = [s * q - t * p for p, q in zip(wi, wj)]
+                vt[i] = [p + q for p, q in zip(vi, vj)]
+                vt[j] = [s * x * q - t * y * p for p, q in zip(vi, vj)]
+                d[i], d[j] = g, x * d[j]
+    s = [0] * (nr * nc)
+    s[:len(d) * (nc + 1):nc + 1] = d
+    return (IntMatrix._of(nr, nc, tuple(s)), _from_lists(nr, nr, u),
+            _from_lists(nc, nc, zip(*vt)), _from_lists(nr, nr, zip(*wt)))
 
 
 # -- Diophantine systems ---------------------------------------------------

@@ -88,12 +88,24 @@ def zero_complex() -> TwoTermComplex:
 class Homology:
     """H^-1 = ker(d) with its inclusion, H^0 = coker(d) with its projection."""
 
-    hm1: FgAbGroup
-    incl: FgAbMap   # hm1 -> deg_m1
-    h0: FgAbGroup
-    proj: FgAbMap   # deg_0 -> h0
     ker: Kernel
     cok: Cokernel
+
+    @property
+    def hm1(self) -> FgAbGroup:
+        return self.ker.group
+
+    @property
+    def incl(self) -> FgAbMap:  # hm1 -> deg_m1
+        return self.ker.incl
+
+    @property
+    def h0(self) -> FgAbGroup:
+        return self.cok.group
+
+    @property
+    def proj(self) -> FgAbMap:  # deg_0 -> h0
+        return self.cok.proj
 
     def corestrict_to_hm1(self, x: FgAbMap) -> FgAbMap:
         """Factor x: X -> deg_m1 (with d*x = 0) through the inclusion."""
@@ -106,9 +118,7 @@ class Homology:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def homology(e: TwoTermComplex) -> Homology:
-    ker = kernel(e.d)
-    cok = cokernel(e.d)
-    return Homology(ker.group, ker.incl, cok.group, cok.proj, ker, cok)
+    return Homology(kernel(e.d), cokernel(e.d))
 
 
 def induced_hm1(f: ChainMap) -> FgAbMap:

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from butterflies import jsonio
+from butterflies import cli, jsonio
 from butterflies.cli import main
 from butterflies.fixtures import bockstein, ik2, br, e2, k2
 from butterflies.exactness import standard_seq_10
-from butterflies.butterfly import zero_butterfly
+from butterflies.butterfly import TwoMorphism, zero_butterfly
+from butterflies.fgab import FgAbMap, hom_solve, map_equal
+from butterflies.intlinalg import IntMatrix, InvariantError
 
 
 @pytest.fixture()
@@ -37,7 +39,7 @@ def docs(tmp_path):
 
 
 class TestExitCodes:
-    """The documented golden set: 0 success, 1 refusal, 2 schema."""
+    """The documented golden set: 0 success, 1 refusal, 2 schema, 3 internal."""
 
     def test_validate_ok(self, docs, capsys):
         assert main(["validate", docs["B.json"]]) == 0
@@ -107,6 +109,15 @@ class TestExitCodes:
             got = capsys.readouterr()
             assert got.out == "" and "choose from '1', '2', '3'" in got.err
 
+    def test_failed_invariant_is_internal_error(self, docs, capsys, monkeypatch):
+        def broken(z, y):
+            raise InvariantError("five lemma: wing-commuting carrier map must be invertible")
+        monkeypatch.setattr(cli, "compose", broken)
+        assert main(["compose", docs["B.json"], docs["B.json"]]) == 3
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == "internal error: five lemma: wing-commuting carrier map must be invertible\n"
+
     def test_ill_defined_map_document_is_refusal(self, tmp_path):
         # shape-valid JSON whose matrix fails to descend: exit 1, not 2
         doc = {"kind": "map",
@@ -135,11 +146,18 @@ B_SQUARED = {
     "carrier": {"ngens": 2, "relations": [["2", "0"], ["0", "2"]]},
     "dst": {"d": [["0"]], "deg-1": {"ngens": 1, "relations": [["2"]]},
             "deg0": {"ngens": 1, "relations": [["2"]]}},
-    "i": [["1"], ["-2"]], "j": [["-1"], ["0"]], "kind": "butterfly",
-    "p": [["0", "-1"]], "q": [["-2", "-1"]],
+    "i": [["-1"], ["-2"]], "j": [["-1"], ["0"]], "kind": "butterfly",
+    "p": [["0", "-1"]], "q": [["-2", "1"]],
     "src": {"d": [["0"]], "deg-1": {"ngens": 1, "relations": [["2"]]},
             "deg0": {"ngens": 1, "relations": [["2"]]}},
 }
+
+# The bytes an earlier Smith elimination gave for compose B B, and the iso2
+# witness it gave against IK2; kept to show the re-pinned ones are the same
+# butterfly and a valid 2-morphism (test_repinned_outputs_are_equivalent).
+B_SQUARED_EARLIER = dict(B_SQUARED, i=[["1"], ["-2"]], q=[["-2", "-1"]])
+ISO2_WITNESS = [[-2, 1], [-1, 0]]
+ISO2_WITNESS_EARLIER = [[-2, -1], [-1, -1]]
 
 
 def _inv(rank, *torsion):
@@ -176,7 +194,7 @@ def test_output_bytes_pinned(docs, capsys):
         (["les", docs["seq10.json"]], pretty(SEQ10_LES)),
         (["compose", docs["B.json"], docs["B.json"], "--out", docs["out"]], ""),
         (["iso2", docs["out"], docs["IK2.json"]],
-         "isomorphic\n" + pretty({"matrix": [["-2", "-1"], ["-1", "-1"]]})),
+         "isomorphic\n" + pretty({"matrix": [[str(e) for e in r] for r in ISO2_WITNESS]})),
         (["iso2", docs["B.json"], docs["IK2.json"]], "none\n"),
         (["biext", "2", "2", "Z"], pretty({"pi0": _inv(0, 2), "pi1": _inv(0)})),
     ]
@@ -184,6 +202,30 @@ def test_output_bytes_pinned(docs, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == want, argv[0]
     assert open(docs["out"]).read() == pretty(B_SQUARED)
+
+
+def test_repinned_outputs_are_equivalent(docs):
+    """compose B B and its iso2 witness changed bytes, not meaning: both
+    compose outputs are one butterfly (same presentations, map_equal wings),
+    and both witnesses are 2-morphisms onto IK2."""
+    _, earlier = jsonio.parse_document(pretty(B_SQUARED_EARLIER))
+    _, now = jsonio.parse_document(pretty(B_SQUARED))
+    assert earlier != now
+    assert (earlier.src, earlier.dst, earlier.carrier) == (now.src, now.dst, now.carrier)
+    for wing in "ijpq":
+        assert map_equal(getattr(earlier, wing), getattr(now, wing))
+    ik = _read(docs["IK2.json"])
+    for source in (earlier, now):
+        for rows in (ISO2_WITNESS_EARLIER, ISO2_WITNESS):
+            m = FgAbMap(source.carrier, ik.carrier, IntMatrix.from_rows(rows))
+            inverse = hom_solve(ik.carrier, source.carrier,
+                                [("pre", m, FgAbMap.identity(source.carrier))])
+            TwoMorphism(source, ik, m, inverse)  # raises unless every condition holds
+
+
+def _read(path):
+    with open(path) as fh:
+        return jsonio.parse_document(fh.read())[1]
 
 
 class TestRoundTrip:

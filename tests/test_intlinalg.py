@@ -3,6 +3,8 @@ import importlib
 import io
 import itertools
 import pkgutil
+import random
+import time
 import tokenize
 from pathlib import Path
 
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import butterflies
+from butterflies.fgab import FgAbGroup, simplify
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, hnf, snf, solve, solve_matrix, kernel_basis, in_col_span,
-    hstack, vstack, kron,
+    hstack, vstack, kron, top_rows,
 )
 
 
@@ -40,10 +43,22 @@ def det(m):
     return d
 
 
+def shaped(r, c, bound=20):
+    return st.lists(st.integers(-bound, bound), min_size=r * c, max_size=r * c).map(
+        lambda e: IntMatrix(r, c, e))
+
+
 small_matrices = st.integers(0, 4).flatmap(
-    lambda r: st.integers(0, 4).flatmap(
-        lambda c: st.lists(st.integers(-20, 20), min_size=r * c, max_size=r * c)
-        .map(lambda e: IntMatrix(r, c, e))))
+    lambda r: st.integers(0, 4).flatmap(lambda c: shaped(r, c)))
+
+# dense 8x8 and rectangular, entries in [-9, 9]
+dense_matrices = st.sampled_from([(8, 8), (5, 8), (8, 5), (3, 7), (7, 2)]).flatmap(
+    lambda rc: shaped(*rc, bound=9))
+
+# rectangular products of rank at most k, so zeros sit on the diagonal
+low_rank_matrices = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3)).flatmap(
+    lambda rck: st.tuples(shaped(rck[0], rck[2], bound=9), shaped(rck[2], rck[1], bound=9))
+    .map(lambda ab: ab[0] * ab[1]))
 
 
 class TestHnf:
@@ -129,10 +144,12 @@ class TestSnf:
         assert [s1[i, i] for i in range(min(m.rows, m.cols))] == \
                [s2[i, i] for i in range(min(m.rows, m.cols))]
 
-    @given(small_matrices)
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_matrices, dense_matrices, low_rank_matrices))
+    @settings(max_examples=120, deadline=None)
     def test_diagonal_matches_sympy(self, m):
-        sympy = pytest.importorskip("sympy")
+        # the one independent check of snf: sympy is a test dependency, so a
+        # missing sympy fails here rather than skipping
+        import sympy
         from sympy.matrices.normalforms import smith_normal_form
         s, _, _, _ = snf(m)
         ours = [s[i, i] for i in range(min(m.rows, m.cols))]
@@ -141,6 +158,28 @@ class TestSnf:
         theirs = [abs(int(theirs[i, i])) for i in range(min(m.rows, m.cols))]
         # sympy fixes neither the signs nor the place of the zeros
         assert ours == [d for d in theirs if d] + [d for d in theirs if not d]
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_dense_is_fast_with_bounded_transforms(self, n):
+        rng = random.Random(n)
+
+        def dense():
+            return IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
+
+        def bits(x):
+            return max(abs(e).bit_length() for e in x.entries)
+
+        for _ in range(3):
+            m = dense()
+            start = time.perf_counter()
+            s, u, v, w = snf(m)
+            assert time.perf_counter() - start < 1.0
+            start = time.perf_counter()
+            simplify(FgAbGroup(n, dense()))
+            assert time.perf_counter() - start < 1.0
+            assert u * m * v == s
+            assert u * w == IntMatrix.identity(n) == w * u
+            assert max(bits(u), bits(v), bits(w)) <= 3 * bits(s)
 
 
 class TestSolve:
@@ -203,6 +242,15 @@ def test_block_helpers():
     assert k.to_lists() == [[2, 0], [0, 2]]
 
 
+def test_top_rows():
+    m = mat([[1, 2], [3, 4], [5, 6]])
+    assert top_rows(m, 2) == mat([[1, 2], [3, 4]])
+    assert top_rows(m, 0) == IntMatrix.zeros(0, 2)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            top_rows(m, bad)
+
+
 def test_row_and_col_indices_checked():
     m = mat([[1, 2], [3, 4]])
     assert m.row(1) == (3, 4) and m.col(1) == (2, 4)
@@ -251,11 +299,6 @@ class TestCachePolicy:
         snf.cache_clear()
 
 
-def shaped(r, c):
-    return st.lists(st.integers(-20, 20), min_size=r * c, max_size=r * c).map(
-        lambda e: IntMatrix(r, c, e))
-
-
 def assert_as_checked(m):
     """m is what the checked public constructor makes of its own entries."""
     rebuilt = IntMatrix(m.rows, m.cols, list(m.entries))
@@ -277,7 +320,8 @@ class TestTrustedResults:
         n = data.draw(st.integers(-9, 9))
         results = [a * b, a + a2, a - a2, -a, a * n, n * a, a.transpose(),
                    hstack(a, a2), vstack(a, a2), kron(a, b), kernel_basis(a),
-                   IntMatrix.identity(r), IntMatrix.zeros(r, c), *hnf(a), *snf(a)]
+                   IntMatrix.identity(r), IntMatrix.zeros(r, c), top_rows(a, r // 2),
+                   *hnf(a), *snf(a)]
         for m in results:
             assert_as_checked(m)
 
