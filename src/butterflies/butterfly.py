@@ -107,13 +107,7 @@ class TwoMorphism:
 @lru_cache(maxsize=CACHE_SIZE)
 def identity_butterfly(e: TwoTermComplex) -> Butterfly:
     """Carrier E^0 (+) E^-1 with i = (0;1), j = (d;1), p = (1,-d), q = (1,0)."""
-    n0, n1 = e.deg_0.ngens, e.deg_m1.ngens
-    car = direct_sum(e.deg_0, e.deg_m1)
-    i = FgAbMap(e.deg_m1, car, vstack(IntMatrix.zeros(n0, n1), IntMatrix.identity(n1)))
-    j = FgAbMap(e.deg_m1, car, vstack(e.d.matrix, IntMatrix.identity(n1)))
-    p = FgAbMap(car, e.deg_0, hstack(IntMatrix.identity(n0), -e.d.matrix))
-    q = FgAbMap(car, e.deg_0, hstack(IntMatrix.identity(n0), IntMatrix.zeros(n0, n1)))
-    return Butterfly(e, e, car, i, j, p, q)
+    return from_chain_map(ChainMap.identity(e))
 
 
 def from_chain_map(f: ChainMap) -> Butterfly:
@@ -228,7 +222,7 @@ def homology_action(y: Butterfly) -> tuple:
     """(H^-1 src -> H^-1 dst, H^0 src -> H^0 dst): i^-1 j and p q^-1."""
     hs, hd = homology(y.src), homology(y.dst)
     u = factor_through_injection(y.i, y.j * hs.incl)
-    hm1 = hd.corestrict_to_hm1(u)
+    hm1 = hd.ker.factor(u)
     lifts = generator_lift(y.q, hs.cok.fro.matrix)
     if lifts is None:
         raise ValueError("q is not surjective; butterfly invalid")

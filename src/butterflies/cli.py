@@ -3,13 +3,15 @@ JSON-described inputs.
 
 Exit codes: 0 success, 1 mathematical refusal (axiom or precondition
 violated), 2 I/O, usage or schema error (including an unwritable --out
-path and an unknown selftest criterion), 3 internal error (a failed
-invariant of this library, never bad input; one line, no traceback).
+path, an unknown selftest criterion and a selftest --scale that is not a
+finite number above 0), 3 internal error (a failed invariant of this
+library, never bad input; one line, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -187,6 +189,17 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _scale(text: str) -> float:
+    """--scale: a finite number above 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="butterflies",
@@ -233,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("--suite", nargs="*", choices=selftest.criterion_numbers(), metavar="N",
                    help="criterion numbers to run, e.g. 1 6 9")
     p.set_defaults(fn=cmd_selftest)

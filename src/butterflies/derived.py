@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .intlinalg import IntMatrix, InvariantError, hstack, vstack, kron, solve_matrix
 from .fgab import (
     FgAbGroup, FgAbMap, kernel, cokernel, hom_group, power_group,
-    free_presentation, ext1_realize, hom_solve_all,
+    free_presentation, dual_presentation, precompose, ext1_realize, hom_solve_all,
 )
 from .twocomplex import TwoTermComplex, homology, shift1
 from .butterfly import Butterfly, two_morphism_find, validate
@@ -76,51 +76,35 @@ def biext_groups(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> BiextGroups:
     pi1 = hom_group(homology(k).h0, c)
 
     k0, k1 = k.deg_0, k.deg_m1
-    r0 = free_presentation(k0)
-    r1 = free_presentation(k1)
-    n0, m0 = k0.ngens, r0.cols
-    n1, m1 = k1.ngens, r1.cols
-    nc = c.ngens
+    r0, pre0 = dual_presentation(k0, c)
+    r1, pre1 = dual_presentation(k1, c)
     dmat = k.d.matrix
     dprime = solve_matrix(r0, dmat * r1)  # D*R1 = R0*D' exactly
     if dprime is None:
         raise InvariantError("the differential must lift through the free presentations")
 
-    ambient = power_group(c, m0 + n1)  # (c, v) blocks, copy-major
-    constraint = FgAbMap(ambient, power_group(c, m1),
-                         hstack(kron(dprime.transpose(), IntMatrix.identity(nc)),
-                                kron(r1.transpose(), IntMatrix.identity(nc))))
-    pk = kernel(constraint)
-    cobound = FgAbMap(power_group(c, n0), ambient,
-                      vstack(kron(r0.transpose(), IntMatrix.identity(nc)),
-                             -kron(dmat.transpose(), IntMatrix.identity(nc))))
-    u = pk.factor(cobound)
+    # (c, v) blocks, copy-major, subject to v*R1 + c*D' = 0
+    pk = kernel(precompose(vstack(dprime, r1), c))
+    u = pk.factor(precompose(hstack(r0, -dmat), c))  # coboundaries (g*R0, -g*D)
     pi0 = cokernel(u).group
 
     # filtration pieces, for cross-checks
-    pre0 = FgAbMap(power_group(c, n0), power_group(c, m0),
-                   kron(r0.transpose(), IntMatrix.identity(nc)))
-    pre1 = FgAbMap(power_group(c, n1), power_group(c, m1),
-                   kron(r1.transpose(), IntMatrix.identity(nc)))
     hom0, hom1 = kernel(pre0), kernel(pre1)
-    dual_d = FgAbMap(power_group(c, n0), power_group(c, n1),
-                     kron(dmat.transpose(), IntMatrix.identity(nc)))
-    hom_d = hom1.factor(dual_d * hom0.incl)
+    hom_d = hom1.factor(precompose(dmat, c) * hom0.incl)
     filtration_sub = cokernel(hom_d).group
     ext0, ext1 = cokernel(pre0), cokernel(pre1)
-    ext_d = ext0.induce(ext1.proj * FgAbMap(power_group(c, m0), power_group(c, m1),
-                                            kron(dprime.transpose(), IntMatrix.identity(nc))))
+    ext_d = ext0.induce(ext1.proj * precompose(dprime, c))
     filtration_quot = kernel(ext_d).group
 
     return BiextGroups(pi1, pi0, filtration_sub, filtration_quot)
 
 
-def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
-                    lift_bound: int = 1, max_classes: int = 64) -> list:
+def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> list:
     """Pairwise non-2-isomorphic butterflies  A (+)^L B -> C[1], by bounded
-    exhaustive construction: realize every Ext class of the diagonal
-    extension, search all bounded lifts of the differential, and dedupe with
-    the 2-morphism solver.  Ground truth for biext_groups on small inputs."""
+    exhaustive construction: realize the first 64 Ext classes of the diagonal
+    extension, search all lifts of the differential with coefficients in
+    {-1, 0, 1}, and dedupe with the 2-morphism solver.  Ground truth for
+    biext_groups on small inputs."""
     from .oracle import realize  # enumerate Ext classes through their realization
     k = derived_tensor(a, b).complex
     c1 = shift1(c)
@@ -128,15 +112,14 @@ def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
     re = realize(ext.group, 512)
     classes = [list(el) for el in re.egroup.elements()]
     reps = []
-    for el in classes[:max_classes]:
+    for el in classes[:64]:
         vec = re.rep_of(el)
         ycar, i, q = ext.realize([vec[t, 0] for t in range(vec.rows)])
         lifted = hom_solve_all(k.deg_m1, ycar, [("post", q, k.d)])
         if lifted is None:
             continue
         base, kmats = lifted
-        coeff_ranges = [range(-lift_bound, lift_bound + 1)] * len(kmats)
-        for coeffs in itertools.product(*coeff_ranges):
+        for coeffs in itertools.product(range(-1, 2), repeat=len(kmats)):
             jm = base.matrix
             for cf, km in zip(coeffs, kmats):
                 jm = jm + cf * km

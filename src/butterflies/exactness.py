@@ -117,11 +117,7 @@ def seq75_exact(s: ButterflyShortSeq) -> bool:
 
 def is_exact(s: ButterflyShortSeq) -> bool:
     """Two-sided exactness, with the proof's equivalent forms cross-checked."""
-    phi = s.w.phi
-    out = (is_injective(s.y.j)
-           and is_exact_at(s.y.j, phi)
-           and is_exact_at(phi, s.z.p)
-           and is_surjective(s.z.p))
+    out = is_left_exact(s) and is_surjective(s.z.p)
     alt1 = seq74_exact(s) and is_surjective(s.z.p)
     alt2 = seq75_exact(s) and is_injective(s.y.j)
     if not out == alt1 == alt2:

@@ -100,11 +100,7 @@ class FgAbMap:
     matrix: IntMatrix
 
     def __post_init__(self):
-        if (self.matrix.rows, self.matrix.cols) != (self.dst.ngens, self.src.ngens):
-            raise ValueError(
-                f"matrix is {self.matrix.rows}x{self.matrix.cols}, "
-                f"expected {self.dst.ngens}x{self.src.ngens}")
-        if not in_col_span(self.dst.relations, self.matrix * self.src.relations):
+        if not is_well_defined(self.src, self.dst, self.matrix):
             raise ValueError("matrix does not define a homomorphism on the presentations")
 
     @staticmethod
@@ -139,9 +135,10 @@ class FgAbMap:
 
 
 def is_well_defined(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
-    """Would FgAbMap(src, dst, matrix) be accepted?"""
+    """Would FgAbMap(src, dst, matrix) be accepted?  Raises on a bad shape."""
     if (matrix.rows, matrix.cols) != (dst.ngens, src.ngens):
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, "
+                         f"expected {dst.ngens}x{src.ngens}")
     return in_col_span(dst.relations, matrix * src.relations)
 
 
@@ -418,19 +415,24 @@ def power_group(c: FgAbGroup, k: int) -> FgAbGroup:
     return FgAbGroup(k * c.ngens, kron(IntMatrix.identity(k), c.relations))
 
 
-def _dual_presentation(a: FgAbGroup, c: FgAbGroup) -> tuple:
-    """(r, c^n -> c^m): a's free presentation r and precomposition with it.
+def precompose(r: IntMatrix, c: FgAbGroup) -> FgAbMap:
+    """Hom(-, c) applied to r: the map c^(r.rows) -> c^(r.cols), X -> X*r."""
+    return FgAbMap(power_group(c, r.rows), power_group(c, r.cols),
+                   kron(r.transpose(), IntMatrix.identity(c.ngens)))
+
+
+def dual_presentation(a: FgAbGroup, c: FgAbGroup) -> tuple:
+    """(r, precompose(r, c)) for a's free presentation r.
 
     The map's kernel is Hom(a, c) and its cokernel Ext^1(a, c).
     """
     r = free_presentation(a)
-    return r, FgAbMap(power_group(c, a.ngens), power_group(c, r.cols),
-                      kron(r.transpose(), IntMatrix.identity(c.ngens)))
+    return r, precompose(r, c)
 
 
 def hom_group(a: FgAbGroup, c: FgAbGroup) -> FgAbGroup:
     """Hom(a, c) as a group."""
-    return kernel(_dual_presentation(a, c)[1]).group
+    return kernel(dual_presentation(a, c)[1]).group
 
 
 @dataclass(frozen=True)
@@ -466,16 +468,16 @@ class Ext1:
 @lru_cache(maxsize=CACHE_SIZE)
 def ext1_realize(a: FgAbGroup, c: FgAbGroup) -> Ext1:
     """Ext^1(a, c) from a free presentation, with explicit realizations."""
-    r, pre = _dual_presentation(a, c)
+    r, pre = dual_presentation(a, c)
     cok = cokernel(pre)
     return Ext1(cok.group, a, c, r, cok.fro)
 
 
 # -- randomized instances ----------------------------------------------------
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 4) -> IntMatrix:
+def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps * n):
+    for _ in range(4 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue

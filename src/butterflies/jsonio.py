@@ -4,6 +4,11 @@ Matrix entries are decimal strings (bit-exact at any size); keys are sorted
 on output, so emit(parse(emit(x))) == emit(x) byte for byte.  Documents are
 tagged with a "kind" field at the top level; nested objects carry no tag
 because the schema fixes them.
+
+Malformed documents raise SchemaError where they are read.  Well-formed ones
+that a constructor rejects (a map that does not descend, a witness that
+fails, mismatched endpoints) raise RefusalError; parse_document is the one
+place that turns those constructors' ValueErrors into refusals.
 """
 
 from __future__ import annotations
@@ -152,12 +157,7 @@ def map_from_json(data) -> FgAbMap:
     _expect(isinstance(data, dict), "map must be an object")
     src = group_from_json(data.get("src"))
     dst = group_from_json(data.get("dst"))
-    mat = matrix_from_json(data.get("matrix"), dst.ngens, src.ngens)
-    try:
-        return FgAbMap(src, dst, mat)
-    except ValueError as exc:
-        # shape is fine but the matrix does not descend: a refusal, not a schema error
-        raise RefusalError(str(exc))
+    return FgAbMap(src, dst, matrix_from_json(data.get("matrix"), dst.ngens, src.ngens))
 
 
 def complex_from_json(data) -> TwoTermComplex:
@@ -165,10 +165,7 @@ def complex_from_json(data) -> TwoTermComplex:
     m1 = group_from_json(data.get("deg-1"))
     g0 = group_from_json(data.get("deg0"))
     d = matrix_from_json(data.get("d"), g0.ngens, m1.ngens)
-    try:
-        return TwoTermComplex(m1, g0, FgAbMap(m1, g0, d))
-    except ValueError as exc:
-        raise RefusalError(str(exc))
+    return TwoTermComplex(m1, g0, FgAbMap(m1, g0, d))
 
 
 def butterfly_from_json(data) -> Butterfly:
@@ -176,17 +173,11 @@ def butterfly_from_json(data) -> Butterfly:
     src = complex_from_json(data.get("src"))
     dst = complex_from_json(data.get("dst"))
     car = group_from_json(data.get("carrier"))
-    try:
-        i = FgAbMap(dst.deg_m1, car, matrix_from_json(data.get("i"), car.ngens, dst.deg_m1.ngens))
-        j = FgAbMap(src.deg_m1, car, matrix_from_json(data.get("j"), car.ngens, src.deg_m1.ngens))
-        p = FgAbMap(car, dst.deg_0, matrix_from_json(data.get("p"), dst.deg_0.ngens, car.ngens))
-        q = FgAbMap(car, src.deg_0, matrix_from_json(data.get("q"), src.deg_0.ngens, car.ngens))
-        return Butterfly(src, dst, car, i, j, p, q)
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        # ill-defined wing matrices are a mathematical refusal, not a schema error
-        raise RefusalError(str(exc))
+    i = FgAbMap(dst.deg_m1, car, matrix_from_json(data.get("i"), car.ngens, dst.deg_m1.ngens))
+    j = FgAbMap(src.deg_m1, car, matrix_from_json(data.get("j"), car.ngens, src.deg_m1.ngens))
+    p = FgAbMap(car, dst.deg_0, matrix_from_json(data.get("p"), dst.deg_0.ngens, car.ngens))
+    q = FgAbMap(car, src.deg_0, matrix_from_json(data.get("q"), src.deg_0.ngens, car.ngens))
+    return Butterfly(src, dst, car, i, j, p, q)
 
 
 def sequence_from_json(data) -> ButterflyShortSeq:
@@ -197,11 +188,8 @@ def sequence_from_json(data) -> ButterflyShortSeq:
     y = butterfly_from_json(data.get("Y"))
     z = butterfly_from_json(data.get("Z"))
     phi = matrix_from_json(data.get("phi"), z.carrier.ngens, y.carrier.ngens)
-    try:
-        w = ZeroWitness(y, z, FgAbMap(y.carrier, z.carrier, phi))
-        return ButterflyShortSeq(e, f, g, y, z, w)
-    except ValueError as exc:
-        raise RefusalError(str(exc))
+    w = ZeroWitness(y, z, FgAbMap(y.carrier, z.carrier, phi))
+    return ButterflyShortSeq(e, f, g, y, z, w)
 
 
 PARSERS = {
@@ -221,7 +209,13 @@ def parse_document(text: str):
     _expect(isinstance(data, dict), "document must be an object")
     kind = data.get("kind")
     _expect(kind in KINDS, f"unknown document kind {kind!r}")
-    return kind, PARSERS[kind](data)
+    try:
+        return kind, PARSERS[kind](data)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        # a constructor rejected well-formed input: a refusal, not a schema error
+        raise RefusalError(str(exc))
 
 
 def invariants_to_json(g: FgAbGroup) -> dict:

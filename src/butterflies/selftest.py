@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import random
 import time
+from functools import lru_cache
 from math import gcd
 
-from .intlinalg import IntMatrix
+from .intlinalg import CACHE_SIZE, IntMatrix, hstack, vstack
 from .fgab import (
-    FgAbGroup, FgAbMap, map_equal, is_injective, is_surjective,
+    FgAbGroup, FgAbMap, map_equal, direct_sum, is_exact_at, is_injective, is_surjective,
 )
 from .twocomplex import TwoTermComplex, homology, random_complex
 from .butterfly import (
     Butterfly, validate, is_valid, identity_butterfly,
     zero_butterfly, compose, two_morphism_find, baer_sum, homology_action,
-    is_invertible, invert, kernel_b, cokernel_b, classify, pip, copip,
+    is_invertible, kernel_b, cokernel_b, classify, pip, copip,
     image_b, coimage_b, middle_exact_iso, random_butterfly,
 )
 from .exactness import (
@@ -50,21 +51,16 @@ def _suite_complex(rng: random.Random) -> TwoTermComplex:
     return random_complex(rng, max_rank=3, max_order=64)
 
 
-_SUITE_CACHE = {}
-
-
-def butterfly_suite(scale: float = 1.0) -> list:
+@lru_cache(maxsize=CACHE_SIZE)
+def butterfly_suite(scale: float = 1.0) -> tuple:
     """The seeded random butterfly suite shared by criteria 1, 4 and 7."""
-    if scale in _SUITE_CACHE:
-        return _SUITE_CACHE[scale]
     rng = random.Random(101)
     out = []
     for _ in range(_n(500, scale)):
         e = _suite_complex(rng)
         f = _suite_complex(rng)
         out.append(random_butterfly(e, f, rng))
-    _SUITE_CACHE[scale] = out
-    return out
+    return tuple(out)
 
 
 # -- criterion 1: axioms and mutations ----------------------------------------
@@ -239,7 +235,6 @@ def crit5_kernel_cokernel(scale: float = 1.0):
         _, bf_coim = coimage_b(y)
         if not (is_invertible(bf_img) and is_invertible(bf_coim)):
             return False, f"canonical pip/copip butterflies not invertible on #{k}"
-        from .fgab import is_exact_at
         if is_exact_at(y.j, y.p):
             chains += 1
             for bf in middle_exact_iso(y):
@@ -279,10 +274,11 @@ def crit6_les(scale: float = 1.0):
 
 # -- criterion 7: oracle differential -------------------------------------------
 
-def _finite_small(b: Butterfly, cap: int = 32) -> bool:
+def _finite_small(b: Butterfly) -> bool:
+    """Every group of b is finite, of order at most 32."""
     for g in (b.src.deg_m1, b.src.deg_0, b.dst.deg_m1, b.dst.deg_0, b.carrier):
         n = g.order()
-        if n is None or n > cap:
+        if n is None or n > 32:
             return False
     return True
 
@@ -366,9 +362,7 @@ def crit7_oracle_differential(scale: float = 1.0):
         if not (_finite_small(y) and _finite_small(z)):
             continue
         w = compose(z, y)
-        from .fgab import direct_sum
         yz = direct_sum(y.carrier, z.carrier)
-        from .intlinalg import vstack, hstack
         a = FgAbMap(f_.deg_m1, yz, vstack(y.i.matrix, -z.j.matrix))
         bmap = FgAbMap(yz, f_.deg_0, hstack(-y.p.matrix, z.q.matrix))
         rm = oracle.realize(f_.deg_m1)

@@ -107,14 +107,6 @@ class Homology:
     def proj(self) -> FgAbMap:  # deg_0 -> h0
         return self.cok.proj
 
-    def corestrict_to_hm1(self, x: FgAbMap) -> FgAbMap:
-        """Factor x: X -> deg_m1 (with d*x = 0) through the inclusion."""
-        return self.ker.factor(x)
-
-    def descend_from_h0(self, y: FgAbMap) -> FgAbMap:
-        """Descend y: deg_0 -> X (with y*d = 0) to H^0 -> X."""
-        return self.cok.induce(y)
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def homology(e: TwoTermComplex) -> Homology:
@@ -124,13 +116,13 @@ def homology(e: TwoTermComplex) -> Homology:
 def induced_hm1(f: ChainMap) -> FgAbMap:
     """H^-1(src) -> H^-1(dst) induced by a chain map."""
     hs, hd = homology(f.src), homology(f.dst)
-    return hd.corestrict_to_hm1(f.f_m1 * hs.incl)
+    return hd.ker.factor(f.f_m1 * hs.incl)
 
 
 def induced_h0(f: ChainMap) -> FgAbMap:
     """H^0(src) -> H^0(dst) induced by a chain map."""
     hs, hd = homology(f.src), homology(f.dst)
-    return hs.descend_from_h0(hd.proj * f.f_0)
+    return hs.cok.induce(hd.proj * f.f_0)
 
 
 def complex_direct_sum(a: TwoTermComplex, b: TwoTermComplex) -> TwoTermComplex:

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from butterflies.intlinalg import IntMatrix, vstack
+from butterflies.intlinalg import IntMatrix, hstack, vstack
 from butterflies.fgab import (
-    FgAbMap, map_equal, is_injective, is_surjective, hom_solve,
+    FgAbMap, direct_sum, map_equal, is_injective, is_surjective, hom_solve,
 )
 from butterflies.twocomplex import TwoTermComplex, ChainMap, homology, embed0, zero_complex, random_complex
 from butterflies.butterfly import (
@@ -49,6 +49,20 @@ class TestIdentity:
 
     def test_e2_j_wing(self):
         assert identity_butterfly(e2()).j.matrix.to_lists() == [[2], [1]]
+
+    def test_wings_follow_the_docstring_formula(self):
+        """Carrier E^0 (+) E^-1 with i = (0;1), j = (d;1), p = (1,-d), q = (1,0)."""
+        rng = random.Random(11)
+        cxs = [e2(), k2()] + [random_complex(rng, max_rank=2, max_order=16) for _ in range(24)]
+        for e in cxs:
+            b = identity_butterfly(e)
+            n0, n1, d = e.deg_0.ngens, e.deg_m1.ngens, e.d.matrix
+            one0, one1 = IntMatrix.identity(n0), IntMatrix.identity(n1)
+            assert (b.src, b.dst, b.carrier) == (e, e, direct_sum(e.deg_0, e.deg_m1))
+            assert b.i.matrix == vstack(IntMatrix.zeros(n0, n1), one1)
+            assert b.j.matrix == vstack(d, one1)
+            assert b.p.matrix == hstack(one0, -d)
+            assert b.q.matrix == hstack(one0, IntMatrix.zeros(n0, n1))
 
 
 class TestFromChainMap:

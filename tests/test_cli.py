@@ -118,24 +118,58 @@ class TestExitCodes:
         assert got.out == ""
         assert got.err == "internal error: five lemma: wing-commuting carrier map must be invertible\n"
 
-    def test_ill_defined_map_document_is_refusal(self, tmp_path):
+    def test_selftest_bad_scale_is_usage_error(self, capsys):
+        for scale in ("nan", "inf", "-inf", "0", "-0.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["selftest", f"--scale={scale}", "--suite", "8"])
+            assert exc.value.code == 2
+            got = capsys.readouterr()
+            assert got.out == "" and got.err.startswith("usage: ")
+            assert f"--scale: must be a finite number above 0, got '{scale}'" in got.err
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, doc, msg):
+        """validate on doc exits 1 with the one line 'refused: msg'."""
+        p = tmp_path / "doc.json"
+        p.write_text(jsonio.emit(doc))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"refused: {msg}\n")
+
+    def test_ill_defined_map_document_is_refusal(self, tmp_path, capsys):
         # shape-valid JSON whose matrix fails to descend: exit 1, not 2
         doc = {"kind": "map",
                "src": {"ngens": 1, "relations": [["2"]]},
                "dst": {"ngens": 1, "relations": [["4"]]},
                "matrix": [["1"]]}
-        p = tmp_path / "badmap.json"
-        p.write_text(jsonio.emit(doc))
-        assert main(["validate", str(p)]) == 1
+        self.assert_refused(tmp_path, capsys, doc,
+                            "matrix does not define a homomorphism on the presentations")
 
-    def test_ill_defined_differential_is_refusal(self, tmp_path):
+    def test_ill_defined_differential_is_refusal(self, tmp_path, capsys):
         doc = {"kind": "complex",
                "deg-1": {"ngens": 1, "relations": [["2"]]},
                "deg0": {"ngens": 1, "relations": [["4"]]},
                "d": [["1"]]}
-        p = tmp_path / "badcx.json"
-        p.write_text(jsonio.emit(doc))
-        assert main(["validate", str(p)]) == 1
+        self.assert_refused(tmp_path, capsys, doc,
+                            "matrix does not define a homomorphism on the presentations")
+
+    def test_ill_defined_wing_is_refusal(self, tmp_path, capsys):
+        # IK2 over the carrier Z/4 + Z/4: i = (0;1) from Z/2 does not descend
+        doc = jsonio.document("butterfly", jsonio.butterfly_to_json(ik2()))
+        doc["carrier"]["relations"] = [["4", "0"], ["0", "4"]]
+        self.assert_refused(tmp_path, capsys, doc,
+                            "matrix does not define a homomorphism on the presentations")
+
+    @pytest.mark.parametrize("change, msg", [
+        ("witness", "zero witness condition phi*i = j fails"),
+        ("endpoints", "y endpoints mismatch"),
+    ])
+    def test_ill_defined_sequence_is_refusal(self, tmp_path, capsys, change, msg):
+        doc = jsonio.document("sequence", jsonio.sequence_to_json(standard_seq_10(e2())))
+        if change == "witness":
+            doc["phi"] = [[str(int(e) + 1) for e in row] for row in doc["phi"]]
+        else:
+            doc["E"] = doc["G"]
+        self.assert_refused(tmp_path, capsys, doc, msg)
 
 
 def pretty(obj) -> str:

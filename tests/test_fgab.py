@@ -9,6 +9,7 @@ from butterflies.fgab import (
     kernel, cokernel, image, subquotient, is_exact_at, is_injective,
     is_surjective, hom_solve, hom_solve_all, ext1_realize, hom_group,
     random_group, random_map, factor_through_injection, generator_lift,
+    precompose, dual_presentation, free_presentation,
 )
 
 Z = FgAbGroup.free(1)
@@ -33,6 +34,11 @@ class TestWellDefined:
         assert not is_well_defined(Z2, Z4, m([[1]]))
         with pytest.raises(ValueError):
             FgAbMap(Z2, Z4, m([[1]]))
+
+    def test_bad_shape_names_both_shapes(self):
+        for check in (FgAbMap, is_well_defined):
+            with pytest.raises(ValueError, match="^matrix is 1x2, expected 1x1$"):
+                check(Z2, Z4, m([[1, 2]]))
 
 
 class TestMapEqual:
@@ -250,6 +256,26 @@ def test_hom_group_values():
     assert hom_group(Z2, Z4).invariant_factors() == (0, (2,))
     assert hom_group(Z, Z6).invariant_factors() == (0, (6,))
     assert hom_group(Z6, Z4).invariant_factors() == (0, (2,))
+
+
+def test_precompose_is_right_multiplication():
+    """precompose(r, c) sends X (copy l of c in column l) to X*r."""
+    rng = random.Random(5)
+    c = FgAbGroup(2, m([[3], [6]]))
+    vec = lambda y: IntMatrix.column([y[t, l] for l in range(y.cols) for t in range(2)])
+    for _ in range(20):
+        k, n = rng.randint(0, 3), rng.randint(0, 3)
+        r = IntMatrix(k, n, [rng.randint(-3, 3) for _ in range(k * n)])
+        x = IntMatrix(2, k, [rng.randint(-5, 5) for _ in range(2 * k)])
+        f = precompose(r, c)
+        assert (f.src.ngens, f.dst.ngens) == (2 * k, 2 * n)
+        assert f.matrix * vec(x) == vec(x * r)
+
+
+def test_dual_presentation_is_precompose_on_free_presentation():
+    for a in (Z, Z2, Z6, direct_sum(Z4, Z6), FgAbGroup.trivial()):
+        r, f = dual_presentation(a, Z4)
+        assert r == free_presentation(a) and f == precompose(r, Z4)
 
 
 def test_generator_lift_and_injection_factor():

@@ -242,6 +242,17 @@ def test_block_helpers():
     assert k.to_lists() == [[2, 0], [0, 2]]
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kron_distributes_over_stacking(data):
+    r, k, k2, cr, cc = (data.draw(st.integers(0, 3)) for _ in range(5))
+    c = data.draw(shaped(cr, cc))
+    a, b = data.draw(shaped(r, k)), data.draw(shaped(r, k2))
+    assert kron(hstack(a, b), c) == hstack(kron(a, c), kron(b, c))
+    a, b = data.draw(shaped(k, r)), data.draw(shaped(k2, r))
+    assert kron(vstack(a, b), c) == vstack(kron(a, c), kron(b, c))
+
+
 def test_top_rows():
     m = mat([[1, 2], [3, 4], [5, 6]])
     assert top_rows(m, 2) == mat([[1, 2], [3, 4]])
@@ -372,4 +383,22 @@ class TestSourceRules:
                     caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                     if any(isinstance(t, ast.Name) and t.id == "AssertionError" for t in caught):
                         found.append(f"{path.name}:{node.lineno} except AssertionError")
+        assert found == []
+
+    def test_no_unused_imports(self):
+        """Every name a module imports is used in it (__init__ re-exports)."""
+        found = []
+        for path in source_files():
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = (alias.asname or alias.name).split(".")[0]
+                        if name not in used:
+                            found.append(f"{path.name}:{node.lineno} {name}")
         assert found == []
