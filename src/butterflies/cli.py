@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 mathematical refusal (axiom or precondition
 violated), 2 I/O, usage or schema error (including an unwritable --out
 path, an unknown selftest criterion and a selftest --scale that is not a
 finite number above 0), 3 internal error (a failed invariant of this
-library, never bad input; one line, no traceback).
+library or any other unexpected exception, never bad input; one line, no
+traceback).
 """
 
 from __future__ import annotations
@@ -190,12 +191,12 @@ def cmd_selftest(args) -> int:
 
 
 def _scale(text: str) -> float:
-    """--scale: a finite number above 0."""
+    """--scale: a finite number above 0 (selftest.scale_ok)."""
     try:
         x = float(text)
     except ValueError:
         x = math.nan
-    if not 0 < x < math.inf:
+    if not selftest.scale_ok(x):
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
     return x
 
@@ -266,6 +267,10 @@ def main(argv=None) -> int:
         return 1
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # a defect of this library, not of the input: same code, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -10,7 +10,9 @@ Kernels, cokernels, images and subquotients return groups in simplified
 (diagonal) presentation together with the maps tying them to the inputs;
 nothing downstream ever needs to re-derive those maps.  kernel and cokernel
 are memoized (bounded by intlinalg.CACHE_SIZE), so the exactness criteria
-that rebuild the same kernels and cokernels share one computation.
+that ask about the same maps share one computation.  Exactness at a spot is
+decided by membership in a column span (is_exact_at), never by building the
+subquotient; subquotient is for the callers that need the group itself.
 """
 
 from __future__ import annotations
@@ -289,12 +291,19 @@ def subquotient(a: FgAbMap, b: FgAbMap) -> Subquotient:
 
 
 def is_exact_at(a: FgAbMap, b: FgAbMap) -> bool:
-    """im(a) = ker(b)?  False (not an error) when b*a is not even zero."""
+    """im(a) = ker(b)?  False (not an error) when b*a is not even zero.
+
+    Decided by two membership tests, with no subquotient built: b*a = 0
+    (its columns lie in the span of b.dst's relations), and then ker(b)
+    lies in im(a) + relations of the middle group, i.e. the kernel's
+    generators lie in the column span of [a | a.dst.relations].  Given
+    b*a = 0 that is the same as ker(b)/im(a) being trivial.
+    """
     if a.dst != b.src:
         raise ValueError("exactness endpoints mismatch")
-    if not (b * a).is_zero():
+    if not in_col_span(b.dst.relations, b.matrix * a.matrix):
         return False
-    return subquotient(a, b).group.is_trivial()
+    return in_col_span(hstack(a.matrix, a.dst.relations), kernel(b).incl.matrix)
 
 
 def is_injective(f: FgAbMap) -> bool:

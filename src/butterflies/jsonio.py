@@ -148,7 +148,8 @@ def group_from_json(data) -> FgAbGroup:
     _expect(isinstance(data.get("ngens"), int) and data["ngens"] >= 0,
             "group.ngens must be a nonnegative integer")
     rel = data.get("relations")
-    _expect(isinstance(rel, list), "group.relations must be a matrix")
+    _expect(isinstance(rel, list) and all(isinstance(r, list) for r in rel),
+            "group.relations must be a matrix")
     ncols = len(rel[0]) if rel else 0
     return FgAbGroup(data["ngens"], matrix_from_json(rel, data["ngens"], ncols))
 

@@ -8,6 +8,7 @@ full contract sizes.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from functools import lru_cache
@@ -484,12 +485,19 @@ def criterion_numbers() -> list:
     return [name.split()[0] for name, _ in CRITERIA]
 
 
+def scale_ok(scale: float) -> bool:
+    """Is scale a suite size factor run() accepts: a finite number above 0?"""
+    return 0 < scale < math.inf
+
+
 def run(scale: float = 1.0, only=None, out=print) -> bool:
     """Run the criteria (those numbered in only, when given); True if all pass.
 
-    Raises ValueError, before running anything, when only names a number
-    that is not a criterion.
+    Raises ValueError, before running anything, when scale fails scale_ok
+    or only names a number that is not a criterion.
     """
+    if not scale_ok(scale):
+        raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
     if only is not None:
         unknown = sorted(map(str, set(only) - set(criterion_numbers())))
         if unknown:

@@ -76,6 +76,13 @@ class TestCriterion10Cli:
             selftest.run(scale=0.02, only={"1", "99"}, out=lines.append)
         assert lines == []
 
+    def test_run_rejects_bad_scale(self):
+        lines = []
+        for scale in (float("nan"), float("inf"), -float("inf"), 0, -3, -0.5):
+            with pytest.raises(ValueError, match="^scale must be a finite number above 0"):
+                selftest.run(scale=scale, only={"8"}, out=lines.append)
+        assert lines == []
+
     def test_round_trip_byte_stable(self, tmp_path):
         docs = [
             ("butterfly", jsonio.butterfly_to_json(bockstein()), jsonio.butterfly_to_json),

@@ -118,6 +118,23 @@ class TestExitCodes:
         assert got.out == ""
         assert got.err == "internal error: five lemma: wing-commuting carrier map must be invertible\n"
 
+    def test_unexpected_exception_is_internal_error(self, docs, capsys, monkeypatch):
+        def broken(z, y):
+            raise TypeError("unsupported operand")
+        monkeypatch.setattr(cli, "compose", broken)
+        assert main(["compose", docs["B.json"], docs["B.json"]]) == 3
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == "internal error: TypeError: unsupported operand\n"
+
+    def test_relation_row_that_is_not_a_list_is_schema_error(self, tmp_path, capsys):
+        p = tmp_path / "group.json"
+        p.write_text('{"kind": "group", "ngens": 1, "relations": [5]}')
+        assert main(["validate", str(p)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == "schema error: group.relations must be a matrix\n"
+
     def test_selftest_bad_scale_is_usage_error(self, capsys):
         for scale in ("nan", "inf", "-inf", "0", "-0.5", "x"):
             with pytest.raises(SystemExit) as exc:

@@ -145,6 +145,53 @@ class TestExactness:
     def test_zero_zero_not_exact(self):
         assert not is_exact_at(FgAbMap.zero(Z2, Z2), FgAbMap.zero(Z2, Z2))
 
+    def test_nonzero_composite_not_exact(self):
+        # ker(b) = 2Z/4 lies in im(a) = Z/4, but b*a is not zero
+        assert not is_exact_at(FgAbMap.identity(Z4), FgAbMap(Z4, Z2, m([[1]])))
+
+
+def composable_pair(rng):
+    """a: A -> M and b: M -> C with b*a = 0, on random_group presentations
+    (scrambled half the time).  Either a factors through the kernel of a
+    random b, or b factors through the cokernel of a random a."""
+    a_grp, m_grp, c_grp = (random_group(rng, max_order=8) for _ in range(3))
+    if rng.random() < 0.5:
+        b = random_map(rng, m_grp, c_grp)
+        k = kernel(b)
+        a = k.incl * random_map(rng, a_grp, k.group)
+    else:
+        a = random_map(rng, a_grp, m_grp)
+        cok = cokernel(a)
+        b = random_map(rng, cok.group, c_grp) * cok.proj
+    return a, b
+
+
+def exact_by_subquotient(a, b):
+    """The definition is_exact_at decides by membership: ker(b)/im(a) = 0."""
+    return subquotient(a, b).group.is_trivial()
+
+
+# use_true_random: the shrinkable streams repeat small draws, so a third of
+# the middle groups come out trivial and the relations of the middle group
+# never decide a verdict
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=60, deadline=None)
+def test_exactness_membership_matches_subquotient(rng):
+    a, b = composable_pair(rng)
+    assert (b * a).is_zero()
+    assert is_exact_at(a, b) == exact_by_subquotient(a, b)
+
+
+def test_exactness_membership_sees_both_verdicts():
+    rng = random.Random(8)
+    verdicts = []
+    for _ in range(60):
+        a, b = composable_pair(rng)
+        verdict = is_exact_at(a, b)
+        assert verdict == exact_by_subquotient(a, b)
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
 
 def simplify_inputs():
     """(25 random groups, 5 groups with dense n x n relations).
