@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack
+from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, in_col_span
 from .fgab import (
     FgAbGroup, FgAbMap, map_equal, direct_sum, kernel, cokernel, image,
-    subquotient, is_exact_at, is_injective, is_surjective,
+    subquotient, is_exact_at, is_injective, is_surjective, is_well_defined,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
     ext1_realize,
 )
@@ -87,18 +87,26 @@ class TwoMorphism:
     inverse: FgAbMap  # target.carrier -> source.carrier
 
     def __post_init__(self):
+        """Each equation is a membership test on a matrix difference.  No
+        composite is built as a checked map: one of maps that descend
+        descends too."""
         a, b = self.source, self.target
         if (a.src, a.dst) != (b.src, b.dst):
             raise ValueError("parallel butterflies required")
-        for ok, name in [
-            (map_equal(self.m * a.i, b.i), "m*i = i'"),
-            (map_equal(self.m * a.j, b.j), "m*j = j'"),
-            (map_equal(b.p * self.m, a.p), "p'*m = p"),
-            (map_equal(b.q * self.m, a.q), "q'*m = q"),
-            (map_equal(self.inverse * self.m, FgAbMap.identity(a.carrier)), "left inverse"),
-            (map_equal(self.m * self.inverse, FgAbMap.identity(b.carrier)), "right inverse"),
+        if (self.m.src, self.m.dst) != (a.carrier, b.carrier):
+            raise ValueError("two-morphism condition m: Y -> Y' fails")
+        if (self.inverse.src, self.inverse.dst) != (b.carrier, a.carrier):
+            raise ValueError("two-morphism condition inverse: Y' -> Y fails")
+        m, inv = self.m.matrix, self.inverse.matrix
+        for rel, diff, name in [
+            (b.carrier.relations, m * a.i.matrix - b.i.matrix, "m*i = i'"),
+            (b.carrier.relations, m * a.j.matrix - b.j.matrix, "m*j = j'"),
+            (a.dst.deg_0.relations, b.p.matrix * m - a.p.matrix, "p'*m = p"),
+            (a.src.deg_0.relations, b.q.matrix * m - a.q.matrix, "q'*m = q"),
+            (a.carrier.relations, inv * m - IntMatrix.identity(a.carrier.ngens), "left inverse"),
+            (b.carrier.relations, m * inv - IntMatrix.identity(b.carrier.ngens), "right inverse"),
         ]:
-            if not ok:
+            if not in_col_span(rel, diff):
                 raise ValueError(f"two-morphism condition {name} fails")
 
 
@@ -174,8 +182,14 @@ def compose(z: Butterfly, y: Butterfly) -> Butterfly:
 def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
     """A 2-morphism a => b, or None when the carriers cannot be matched.
 
-    Any carrier map commuting with the wings is invertible (short five
-    lemma); the inverse is constructed, never assumed.
+    Any carrier map m commuting with the wings is invertible (short five
+    lemma); the inverse is constructed, never assumed.  It is one lift of
+    b's carrier generators through m, a raw matrix L with m*L = 1 in b's
+    carrier.  L descends to a map because m is injective: m*(L*R) = R
+    vanishes for b's carrier relations R, so L*R vanishes in a's carrier.
+    For the same reason L*m = 1, so L is a two-sided inverse.  No lift, or
+    one that does not descend, is an InvariantError; TwoMorphism then
+    checks both inverse equations again.
     """
     if (a.src, a.dst) != (b.src, b.dst):
         raise ValueError("two-morphisms need parallel butterflies")
@@ -187,13 +201,10 @@ def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
     ])
     if m is None:
         return None
-    inv = hom_solve(b.carrier, a.carrier, [
-        ("pre", m, FgAbMap.identity(a.carrier)),
-        ("post", m, FgAbMap.identity(b.carrier)),
-    ])
-    if inv is None:
+    lift = generator_lift(m, IntMatrix.identity(b.carrier.ngens))
+    if lift is None or not is_well_defined(b.carrier, a.carrier, lift):
         raise InvariantError("five lemma: wing-commuting carrier map must be invertible")
-    return TwoMorphism(a, b, m, inv)
+    return TwoMorphism(a, b, m, FgAbMap(b.carrier, a.carrier, lift))
 
 
 def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:

@@ -1,6 +1,10 @@
 """Command-line surface: validate, compute and compare constructions on
 JSON-described inputs.
 
+Every command that reads a butterfly or a sequence checks the butterflies'
+axioms before computing anything, and refuses (exit 1) on the first
+violation.
+
 Exit codes: 0 success, 1 mathematical refusal (axiom or precondition
 violated), 2 I/O, usage or schema error (including an unwritable --out
 path, an unknown selftest criterion and a selftest --scale that is not a
@@ -59,20 +63,31 @@ def _write_or_print(doc: dict, out_path):
         sys.stdout.write(text)
 
 
+def _refused(named, stream=None) -> bool:
+    """Print the first axiom violation of the (prefix, butterfly) pairs, in
+    order and after its prefix, on stream (stderr by default); was there one?"""
+    for prefix, bf in named:
+        bad = validate(bf)
+        if bad:
+            print(prefix + bad[0], file=stream or sys.stderr)
+            return True
+    return False
+
+
+def _sequence_parts(s) -> tuple:
+    return (("Y: ", s.y), ("Z: ", s.z))
+
+
 def cmd_validate(args) -> int:
     kind, obj = _read_doc(args.path)
+    named = ()
     if kind == "butterfly":
-        bad = validate(obj)
-        if bad:
-            print(bad[0])
-            return 1
+        named = [("", obj)]
     elif kind == "sequence":
-        for name, bf in (("Y", obj.y), ("Z", obj.z)):
-            bad = validate(bf)
-            if bad:
-                print(f"{name}: {bad[0]}")
-                return 1
         # the witness conditions themselves were checked while parsing
+        named = _sequence_parts(obj)
+    if _refused(named, sys.stdout):
+        return 1
     print("ok")
     return 0
 
@@ -80,6 +95,8 @@ def cmd_validate(args) -> int:
 def cmd_compose(args) -> int:
     y = _read_kind(args.first, "butterfly")
     z = _read_kind(args.second, "butterfly")
+    if _refused([("", y), ("", z)]):
+        return 1
     if y.dst != z.src:
         print("endpoint mismatch: first.dst != second.src", file=sys.stderr)
         return 1
@@ -91,6 +108,8 @@ def cmd_compose(args) -> int:
 def cmd_iso2(args) -> int:
     a = _read_kind(args.first, "butterfly")
     b = _read_kind(args.second, "butterfly")
+    if _refused([("", a), ("", b)]):
+        return 1
     if (a.src, a.dst) != (b.src, b.dst):
         print("endpoint mismatch: butterflies are not parallel", file=sys.stderr)
         return 1
@@ -105,9 +124,7 @@ def cmd_iso2(args) -> int:
 
 def cmd_report(args) -> int:
     y = _read_kind(args.path, "butterfly")
-    bad = validate(y)
-    if bad:
-        print(bad[0], file=sys.stderr)
+    if _refused([("", y)]):
         return 1
     hm1, h0 = homology_action(y)
     flags = classify(y)
@@ -140,6 +157,8 @@ def cmd_report(args) -> int:
 
 def cmd_les(args) -> int:
     s = _read_kind(args.path, "sequence")
+    if _refused(_sequence_parts(s)):
+        return 1
     if not is_exact(s):
         print("sequence is not two-sided exact; refusing", file=sys.stderr)
         return 1

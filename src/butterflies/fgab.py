@@ -270,8 +270,18 @@ class Subquotient:
     fro: FgAbMap         # group -> ker.group coordinates (from the cokernel)
 
     def lift_in(self, x: FgAbMap) -> FgAbMap:
-        """x: X -> mid with b*x = 0 induces X -> H."""
-        return self.proj * self.ker.factor(x)
+        """x: X -> mid with b*x = 0 induces X -> H.
+
+        Lifts x's generators through ker(b)'s inclusion once and returns
+        the one checked map proj * lift.  The lift is not built as a map of
+        its own: it descends because the inclusion is injective, and so
+        does its composite with proj.  Raises ValueError when x does not
+        land in ker(b).
+        """
+        u = generator_lift(self.ker.incl, x.matrix)
+        if u is None:
+            raise ValueError("map does not land in the subgroup")
+        return FgAbMap(x.src, self.group, self.proj.matrix * u)
 
     def induce_out(self, y: FgAbMap) -> FgAbMap:
         """y: mid -> X with y*a = 0 induces H -> X."""
@@ -282,7 +292,7 @@ class Subquotient:
 def subquotient(a: FgAbMap, b: FgAbMap) -> Subquotient:
     if a.dst != b.src:
         raise ValueError("subquotient endpoints mismatch")
-    if not (b * a).is_zero():
+    if not in_col_span(b.dst.relations, b.matrix * a.matrix):
         raise ValueError("subquotient requires b * a = 0")
     ker = kernel(b)
     atilde = ker.factor(a)

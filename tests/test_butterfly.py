@@ -1,14 +1,16 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
 from butterflies.intlinalg import IntMatrix, hstack, vstack
 from butterflies.fgab import (
-    FgAbMap, direct_sum, map_equal, is_injective, is_surjective, hom_solve,
+    FgAbGroup, FgAbMap, direct_sum, map_equal, is_injective, is_surjective, hom_solve,
 )
 from butterflies.twocomplex import TwoTermComplex, ChainMap, homology, embed0, zero_complex, random_complex
 from butterflies.butterfly import (
-    Butterfly, validate, identity_butterfly, from_chain_map,
+    Butterfly, TwoMorphism, validate, identity_butterfly, from_chain_map,
     zero_butterfly, to_chain_map, find_section, compose, two_morphism_find,
     baer_sum, homology_action, is_invertible, invert, kernel_b, cokernel_b,
     classify, pip, copip, image_b, coimage_b, middle_exact_iso,
@@ -202,7 +204,7 @@ class TestTwoMorphisms:
         b = bockstein()
         tm = two_morphism_find(b, b)
         assert tm is not None
-        assert map_equal(tm.m, FgAbMap.identity(b.carrier)) or True
+        assert map_equal(tm.m * tm.inverse, FgAbMap.identity(b.carrier))
         assert map_equal(tm.inverse * tm.m, FgAbMap.identity(b.carrier))
 
     def test_carrier_obstruction(self):
@@ -210,6 +212,76 @@ class TestTwoMorphisms:
 
     def test_found_after_composition(self):
         assert two_morphism_find(compose(bockstein(), bockstein()), ik2()) is not None
+
+    @staticmethod
+    def refuses(condition, source, target, m, inverse):
+        with pytest.raises(ValueError, match=re.escape(f"two-morphism condition {condition} fails")):
+            TwoMorphism(source, target, m, inverse)
+
+    def test_refuses_wrong_endpoints(self):
+        # the same matrices from a free group instead of a carrier Z/2 + Z/2:
+        # every equation still holds
+        a, b = compose(bockstein(), bockstein()), ik2()
+        tm = two_morphism_find(a, b)
+        m = FgAbMap(FgAbGroup.free(a.carrier.ngens), b.carrier, tm.m.matrix)
+        inverse = FgAbMap(FgAbGroup.free(b.carrier.ngens), a.carrier, tm.inverse.matrix)
+        self.refuses("m: Y -> Y'", a, b, m, tm.inverse)
+        self.refuses("inverse: Y' -> Y", a, b, tm.m, inverse)
+
+    @pytest.mark.parametrize("wing, condition", [
+        ("i", "m*i = i'"), ("j", "m*j = j'"), ("p", "p'*m = p"), ("q", "q'*m = q"),
+    ])
+    def test_refuses_broken_wing(self, wing, condition):
+        # E2's groups are free, so adding a nonzero matrix breaks exactly one wing
+        b = identity_butterfly(e2())
+        tm = two_morphism_find(b, b)
+        w = getattr(b, wing)
+        ones = IntMatrix(w.dst.ngens, w.src.ngens, [1] * (w.dst.ngens * w.src.ngens))
+        bump = FgAbMap(w.src, w.dst, ones)
+        self.refuses(condition, b, dataclasses.replace(b, **{wing: w + bump}), tm.m, tm.inverse)
+
+    def test_refuses_wrong_inverse(self):
+        b = compose(bockstein(), bockstein())
+        tm = two_morphism_find(b, ik2())
+        self.refuses("left inverse", b, ik2(), tm.m, FgAbMap.zero(ik2().carrier, b.carrier))
+
+    def test_refuses_one_sided_inverse(self):
+        # over the zero complex every wing equation holds, so only the inverse
+        # equations constrain m = (1; 0): Z -> Z^2, with left inverse (1 0)
+        zc = zero_complex()
+
+        def bare(carrier):
+            into, out = FgAbMap.zero(zc.deg_m1, carrier), FgAbMap.zero(carrier, zc.deg_0)
+            return Butterfly(zc, zc, carrier, into, into, out, out)
+
+        a, b = bare(Z), bare(direct_sum(Z, Z))
+        m = FgAbMap(a.carrier, b.carrier, IntMatrix.from_rows([[1], [0]]))
+        self.refuses("right inverse", a, b, m, FgAbMap(b.carrier, a.carrier, IntMatrix.from_rows([[1, 0]])))
+
+    def test_lifted_inverse_matches_solved_inverse(self):
+        """The inverse is one generator lift through m; it must agree, as a
+        map, with the inverse solved for as a 2-morphism condition: X with
+        X*m = 1 and m*X = 1."""
+        rng = random.Random(9)
+        pairs = []
+        for _ in range(12):
+            cxs = [random_complex(rng, max_rank=1, max_order=6) for _ in range(4)]
+            x, y, z = (random_butterfly(c, d, rng) for c, d in zip(cxs, cxs[1:]))
+            w = random_butterfly(cxs[0], cxs[1], rng)
+            pairs += [
+                (compose(compose(z, y), x), compose(z, compose(y, x))),
+                (compose(identity_butterfly(y.dst), y), y),
+                (baer_sum(x, w), baer_sum(w, x)),
+            ]
+        for a, b in pairs:
+            tm = two_morphism_find(a, b)
+            assert tm is not None
+            solved = hom_solve(b.carrier, a.carrier, [
+                ("pre", tm.m, FgAbMap.identity(a.carrier)),
+                ("post", tm.m, FgAbMap.identity(b.carrier)),
+            ])
+            assert solved is not None and map_equal(tm.inverse, solved)
+        assert sum(a.carrier.ngens > 1 for a, _ in pairs) >= 12
 
 
 class TestBaerSum:

@@ -62,6 +62,19 @@ class TestExitCodes:
     def test_compose_endpoint_mismatch(self, docs):
         assert main(["compose", docs["B.json"], docs["Br.json"]]) == 1
 
+    def test_compose_and_iso2_refuse_invalid_butterfly(self, docs, tmp_path, capsys):
+        # B with q = 0: d = 0 on K2, so the diagonal breaks at the carrier;
+        # refused as report refuses it, before anything is computed
+        doc = json.loads(open(docs["B.json"]).read())
+        doc["q"] = [["0"]]
+        bad = tmp_path / "B_qzero.json"
+        bad.write_text(jsonio.emit(doc))
+        good = docs["B.json"]
+        for argv in (["compose", bad, bad], ["compose", good, bad],
+                     ["iso2", bad, good], ["iso2", good, bad], ["report", bad]):
+            assert main([str(a) for a in argv]) == 1, argv
+            assert capsys.readouterr() == ("", "diagonal not exact at carrier\n"), argv
+
     def test_iso2_found_and_none(self, docs, capsys):
         main(["compose", docs["B.json"], docs["B.json"], "--out", docs["out"]])
         capsys.readouterr()
@@ -75,6 +88,18 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["all_exact"] is True
         assert out["maps"][2] == [["2"]]
+
+    @pytest.mark.parametrize("part, wing, msg", [
+        ("Y", "q", "Y: diagonal not exact at carrier"),
+        ("Z", "i", "Z: diagonal not exact: i not injective"),
+    ])
+    def test_les_refuses_invalid_butterfly(self, tmp_path, capsys, part, wing, msg):
+        doc = jsonio.document("sequence", jsonio.sequence_to_json(standard_seq_10(e2())))
+        doc[part][wing] = [["0"] * len(row) for row in doc[part][wing]]
+        p = tmp_path / "seq.json"
+        p.write_text(jsonio.emit(doc))
+        assert main(["les", str(p)]) == 1
+        assert capsys.readouterr() == ("", msg + "\n")
 
     def test_report_ok(self, docs, capsys):
         assert main(["report", docs["B.json"]]) == 0
