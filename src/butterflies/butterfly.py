@@ -54,13 +54,19 @@ class Butterfly:
 
 
 def validate(b: Butterfly) -> list:
-    """All axiom violations, in checking order; empty list means valid."""
+    """All axiom violations, in checking order; empty list means valid.
+
+    The four equations are membership tests on matrix differences, as in
+    TwoMorphism; no composite is built as a checked map.
+    """
     bad = []
-    if not map_equal(b.q * b.j, b.src.d):
+    q, j, p, i = b.q.matrix, b.j.matrix, b.p.matrix, b.i.matrix
+    rel_e0, rel_f0 = b.src.deg_0.relations, b.dst.deg_0.relations
+    if not in_col_span(rel_e0, q * j - b.src.d.matrix):
         bad.append("triangle qj=d violated")
-    if not map_equal(b.p * b.i, -b.dst.d):
+    if not in_col_span(rel_f0, p * i + b.dst.d.matrix):
         bad.append("triangle pi=-d violated")
-    if not (b.p * b.j).is_zero():
+    if not in_col_span(rel_f0, p * j):
         bad.append("pj=0 violated")
     if not is_injective(b.i):
         bad.append("diagonal not exact: i not injective")
@@ -68,7 +74,7 @@ def validate(b: Butterfly) -> list:
         bad.append("diagonal not exact at carrier")
     if not is_surjective(b.q):
         bad.append("diagonal not exact: q not surjective")
-    if not (b.q * b.i).is_zero():
+    if not in_col_span(rel_e0, q * i):
         bad.append("qi=0 violated")  # implied by exactness; sanity check
     return bad
 
@@ -167,16 +173,15 @@ def compose(z: Butterfly, y: Butterfly) -> Butterfly:
     a = FgAbMap(f.deg_m1, yz, vstack(y.i.matrix, -z.j.matrix))
     bmap = FgAbMap(yz, f.deg_0, hstack(-y.p.matrix, z.q.matrix))
     sq = subquotient(a, bmap)
-    w = sq.group
-    j = sq.lift_in(FgAbMap(y.src.deg_m1, yz,
-                           vstack(y.j.matrix, IntMatrix.zeros(z.carrier.ngens, y.src.deg_m1.ngens))))
-    i = sq.lift_in(FgAbMap(z.dst.deg_m1, yz,
-                           vstack(IntMatrix.zeros(y.carrier.ngens, z.dst.deg_m1.ngens), z.i.matrix)))
-    p = sq.induce_out(FgAbMap(yz, z.dst.deg_0,
-                              hstack(IntMatrix.zeros(z.dst.deg_0.ngens, y.carrier.ngens), z.p.matrix)))
-    q = sq.induce_out(FgAbMap(yz, y.src.deg_0,
-                              hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, z.carrier.ngens))))
-    return Butterfly(y.src, z.dst, w, i, j, p, q)
+    j = sq.lift_in(y.src.deg_m1,
+                   vstack(y.j.matrix, IntMatrix.zeros(z.carrier.ngens, y.src.deg_m1.ngens)))
+    i = sq.lift_in(z.dst.deg_m1,
+                   vstack(IntMatrix.zeros(y.carrier.ngens, z.dst.deg_m1.ngens), z.i.matrix))
+    p = sq.induce_out(z.dst.deg_0,
+                      hstack(IntMatrix.zeros(z.dst.deg_0.ngens, y.carrier.ngens), z.p.matrix))
+    q = sq.induce_out(y.src.deg_0,
+                      hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, z.carrier.ngens)))
+    return Butterfly(y.src, z.dst, sq.group, i, j, p, q)
 
 
 def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
@@ -217,14 +222,11 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
     anti = FgAbMap(f.deg_m1, s, vstack(a.i.matrix, -b.i.matrix))
     diff = FgAbMap(s, e.deg_0, hstack(a.q.matrix, -b.q.matrix))
     sq = subquotient(anti, diff)
-    w = sq.group
-    i = sq.lift_in(FgAbMap(f.deg_m1, s,
-                           vstack(a.i.matrix, IntMatrix.zeros(b.carrier.ngens, f.deg_m1.ngens))))
-    j = sq.lift_in(FgAbMap(e.deg_m1, s, vstack(a.j.matrix, b.j.matrix)))
-    p = sq.induce_out(FgAbMap(s, f.deg_0, hstack(a.p.matrix, b.p.matrix)))
-    q = sq.induce_out(FgAbMap(s, e.deg_0,
-                              hstack(a.q.matrix, IntMatrix.zeros(e.deg_0.ngens, b.carrier.ngens))))
-    return Butterfly(e, f, w, i, j, p, q)
+    i = sq.lift_in(f.deg_m1, vstack(a.i.matrix, IntMatrix.zeros(b.carrier.ngens, f.deg_m1.ngens)))
+    j = sq.lift_in(e.deg_m1, vstack(a.j.matrix, b.j.matrix))
+    p = sq.induce_out(f.deg_0, hstack(a.p.matrix, b.p.matrix))
+    q = sq.induce_out(e.deg_0, hstack(a.q.matrix, IntMatrix.zeros(e.deg_0.ngens, b.carrier.ngens)))
+    return Butterfly(e, f, sq.group, i, j, p, q)
 
 
 # -- homology functor --------------------------------------------------------
@@ -397,7 +399,7 @@ def pullback_compose(z: Butterfly, f: ChainMap) -> Butterfly:
     s = direct_sum(e.deg_0, z.carrier)
     kk = kernel(FgAbMap(s, f.dst.deg_0, hstack(-f.f_0.matrix, z.q.matrix)))
     w = kk.group
-    j = kk.factor(FgAbMap(e.deg_m1, s, vstack(e.d.matrix, (z.j * f.f_m1).matrix)))
+    j = kk.factor(FgAbMap(e.deg_m1, s, vstack(e.d.matrix, z.j.matrix * f.f_m1.matrix)))
     i = kk.factor(FgAbMap(z.dst.deg_m1, s,
                           vstack(IntMatrix.zeros(e.deg_0.ngens, z.dst.deg_m1.ngens), z.i.matrix)))
     p = FgAbMap(w, z.dst.deg_0,
@@ -417,12 +419,12 @@ def pushout_compose(g: ChainMap, y: Butterfly) -> Butterfly:
     s = direct_sum(y.carrier, gg.deg_m1)
     ck = cokernel(FgAbMap(y.dst.deg_m1, s, vstack(y.i.matrix, -g.f_m1.matrix)))
     w = ck.group
-    j = ck.proj * FgAbMap(y.src.deg_m1, s,
-                          vstack(y.j.matrix, IntMatrix.zeros(gg.deg_m1.ngens, y.src.deg_m1.ngens)))
-    i = ck.proj * FgAbMap(gg.deg_m1, s,
-                          vstack(IntMatrix.zeros(y.carrier.ngens, gg.deg_m1.ngens),
-                                 IntMatrix.identity(gg.deg_m1.ngens)))
-    p = ck.induce(FgAbMap(s, gg.deg_0, hstack((g.f_0 * y.p).matrix, -gg.d.matrix)))
+    j = FgAbMap(y.src.deg_m1, w, ck.proj.matrix *
+                vstack(y.j.matrix, IntMatrix.zeros(gg.deg_m1.ngens, y.src.deg_m1.ngens)))
+    i = FgAbMap(gg.deg_m1, w, ck.proj.matrix *
+                vstack(IntMatrix.zeros(y.carrier.ngens, gg.deg_m1.ngens),
+                       IntMatrix.identity(gg.deg_m1.ngens)))
+    p = ck.induce(FgAbMap(s, gg.deg_0, hstack(g.f_0.matrix * y.p.matrix, -gg.d.matrix)))
     q = ck.induce(FgAbMap(s, y.src.deg_0,
                           hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, gg.deg_m1.ngens))))
     return Butterfly(y.src, gg, w, i, j, p, q)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
-    solve, solve_matrix, kernel_basis, in_col_span, col_echelon, top_rows,
+    solve_matrix, solve_congruences, kernel_basis, in_col_span, col_echelon, top_rows,
 )
 
 
@@ -137,10 +137,16 @@ class FgAbMap:
 
 
 def is_well_defined(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
-    """Would FgAbMap(src, dst, matrix) be accepted?  Raises on a bad shape."""
+    """Would FgAbMap(src, dst, matrix) be accepted?  Raises on a bad shape.
+
+    True at once, after the shape check, when src has no relations (is
+    free): the product matrix * src.relations to test then has no columns.
+    """
     if (matrix.rows, matrix.cols) != (dst.ngens, src.ngens):
         raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, "
                          f"expected {dst.ngens}x{src.ngens}")
+    if not src.relations.cols:
+        return True
     return in_col_span(dst.relations, matrix * src.relations)
 
 
@@ -262,31 +268,34 @@ def image(f: FgAbMap) -> Image:
 
 @dataclass(frozen=True)
 class Subquotient:
-    """H = ker(b)/im(a) for composable a, b with b*a = 0."""
+    """H = ker(b)/im(a) for composable a, b with b*a = 0.
+
+    lift_in and induce_out take the far endpoint group and a raw matrix to
+    or from the middle group, so callers that hold only blocks of matrices
+    build no map for them; each returns one checked map.
+    """
 
     group: FgAbGroup
     ker: Kernel          # kernel of b
     proj: FgAbMap        # ker.group -> group
     fro: FgAbMap         # group -> ker.group coordinates (from the cokernel)
 
-    def lift_in(self, x: FgAbMap) -> FgAbMap:
-        """x: X -> mid with b*x = 0 induces X -> H.
+    def lift_in(self, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
+        """A matrix x: src -> mid with b*x = 0 induces src -> H.
 
         Lifts x's generators through ker(b)'s inclusion once and returns
-        the one checked map proj * lift.  The lift is not built as a map of
-        its own: it descends because the inclusion is injective, and so
-        does its composite with proj.  Raises ValueError when x does not
-        land in ker(b).
+        the one checked map proj * lift.  Neither x nor the lift is built as
+        a map of its own: the returned map proves its own descent.  Raises
+        ValueError when x does not land in ker(b).
         """
-        u = generator_lift(self.ker.incl, x.matrix)
+        u = generator_lift(self.ker.incl, x)
         if u is None:
             raise ValueError("map does not land in the subgroup")
-        return FgAbMap(x.src, self.group, self.proj.matrix * u)
+        return FgAbMap(src, self.group, self.proj.matrix * u)
 
-    def induce_out(self, y: FgAbMap) -> FgAbMap:
-        """y: mid -> X with y*a = 0 induces H -> X."""
-        return FgAbMap(self.group, y.dst,
-                       y.matrix * self.ker.incl.matrix * self.fro.matrix)
+    def induce_out(self, dst: FgAbGroup, y: IntMatrix) -> FgAbMap:
+        """A matrix y: mid -> dst with y*a = 0 induces H -> dst."""
+        return FgAbMap(self.group, dst, y * self.ker.incl.matrix * self.fro.matrix)
 
 
 def subquotient(a: FgAbMap, b: FgAbMap) -> Subquotient:
@@ -363,7 +372,6 @@ def hom_solve(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple],
 def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple]):
     """Like hom_solve but returns (solution, kernel generators as matrices)."""
     na, nb = src.ngens, dst.ngens
-    nx = nb * na
     congruences = [(IntMatrix.identity(nb), src.relations,
                     IntMatrix.zeros(nb, src.relations.cols), dst.relations)]
     for c in constraints:
@@ -381,42 +389,10 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple]):
         else:
             raise ValueError(f"unknown constraint kind {kind!r}")
 
-    rows = []
-    rhs = []
-    slack_cols = sum(rel.cols * rm.cols for (_, rm, _, rel) in congruences)
-    slack_base = nx
-    for (lm, rm, cm, rel) in congruences:
-        a, bcols, ra = lm.rows, rm.cols, rel.cols
-        for v in range(bcols):
-            rmcol, cmcol = rm.col(v), cm.col(v)
-            for u in range(a):
-                row = [0] * (nx + slack_cols)
-                lrow = lm.row(u)
-                for r in range(nb):
-                    lur = lrow[r]
-                    if lur:
-                        base = r * na
-                        for cc in range(na):
-                            if rmcol[cc]:
-                                row[base + cc] += lur * rmcol[cc]
-                slack = slack_base + v * ra
-                for t, e in enumerate(rel.row(u)):
-                    if e:
-                        row[slack + t] = -e
-                rows.append(row)
-                rhs.append(cmcol[u])
-        slack_base += ra * bcols
-    big = IntMatrix(len(rows), nx + slack_cols, (e for row in rows for e in row))
-    res = solve(big, rhs)
+    res = solve_congruences(nb, na, congruences)
     if res is None:
         return None
-    x0, kern = res
-    xmat = IntMatrix(nb, na, x0.entries[:nx])
-    kmats = []
-    for j in range(kern.cols):
-        km = IntMatrix(nb, na, kern.col(j)[:nx])
-        if not km.is_zero():
-            kmats.append(km)
+    xmat, kmats = res
     return FgAbMap(src, dst, xmat), kmats
 
 

@@ -29,12 +29,15 @@ class InvariantError(RuntimeError):
 class IntMatrix:
     """An immutable rows x cols matrix of Python ints, row major.
 
+    The hash is computed when it is asked for, not stored: only cache keys
+    are ever hashed, and most matrices are intermediate results.
+
     >>> m = IntMatrix(2, 2, [1, 2, 3, 4])
     >>> (m * m).entries
     (7, 10, 15, 22)
     """
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
@@ -157,7 +160,7 @@ class IntMatrix:
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -171,16 +174,14 @@ class IntMatrix:
 
 
 # The slots' own setters, which bypass the immutability guard in __setattr__.
-_set_rows, _set_cols, _set_entries, _set_hash = (
-    IntMatrix.rows.__set__, IntMatrix.cols.__set__,
-    IntMatrix.entries.__set__, IntMatrix._hash.__set__)
+_set_rows, _set_cols, _set_entries = (
+    IntMatrix.rows.__set__, IntMatrix.cols.__set__, IntMatrix.entries.__set__)
 
 
 def _fill(m: IntMatrix, rows: int, cols: int, ent: tuple) -> IntMatrix:
     _set_rows(m, rows)
     _set_cols(m, cols)
     _set_entries(m, ent)
-    _set_hash(m, hash((rows, cols, ent)))
     return m
 
 
@@ -505,3 +506,60 @@ def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
         return True
     echelon = col_echelon(a)
     return all(_back_substitute(echelon, b.col(j)) is not None for j in range(b.cols))
+
+
+def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> Optional[tuple]:
+    """Integer rows x cols matrices X with L*X*R = C modulo the column span
+    of Rel, for every (L, R, C, Rel) in congruences.
+
+    Returns (X0, Ks) with X0 one solution and Ks the nonzero matrices among
+    a generating set of the solutions of the homogeneous system, so every
+    solution is X0 plus an integer combination of Ks; or None.  Everything is
+    flattened to one system in the entries of X (row major) plus one slack
+    unknown per relation coefficient.
+
+    >>> x0, ks = solve_congruences(1, 1, [(IntMatrix.identity(1), IntMatrix.identity(1),
+    ...                                     IntMatrix.column([3]), IntMatrix.column([4]))])
+    >>> x0.entries, [k.entries for k in ks]
+    ((3,), [(4,)])
+    """
+    for (lm, rm, cm, rel) in congruences:
+        if (lm.cols != rows or rm.rows != cols or rel.rows != lm.rows
+                or (cm.rows, cm.cols) != (lm.rows, rm.cols)):
+            raise ValueError("solve_congruences: shape mismatch")
+    nx = rows * cols
+    slack_cols = sum(rel.cols * rm.cols for (_, rm, _, rel) in congruences)
+    eqs = []
+    rhs = []
+    slack_base = nx
+    for (lm, rm, cm, rel) in congruences:
+        a, bcols, ra = lm.rows, rm.cols, rel.cols
+        for v in range(bcols):
+            rmcol, cmcol = rm.col(v), cm.col(v)
+            for u in range(a):
+                eq = [0] * (nx + slack_cols)
+                lrow = lm.row(u)
+                for r in range(rows):
+                    lur = lrow[r]
+                    if lur:
+                        base = r * cols
+                        for cc in range(cols):
+                            if rmcol[cc]:
+                                eq[base + cc] += lur * rmcol[cc]
+                slack = slack_base + v * ra
+                for t, e in enumerate(rel.row(u)):
+                    if e:
+                        eq[slack + t] = -e
+                eqs.append(eq)
+                rhs.append(cmcol[u])
+        slack_base += ra * bcols
+    res = solve(_from_lists(len(eqs), nx + slack_cols, eqs), rhs)
+    if res is None:
+        return None
+    x0, kern = res
+    ks = []
+    for j in range(kern.cols):
+        k = kern.col(j)[:nx]
+        if any(k):
+            ks.append(IntMatrix._of(rows, cols, k))
+    return IntMatrix._of(rows, cols, x0.entries[:nx]), ks

@@ -1,12 +1,17 @@
 import dataclasses
+import importlib
+import pkgutil
 import random
 import re
 
 import pytest
 
+import butterflies
+from butterflies import butterfly, fgab
 from butterflies.intlinalg import IntMatrix, hstack, vstack
 from butterflies.fgab import (
     FgAbGroup, FgAbMap, direct_sum, map_equal, is_injective, is_surjective, hom_solve,
+    is_well_defined,
 )
 from butterflies.twocomplex import TwoTermComplex, ChainMap, homology, embed0, zero_complex, random_complex
 from butterflies.butterfly import (
@@ -37,6 +42,21 @@ class TestValidate:
         broken = Butterfly(b.src, b.dst, b.carrier, b.i, b.j, b.p,
                            FgAbMap.zero(b.carrier, b.src.deg_0))
         assert validate(broken)[0] == "triangle qj=d violated"
+
+    @pytest.mark.parametrize("wing, rows, expected", [
+        ("p", [[0, -2]], ["pj=0 violated"]),
+        ("p", [[1, -1]], ["triangle pi=-d violated", "pj=0 violated"]),
+        ("q", [[1, 1]], ["triangle qj=d violated", "diagonal not exact at carrier",
+                         "qi=0 violated"]),
+        ("i", [[1], [0]], ["triangle pi=-d violated", "diagonal not exact at carrier",
+                           "qi=0 violated"]),
+    ])
+    def test_each_equation_named_in_order(self, wing, rows, expected):
+        # the identity butterfly of [Z --2--> Z] with one wing replaced
+        b = identity_butterfly(e2())
+        w = getattr(b, wing)
+        broken = dataclasses.replace(b, **{wing: FgAbMap(w.src, w.dst, IntMatrix.from_rows(rows))})
+        assert validate(broken) == expected
 
 
 class TestIdentity:
@@ -181,18 +201,16 @@ class TestTripleComposite:
             ])
             sq = subquotient(FgAbMap(mid, xyz, amat), FgAbMap(xyz, out, bmat))
             nx, ny, nz = x.carrier.ngens, y.carrier.ngens, z.carrier.ngens
-            jw = sq.lift_in(FgAbMap(d_.deg_m1, xyz,
-                                    vstack(x.j.matrix, IM.zeros(ny + nz, d_.deg_m1.ngens))))
-            iw = sq.lift_in(FgAbMap(g_.deg_m1, xyz,
-                                    vstack(IM.zeros(nx + ny, g_.deg_m1.ngens), z.i.matrix)))
-            pw = sq.induce_out(FgAbMap(xyz, g_.deg_0,
-                                       IM.from_rows([[0] * (nx + ny) + list(z.p.matrix.row(r))
-                                                     for r in range(g_.deg_0.ngens)],
-                                                    nx + ny + nz)))
-            qw = sq.induce_out(FgAbMap(xyz, d_.deg_0,
-                                       IM.from_rows([list(x.q.matrix.row(r)) + [0] * (ny + nz)
-                                                     for r in range(d_.deg_0.ngens)],
-                                                    nx + ny + nz)))
+            jw = sq.lift_in(d_.deg_m1, vstack(x.j.matrix, IM.zeros(ny + nz, d_.deg_m1.ngens)))
+            iw = sq.lift_in(g_.deg_m1, vstack(IM.zeros(nx + ny, g_.deg_m1.ngens), z.i.matrix))
+            pw = sq.induce_out(g_.deg_0,
+                               IM.from_rows([[0] * (nx + ny) + list(z.p.matrix.row(r))
+                                             for r in range(g_.deg_0.ngens)],
+                                            nx + ny + nz))
+            qw = sq.induce_out(d_.deg_0,
+                               IM.from_rows([list(x.q.matrix.row(r)) + [0] * (ny + nz)
+                                             for r in range(d_.deg_0.ngens)],
+                                            nx + ny + nz))
             w = Butterfly(d_, g_, sq.group, iw, jw, pw, qw)
             assert validate(w) == []
             assert two_morphism_find(w, compose(compose(z, y), x)) is not None
@@ -606,3 +624,81 @@ class TestRandomButterfly:
         z = random_butterfly(e2(), k2(), 1)
         assert validate(z) == []
         assert z.carrier.invariant_factors() == (1, (2,))
+
+
+def _clear_caches():
+    """Empty every memo cache in the package, so a count starts cold."""
+    for info in pkgutil.iter_modules(butterflies.__path__, "butterflies."):
+        mod = importlib.import_module(info.name)
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__:
+                obj.cache_clear()
+
+
+def _composable_triple():
+    rng = random.Random(7)
+    cxs = [random_complex(rng, max_rank=1, max_order=6) for _ in range(4)]
+    return tuple(random_butterfly(a, b, rng) for a, b in zip(cxs, cxs[1:]))
+
+
+def _bracketings():
+    x, y, z = _composable_triple()
+    return compose(compose(z, y), x), compose(z, compose(y, x))
+
+
+# (name, arguments built before counting, operation, descent checks at most)
+DESCENT_CASES = [
+    ("compose B B", lambda: (bockstein(), bockstein()), compose, 13),
+    ("compose IK2 B", lambda: (ik2(), bockstein()), compose, 13),
+    ("compose triple", _composable_triple, lambda x, y, z: compose(compose(z, y), x), 26),
+    ("baer_sum B B", lambda: (bockstein(), bockstein()), baer_sum, 13),
+    ("baer_sum B IK2", lambda: (bockstein(), ik2()), baer_sum, 13),
+    ("baer_sum seeded y y", lambda: _composable_triple()[1:2] * 2, baer_sum, 13),
+    ("two_morphism_find B*B IK2", lambda: (compose(bockstein(), bockstein()), ik2()),
+     two_morphism_find, 3),
+    ("two_morphism_find B B", lambda: (bockstein(), bockstein()), two_morphism_find, 3),
+    ("two_morphism_find bracketings", _bracketings, two_morphism_find, 3),
+    ("validate B", lambda: (bockstein(),), validate, 9),
+    ("validate IK2", lambda: (ik2(),), validate, 9),
+    ("validate triple", _composable_triple, lambda x, y, z: [validate(w) for w in (x, y, z)], 27),
+]
+
+
+class TestDescentCheckCounts:
+    """Descent checks (calls of fgab.is_well_defined) per operation, from
+    cold caches.  The bounds are the counts once composition, the Baer sum
+    and validate stopped building checked maps of which only the matrix is
+    read; every map a result holds must still prove its descent."""
+
+    @pytest.fixture
+    def count_checks(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return is_well_defined(*args)
+
+        monkeypatch.setattr(fgab, "is_well_defined", counting)
+        monkeypatch.setattr(butterfly, "is_well_defined", counting)
+
+        def run(op, args):
+            _clear_caches()
+            calls.clear()
+            out = op(*args)
+            return out, len(calls)
+        return run
+
+    @pytest.mark.parametrize("build, op, bound", [c[1:] for c in DESCENT_CASES],
+                             ids=[c[0] for c in DESCENT_CASES])
+    def test_descent_checks_bounded(self, count_checks, build, op, bound):
+        out, checks = count_checks(op, build())
+        assert checks <= bound
+        if isinstance(out, Butterfly):
+            maps = (out.i, out.j, out.p, out.q)
+        elif isinstance(out, TwoMorphism):
+            maps = (out.m, out.inverse)
+        else:
+            maps = ()
+            assert out in ([], [[], [], []])
+        for f in maps:
+            assert is_well_defined(f.src, f.dst, f.matrix)

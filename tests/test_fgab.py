@@ -36,9 +36,13 @@ class TestWellDefined:
             FgAbMap(Z2, Z4, m([[1]]))
 
     def test_bad_shape_names_both_shapes(self):
+        # a free source has no relations to test, and is still refused
         for check in (FgAbMap, is_well_defined):
-            with pytest.raises(ValueError, match="^matrix is 1x2, expected 1x1$"):
-                check(Z2, Z4, m([[1, 2]]))
+            for src in (Z2, Z):
+                with pytest.raises(ValueError, match="^matrix is 1x2, expected 1x1$"):
+                    check(src, Z4, m([[1, 2]]))
+            with pytest.raises(ValueError, match="^matrix is 1x1, expected 1x2$"):
+                check(FgAbGroup.free(2), Z4, m([[1]]))
 
 
 class TestMapEqual:
@@ -121,13 +125,19 @@ class TestSubquotient:
         b = FgAbMap(z44, Z2, m([[-1, 1]]))
         sq = subquotient(a, b)
         x = FgAbMap(Z4, z44, m([[1], [1]]))          # b*x = 0
-        lifted = sq.lift_in(x)
+        lifted = sq.lift_in(x.src, x.matrix)
         assert lifted.src == Z4 and lifted.dst == sq.group
         y = FgAbMap(z44, Z2, m([[1, 1]]))            # y*a = 0 (2+2 = 0 mod 2... 4 = 0)
-        out = sq.induce_out(y)
+        out = sq.induce_out(y.dst, y.matrix)
         assert out.src == sq.group and out.dst == Z2
         # compatibility: induced map after lift equals the original composite
         assert map_equal(out * lifted, y * x)
+
+    def test_lift_in_refuses_matrix_outside_kernel(self):
+        z44 = direct_sum(Z4, Z4)
+        sq = subquotient(FgAbMap(Z2, z44, m([[2], [2]])), FgAbMap(z44, Z2, m([[-1, 1]])))
+        with pytest.raises(ValueError, match="does not land in the subgroup"):
+            sq.lift_in(Z, m([[1], [0]]))                # b*x = -1, not 0 in Z/2
 
 
 class TestExactness:

@@ -15,7 +15,7 @@ import butterflies
 from butterflies.fgab import FgAbGroup, simplify
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, hnf, snf, solve, solve_matrix, kernel_basis, in_col_span,
-    hstack, vstack, kron, top_rows,
+    hstack, vstack, kron, top_rows, solve_congruences,
 )
 
 
@@ -234,6 +234,14 @@ def test_solve_matrix_and_kernel_basis():
     assert kernel_basis(mat([[1, 1]])).cols == 1
 
 
+def test_solve_congruences_checks_shapes():
+    one, none = IntMatrix.identity(1), IntMatrix.zeros(1, 0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve_congruences(1, 2, [(one, one, one, none)])      # R has 1 row, X 2 columns
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve_congruences(1, 1, [(one, one, one, IntMatrix.zeros(2, 0))])
+
+
 def test_block_helpers():
     a = IntMatrix.identity(2)
     assert hstack(a, IntMatrix.zeros(2, 1)).cols == 3
@@ -329,10 +337,14 @@ class TestTrustedResults:
         a, a2 = data.draw(shaped(r, k)), data.draw(shaped(r, k))
         b = data.draw(shaped(k, c))
         n = data.draw(st.integers(-9, 9))
+        # X * b = a * b modulo the columns of a2: solved by X = a
+        x0, ks = solve_congruences(r, k, [(IntMatrix.identity(r), b, a * b, a2)])
+        assert in_col_span(a2, (x0 - a) * b)
+        assert all(in_col_span(a2, km * b) for km in ks)
         results = [a * b, a + a2, a - a2, -a, a * n, n * a, a.transpose(),
                    hstack(a, a2), vstack(a, a2), kron(a, b), kernel_basis(a),
                    IntMatrix.identity(r), IntMatrix.zeros(r, c), top_rows(a, r // 2),
-                   *hnf(a), *snf(a)]
+                   *hnf(a), *snf(a), x0, *ks]
         for m in results:
             assert_as_checked(m)
 
