@@ -24,8 +24,8 @@ from typing import Optional
 
 from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, in_col_span
 from .fgab import (
-    FgAbGroup, FgAbMap, map_equal, direct_sum, kernel, cokernel, image,
-    subquotient, is_exact_at, is_injective, is_surjective, is_well_defined,
+    FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
+    subquotient, is_exact_at, is_injective, is_surjective,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
     ext1_realize,
 )
@@ -149,11 +149,11 @@ def to_chain_map(b: Butterfly, s: FgAbMap) -> ChainMap:
     """
     if s.src != b.src.deg_0 or s.dst != b.carrier:
         raise ValueError("section endpoints mismatch")
-    if not map_equal(b.q * s, FgAbMap.identity(b.src.deg_0)):
+    e0 = b.src.deg_0
+    if not in_col_span(e0.relations, b.q.matrix * s.matrix - IntMatrix.identity(e0.ngens)):
         raise ValueError("s is not a section of q")
-    f0 = b.p * s
-    fm1 = factor_through_injection(b.i, b.j - s * b.src.d)
-    return ChainMap(b.src, b.dst, fm1, f0)
+    fm1 = factor_through_injection(b.i, b.src.deg_m1, b.j.matrix - s.matrix * b.src.d.matrix)
+    return ChainMap(b.src, b.dst, fm1, b.p * s)
 
 
 def find_section(b: Butterfly) -> Optional[FgAbMap]:
@@ -184,6 +184,9 @@ def compose(z: Butterfly, y: Butterfly) -> Butterfly:
     return Butterfly(y.src, z.dst, sq.group, i, j, p, q)
 
 
+FIVE_LEMMA = "five lemma: wing-commuting carrier map must be invertible"
+
+
 def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
     """A 2-morphism a => b, or None when the carriers cannot be matched.
 
@@ -193,8 +196,9 @@ def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
     carrier.  L descends to a map because m is injective: m*(L*R) = R
     vanishes for b's carrier relations R, so L*R vanishes in a's carrier.
     For the same reason L*m = 1, so L is a two-sided inverse.  No lift, or
-    one that does not descend, is an InvariantError; TwoMorphism then
-    checks both inverse equations again.
+    one that does not descend (the one descent check, made as the inverse
+    is built), is an InvariantError; TwoMorphism then checks both inverse
+    equations again.
     """
     if (a.src, a.dst) != (b.src, b.dst):
         raise ValueError("two-morphisms need parallel butterflies")
@@ -207,9 +211,13 @@ def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
     if m is None:
         return None
     lift = generator_lift(m, IntMatrix.identity(b.carrier.ngens))
-    if lift is None or not is_well_defined(b.carrier, a.carrier, lift):
-        raise InvariantError("five lemma: wing-commuting carrier map must be invertible")
-    return TwoMorphism(a, b, m, FgAbMap(b.carrier, a.carrier, lift))
+    if lift is None:
+        raise InvariantError(FIVE_LEMMA)
+    try:
+        inverse = FgAbMap(b.carrier, a.carrier, lift)
+    except ValueError as exc:
+        raise InvariantError(FIVE_LEMMA) from exc
+    return TwoMorphism(a, b, m, inverse)
 
 
 def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
@@ -234,9 +242,11 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
 def homology_action(y: Butterfly) -> tuple:
     """(H^-1 src -> H^-1 dst, H^0 src -> H^0 dst): i^-1 j and p q^-1."""
     hs, hd = homology(y.src), homology(y.dst)
-    u = factor_through_injection(y.i, y.j * hs.incl)
-    hm1 = hd.ker.factor(u)
-    lifts = generator_lift(y.q, hs.cok.fro.matrix)
+    u = generator_lift(y.i, y.j.matrix * hs.incl.matrix)
+    if u is None:
+        raise ValueError("map does not land in the subgroup")
+    hm1 = hd.ker.factor(hs.hm1, u)
+    lifts = generator_lift(y.q, hs.cok.fro)
     if lifts is None:
         raise ValueError("q is not surjective; butterfly invalid")
     h0 = FgAbMap(hs.h0, hd.h0, hd.proj.matrix * y.p.matrix * lifts)
@@ -267,7 +277,7 @@ def kernel_b(y: Butterfly):
     """The kernel complex [src.deg_m1 -> ker(p)] and its inclusion butterfly,
     the chain map (identity, q restricted)."""
     kp = kernel(y.p)
-    dk = kp.factor(y.j)
+    dk = kp.factor(y.src.deg_m1, y.j.matrix)
     kcx = TwoTermComplex(y.src.deg_m1, kp.group, dk)
     incl = ChainMap(kcx, y.src, FgAbMap.identity(y.src.deg_m1), y.q * kp.incl)
     return kcx, from_chain_map(incl)
@@ -277,7 +287,7 @@ def cokernel_b(y: Butterfly):
     """The cokernel complex [coker(j) -> dst.deg_0] with differential induced
     from -p, and the butterfly of the chain map (proj * i, identity)."""
     cj = cokernel(y.j)
-    dc = cj.induce(-y.p)
+    dc = cj.induce(y.dst.deg_0, -y.p.matrix)
     ccx = TwoTermComplex(cj.group, y.dst.deg_0, dc)
     proj = ChainMap(y.dst, ccx, cj.proj * y.i, FgAbMap.identity(y.dst.deg_0))
     return ccx, from_chain_map(proj)
@@ -325,11 +335,11 @@ def image_b(y: Butterfly):
     """The image complex [dst.deg_m1 -> coker(j)] and the canonical invertible
     butterfly coker(pip) -> image with carrier Y."""
     cj = cokernel(y.j)
-    img = TwoTermComplex(y.dst.deg_m1, cj.group, -(cj.proj * y.i))
-    pipk = kernel(y.j)
-    coim_j = cokernel(pipk.incl)
-    src = TwoTermComplex(coim_j.group, y.src.deg_0, coim_j.induce(y.src.d))
-    jbar = coim_j.induce(y.j)
+    img = TwoTermComplex(y.dst.deg_m1, cj.group,
+                         FgAbMap(y.dst.deg_m1, cj.group, -(cj.proj.matrix * y.i.matrix)))
+    coim_j = cokernel(kernel(y.j).incl)
+    src = TwoTermComplex(coim_j.group, y.src.deg_0, coim_j.induce(y.src.deg_0, y.src.d.matrix))
+    jbar = coim_j.induce(y.carrier, y.j.matrix)
     bf = Butterfly(src, img, y.carrier, y.i, jbar, cj.proj, y.q)
     return img, bf
 
@@ -340,7 +350,8 @@ def coimage_b(y: Butterfly):
     kp = kernel(y.p)
     coim = TwoTermComplex(kp.group, y.src.deg_0, y.q * kp.incl)
     imp = image(y.p)
-    dst = TwoTermComplex(y.dst.deg_m1, imp.group, -(imp.corestrict * y.i))
+    dst = TwoTermComplex(y.dst.deg_m1, imp.group,
+                         FgAbMap(y.dst.deg_m1, imp.group, -(imp.corestrict.matrix * y.i.matrix)))
     bf = Butterfly(coim, dst, y.carrier, y.i, kp.incl, imp.corestrict, y.q)
     return coim, bf
 
@@ -351,19 +362,14 @@ def middle_exact_iso(y: Butterfly) -> tuple:
     src.deg_m1 -> Y -> dst.deg_0 is exact at Y."""
     if not is_exact_at(y.j, y.p):
         raise ValueError("middle exactness hypothesis fails: im(j) != ker(p)")
-    pipk = kernel(y.j)
-    coim_j = cokernel(pipk.incl)
-    c1 = TwoTermComplex(coim_j.group, y.src.deg_0, coim_j.induce(y.src.d))
-    kp = kernel(y.p)
-    c2 = TwoTermComplex(kp.group, y.src.deg_0, y.q * kp.incl)
-    cj = cokernel(y.j)
-    c3 = TwoTermComplex(y.dst.deg_m1, cj.group, -(cj.proj * y.i))
-    imp = image(y.p)
-    c4 = TwoTermComplex(y.dst.deg_m1, imp.group, -(imp.corestrict * y.i))
-    jbar = coim_j.induce(y.j)
-    bf_a = from_chain_map(ChainMap(c1, c2, kp.factor(jbar), FgAbMap.identity(y.src.deg_0)))
+    c3, img = image_b(y)     # img: c1 -> c3; img.j is j induced on coker(pip)
+    c2, coim = coimage_b(y)  # coim: c2 -> c4; coim.p is p corestricted to im(p)
+    c1, c4 = img.src, coim.dst
+    kp, cj = kernel(y.p), cokernel(y.j)
+    into_kp = kp.factor(c1.deg_m1, img.j.matrix)
+    bf_a = from_chain_map(ChainMap(c1, c2, into_kp, FgAbMap.identity(y.src.deg_0)))
     bf_b = Butterfly(c2, c3, y.carrier, y.i, kp.incl, cj.proj, y.q)
-    pbar = cj.induce(imp.corestrict)
+    pbar = cj.induce(c4.deg_0, coim.p.matrix)
     bf_c = from_chain_map(ChainMap(c3, c4, FgAbMap.identity(y.dst.deg_m1), pbar))
     return bf_a, bf_b, bf_c
 
@@ -378,11 +384,11 @@ def splitting_compose(z: Butterfly, y: Butterfly, phi: FgAbMap) -> ChainMap:
         raise ValueError("splitting endpoints mismatch")
     if phi.src != y.carrier or phi.dst != z.carrier:
         raise ValueError("phi endpoints mismatch")
-    if not map_equal(phi * y.i, z.j):
+    if not in_col_span(z.carrier.relations, phi.matrix * y.i.matrix - z.j.matrix):
         raise ValueError("phi*i = j condition fails")
-    if not map_equal(z.q * phi, -y.p):
+    if not in_col_span(y.dst.deg_0.relations, z.q.matrix * phi.matrix + y.p.matrix):
         raise ValueError("q*phi = -p condition fails")
-    psi_m1 = factor_through_injection(z.i, phi * y.j)
+    psi_m1 = factor_through_injection(z.i, y.src.deg_m1, phi.matrix * y.j.matrix)
     sect = generator_lift(y.q, IntMatrix.identity(y.src.deg_0.ngens))
     if sect is None:
         raise ValueError("q is not surjective; butterfly invalid")
@@ -399,9 +405,8 @@ def pullback_compose(z: Butterfly, f: ChainMap) -> Butterfly:
     s = direct_sum(e.deg_0, z.carrier)
     kk = kernel(FgAbMap(s, f.dst.deg_0, hstack(-f.f_0.matrix, z.q.matrix)))
     w = kk.group
-    j = kk.factor(FgAbMap(e.deg_m1, s, vstack(e.d.matrix, z.j.matrix * f.f_m1.matrix)))
-    i = kk.factor(FgAbMap(z.dst.deg_m1, s,
-                          vstack(IntMatrix.zeros(e.deg_0.ngens, z.dst.deg_m1.ngens), z.i.matrix)))
+    j = kk.factor(e.deg_m1, vstack(e.d.matrix, z.j.matrix * f.f_m1.matrix))
+    i = kk.factor(z.dst.deg_m1, vstack(IntMatrix.zeros(e.deg_0.ngens, z.dst.deg_m1.ngens), z.i.matrix))
     p = FgAbMap(w, z.dst.deg_0,
                 hstack(IntMatrix.zeros(z.dst.deg_0.ngens, e.deg_0.ngens), z.p.matrix) * kk.incl.matrix)
     q = FgAbMap(w, e.deg_0,
@@ -424,9 +429,8 @@ def pushout_compose(g: ChainMap, y: Butterfly) -> Butterfly:
     i = FgAbMap(gg.deg_m1, w, ck.proj.matrix *
                 vstack(IntMatrix.zeros(y.carrier.ngens, gg.deg_m1.ngens),
                        IntMatrix.identity(gg.deg_m1.ngens)))
-    p = ck.induce(FgAbMap(s, gg.deg_0, hstack(g.f_0.matrix * y.p.matrix, -gg.d.matrix)))
-    q = ck.induce(FgAbMap(s, y.src.deg_0,
-                          hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, gg.deg_m1.ngens))))
+    p = ck.induce(gg.deg_0, hstack(g.f_0.matrix * y.p.matrix, -gg.d.matrix))
+    q = ck.induce(y.src.deg_0, hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, gg.deg_m1.ngens)))
     return Butterfly(y.src, gg, w, i, j, p, q)
 
 

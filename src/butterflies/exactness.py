@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import IntMatrix, InvariantError, hstack, vstack, block
+from .intlinalg import IntMatrix, InvariantError, hstack, vstack, block, in_col_span
 from .fgab import (
-    FgAbMap, direct_sum, map_equal, kernel, cokernel, is_exact_at,
+    FgAbMap, direct_sum, kernel, cokernel, is_exact_at, generator_lift,
     is_injective, is_surjective, hom_solve, random_map,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology, embed0, shift1, random_complex
@@ -33,18 +33,20 @@ class ZeroWitness:
     phi: FgAbMap  # carrier(y) -> carrier(z)
 
     def __post_init__(self):
-        if self.y.dst != self.z.src:
+        """Each condition is a membership test on a matrix difference, as in TwoMorphism."""
+        y, z = self.y, self.z
+        if y.dst != z.src:
             raise ValueError("witness butterflies are not composable")
-        if self.phi.src != self.y.carrier or self.phi.dst != self.z.carrier:
+        if self.phi.src != y.carrier or self.phi.dst != z.carrier:
             raise ValueError("phi endpoints mismatch")
-        checks = [
-            (map_equal(self.phi * self.y.i, self.z.j), "phi*i = j"),
-            (map_equal(self.z.q * self.phi, -self.y.p), "q*phi = -p"),
-            ((self.z.p * self.phi).is_zero(), "p*phi = 0"),
-            ((self.phi * self.y.j).is_zero(), "phi*j = 0"),
-        ]
-        for ok, name in checks:
-            if not ok:
+        phi = self.phi.matrix
+        for rel, diff, name in [
+            (z.carrier.relations, phi * y.i.matrix - z.j.matrix, "phi*i = j"),
+            (y.dst.deg_0.relations, z.q.matrix * phi + y.p.matrix, "q*phi = -p"),
+            (z.dst.deg_0.relations, z.p.matrix * phi, "p*phi = 0"),
+            (z.carrier.relations, phi * y.j.matrix, "phi*j = 0"),
+        ]:
+            if not in_col_span(rel, diff):
                 raise ValueError(f"zero witness condition {name} fails")
 
 
@@ -100,7 +102,7 @@ def is_right_exact(s: ButterflyShortSeq) -> bool:
 def seq74_exact(s: ButterflyShortSeq) -> bool:
     """0 -> E^-1 -> Y -> ker(p_Z) -> 0, i.e. E ~ ker(Z)."""
     kp = kernel(s.z.p)
-    phit = kp.factor(s.w.phi)
+    phit = kp.factor(s.y.carrier, s.w.phi.matrix)
     return (is_injective(s.y.j)
             and is_exact_at(s.y.j, phit)
             and is_surjective(phit))
@@ -109,7 +111,7 @@ def seq74_exact(s: ButterflyShortSeq) -> bool:
 def seq75_exact(s: ButterflyShortSeq) -> bool:
     """0 -> coker(j_Y) -> Z -> G^0 -> 0, i.e. coker(Y) ~ G."""
     cj = cokernel(s.y.j)
-    phib = cj.induce(s.w.phi)
+    phib = cj.induce(s.z.carrier, s.w.phi.matrix)
     return (is_injective(phib)
             and is_exact_at(phib, s.z.p)
             and is_surjective(s.z.p))
@@ -197,19 +199,21 @@ def les(s: ButterflyShortSeq) -> LongExactSequence:
     m1z, h0z = homology_action(s.z)
 
     cj = cokernel(s.y.j)
-    phibar = cj.induce(s.w.phi)
-    yprime = kernel(s.z.p * phibar)
+    phibar = s.w.phi.matrix * cj.fro  # coker(j_Y) -> Z
+    yprime = kernel(cj.induce(s.g.deg_0, s.z.p.matrix * s.w.phi.matrix))
     zprime = kernel(s.z.p)
-    phi_prime = zprime.factor(phibar * yprime.incl)
+    phi_prime = zprime.factor(yprime.group, phibar * yprime.incl.matrix)
     rho = hom_solve(zprime.group, yprime.group, [
         ("pre", phi_prime, FgAbMap.identity(yprime.group)),
         ("post", phi_prime, FgAbMap.identity(zprime.group)),
     ])
     if rho is None:
         raise InvariantError("induced carrier map Y' -> Z' must be an isomorphism")
-    into_zprime = zprime.factor(s.z.i * hg.incl)
-    qbar = cj.induce(he.proj * s.y.q)
-    delta = qbar * yprime.incl * rho * into_zprime
+    into_zprime = generator_lift(zprime.incl, s.z.i.matrix * hg.incl.matrix)
+    if into_zprime is None:
+        raise ValueError("map does not land in the subgroup")
+    qbar = he.proj.matrix * s.y.q.matrix * cj.fro  # coker(j_Y) -> H^0 E
+    delta = FgAbMap(hg.hm1, he.h0, qbar * yprime.incl.matrix * rho.matrix * into_zprime)
 
     groups = (he.hm1, hf.hm1, hg.hm1, he.h0, hf.h0, hg.h0)
     maps = (m1y, m1z, delta, h0y, h0z)

@@ -13,6 +13,11 @@ are memoized (bounded by intlinalg.CACHE_SIZE), so the exactness criteria
 that ask about the same maps share one computation.  Exactness at a spot is
 decided by membership in a column span (is_exact_at), never by building the
 subquotient; subquotient is for the callers that need the group itself.
+
+One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection
+and Subquotient's lift_in and induce_out take the far endpoint group and a
+raw IntMatrix and return one checked map.  Simplified.to and fro,
+Cokernel.fro and Ext1's coordinates are plain matrices, not maps.
 """
 
 from __future__ import annotations
@@ -126,9 +131,6 @@ class FgAbMap:
             raise ValueError("sum endpoint mismatch")
         return FgAbMap(self.src, self.dst, self.matrix + other.matrix)
 
-    def __sub__(self, other: "FgAbMap") -> "FgAbMap":
-        return self + (-other)
-
     def __neg__(self) -> "FgAbMap":
         return FgAbMap(self.src, self.dst, -self.matrix)
 
@@ -173,8 +175,8 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 @dataclass(frozen=True)
 class Simplified:
     group: FgAbGroup
-    to: FgAbMap    # original -> simplified
-    fro: FgAbMap   # simplified -> original; mutually inverse as group maps
+    to: IntMatrix    # original -> simplified coordinates
+    fro: IntMatrix   # simplified -> original; mutually inverse as group maps
 
 
 def simplify(g: FgAbGroup):
@@ -187,21 +189,11 @@ def simplify(g: FgAbGroup):
     n = g.ngens
     orders = [s[i, i] if i < min(s.rows, s.cols) else 0 for i in range(n)]
     kept = [i for i in range(n) if orders[i] != 1]
-    new = _diag_group(orders, kept)
-    to = FgAbMap(g, new, IntMatrix.from_rows([list(u.row(i)) for i in kept], n))
-    fro = FgAbMap(new, g, IntMatrix(n, len(kept),
-                                    (r[k] for r in map(uinv.row, range(n)) for k in kept)))
-    return Simplified(new, to, fro)
-
-
-def _diag_group(orders, kept) -> FgAbGroup:
-    tors_idx = [i for i in kept if orders[i] >= 2]
-    cols = len(tors_idx)
-    ent = []
-    for i in kept:
-        for j, tj in enumerate(tors_idx):
-            ent.append(orders[i] if i == tj else 0)
-    return FgAbGroup(len(kept), IntMatrix(len(kept), cols, ent))
+    # the divisor chain puts the kept torsion orders first and the zeros last
+    tors = [orders[i] for i in kept if orders[i]]
+    to = IntMatrix.from_rows([list(u.row(i)) for i in kept], n)
+    fro = IntMatrix(n, len(kept), (r[k] for r in map(uinv.row, range(n)) for k in kept))
+    return Simplified(FgAbGroup.from_invariants(len(kept) - len(tors), tors), to, fro)
 
 
 # -- kernels, cokernels, images, subquotients --------------------------------
@@ -211,9 +203,9 @@ class Kernel:
     group: FgAbGroup
     incl: FgAbMap  # group -> src of the original map; injective
 
-    def factor(self, x: FgAbMap) -> FgAbMap:
-        """Factor x: X -> src through incl; x must be killed by the original map."""
-        return factor_through_injection(self.incl, x)
+    def factor(self, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
+        """Factor a matrix x: src -> incl.dst, killed by the original map, through incl."""
+        return factor_through_injection(self.incl, src, x)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -222,7 +214,7 @@ def kernel(f: FgAbMap) -> Kernel:
     big = kernel_basis(hstack(f.matrix, b.relations))
     gens = top_rows(big, a.ngens)
     simp = _span(gens, a)
-    return Kernel(simp.group, FgAbMap(simp.group, a, gens * simp.fro.matrix))
+    return Kernel(simp.group, FgAbMap(simp.group, a, gens * simp.fro))
 
 
 def _span(gens: IntMatrix, ambient: FgAbGroup) -> Simplified:
@@ -235,21 +227,21 @@ def _span(gens: IntMatrix, ambient: FgAbGroup) -> Simplified:
 @dataclass(frozen=True)
 class Cokernel:
     group: FgAbGroup
-    proj: FgAbMap  # dst of the original map -> group; surjective
-    fro: FgAbMap   # group -> dst's generators modulo the image; inverse to proj
+    proj: FgAbMap    # dst of the original map -> group; surjective
+    fro: IntMatrix   # group -> dst's generators modulo the image; inverse to proj
 
-    def induce(self, y: FgAbMap) -> FgAbMap:
-        """Descend y: dst -> X along proj; y must kill the original image."""
-        return FgAbMap(self.group, y.dst, y.matrix * self.fro.matrix)
+    def induce(self, dst: FgAbGroup, y: IntMatrix) -> FgAbMap:
+        """Descend a matrix y: (the original map's dst) -> dst along proj; y
+        must kill the original image.  Raises ValueError when y * fro does
+        not descend to a map group -> dst."""
+        return FgAbMap(self.group, dst, y * self.fro)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def cokernel(f: FgAbMap) -> Cokernel:
     b = f.dst
-    pre = FgAbGroup(b.ngens, hstack(b.relations, f.matrix))
-    simp = simplify(pre)
-    proj = FgAbMap(b, simp.group, simp.to.matrix)
-    return Cokernel(simp.group, proj, simp.fro)
+    simp = simplify(FgAbGroup(b.ngens, hstack(b.relations, f.matrix)))
+    return Cokernel(simp.group, FgAbMap(b, simp.group, simp.to), simp.fro)
 
 
 @dataclass(frozen=True)
@@ -261,41 +253,44 @@ class Image:
 
 def image(f: FgAbMap) -> Image:
     simp = _span(f.matrix, f.dst)
-    incl = FgAbMap(simp.group, f.dst, f.matrix * simp.fro.matrix)
-    cores = FgAbMap(f.src, simp.group, simp.to.matrix)
+    incl = FgAbMap(simp.group, f.dst, f.matrix * simp.fro)
+    cores = FgAbMap(f.src, simp.group, simp.to)
     return Image(simp.group, incl, cores)
 
 
 @dataclass(frozen=True)
 class Subquotient:
-    """H = ker(b)/im(a) for composable a, b with b*a = 0.
+    """H = ker(b)/im(a) for composable a, b with b*a = 0: the cokernel of a
+    factored through ker(b).
 
-    lift_in and induce_out take the far endpoint group and a raw matrix to
-    or from the middle group, so callers that hold only blocks of matrices
-    build no map for them; each returns one checked map.
+    Like Kernel.factor and Cokernel.induce, lift_in and induce_out take the
+    far endpoint group and a raw matrix to or from the middle group, so
+    callers that hold only blocks of matrices build no map for them; each
+    returns one checked map, which proves its own descent.
     """
 
-    group: FgAbGroup
-    ker: Kernel          # kernel of b
-    proj: FgAbMap        # ker.group -> group
-    fro: FgAbMap         # group -> ker.group coordinates (from the cokernel)
+    ker: Kernel    # kernel of b
+    cok: Cokernel  # cokernel of a factored through ker.incl
+
+    @property
+    def group(self) -> FgAbGroup:
+        return self.cok.group
 
     def lift_in(self, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
         """A matrix x: src -> mid with b*x = 0 induces src -> H.
 
         Lifts x's generators through ker(b)'s inclusion once and returns
-        the one checked map proj * lift.  Neither x nor the lift is built as
-        a map of its own: the returned map proves its own descent.  Raises
-        ValueError when x does not land in ker(b).
+        the one checked map proj * lift.  Raises ValueError when x does not
+        land in ker(b).
         """
         u = generator_lift(self.ker.incl, x)
         if u is None:
             raise ValueError("map does not land in the subgroup")
-        return FgAbMap(src, self.group, self.proj.matrix * u)
+        return FgAbMap(src, self.group, self.cok.proj.matrix * u)
 
     def induce_out(self, dst: FgAbGroup, y: IntMatrix) -> FgAbMap:
         """A matrix y: mid -> dst with y*a = 0 induces H -> dst."""
-        return FgAbMap(self.group, dst, y * self.ker.incl.matrix * self.fro.matrix)
+        return self.cok.induce(dst, y * self.ker.incl.matrix)
 
 
 def subquotient(a: FgAbMap, b: FgAbMap) -> Subquotient:
@@ -304,9 +299,7 @@ def subquotient(a: FgAbMap, b: FgAbMap) -> Subquotient:
     if not in_col_span(b.dst.relations, b.matrix * a.matrix):
         raise ValueError("subquotient requires b * a = 0")
     ker = kernel(b)
-    atilde = ker.factor(a)
-    cok = cokernel(atilde)
-    return Subquotient(cok.group, ker, cok.proj, cok.fro)
+    return Subquotient(ker, cokernel(ker.factor(a.src, a.matrix)))
 
 
 def is_exact_at(a: FgAbMap, b: FgAbMap) -> bool:
@@ -345,12 +338,13 @@ def generator_lift(f: FgAbMap, targets: IntMatrix) -> Optional[IntMatrix]:
     return top_rows(x, f.src.ngens)
 
 
-def factor_through_injection(incl: FgAbMap, g: FgAbMap) -> FgAbMap:
-    """For injective incl: K -> A and g: X -> A landing in the image, the map X -> K."""
-    u = generator_lift(incl, g.matrix)
+def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
+    """For injective incl: K -> A and a matrix x: src -> A landing in the
+    image, the map src -> K."""
+    u = generator_lift(incl, x)
     if u is None:
         raise ValueError("map does not land in the subgroup")
-    return FgAbMap(g.src, incl.src, u)
+    return FgAbMap(src, incl.src, u)
 
 
 # -- affine morphism solving -------------------------------------------------
@@ -412,8 +406,12 @@ def power_group(c: FgAbGroup, k: int) -> FgAbGroup:
 
 def precompose(r: IntMatrix, c: FgAbGroup) -> FgAbMap:
     """Hom(-, c) applied to r: the map c^(r.rows) -> c^(r.cols), X -> X*r."""
-    return FgAbMap(power_group(c, r.rows), power_group(c, r.cols),
-                   kron(r.transpose(), IntMatrix.identity(c.ngens)))
+    return FgAbMap(power_group(c, r.rows), power_group(c, r.cols), precompose_matrix(r, c))
+
+
+def precompose_matrix(r: IntMatrix, c: FgAbGroup) -> IntMatrix:
+    """The matrix of precompose(r, c), for callers that only pass it on."""
+    return kron(r.transpose(), IntMatrix.identity(c.ngens))
 
 
 def dual_presentation(a: FgAbGroup, c: FgAbGroup) -> tuple:
@@ -436,7 +434,7 @@ class Ext1:
     _a: FgAbGroup
     _c: FgAbGroup
     _pres: IntMatrix   # independent-column free presentation of a
-    _fro: FgAbMap      # group -> C^m generator coordinates
+    _fro: IntMatrix    # group -> C^m generator coordinates
 
     def realize(self, cls: Sequence[int]):
         """An extension 0 -> c -> y -> a -> 0 for the class with these coordinates.
@@ -445,18 +443,12 @@ class Ext1:
         """
         a, c, r = self._a, self._c, self._pres
         n, m, nc = a.ngens, r.cols, c.ngens
-        vec = self._fro.matrix * IntMatrix.column(list(cls))
+        vec = self._fro * IntMatrix.column(list(cls))
         cmat = IntMatrix(nc, m, (vec[l * nc + t, 0] for t in range(nc) for l in range(m)))
-        rel = hstack(
-            vstack(r, -cmat),
-            vstack(IntMatrix.zeros(n, c.relations.cols), c.relations),
-        )
-        pre = FgAbGroup(n + nc, rel)
-        simp = simplify(pre)
-        i = FgAbMap(c, simp.group,
-                    simp.to.matrix * vstack(IntMatrix.zeros(n, nc), IntMatrix.identity(nc)))
-        q = FgAbMap(simp.group, a,
-                    hstack(IntMatrix.identity(n), IntMatrix.zeros(n, nc)) * simp.fro.matrix)
+        rel = block([[r, IntMatrix.zeros(n, c.relations.cols)], [-cmat, c.relations]])
+        simp = simplify(FgAbGroup(n + nc, rel))
+        i = FgAbMap(c, simp.group, simp.to * vstack(IntMatrix.zeros(n, nc), IntMatrix.identity(nc)))
+        q = FgAbMap(simp.group, a, top_rows(simp.fro, n))
         return simp.group, i, q
 
 

@@ -84,11 +84,6 @@ class IntMatrix:
         return IntMatrix._of(rows, cols, (0,) * (rows * cols))
 
     @staticmethod
-    def diagonal(diag: Sequence[int]) -> "IntMatrix":
-        n = len(diag)
-        return IntMatrix(n, n, (diag[i] if i == j else 0 for i in range(n) for j in range(n)))
-
-    @staticmethod
     def column(entries: Sequence[int]) -> "IntMatrix":
         return IntMatrix(len(entries), 1, entries)
 

@@ -10,10 +10,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import CACHE_SIZE, IntMatrix, block
+from .intlinalg import CACHE_SIZE, IntMatrix, block, in_col_span
 from .fgab import (
     FgAbGroup, FgAbMap, Kernel, Cokernel, direct_sum,
-    kernel, cokernel, map_equal, random_group, random_map,
+    kernel, cokernel, random_group, random_map,
 )
 
 
@@ -42,7 +42,8 @@ class ChainMap:
             raise ValueError("degree -1 component endpoints mismatch")
         if self.f_0.src != self.src.deg_0 or self.f_0.dst != self.dst.deg_0:
             raise ValueError("degree 0 component endpoints mismatch")
-        if not map_equal(self.f_0 * self.src.d, self.dst.d * self.f_m1):
+        if not in_col_span(self.dst.deg_0.relations, self.f_0.matrix * self.src.d.matrix
+                           - self.dst.d.matrix * self.f_m1.matrix):
             raise ValueError("components do not commute with the differentials")
 
     @staticmethod
@@ -116,13 +117,13 @@ def homology(e: TwoTermComplex) -> Homology:
 def induced_hm1(f: ChainMap) -> FgAbMap:
     """H^-1(src) -> H^-1(dst) induced by a chain map."""
     hs, hd = homology(f.src), homology(f.dst)
-    return hd.ker.factor(f.f_m1 * hs.incl)
+    return hd.ker.factor(hs.hm1, f.f_m1.matrix * hs.incl.matrix)
 
 
 def induced_h0(f: ChainMap) -> FgAbMap:
     """H^0(src) -> H^0(dst) induced by a chain map."""
     hs, hd = homology(f.src), homology(f.dst)
-    return hs.cok.induce(hd.proj * f.f_0)
+    return hs.cok.induce(hd.h0, hd.proj.matrix * f.f_0.matrix)
 
 
 def complex_direct_sum(a: TwoTermComplex, b: TwoTermComplex) -> TwoTermComplex:

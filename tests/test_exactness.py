@@ -1,11 +1,13 @@
 import random
+import re
 
 import pytest
 
-from butterflies.fgab import FgAbMap, map_equal, is_injective, is_surjective
-from butterflies.twocomplex import zero_complex, random_complex
+from butterflies.intlinalg import IntMatrix
+from butterflies.fgab import FgAbGroup, FgAbMap, map_equal, is_injective, is_surjective
+from butterflies.twocomplex import TwoTermComplex, ChainMap, zero_complex, random_complex
 from butterflies.butterfly import (
-    validate, zero_butterfly, kernel_b, identity_butterfly,
+    Butterfly, validate, zero_butterfly, kernel_b, identity_butterfly,
     random_butterfly,
 )
 from butterflies.exactness import (
@@ -31,6 +33,33 @@ class TestZeroWitness:
         z = identity_butterfly(e2())
         with pytest.raises(ValueError):
             ZeroWitness(y, z, FgAbMap.identity(y.carrier))
+
+    @pytest.mark.parametrize("wing, value, message", [
+        ("zj", 2, "zero witness condition phi*i = j fails"),
+        ("yp", 1, "zero witness condition q*phi = -p fails"),
+        ("zp", 1, "zero witness condition p*phi = 0 fails"),
+        ("yj", 1, "zero witness condition phi*j = 0 fails"),
+        (None, None, "components do not commute with the differentials"),
+    ])
+    def test_each_refusal_named(self, wing, value, message):
+        # every group is Z, so each equation is one integer equation: with
+        # phi = 1 the wings below satisfy all four, and each change breaks one
+        z1 = FgAbGroup.free(1)
+
+        def one(k):
+            return FgAbMap(z1, z1, IntMatrix.from_rows([[k]]))
+
+        w = {"yi": 1, "yj": 0, "yp": -1, "zj": 1, "zq": 1, "zp": 0}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if wing is None:
+                cx = TwoTermComplex(z1, z1, one(1))
+                ChainMap(cx, cx, one(1), one(0))
+            else:
+                w[wing] = value
+                cx = TwoTermComplex(z1, z1, one(0))
+                y = Butterfly(cx, cx, z1, one(w["yi"]), one(w["yj"]), one(w["yp"]), one(1))
+                z = Butterfly(cx, cx, z1, one(1), one(w["zj"]), one(w["zp"]), one(w["zq"]))
+                ZeroWitness(y, z, one(1))
 
     def test_no_witness_between_identities(self):
         # id * id = id is not isomorphic to zero for K2

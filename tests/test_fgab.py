@@ -82,8 +82,13 @@ class TestKernel:
         f = FgAbMap(Z4, Z2, m([[1]]))
         k = kernel(f)
         x = FgAbMap(Z2, Z4, m([[2]]))
-        u = k.factor(x)
+        u = k.factor(x.src, x.matrix)
         assert map_equal(k.incl * u, x)
+
+    def test_factor_refuses_matrix_outside_kernel(self):
+        k = kernel(FgAbMap(Z4, Z2, m([[1]])))
+        with pytest.raises(ValueError, match="does not land in the subgroup"):
+            k.factor(Z, m([[1]]))                        # 1 in Z/4 is not killed mod 2
 
 
 class TestCokernel:
@@ -95,6 +100,12 @@ class TestCokernel:
 
     def test_times2_into_z6(self):
         assert cokernel(FgAbMap(Z, Z6, m([[2]]))).group.invariant_factors() == (0, (2,))
+
+    def test_induce_refuses_matrix_not_killing_image(self):
+        cok = cokernel(FgAbMap(Z, Z, m([[2]])))          # Z/2
+        assert map_equal(cok.induce(Z2, m([[1]])) * cok.proj, FgAbMap(Z, Z2, m([[1]])))
+        with pytest.raises(ValueError, match="does not define a homomorphism"):
+            cok.induce(Z, m([[1]]))                      # the identity of Z does not kill 2Z
 
 
 class TestSubquotient:
@@ -232,8 +243,9 @@ class TestInvariantFactors:
         for g in randoms + dense:
             s = simplify(g)
             assert s.group.invariant_factors() == g.invariant_factors()
-            assert map_equal(s.fro * s.to, FgAbMap.identity(g))
-            assert map_equal(s.to * s.fro, FgAbMap.identity(s.group))
+            to, fro = FgAbMap(g, s.group, s.to), FgAbMap(s.group, g, s.fro)
+            assert map_equal(fro * to, FgAbMap.identity(g))
+            assert map_equal(to * fro, FgAbMap.identity(s.group))
 
 
 def test_cached_kernel_and_cokernel_match_fresh():
@@ -341,7 +353,7 @@ def test_generator_lift_and_injection_factor():
     assert lifts is not None and lifts[0, 0] % 2 == 1
     k = kernel(red)
     t2 = FgAbMap(Z2, Z4, m([[2]]))
-    u = factor_through_injection(k.incl, t2)
+    u = factor_through_injection(k.incl, t2.src, t2.matrix)
     assert map_equal(k.incl * u, t2)
 
 
@@ -354,10 +366,16 @@ def test_kernel_cokernel_universal_properties(rng):
     ker = kernel(f)
     assert (f * ker.incl).is_zero()
     killed = hom_solve(x, a, [("post", f, FgAbMap.zero(x, b))])
-    fac = ker.factor(killed)
+    fac = ker.factor(killed.src, killed.matrix)
     assert map_equal(ker.incl * fac, killed)
     cok = cokernel(f)
     assert (cok.proj * f).is_zero()
+    # a random y: b -> x killing f, from the solution space of y*f = 0
+    base, kmats = hom_solve_all(b, x, [("pre", f, FgAbMap.zero(a, x))])
+    y = base.matrix
+    for km in kmats:
+        y = y + rng.randint(-2, 2) * km
+    assert map_equal(cok.induce(x, y) * cok.proj, FgAbMap(b, x, y))
     im = image(f)
     assert map_equal(im.incl * im.corestrict, f)
     assert is_injective(im.incl) and is_surjective(im.corestrict)
