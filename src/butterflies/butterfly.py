@@ -27,7 +27,7 @@ from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
-    ext1_realize,
+    inverse, ext1_realize,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology
 
@@ -159,7 +159,7 @@ def to_chain_map(b: Butterfly, s: FgAbMap) -> ChainMap:
 def find_section(b: Butterfly) -> Optional[FgAbMap]:
     """A homomorphic section of q, when the diagonal splits."""
     return hom_solve(b.src.deg_0, b.carrier,
-                     [("post", b.q, FgAbMap.identity(b.src.deg_0))])
+                     post=[(b.q, IntMatrix.identity(b.src.deg_0.ngens))])
 
 
 # -- composition and 2-morphisms ---------------------------------------------
@@ -170,9 +170,8 @@ def compose(z: Butterfly, y: Butterfly) -> Butterfly:
         raise ValueError("compose endpoint mismatch")
     f = y.dst
     yz = direct_sum(y.carrier, z.carrier)
-    a = FgAbMap(f.deg_m1, yz, vstack(y.i.matrix, -z.j.matrix))
     bmap = FgAbMap(yz, f.deg_0, hstack(-y.p.matrix, z.q.matrix))
-    sq = subquotient(a, bmap)
+    sq = subquotient(f.deg_m1, vstack(y.i.matrix, -z.j.matrix), bmap)
     j = sq.lift_in(y.src.deg_m1,
                    vstack(y.j.matrix, IntMatrix.zeros(z.carrier.ngens, y.src.deg_m1.ngens)))
     i = sq.lift_in(z.dst.deg_m1,
@@ -184,40 +183,26 @@ def compose(z: Butterfly, y: Butterfly) -> Butterfly:
     return Butterfly(y.src, z.dst, sq.group, i, j, p, q)
 
 
-FIVE_LEMMA = "five lemma: wing-commuting carrier map must be invertible"
-
-
 def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
     """A 2-morphism a => b, or None when the carriers cannot be matched.
 
     Any carrier map m commuting with the wings is invertible (short five
-    lemma); the inverse is constructed, never assumed.  It is one lift of
-    b's carrier generators through m, a raw matrix L with m*L = 1 in b's
-    carrier.  L descends to a map because m is injective: m*(L*R) = R
-    vanishes for b's carrier relations R, so L*R vanishes in a's carrier.
-    For the same reason L*m = 1, so L is a two-sided inverse.  No lift, or
-    one that does not descend (the one descent check, made as the inverse
-    is built), is an InvariantError; TwoMorphism then checks both inverse
-    equations again.
+    lemma); the inverse is constructed by fgab.inverse, never assumed.  Its
+    refusal, which would mean m is no isomorphism, is an InvariantError;
+    TwoMorphism then checks both inverse equations again.
     """
     if (a.src, a.dst) != (b.src, b.dst):
         raise ValueError("two-morphisms need parallel butterflies")
-    m = hom_solve(a.carrier, b.carrier, [
-        ("pre", a.i, b.i),
-        ("pre", a.j, b.j),
-        ("post", b.p, a.p),
-        ("post", b.q, a.q),
-    ])
+    m = hom_solve(a.carrier, b.carrier,
+                  pre=[(a.i, b.i.matrix), (a.j, b.j.matrix)],
+                  post=[(b.p, a.p.matrix), (b.q, a.q.matrix)])
     if m is None:
         return None
-    lift = generator_lift(m, IntMatrix.identity(b.carrier.ngens))
-    if lift is None:
-        raise InvariantError(FIVE_LEMMA)
     try:
-        inverse = FgAbMap(b.carrier, a.carrier, lift)
+        inv = inverse(m)
     except ValueError as exc:
-        raise InvariantError(FIVE_LEMMA) from exc
-    return TwoMorphism(a, b, m, inverse)
+        raise InvariantError("five lemma: wing-commuting carrier map must be invertible") from exc
+    return TwoMorphism(a, b, m, inv)
 
 
 def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
@@ -227,9 +212,8 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
         raise ValueError("Baer sum needs parallel butterflies")
     e, f = a.src, a.dst
     s = direct_sum(a.carrier, b.carrier)
-    anti = FgAbMap(f.deg_m1, s, vstack(a.i.matrix, -b.i.matrix))
     diff = FgAbMap(s, e.deg_0, hstack(a.q.matrix, -b.q.matrix))
-    sq = subquotient(anti, diff)
+    sq = subquotient(f.deg_m1, vstack(a.i.matrix, -b.i.matrix), diff)
     i = sq.lift_in(f.deg_m1, vstack(a.i.matrix, IntMatrix.zeros(b.carrier.ngens, f.deg_m1.ngens)))
     j = sq.lift_in(e.deg_m1, vstack(a.j.matrix, b.j.matrix))
     p = sq.induce_out(f.deg_0, hstack(a.p.matrix, b.p.matrix))
@@ -446,21 +430,19 @@ def random_butterfly(e: TwoTermComplex, f: TwoTermComplex, seed) -> Butterfly:
     for _ in range(6):
         cls = [rng.randint(0, 4) for _ in range(ng)]
         ycar, i, q = ext.realize(cls)
-        jres = hom_solve_all(e.deg_m1, ycar, [("post", q, e.d)])
+        jres = hom_solve_all(e.deg_m1, ycar, post=[(q, e.d.matrix)])
         if jres is None:
             continue
         for _ in range(3):
-            jm = jres[0].matrix
+            jm = jres[0]
             for km in jres[1]:
                 jm = jm + rng.randint(-1, 1) * km
             j = FgAbMap(e.deg_m1, ycar, jm)
-            pres = hom_solve_all(ycar, f.deg_0, [
-                ("pre", i, -f.d),
-                ("pre", j, FgAbMap.zero(e.deg_m1, f.deg_0)),
-            ])
+            pres = hom_solve_all(ycar, f.deg_0, pre=[
+                (i, -f.d.matrix), (j, IntMatrix.zeros(f.deg_0.ngens, e.deg_m1.ngens))])
             if pres is None:
                 continue
-            pm = pres[0].matrix
+            pm = pres[0]
             for km in pres[1]:
                 pm = pm + rng.randint(-1, 1) * km
             b = Butterfly(e, f, ycar, i, j, FgAbMap(ycar, f.deg_0, pm), q)

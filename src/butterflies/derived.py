@@ -117,12 +117,12 @@ def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> list:
     for el in classes[:64]:
         vec = re.rep_of(el)
         ycar, i, q = ext.realize([vec[t, 0] for t in range(vec.rows)])
-        lifted = hom_solve_all(k.deg_m1, ycar, [("post", q, k.d)])
+        lifted = hom_solve_all(k.deg_m1, ycar, post=[(q, k.d.matrix)])
         if lifted is None:
             continue
         base, kmats = lifted
         for coeffs in itertools.product(range(-1, 2), repeat=len(kmats)):
-            jm = base.matrix
+            jm = base
             for cf, km in zip(coeffs, kmats):
                 jm = jm + cf * km
             j = FgAbMap(k.deg_m1, ycar, jm)

@@ -16,7 +16,7 @@ from typing import Optional
 from .intlinalg import IntMatrix, InvariantError, hstack, vstack, block, in_col_span
 from .fgab import (
     FgAbMap, direct_sum, kernel, cokernel, is_exact_at, generator_lift,
-    is_injective, is_surjective, hom_solve, random_map,
+    is_injective, is_surjective, hom_solve, inverse, random_map,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology, embed0, shift1, random_complex
 from .butterfly import (
@@ -54,12 +54,11 @@ def zero_witness_find(z: Butterfly, y: Butterfly) -> Optional[ZeroWitness]:
     """Search for a witness that z * y is zero."""
     if y.dst != z.src:
         raise ValueError("butterflies are not composable")
-    phi = hom_solve(y.carrier, z.carrier, [
-        ("pre", y.i, z.j),
-        ("post", z.q, -y.p),
-        ("post", z.p, FgAbMap.zero(y.carrier, z.dst.deg_0)),
-        ("pre", y.j, FgAbMap.zero(y.src.deg_m1, z.carrier)),
-    ])
+    phi = hom_solve(y.carrier, z.carrier,
+                    pre=[(y.i, z.j.matrix),
+                         (y.j, IntMatrix.zeros(z.carrier.ngens, y.src.deg_m1.ngens))],
+                    post=[(z.q, -y.p.matrix),
+                          (z.p, IntMatrix.zeros(z.dst.deg_0.ngens, y.carrier.ngens))])
     return None if phi is None else ZeroWitness(y, z, phi)
 
 
@@ -203,12 +202,10 @@ def les(s: ButterflyShortSeq) -> LongExactSequence:
     yprime = kernel(cj.induce(s.g.deg_0, s.z.p.matrix * s.w.phi.matrix))
     zprime = kernel(s.z.p)
     phi_prime = zprime.factor(yprime.group, phibar * yprime.incl.matrix)
-    rho = hom_solve(zprime.group, yprime.group, [
-        ("pre", phi_prime, FgAbMap.identity(yprime.group)),
-        ("post", phi_prime, FgAbMap.identity(zprime.group)),
-    ])
-    if rho is None:
-        raise InvariantError("induced carrier map Y' -> Z' must be an isomorphism")
+    try:
+        rho = inverse(phi_prime)
+    except ValueError as exc:
+        raise InvariantError("induced carrier map Y' -> Z' must be an isomorphism") from exc
     into_zprime = generator_lift(zprime.incl, s.z.i.matrix * hg.incl.matrix)
     if into_zprime is None:
         raise ValueError("map does not land in the subgroup")

@@ -14,10 +14,11 @@ that ask about the same maps share one computation.  Exactness at a spot is
 decided by membership in a column span (is_exact_at), never by building the
 subquotient; subquotient is for the callers that need the group itself.
 
-One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection
-and Subquotient's lift_in and induce_out take the far endpoint group and a
-raw IntMatrix and return one checked map.  Simplified.to and fro,
-Cokernel.fro and Ext1's coordinates are plain matrices, not maps.
+One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
+subquotient, Subquotient.lift_in and induce_out take the far endpoint group
+and a raw IntMatrix and return one checked map; Simplified.to and fro,
+Cokernel.fro and Ext1's coordinates are plain matrices.  hom_solve takes a
+map and a raw right-hand side per constraint; inverse is the one inversion.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
-    solve_matrix, solve_congruences, kernel_basis, in_col_span, col_echelon, top_rows,
+    solve_matrix, solve_congruences, kernel_basis, in_col_span, col_echelon, submatrix,
 )
 
 
@@ -187,13 +188,12 @@ def simplify(g: FgAbGroup):
     """
     s, u, _, uinv = snf(g.relations)
     n = g.ngens
-    orders = [s[i, i] if i < min(s.rows, s.cols) else 0 for i in range(n)]
-    kept = [i for i in range(n) if orders[i] != 1]
-    # the divisor chain puts the kept torsion orders first and the zeros last
-    tors = [orders[i] for i in kept if orders[i]]
-    to = IntMatrix.from_rows([list(u.row(i)) for i in kept], n)
-    fro = IntMatrix(n, len(kept), (r[k] for r in map(uinv.row, range(n)) for k in kept))
-    return Simplified(FgAbGroup.from_invariants(len(kept) - len(tors), tors), to, fro)
+    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
+    # the divisor chain runs units, torsion orders, zeros: the kept generators are a tail
+    units, nonzero = diag.count(1), len(diag) - diag.count(0)
+    kept = range(units, n)
+    group = FgAbGroup(len(kept), submatrix(s, kept, range(units, nonzero)))
+    return Simplified(group, submatrix(u, kept), submatrix(uinv, range(n), kept))
 
 
 # -- kernels, cokernels, images, subquotients --------------------------------
@@ -212,7 +212,7 @@ class Kernel:
 def kernel(f: FgAbMap) -> Kernel:
     a, b = f.src, f.dst
     big = kernel_basis(hstack(f.matrix, b.relations))
-    gens = top_rows(big, a.ngens)
+    gens = submatrix(big, range(a.ngens))
     simp = _span(gens, a)
     return Kernel(simp.group, FgAbMap(simp.group, a, gens * simp.fro))
 
@@ -221,27 +221,29 @@ def _span(gens: IntMatrix, ambient: FgAbGroup) -> Simplified:
     """The subgroup of ambient generated by the columns of gens, presented
     on those columns (generator k is column k) and then simplified."""
     rel_big = kernel_basis(hstack(gens, ambient.relations))
-    return simplify(FgAbGroup(gens.cols, top_rows(rel_big, gens.cols)))
+    return simplify(FgAbGroup(gens.cols, submatrix(rel_big, range(gens.cols))))
 
 
 @dataclass(frozen=True)
 class Cokernel:
     group: FgAbGroup
-    proj: FgAbMap    # dst of the original map -> group; surjective
-    fro: IntMatrix   # group -> dst's generators modulo the image; inverse to proj
+    proj: FgAbMap         # dst of the original map -> group; surjective
+    fro: IntMatrix        # group -> dst's generators modulo the image; inverse to proj
+    lattice: IntMatrix    # [dst.relations | original matrix]: what proj kills
 
     def induce(self, dst: FgAbGroup, y: IntMatrix) -> FgAbMap:
-        """Descend a matrix y: (the original map's dst) -> dst along proj; y
-        must kill the original image.  Raises ValueError when y * fro does
-        not descend to a map group -> dst."""
+        """Descend a matrix y: (the original map's dst) -> dst along proj.
+        ValueError unless y kills lattice (one membership test)."""
+        if not in_col_span(dst.relations, y * self.lattice):
+            raise ValueError("matrix does not define a homomorphism on the presentations")
         return FgAbMap(self.group, dst, y * self.fro)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def cokernel(f: FgAbMap) -> Cokernel:
-    b = f.dst
-    simp = simplify(FgAbGroup(b.ngens, hstack(b.relations, f.matrix)))
-    return Cokernel(simp.group, FgAbMap(b, simp.group, simp.to), simp.fro)
+    rel = hstack(f.dst.relations, f.matrix)
+    simp = simplify(FgAbGroup(f.dst.ngens, rel))
+    return Cokernel(simp.group, FgAbMap(f.dst, simp.group, simp.to), simp.fro, rel)
 
 
 @dataclass(frozen=True)
@@ -263,10 +265,9 @@ class Subquotient:
     """H = ker(b)/im(a) for composable a, b with b*a = 0: the cokernel of a
     factored through ker(b).
 
-    Like Kernel.factor and Cokernel.induce, lift_in and induce_out take the
-    far endpoint group and a raw matrix to or from the middle group, so
-    callers that hold only blocks of matrices build no map for them; each
-    returns one checked map, which proves its own descent.
+    Like Kernel.factor and Cokernel.induce, subquotient, lift_in and
+    induce_out take the far endpoint group and a raw matrix, so callers that
+    hold only blocks build no map for them; each returns one checked map.
     """
 
     ker: Kernel    # kernel of b
@@ -293,13 +294,15 @@ class Subquotient:
         return self.cok.induce(dst, y * self.ker.incl.matrix)
 
 
-def subquotient(a: FgAbMap, b: FgAbMap) -> Subquotient:
-    if a.dst != b.src:
+def subquotient(src: FgAbGroup, a: IntMatrix, b: FgAbMap) -> Subquotient:
+    """ker(b)/im(a) for a matrix a: src -> b.src.  a's descent is proven by
+    the one checked map that factors it through ker(b)."""
+    if (a.rows, a.cols) != (b.src.ngens, src.ngens):
         raise ValueError("subquotient endpoints mismatch")
-    if not in_col_span(b.dst.relations, b.matrix * a.matrix):
+    if not in_col_span(b.dst.relations, b.matrix * a):
         raise ValueError("subquotient requires b * a = 0")
     ker = kernel(b)
-    return Subquotient(ker, cokernel(ker.factor(a.src, a.matrix)))
+    return Subquotient(ker, cokernel(ker.factor(src, a)))
 
 
 def is_exact_at(a: FgAbMap, b: FgAbMap) -> bool:
@@ -335,7 +338,7 @@ def generator_lift(f: FgAbMap, targets: IntMatrix) -> Optional[IntMatrix]:
     x = solve_matrix(hstack(f.matrix, f.dst.relations), targets)
     if x is None:
         return None
-    return top_rows(x, f.src.ngens)
+    return submatrix(x, range(f.src.ngens))
 
 
 def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
@@ -347,47 +350,53 @@ def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgA
     return FgAbMap(src, incl.src, u)
 
 
+def inverse(f: FgAbMap) -> FgAbMap:
+    """The inverse of an isomorphism f; ValueError when f is not one.
+
+    One lift of dst's generators gives L with f*L = 1 (none unless f is
+    onto); then the map on L (the one descent check) and L*f = 1 (one
+    membership test) both hold exactly when f is injective."""
+    lift = generator_lift(f, IntMatrix.identity(f.dst.ngens))
+    if lift is None:
+        raise ValueError("map is not surjective, so it has no inverse")
+    inv = FgAbMap(f.dst, f.src, lift)
+    if not in_col_span(f.src.relations, lift * f.matrix - IntMatrix.identity(f.src.ngens)):
+        raise ValueError("map is not injective, so it has no inverse")
+    return inv
+
+
 # -- affine morphism solving -------------------------------------------------
 
-def hom_solve(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple],
-              ) -> Optional[FgAbMap]:
-    """Find X: src -> dst satisfying every constraint, or None.
+def hom_solve(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
+              post: Sequence[tuple] = ()) -> Optional[FgAbMap]:
+    """Find X: src -> dst with X*f = g for each (f, g) in pre and h*X = k
+    for each (h, k) in post, or None.
 
-    Constraints:
-      ("pre",  f, g)  with f: V -> src, g: V -> dst, meaning X * f = g;
-      ("post", h, k)  with h: dst -> W, k: src -> W, meaning h * X = k.
-    Everything is flattened to one integer linear system over the entries
-    of X plus relation-coefficient unknowns.
+    The maps f: V -> src and h: dst -> W state the constraints; g and k are
+    raw matrices, which need no descent proof: any solution makes them
+    descend.  intlinalg.solve_congruences checks their shapes and solves
+    one integer system in the entries of X and relation coefficients.
     """
-    res = hom_solve_all(src, dst, constraints)
-    return None if res is None else res[0]
+    res = hom_solve_all(src, dst, pre, post)
+    return None if res is None else FgAbMap(src, dst, res[0])
 
 
-def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, constraints: Sequence[tuple]):
-    """Like hom_solve but returns (solution, kernel generators as matrices)."""
+def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
+                  post: Sequence[tuple] = ()):
+    """Like hom_solve but returns raw matrices, (one solution, the kernel
+    generators), so callers that combine them build no map for the parts."""
     na, nb = src.ngens, dst.ngens
     congruences = [(IntMatrix.identity(nb), src.relations,
                     IntMatrix.zeros(nb, src.relations.cols), dst.relations)]
-    for c in constraints:
-        kind = c[0]
-        if kind == "pre":
-            _, f, g = c
-            if f.dst != src or g.dst != dst or f.src != g.src:
-                raise ValueError("pre-constraint endpoint mismatch")
-            congruences.append((IntMatrix.identity(nb), f.matrix, g.matrix, dst.relations))
-        elif kind == "post":
-            _, h, k = c
-            if h.src != dst or k.src != src or h.dst != k.dst:
-                raise ValueError("post-constraint endpoint mismatch")
-            congruences.append((h.matrix, IntMatrix.identity(na), k.matrix, h.dst.relations))
-        else:
-            raise ValueError(f"unknown constraint kind {kind!r}")
-
-    res = solve_congruences(nb, na, congruences)
-    if res is None:
-        return None
-    xmat, kmats = res
-    return FgAbMap(src, dst, xmat), kmats
+    for f, g in pre:
+        if f.dst != src:
+            raise ValueError("pre-constraint endpoint mismatch")
+        congruences.append((IntMatrix.identity(nb), f.matrix, g, dst.relations))
+    for h, k in post:
+        if h.src != dst:
+            raise ValueError("post-constraint endpoint mismatch")
+        congruences.append((h.matrix, IntMatrix.identity(na), k, h.dst.relations))
+    return solve_congruences(nb, na, congruences)
 
 
 # -- Ext^1 with explicit realizations ----------------------------------------
@@ -396,7 +405,7 @@ def free_presentation(a: FgAbGroup) -> IntMatrix:
     """Relations of a with redundant relators discarded: independent columns
     spanning the same lattice, giving 0 -> Z^m -> Z^n -> a -> 0."""
     ht, _, pivot_rows = col_echelon(a.relations)
-    return top_rows(ht, len(pivot_rows)).transpose()
+    return submatrix(ht, range(len(pivot_rows))).transpose()
 
 
 def power_group(c: FgAbGroup, k: int) -> FgAbGroup:
@@ -448,7 +457,7 @@ class Ext1:
         rel = block([[r, IntMatrix.zeros(n, c.relations.cols)], [-cmat, c.relations]])
         simp = simplify(FgAbGroup(n + nc, rel))
         i = FgAbMap(c, simp.group, simp.to * vstack(IntMatrix.zeros(n, nc), IntMatrix.identity(nc)))
-        q = FgAbMap(simp.group, a, top_rows(simp.fro, n))
+        q = FgAbMap(simp.group, a, submatrix(simp.fro, range(n)))
         return simp.group, i, q
 
 
@@ -504,11 +513,10 @@ def _prod(xs):
 
 def random_map(rng: random.Random, a: FgAbGroup, b: FgAbGroup) -> FgAbMap:
     """A random homomorphism a -> b, uniform-ish over small coefficients."""
-    res = hom_solve_all(a, b, [])
+    res = hom_solve_all(a, b)
     if res is None:
         raise InvariantError("the zero map solves the empty system")
-    base, kmats = res
-    m = base.matrix
+    m, kmats = res
     for km in kmats:
         m = m + rng.randint(-2, 2) * km
     return FgAbMap(a, b, m)

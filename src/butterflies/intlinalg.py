@@ -206,11 +206,19 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
                          tuple(chain.from_iterable(m.entries for m in mats)))
 
 
-def top_rows(m: IntMatrix, n: int) -> IntMatrix:
-    """The first n rows of m."""
-    if not 0 <= n <= m.rows:
-        raise ValueError(f"top_rows: {n} rows of a {m.rows}x{m.cols} matrix")
-    return IntMatrix._of(n, m.cols, m.entries[:n * m.cols])
+def submatrix(m: IntMatrix, rows: range, cols: Optional[range] = None) -> IntMatrix:
+    """The block of m on runs of consecutive rows and columns (all by default).
+
+    >>> submatrix(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), range(2), range(1, 3)).entries
+    (2, 3, 5, 6)
+    """
+    w, cols = m.cols, range(m.cols) if cols is None else cols
+    if any(r.step != 1 or not 0 <= r.start <= r.stop <= n for r, n in ((rows, m.rows), (cols, w))):
+        raise ValueError(f"submatrix: {rows} and {cols} of a {m.rows}x{w} matrix")
+    if len(cols) == w:
+        return IntMatrix._of(len(rows), w, m.entries[rows.start * w:rows.stop * w])
+    return IntMatrix._of(len(rows), len(cols), tuple(
+        e for i in rows for e in m.entries[i * w + cols.start:i * w + cols.stop]))
 
 
 def block(rows_of_blocks: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
@@ -482,8 +490,7 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns generate {x : a*x = 0}."""
     _, vt, pivot_rows = col_echelon(a)
-    n, npiv = a.cols, len(pivot_rows)
-    return IntMatrix._of(n - npiv, n, vt.entries[npiv * n:]).transpose()
+    return submatrix(vt, range(len(pivot_rows), a.cols)).transpose()
 
 
 def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:

@@ -135,7 +135,8 @@ def matrix_from_json(data, rows: int, cols: int) -> IntMatrix:
         _expect(isinstance(r, list) and len(r) == cols,
                 f"matrix row has wrong length (expected {cols})")
         for e in r:
-            _expect(isinstance(e, (str, int)), "matrix entries must be decimal strings")
+            # type(e) is int, not isinstance: JSON true and false parse to bool
+            _expect(isinstance(e, str) or type(e) is int, "matrix entries must be decimal strings")
             try:
                 flat.append(e if isinstance(e, int) else _str_to_int(e))
             except ValueError:
@@ -145,7 +146,7 @@ def matrix_from_json(data, rows: int, cols: int) -> IntMatrix:
 
 def group_from_json(data) -> FgAbGroup:
     _expect(isinstance(data, dict), "group must be an object")
-    _expect(isinstance(data.get("ngens"), int) and data["ngens"] >= 0,
+    _expect(type(data.get("ngens")) is int and data["ngens"] >= 0,
             "group.ngens must be a nonnegative integer")
     rel = data.get("relations")
     _expect(isinstance(rel, list) and all(isinstance(r, list) for r in rel),

@@ -160,6 +160,21 @@ class TestExitCodes:
         assert got.out == ""
         assert got.err == "schema error: group.relations must be a matrix\n"
 
+    def test_json_booleans_are_schema_errors(self, tmp_path, capsys):
+        # true and false parse to bool, a subclass of int; neither is a JSON integer
+        p = tmp_path / "group.json"
+        for text, err in [
+            ('{"kind": "group", "ngens": true, "relations": [[2]]}',
+             "group.ngens must be a nonnegative integer"),
+            ('{"kind": "group", "ngens": 1, "relations": [[true]]}',
+             "matrix entries must be decimal strings"),
+        ]:
+            p.write_text(text)
+            assert main(["validate", str(p)]) == 2
+            got = capsys.readouterr()
+            assert got.out == ""
+            assert got.err == f"schema error: {err}\n"
+
     def test_selftest_bad_scale_is_usage_error(self, capsys):
         for scale in ("nan", "inf", "-inf", "0", "-0.5", "x"):
             with pytest.raises(SystemExit) as exc:
@@ -295,7 +310,7 @@ def test_repinned_outputs_are_equivalent(docs):
         for rows in (ISO2_WITNESS_EARLIER, ISO2_WITNESS):
             m = FgAbMap(source.carrier, ik.carrier, IntMatrix.from_rows(rows))
             inverse = hom_solve(ik.carrier, source.carrier,
-                                [("pre", m, FgAbMap.identity(source.carrier))])
+                                pre=[(m, IntMatrix.identity(source.carrier.ngens))])
             TwoMorphism(source, ik, m, inverse)  # raises unless every condition holds
 
 

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from butterflies.intlinalg import IntMatrix
-from butterflies.fgab import FgAbGroup, FgAbMap, map_equal, is_injective, is_surjective
+from butterflies.fgab import FgAbGroup, FgAbMap, map_equal, is_injective, is_surjective, hom_solve
 from butterflies.twocomplex import TwoTermComplex, ChainMap, zero_complex, random_complex
 from butterflies.butterfly import (
     Butterfly, validate, zero_butterfly, kernel_b, identity_butterfly,
@@ -162,6 +162,28 @@ class TestLes:
         for _ in range(10):
             s = random_exact_seq(rng)
             assert les(s).all_exact
+
+    def test_delta_matches_two_sided_solve(self, monkeypatch):
+        """les inverts the carrier map Y' -> Z' through fgab.inverse; its
+        delta must agree, as a map, with the delta from the inverse solved
+        for as X with X*f = 1 and f*X = 1."""
+        from butterflies import exactness
+
+        def solved_inverse(f):
+            x = hom_solve(f.dst, f.src, pre=[(f, IntMatrix.identity(f.src.ngens))],
+                          post=[(f, IntMatrix.identity(f.dst.ngens))])
+            assert x is not None
+            return x
+
+        rng = random.Random(11)
+        seqs = [random_exact_seq(rng) for _ in range(60)] + [standard_seq_10(e2())]
+        deltas = [les(s).delta for s in seqs]
+        monkeypatch.setattr(exactness, "inverse", solved_inverse)
+        solved = [les(s).delta for s in seqs]
+        assert all(map_equal(d, r) for d, r in zip(deltas, solved))
+        # not vacuous: some deltas are nonzero, and some differ as matrices
+        assert sum(not d.is_zero() for d in deltas) >= 10
+        assert any(d.matrix != r.matrix for d, r in zip(deltas, solved))
 
     def test_naturality_smoke(self):
         # the two standard sequences of the same complex fit together:

@@ -8,7 +8,7 @@ from butterflies.fgab import (
     FgAbGroup, FgAbMap, is_well_defined, map_equal, direct_sum, simplify,
     kernel, cokernel, image, subquotient, is_exact_at, is_injective,
     is_surjective, hom_solve, hom_solve_all, ext1_realize, hom_group,
-    random_group, random_map, factor_through_injection, generator_lift,
+    random_group, random_map, factor_through_injection, generator_lift, inverse,
     precompose, dual_presentation, free_presentation,
 )
 
@@ -106,27 +106,30 @@ class TestCokernel:
         assert map_equal(cok.induce(Z2, m([[1]])) * cok.proj, FgAbMap(Z, Z2, m([[1]])))
         with pytest.raises(ValueError, match="does not define a homomorphism"):
             cok.induce(Z, m([[1]]))                      # the identity of Z does not kill 2Z
+        with pytest.raises(ValueError, match="does not define a homomorphism"):
+            # the cokernel is trivial, so y * fro descends; y still does not kill Z
+            cokernel(FgAbMap.identity(Z)).induce(Z, m([[1]]))
 
 
 class TestSubquotient:
     def test_trivial_homology(self):
         a = FgAbMap(Z2, Z4, m([[2]]))
         b = FgAbMap(Z4, Z2, m([[1]]))
-        assert subquotient(a, b).group.is_trivial()
+        assert subquotient(a.src, a.matrix, b).group.is_trivial()
 
     def test_zero_maps_give_whole_group(self):
-        sq = subquotient(FgAbMap.zero(Z2, Z4), FgAbMap.zero(Z4, Z2))
+        sq = subquotient(Z2, IntMatrix.zeros(1, 1), FgAbMap.zero(Z4, Z2))
         assert sq.group.invariant_factors() == (0, (4,))
 
     def test_order8_example(self):
         z44 = direct_sum(Z4, Z4)
         a = FgAbMap(Z2, z44, m([[2], [2]]))
         b = FgAbMap(z44, Z2, m([[-1, 1]]))
-        assert subquotient(a, b).group.invariant_factors() == (0, (2, 2))
+        assert subquotient(a.src, a.matrix, b).group.invariant_factors() == (0, (2, 2))
 
     def test_rejects_nonzero_composite(self):
         with pytest.raises(ValueError):
-            subquotient(FgAbMap.identity(Z4), FgAbMap(Z4, Z2, m([[1]])))
+            subquotient(Z4, IntMatrix.identity(1), FgAbMap(Z4, Z2, m([[1]])))
 
     def test_lift_in_induce_out_contracts(self):
         # H = ker(b)/im(a) for the order-8 example; check the two facilities
@@ -134,7 +137,7 @@ class TestSubquotient:
         z44 = direct_sum(Z4, Z4)
         a = FgAbMap(Z2, z44, m([[2], [2]]))
         b = FgAbMap(z44, Z2, m([[-1, 1]]))
-        sq = subquotient(a, b)
+        sq = subquotient(a.src, a.matrix, b)
         x = FgAbMap(Z4, z44, m([[1], [1]]))          # b*x = 0
         lifted = sq.lift_in(x.src, x.matrix)
         assert lifted.src == Z4 and lifted.dst == sq.group
@@ -146,7 +149,7 @@ class TestSubquotient:
 
     def test_lift_in_refuses_matrix_outside_kernel(self):
         z44 = direct_sum(Z4, Z4)
-        sq = subquotient(FgAbMap(Z2, z44, m([[2], [2]])), FgAbMap(z44, Z2, m([[-1, 1]])))
+        sq = subquotient(Z2, m([[2], [2]]), FgAbMap(z44, Z2, m([[-1, 1]])))
         with pytest.raises(ValueError, match="does not land in the subgroup"):
             sq.lift_in(Z, m([[1], [0]]))                # b*x = -1, not 0 in Z/2
 
@@ -189,7 +192,7 @@ def composable_pair(rng):
 
 def exact_by_subquotient(a, b):
     """The definition is_exact_at decides by membership: ker(b)/im(a) = 0."""
-    return subquotient(a, b).group.is_trivial()
+    return subquotient(a.src, a.matrix, b).group.is_trivial()
 
 
 # use_true_random: the shrinkable streams repeat small draws, so a third of
@@ -264,28 +267,39 @@ def test_cached_kernel_and_cokernel_match_fresh():
 
 
 class TestHomSolve:
+    def test_refuses_mismatched_constraints(self):
+        into_z4, onto_z2 = FgAbMap(Z2, Z4, m([[2]])), FgAbMap(Z4, Z2, m([[1]]))
+        with pytest.raises(ValueError, match="pre-constraint endpoint mismatch"):
+            hom_solve(Z2, Z2, pre=[(into_z4, m([[1]]))])    # X * f needs f.dst = X.src
+        with pytest.raises(ValueError, match="post-constraint endpoint mismatch"):
+            hom_solve(Z2, Z2, post=[(onto_z2, m([[1]]))])   # h * X needs h.src = X.dst
+        with pytest.raises(ValueError, match="shape mismatch"):
+            hom_solve(Z2, Z4, pre=[(FgAbMap.identity(Z2), m([[1, 0]]))])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            hom_solve(Z4, Z2, post=[(FgAbMap.identity(Z2), m([[1], [0]]))])
+
     def test_identity_constraint(self):
-        x = hom_solve(Z2, Z2, [("pre", FgAbMap.identity(Z2), FgAbMap.identity(Z2))])
+        x = hom_solve(Z2, Z2, pre=[(FgAbMap.identity(Z2), IntMatrix.identity(1))])
         assert x is not None and map_equal(x, FgAbMap.identity(Z2))
 
     def test_parity_obstruction(self):
         times2 = FgAbMap(Z, Z, m([[2]]))
         times3 = FgAbMap(Z, Z, m([[3]]))
-        assert hom_solve(Z, Z, [("pre", times2, times3)]) is None
+        assert hom_solve(Z, Z, pre=[(times2, times3.matrix)]) is None
 
     def test_section_onto_subgroup(self):
         k = kernel(FgAbMap(Z4, Z2, m([[1]])))
         t2 = FgAbMap(Z2, Z4, m([[2]]))
-        x = hom_solve(Z2, k.group, [("post", k.incl, t2)])
+        x = hom_solve(Z2, k.group, post=[(k.incl, t2.matrix)])
         assert x is not None and map_equal(k.incl * x, t2)
 
     def test_solution_space_sound(self):
         rng = random.Random(12)
         for _ in range(10):
             a, b = random_group(rng), random_group(rng)
-            base, kmats = hom_solve_all(a, b, [])
+            base, kmats = hom_solve_all(a, b)
             for km in kmats:
-                FgAbMap(a, b, base.matrix + km)  # every offset stays well-defined
+                FgAbMap(a, b, base + km)  # every offset stays well-defined
 
 
 class TestExt1:
@@ -312,11 +326,11 @@ class TestExt1:
             c = random_group(rng, max_rank=0, max_order=8)
             e = ext1_realize(a, c)
             y, i, q = e.realize([0] * e.group.ngens)
-            s = hom_solve(a, y, [("post", q, FgAbMap.identity(a))])
+            s = hom_solve(a, y, post=[(q, IntMatrix.identity(a.ngens))])
             assert s is not None  # zero class splits
             if not e.group.is_trivial():
                 y1, i1, q1 = e.realize([1] + [0] * (e.group.ngens - 1))
-                s1 = hom_solve(a, y1, [("post", q1, FgAbMap.identity(a))])
+                s1 = hom_solve(a, y1, post=[(q1, IntMatrix.identity(a.ngens))])
                 assert s1 is None  # nonzero class does not
 
 
@@ -357,6 +371,20 @@ def test_generator_lift_and_injection_factor():
     assert map_equal(k.incl * u, t2)
 
 
+def test_inverse_of_isomorphism_and_refusals():
+    z23 = FgAbGroup(2, m([[2, 0], [0, 3]]))
+    f = FgAbMap(Z6, z23, m([[1], [1]]))                  # Z/6 = Z/2 + Z/3
+    inv = inverse(f)
+    assert (inv.src, inv.dst) == (z23, Z6)
+    assert map_equal(inv * f, FgAbMap.identity(Z6)) and map_equal(f * inv, FgAbMap.identity(z23))
+    with pytest.raises(ValueError, match="does not define a homomorphism"):
+        inverse(FgAbMap(Z4, Z2, m([[1]])))               # onto, not injective: the lift does not descend
+    with pytest.raises(ValueError, match="not surjective"):
+        inverse(FgAbMap(Z2, Z4, m([[2]])))               # injective, not onto: no lift
+    with pytest.raises(ValueError, match="not injective"):
+        inverse(FgAbMap(direct_sum(Z2, Z2), Z2, m([[1, 0]])))  # the lift descends, but L*f != 1
+
+
 # use_true_random, for the reason given at the exactness property above
 @given(st.randoms(use_true_random=True))
 @settings(max_examples=30, deadline=None)
@@ -365,14 +393,13 @@ def test_kernel_cokernel_universal_properties(rng):
     f = random_map(rng, a, b)
     ker = kernel(f)
     assert (f * ker.incl).is_zero()
-    killed = hom_solve(x, a, [("post", f, FgAbMap.zero(x, b))])
+    killed = hom_solve(x, a, post=[(f, IntMatrix.zeros(b.ngens, x.ngens))])
     fac = ker.factor(killed.src, killed.matrix)
     assert map_equal(ker.incl * fac, killed)
     cok = cokernel(f)
     assert (cok.proj * f).is_zero()
     # a random y: b -> x killing f, from the solution space of y*f = 0
-    base, kmats = hom_solve_all(b, x, [("pre", f, FgAbMap.zero(a, x))])
-    y = base.matrix
+    y, kmats = hom_solve_all(b, x, pre=[(f, IntMatrix.zeros(x.ngens, a.ngens))])
     for km in kmats:
         y = y + rng.randint(-2, 2) * km
     assert map_equal(cok.induce(x, y) * cok.proj, FgAbMap(b, x, y))

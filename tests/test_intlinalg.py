@@ -15,7 +15,7 @@ import butterflies
 from butterflies.fgab import FgAbGroup, simplify
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, hnf, snf, solve, solve_matrix, kernel_basis, in_col_span,
-    hstack, vstack, kron, top_rows, solve_congruences,
+    hstack, vstack, kron, submatrix, solve_congruences,
 )
 
 
@@ -261,13 +261,17 @@ def test_kron_distributes_over_stacking(data):
     assert kron(vstack(a, b), c) == vstack(kron(a, c), kron(b, c))
 
 
-def test_top_rows():
+def test_submatrix():
     m = mat([[1, 2], [3, 4], [5, 6]])
-    assert top_rows(m, 2) == mat([[1, 2], [3, 4]])
-    assert top_rows(m, 0) == IntMatrix.zeros(0, 2)
-    for bad in (-1, 4):
+    assert submatrix(m, range(2)) == mat([[1, 2], [3, 4]])
+    assert submatrix(m, range(0)) == IntMatrix.zeros(0, 2)
+    assert submatrix(m, range(1, 3)) == mat([[3, 4], [5, 6]])
+    assert submatrix(m, range(1, 3), range(1, 2)) == mat([[4], [6]])
+    assert submatrix(m, range(3), range(2, 2)) == IntMatrix.zeros(3, 0)
+    for rows, cols in ((range(-1), None), (range(4), None), (range(2, 1), None),
+                       (range(0, 3, 2), None), (range(3), range(3)), (range(3), range(-1, 1))):
         with pytest.raises(ValueError):
-            top_rows(m, bad)
+            submatrix(m, rows, cols)
 
 
 def test_row_and_col_indices_checked():
@@ -343,7 +347,8 @@ class TestTrustedResults:
         assert all(in_col_span(a2, km * b) for km in ks)
         results = [a * b, a + a2, a - a2, -a, a * n, n * a, a.transpose(),
                    hstack(a, a2), vstack(a, a2), kron(a, b), kernel_basis(a),
-                   IntMatrix.identity(r), IntMatrix.zeros(r, c), top_rows(a, r // 2),
+                   IntMatrix.identity(r), IntMatrix.zeros(r, c), submatrix(a, range(r // 2)),
+                   submatrix(a, range(r // 2, r), range(k // 2, k)),
                    *hnf(a), *snf(a), x0, *ks]
         for m in results:
             assert_as_checked(m)
@@ -396,6 +401,28 @@ class TestSourceRules:
                     if any(isinstance(t, ast.Name) and t.id == "AssertionError" for t in caught):
                         found.append(f"{path.name}:{node.lineno} except AssertionError")
         assert found == []
+
+    def test_no_unreferenced_functions(self):
+        """Every function or method defined under src/ is named somewhere in
+        src/, tests/ or perfbench/ besides its own def: as a name, an
+        attribute, or a string such as a patch target (dunders exempt)."""
+        root = SRC.parents[1]
+        files = [*source_files(), *sorted((root / "tests").glob("*.py")),
+                 *sorted((root / "perfbench").glob("*.py"))]
+        defined, named = [], set()
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    named.add(node.value)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and SRC in path.parents:
+                    defined.append((node.name, f"{path.name}:{node.lineno}"))
+        unreferenced = [f"{where} {name}" for name, where in defined
+                        if name not in named and not (name.startswith("__") and name.endswith("__"))]
+        assert unreferenced == []
 
     def test_no_unused_imports(self):
         """Every name a module imports is used in it (__init__ re-exports)."""
