@@ -13,6 +13,11 @@ subquotient machinery.  Sign conventions are fixed once (p*i = -d, the
 composition complex uses (i; -j) and (-p, q), the cokernel differential is
 -p) and pinned by the chain-map compatibility tests: flipping any of them
 breaks the roundtrip through from_chain_map.
+
+identity_butterfly and compose are memoized (bounded by
+intlinalg.CACHE_SIZE).  Keys are presentation identity and a hit returns the
+immutable object the first call built; a miss runs every check, and a call
+that raises caches nothing.
 """
 
 from __future__ import annotations
@@ -164,6 +169,7 @@ def find_section(b: Butterfly) -> Optional[FgAbMap]:
 
 # -- composition and 2-morphisms ---------------------------------------------
 
+@lru_cache(maxsize=CACHE_SIZE)
 def compose(z: Butterfly, y: Butterfly) -> Butterfly:
     """z * y as the homology of  F^-1 --(i;-j)--> Y (+) Z --(-p,q)--> F^0."""
     if y.dst != z.src:

@@ -40,7 +40,7 @@ KINDS = ("group", "map", "complex", "butterfly", "sequence")
 
 _CHUNK = 4000
 _BASE = 10 ** _CHUNK
-_LONG_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+_LITERAL = re.compile(r"-?[0-9]+")
 
 
 def _int_to_str(n: int) -> str:
@@ -57,13 +57,14 @@ def _int_to_str(n: int) -> str:
 
 
 def _str_to_int(s: str) -> int:
-    """int(s) for a decimal literal of any length; raises ValueError if bad."""
-    s = s.strip()
-    if len(s) <= _CHUNK:
-        return int(s)
-    if not _LONG_LITERAL.fullmatch(s):
+    """int(s) for a decimal literal -?[0-9]+ of any length; ValueError otherwise.
+
+    int() alone would also take surrounding whitespace, a plus sign,
+    underscores and non-ASCII digits.
+    """
+    if not _LITERAL.fullmatch(s):
         raise ValueError(f"invalid literal of length {len(s)}")
-    digits = s.lstrip("+-").replace("_", "")
+    digits = s.lstrip("-")
     n = 0
     for k in range(0, len(digits), _CHUNK):
         chunk = digits[k:k + _CHUNK]
@@ -237,7 +238,7 @@ def parse_group_shorthand(text: str) -> FgAbGroup:
         if tok == "Z":
             rank += 1
         elif tok.startswith("Z/"):
-            tors.append(_positive_int(tok[2:]))
+            tors.append(_positive_int(tok[2:].strip()))
         else:
             tors.append(_positive_int(tok))
     return FgAbGroup.from_invariants(rank, tors)

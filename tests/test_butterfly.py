@@ -656,9 +656,18 @@ def _bracketings():
     return compose(compose(z, y), x), compose(z, compose(y, x))
 
 
+def _twice(op):
+    """op run twice on the same arguments; returns the second result."""
+    def run(*args):
+        op(*args)
+        return op(*args)
+    return run
+
+
 # (name, arguments built before counting, operation, descent checks at most)
 DESCENT_CASES = [
     ("compose B B", lambda: (bockstein(), bockstein()), compose, 8),
+    ("compose B B twice", lambda: (bockstein(), bockstein()), _twice(compose), 8),
     ("compose IK2 B", lambda: (ik2(), bockstein()), compose, 8),
     ("compose triple", _composable_triple, lambda x, y, z: compose(compose(z, y), x), 16),
     ("baer_sum B B", lambda: (bockstein(), bockstein()), baer_sum, 8),

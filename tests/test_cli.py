@@ -175,6 +175,22 @@ class TestExitCodes:
             assert got.out == ""
             assert got.err == f"schema error: {err}\n"
 
+    def test_non_decimal_literals_are_schema_errors(self, tmp_path, capsys):
+        # int() takes each of these; a literal is ASCII -?[0-9]+ and nothing else
+        p = tmp_path / "group.json"
+        for lit in (" 3", "3 ", "+3", "3_0", "٣", "", "-", "9" * 5000 + "_0"):
+            p.write_text(jsonio.emit({"kind": "group", "ngens": 1, "relations": [[lit]]}))
+            assert main(["validate", str(p)]) == 2, lit
+            got = capsys.readouterr()
+            assert got.out == "" and got.err.startswith("schema error: bad integer literal "), lit
+        assert main(["biext", "Z/1_0", "2", "2"]) == 2
+        assert capsys.readouterr().err == "schema error: bad group shorthand token '1_0'\n"
+        assert jsonio.parse_group_shorthand(" Z/ 3 + 4 ") == jsonio.parse_group_shorthand("Z/3+4")
+        for lit in ("-0", "007", "-12"):
+            p.write_text(jsonio.emit({"kind": "group", "ngens": 1, "relations": [[lit]]}))
+            assert main(["validate", str(p)]) == 0, lit
+            assert jsonio.parse_document(p.read_text())[1].relations.entries == (int(lit),)
+
     def test_selftest_bad_scale_is_usage_error(self, capsys):
         for scale in ("nan", "inf", "-inf", "0", "-0.5", "x"):
             with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from butterflies import jsonio
 from butterflies.intlinalg import IntMatrix
+from butterflies.butterfly import compose, identity_butterfly
+from butterflies.fixtures import bockstein, e2, ik2
 from butterflies.fgab import (
     FgAbGroup, FgAbMap, is_well_defined, map_equal, direct_sum, simplify,
     kernel, cokernel, image, subquotient, is_exact_at, is_injective,
@@ -264,6 +267,38 @@ def test_cached_kernel_and_cokernel_match_fresh():
                 assert construction.cache_info().hits == 1
                 construction.cache_clear()
                 assert construction(f) == fresh
+
+
+def _reparsed(b):
+    """b rebuilt through an emit/parse round trip: equal, not identical."""
+    text = jsonio.emit(jsonio.document("butterfly", jsonio.butterfly_to_json(b)))
+    kind, out = jsonio.parse_document(text)
+    assert kind == "butterfly" and out == b and out is not b
+    return out
+
+
+def test_cached_composition_matches_fresh():
+    """Keys are presentation identity: a repeat, or equal inputs rebuilt from
+    JSON, return the very object the first call built; a fresh build after
+    clearing equals it."""
+    args = (ik2(), bockstein())
+    compose.cache_clear()
+    fresh = compose(*args)
+    assert compose(*args) is fresh
+    assert compose.cache_info().hits == 1
+    assert compose(*map(_reparsed, args)) is fresh
+    assert compose.cache_info().hits == 2
+    compose.cache_clear()
+    assert compose(*args) == fresh
+
+
+def test_memoized_endpoint_mismatch_raises_every_time():
+    b, e = bockstein(), identity_butterfly(e2())
+    compose.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mismatch"):
+            compose(b, e)
+    assert compose.cache_info().currsize == 0
 
 
 class TestHomSolve:

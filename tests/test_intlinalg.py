@@ -4,6 +4,7 @@ import io
 import itertools
 import pkgutil
 import random
+import re
 import time
 import tokenize
 from pathlib import Path
@@ -441,3 +442,22 @@ class TestSourceRules:
                         if name not in used:
                             found.append(f"{path.name}:{node.lineno} {name}")
         assert found == []
+
+    def test_memoized_functions_are_documented(self):
+        """README's module table is the one record of the cache policy: each
+        row lists, after "memoized:", exactly its module's lru_caches."""
+        documented = {}
+        for line in (SRC.parents[1] / "README.md").read_text().splitlines():
+            row = re.match(r"\| `(\w+)` +\|(.*)\|$", line)
+            if row and "memoized:" in row[2]:
+                listed = row[2].split("memoized:", 1)[1].split(";")[0]
+                documented[row[1]] = set(re.findall(r"`(\w+)`", listed))
+        cached = {}
+        for info in pkgutil.iter_modules(butterflies.__path__, "butterflies."):
+            mod = importlib.import_module(info.name)
+            names = {name for name, obj in vars(mod).items()
+                     if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
+            if names:
+                cached[info.name.split(".")[1]] = names
+        assert {"butterfly", "fgab", "intlinalg"} <= set(cached)
+        assert documented == cached
