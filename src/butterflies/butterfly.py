@@ -232,11 +232,11 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
 def homology_action(y: Butterfly) -> tuple:
     """(H^-1 src -> H^-1 dst, H^0 src -> H^0 dst): i^-1 j and p q^-1."""
     hs, hd = homology(y.src), homology(y.dst)
-    u = generator_lift(y.i, y.j.matrix * hs.incl.matrix)
+    u = generator_lift(y.i.matrix * hd.incl.matrix, y.carrier, y.j.matrix * hs.incl.matrix)
     if u is None:
         raise ValueError("map does not land in the subgroup")
-    hm1 = hd.ker.factor(hs.hm1, u)
-    lifts = generator_lift(y.q, hs.cok.fro)
+    hm1 = FgAbMap(hs.hm1, hd.hm1, u)
+    lifts = generator_lift(y.q.matrix, y.q.dst, hs.cok.fro)
     if lifts is None:
         raise ValueError("q is not surjective; butterfly invalid")
     h0 = FgAbMap(hs.h0, hd.h0, hd.proj.matrix * y.p.matrix * lifts)
@@ -379,7 +379,7 @@ def splitting_compose(z: Butterfly, y: Butterfly, phi: FgAbMap) -> ChainMap:
     if not in_col_span(y.dst.deg_0.relations, z.q.matrix * phi.matrix + y.p.matrix):
         raise ValueError("q*phi = -p condition fails")
     psi_m1 = factor_through_injection(z.i, y.src.deg_m1, phi.matrix * y.j.matrix)
-    sect = generator_lift(y.q, IntMatrix.identity(y.src.deg_0.ngens))
+    sect = generator_lift(y.q.matrix, y.q.dst, IntMatrix.identity(y.src.deg_0.ngens))
     if sect is None:
         raise ValueError("q is not surjective; butterfly invalid")
     psi_0 = FgAbMap(y.src.deg_0, z.dst.deg_0, -(z.p.matrix * phi.matrix * sect))

@@ -16,7 +16,7 @@ from typing import Optional
 from .intlinalg import IntMatrix, InvariantError, hstack, vstack, block, in_col_span
 from .fgab import (
     FgAbMap, direct_sum, kernel, cokernel, is_exact_at, generator_lift,
-    is_injective, is_surjective, hom_solve, inverse, random_map,
+    is_injective, is_surjective, hom_solve, random_map,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology, embed0, shift1, random_complex
 from .butterfly import (
@@ -187,9 +187,13 @@ class LongExactSequence:
 def les(s: ButterflyShortSeq) -> LongExactSequence:
     """0 -> H^-1 E -> H^-1 F -> H^-1 G --delta--> H^0 E -> H^0 F -> H^0 G -> 0.
 
-    delta follows the proof: divide carrier(Y) by im(j), take kernels into
-    G^0 on both carriers, invert the induced carrier map, and project to
-    H^0 E.
+    delta is the snake-lemma map qbar * phibar^-1 * i_Z on H^-1 G, where
+    phibar: coker(j_Y) -> Z is induced by the witness and qbar: coker(j_Y)
+    -> H^0 E by q_Y.  It is defined because the sequence is exact:
+    seq75_exact makes 0 -> coker(j_Y) -> Z -> G^0 -> 0 exact, so phibar is
+    injective with image ker(p_Z), which holds i_Z(H^-1 G).  One generator
+    lift through phibar gives phibar^-1 * i_Z; the checked map proves that
+    the composite descends.
     """
     if not is_exact(s):
         raise ValueError("les requires a two-sided exact sequence")
@@ -198,19 +202,11 @@ def les(s: ButterflyShortSeq) -> LongExactSequence:
     m1z, h0z = homology_action(s.z)
 
     cj = cokernel(s.y.j)
-    phibar = s.w.phi.matrix * cj.fro  # coker(j_Y) -> Z
-    yprime = kernel(cj.induce(s.g.deg_0, s.z.p.matrix * s.w.phi.matrix))
-    zprime = kernel(s.z.p)
-    phi_prime = zprime.factor(yprime.group, phibar * yprime.incl.matrix)
-    try:
-        rho = inverse(phi_prime)
-    except ValueError as exc:
-        raise InvariantError("induced carrier map Y' -> Z' must be an isomorphism") from exc
-    into_zprime = generator_lift(zprime.incl, s.z.i.matrix * hg.incl.matrix)
-    if into_zprime is None:
-        raise ValueError("map does not land in the subgroup")
-    qbar = he.proj.matrix * s.y.q.matrix * cj.fro  # coker(j_Y) -> H^0 E
-    delta = FgAbMap(hg.hm1, he.h0, qbar * yprime.incl.matrix * rho.matrix * into_zprime)
+    u = generator_lift(s.w.phi.matrix * cj.fro, s.z.carrier,
+                       s.z.i.matrix * hg.incl.matrix)  # H^-1 G -> coker(j_Y)
+    if u is None:
+        raise InvariantError("i_Z(H^-1 G) must lie in the image of coker(j_Y) -> Z")
+    delta = FgAbMap(hg.hm1, he.h0, he.proj.matrix * s.y.q.matrix * cj.fro * u)
 
     groups = (he.hm1, hf.hm1, hg.hm1, he.h0, hf.h0, hg.h0)
     maps = (m1y, m1z, delta, h0y, h0z)

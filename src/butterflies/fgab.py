@@ -17,8 +17,9 @@ subquotient; subquotient is for the callers that need the group itself.
 One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
 subquotient, Subquotient.lift_in and induce_out take the far endpoint group
 and a raw IntMatrix and return one checked map; Simplified.to and fro,
-Cokernel.fro and Ext1's coordinates are plain matrices.  hom_solve takes a
-map and a raw right-hand side per constraint; inverse is the one inversion.
+Cokernel.fro and Ext1's coordinates are plain matrices.  generator_lift
+lifts through a raw matrix into a given group; hom_solve takes a map and a
+raw right-hand side per constraint; inverse is the one inversion.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ class Subquotient:
         the one checked map proj * lift.  Raises ValueError when x does not
         land in ker(b).
         """
-        u = generator_lift(self.ker.incl, x)
+        u = generator_lift(self.ker.incl.matrix, self.ker.incl.dst, x)
         if u is None:
             raise ValueError("map does not land in the subgroup")
         return FgAbMap(src, self.group, self.cok.proj.matrix * u)
@@ -329,22 +330,23 @@ def is_surjective(f: FgAbMap) -> bool:
     return cokernel(f).group.is_trivial()
 
 
-def generator_lift(f: FgAbMap, targets: IntMatrix) -> Optional[IntMatrix]:
-    """Generator-wise preimages: a raw matrix Y with f(Y e_j) = targets e_j in dst.
+def generator_lift(m: IntMatrix, dst: FgAbGroup, targets: IntMatrix) -> Optional[IntMatrix]:
+    """Generator-wise preimages: a raw matrix Y with m*Y = targets modulo
+    dst's relations, for a matrix m into dst.
 
-    The result need not define a homomorphism on src generators' relations;
+    The result need not define a homomorphism on the source's relations;
     callers compose it so the composite does.
     """
-    x = solve_matrix(hstack(f.matrix, f.dst.relations), targets)
+    x = solve_matrix(hstack(m, dst.relations), targets)
     if x is None:
         return None
-    return submatrix(x, range(f.src.ngens))
+    return submatrix(x, range(m.cols))
 
 
 def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
     """For injective incl: K -> A and a matrix x: src -> A landing in the
     image, the map src -> K."""
-    u = generator_lift(incl, x)
+    u = generator_lift(incl.matrix, incl.dst, x)
     if u is None:
         raise ValueError("map does not land in the subgroup")
     return FgAbMap(src, incl.src, u)
@@ -356,7 +358,7 @@ def inverse(f: FgAbMap) -> FgAbMap:
     One lift of dst's generators gives L with f*L = 1 (none unless f is
     onto); then the map on L (the one descent check) and L*f = 1 (one
     membership test) both hold exactly when f is injective."""
-    lift = generator_lift(f, IntMatrix.identity(f.dst.ngens))
+    lift = generator_lift(f.matrix, f.dst, IntMatrix.identity(f.dst.ngens))
     if lift is None:
         raise ValueError("map is not surjective, so it has no inverse")
     inv = FgAbMap(f.dst, f.src, lift)

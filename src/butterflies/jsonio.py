@@ -207,7 +207,8 @@ PARSERS = {
 def parse_document(text: str):
     try:
         data = json.loads(text, parse_int=_str_to_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # nesting deeper than the interpreter's recursion limit is bad input too
         raise SchemaError(f"invalid JSON: {exc}")
     _expect(isinstance(data, dict), "document must be an object")
     kind = data.get("kind")

@@ -177,11 +177,10 @@ def _is_iso(f: FgAbMap) -> bool:
 
 def _has_two_sided_inverse(y: Butterfly) -> bool:
     """Build the reflected candidate inverse and test both composites
-    against the identities; no precondition assumed."""
-    try:
-        flip = Butterfly(y.dst, y.src, y.carrier, y.j, y.i, -y.q, -y.p)
-    except ValueError:
-        return False
+    against the identities; no precondition assumed.  The reflected wings
+    always fit the reflected endpoints, and a negated map always descends,
+    so the candidate can always be built; is_valid decides the rest."""
+    flip = Butterfly(y.dst, y.src, y.carrier, y.j, y.i, -y.q, -y.p)
     if not is_valid(flip):
         return False
     if two_morphism_find(compose(flip, y), identity_butterfly(y.src)) is None:

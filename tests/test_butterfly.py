@@ -286,7 +286,7 @@ class TestTwoMorphisms:
         if lift is not None:
             assert not is_well_defined(y.carrier, y.carrier, lift)
         # two_morphism_find inverts m through fgab.inverse, whose one lift this replaces
-        monkeypatch.setattr(fgab, "generator_lift", lambda m, targets: lift)
+        monkeypatch.setattr(fgab, "generator_lift", lambda m, dst, targets: lift)
         with pytest.raises(InvariantError, match="^five lemma: wing-commuting carrier map must be invertible$"):
             two_morphism_find(y, y)
 
@@ -375,6 +375,22 @@ class TestHomologyAction:
         hm1, h0 = homology_action(br())
         assert hm1.src.is_trivial()
         assert is_injective(h0) and is_surjective(h0)
+
+    def test_hm1_matches_two_step_lift(self):
+        """homology_action lifts j * incl_src once through i * incl_dst; the
+        map must agree with the two-step path: lift through i, then factor
+        through H^-1 dst's kernel inclusion."""
+        from butterflies.selftest import butterfly_suite
+        ours, reference = [], []
+        for y in butterfly_suite():
+            hs, hd = homology(y.src), homology(y.dst)
+            u = fgab.generator_lift(y.i.matrix, y.carrier, y.j.matrix * hs.incl.matrix)
+            assert u is not None
+            reference.append(hd.ker.factor(hs.hm1, u))
+            ours.append(homology_action(y)[0])
+        assert all(map_equal(a, b) for a, b in zip(ours, reference))
+        # not vacuous: some actions are nonzero
+        assert sum(not a.is_zero() for a in ours) >= 10
 
 
 class TestInvertibility:
@@ -680,7 +696,8 @@ DESCENT_CASES = [
     ("validate B", lambda: (bockstein(),), validate, 3),
     ("validate IK2", lambda: (ik2(),), validate, 3),
     ("validate triple", _composable_triple, lambda x, y, z: [validate(w) for w in (x, y, z)], 9),
-    ("les seq10 E2", lambda: (standard_seq_10(e2()),), les, 26),
+    ("les seq10 E2", lambda: (standard_seq_10(e2()),), les, 23),
+    ("homology_action B", lambda: (bockstein(),), homology_action, 4),
     ("middle_exact_iso B", lambda: (bockstein(),), middle_exact_iso, 23),
 ]
 
@@ -721,6 +738,8 @@ class TestDescentCheckCounts:
             maps = (out.m, out.inverse)
         elif isinstance(out, LongExactSequence):
             maps = out.maps
+        elif isinstance(out, tuple) and isinstance(out[0], FgAbMap):  # homology_action's pair
+            maps = out
         elif isinstance(out, tuple):  # middle_exact_iso's three butterflies
             maps = [w for b in out for w in (b.i, b.j, b.p, b.q)]
         else:

@@ -1,13 +1,20 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from butterflies import cli, jsonio
 from butterflies.cli import main
 from butterflies.fixtures import bockstein, ik2, br, e2, k2
 from butterflies.exactness import standard_seq_10
 from butterflies.butterfly import TwoMorphism, zero_butterfly
-from butterflies.fgab import FgAbMap, hom_solve, map_equal
+from butterflies.fgab import FgAbGroup, FgAbMap, hom_solve, map_equal
 from butterflies.intlinalg import IntMatrix, InvariantError
 
 
@@ -151,6 +158,23 @@ class TestExitCodes:
         got = capsys.readouterr()
         assert got.out == ""
         assert got.err == "internal error: TypeError: unsupported operand\n"
+
+    def test_non_utf8_file_is_schema_error(self, tmp_path, capsys):
+        p = tmp_path / "f.json"
+        p.write_bytes(b"\xff\xfe{}")
+        assert main(["validate", str(p)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith(f"schema error: cannot read {p}: ") and got.err.count("\n") == 1
+
+    def test_deep_nesting_is_schema_error(self, tmp_path, capsys):
+        # deeper than the recursion limit: json.loads raises RecursionError
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", str(p)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith("schema error: invalid JSON: ") and got.err.count("\n") == 1
 
     def test_relation_row_that_is_not_a_list_is_schema_error(self, tmp_path, capsys):
         p = tmp_path / "group.json"
@@ -414,3 +438,132 @@ def test_selftest_smoke(capsys):
     assert main(["selftest", "--scale", "0.02", "--suite", "1", "8"]) == 0
     out = capsys.readouterr().out
     assert "PASS criterion 1" in out and "PASS criterion 8" in out
+
+
+# -- fuzzing the golden documents ---------------------------------------------
+
+TO_JSON = {"group": jsonio.group_to_json, "map": jsonio.map_to_json,
+           "complex": jsonio.complex_to_json, "butterfly": jsonio.butterfly_to_json,
+           "sequence": jsonio.sequence_to_json}
+
+# long (past one 4000-digit conversion chunk), non-decimal and edge literals
+LITERALS = ["9" * 4500, "-1" + "0" * 4100, "0x10", "1e3", "3_0", " 3", "+3", "\u0663",
+            "", "-", "1.5", "007", "-0"]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | st.floats()
+    | st.text(max_size=4) | st.sampled_from(LITERALS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@functools.lru_cache(maxsize=None)
+def golden_texts() -> tuple:
+    """B, IK2, Br, standard_seq_10(E2), a complex, a map and a group, emitted."""
+    e = e2()
+    objs = [("butterfly", bockstein()), ("butterfly", ik2()), ("butterfly", br()),
+            ("sequence", standard_seq_10(e)), ("complex", e), ("map", e.d),
+            ("group", FgAbGroup.from_invariants(1, (2, 6)))]
+    return tuple(jsonio.emit(jsonio.document(kind, TO_JSON[kind](x))) for kind, x in objs)
+
+
+def _at(node, path):
+    return functools.reduce(lambda n, key: n[key], path, node)
+
+
+def _paths(node, at=()):
+    """The path (keys and indices) of every value below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield at + (key,)
+        yield from _paths(child, at + (key,))
+
+
+@st.composite
+def json_mutants(draw) -> bytes:
+    """A golden document with one or two changes: a leaf set to a small
+    decimal or to an odd literal, or any value replaced, deleted or (a list
+    item, such as a matrix row) duplicated."""
+    doc = json.loads(draw(st.sampled_from(golden_texts())))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        op = draw(st.sampled_from(["entry", "entry", "literal", "replace", "delete", "duplicate"]))
+        leaves = [p for p in paths if not isinstance(_at(doc, p), (dict, list))]
+        items = [p for p in paths if isinstance(_at(doc, p[:-1]), list)]
+        path = draw(st.sampled_from({"entry": leaves, "literal": leaves,
+                                     "duplicate": items}.get(op) or paths))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if op == "entry":
+            parent[key] = str(draw(st.integers(-4, 8)))
+        elif op == "literal":
+            parent[key] = draw(st.sampled_from(LITERALS))
+        elif op == "replace":
+            parent[key] = draw(JSON_VALUES)
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return json.dumps(doc, indent=draw(st.sampled_from([None, 2]))).encode()
+
+
+@st.composite
+def byte_mutants(draw) -> bytes:
+    """A golden document's bytes with one to four bytes set, inserted or
+    deleted, or a truncation; inserts include a byte order mark that is not
+    UTF-8 and nesting deeper than the recursion limit."""
+    data = bytearray(draw(st.sampled_from(golden_texts())).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+        if op == "set" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif op == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=4)
+                                 | st.sampled_from([b"\xff\xfe", b"[" * 100_000]))
+        elif op == "delete":
+            del data[pos:pos + draw(st.integers(1, 8))]
+        elif op == "truncate":
+            del data[pos:]
+    return bytes(data)
+
+
+def _run(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_documented_outcome(data: bytes):
+    """validate, report and les exit 0, 1 or 2 with no traceback, and a
+    document that validates round-trips byte-stably through emit(parse(.))."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for command in ("validate", "report", "les"):
+            code, out, err = _run([command, path])
+            assert code in (0, 1, 2), (command, err)
+            assert "Traceback" not in out + err, command
+            if command == "validate" and code == 0:
+                kind, obj = jsonio.parse_document(data.decode("utf-8"))
+                text = jsonio.emit(jsonio.document(kind, TO_JSON[kind](obj)))
+                kind2, obj2 = jsonio.parse_document(text)
+                assert jsonio.emit(jsonio.document(kind2, TO_JSON[kind2](obj2))) == text
+
+
+class TestFuzzGoldenDocuments:
+    """Mutants of the golden documents only ever meet the documented exit
+    codes: 0, 1 or 2, never 3 (an internal error) and never a traceback."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(json_mutants())
+    def test_json_level_mutants(self, data):
+        _check_documented_outcome(data)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(byte_mutants())
+    def test_byte_level_mutants(self, data):
+        _check_documented_outcome(data)

@@ -398,7 +398,7 @@ def test_dual_presentation_is_precompose_on_free_presentation():
 
 def test_generator_lift_and_injection_factor():
     red = FgAbMap(Z4, Z2, m([[1]]))
-    lifts = generator_lift(red, IntMatrix.identity(1))
+    lifts = generator_lift(red.matrix, red.dst, IntMatrix.identity(1))
     assert lifts is not None and lifts[0, 0] % 2 == 1
     k = kernel(red)
     t2 = FgAbMap(Z2, Z4, m([[2]]))

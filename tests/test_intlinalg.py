@@ -443,6 +443,33 @@ class TestSourceRules:
                             found.append(f"{path.name}:{node.lineno} {name}")
         assert found == []
 
+    def test_exceptions_caught_only_at_the_boundary(self):
+        """Nothing uses an exception for control flow.  A try statement
+        appears only where input enters (cli, jsonio), in selftest's
+        _mutant_refusal, whose refusal is the tested outcome, and in
+        two_morphism_find, which turns a failed inverse into the five-lemma
+        InvariantError."""
+        allowed = {("selftest.py", "_mutant_refusal"), ("butterfly.py", "two_morphism_find")}
+
+        def tries(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Try):
+                    yield child.lineno, where
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+                yield from tries(child, inner)
+
+        found = []
+        for path in source_files():
+            if path.name in ("cli.py", "jsonio.py"):
+                continue
+            for lineno, where in tries(ast.parse(path.read_text()), None):
+                if (path.name, where) not in allowed:
+                    found.append(f"{path.name}:{lineno} try in {where}")
+        assert found == []
+        body = ast.unparse(next(n for n in ast.walk(ast.parse((SRC / "butterfly.py").read_text()))
+                                if isinstance(n, ast.FunctionDef) and n.name == "two_morphism_find"))
+        assert "raise InvariantError('five lemma: " in body
+
     def test_memoized_functions_are_documented(self):
         """README's module table is the one record of the cache policy: each
         row lists, after "memoized:", exactly its module's lru_caches."""
