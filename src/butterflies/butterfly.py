@@ -32,7 +32,7 @@ from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
-    inverse, ext1_realize,
+    ext1_realize,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology
 
@@ -193,9 +193,11 @@ def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
     """A 2-morphism a => b, or None when the carriers cannot be matched.
 
     Any carrier map m commuting with the wings is invertible (short five
-    lemma); the inverse is constructed by fgab.inverse, never assumed.  Its
-    refusal, which would mean m is no isomorphism, is an InvariantError;
-    TwoMorphism then checks both inverse equations again.
+    lemma); the inverse is constructed, never assumed.  One generator lift
+    of the identity through m gives L with m*L = 1; the checked map on L
+    proves its descent, and TwoMorphism's two inverse equations are the one
+    check that L inverts m.  No lift, or a refusal of either, would mean m
+    is no isomorphism: an InvariantError.
     """
     if (a.src, a.dst) != (b.src, b.dst):
         raise ValueError("two-morphisms need parallel butterflies")
@@ -204,11 +206,14 @@ def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
                   post=[(b.p, a.p.matrix), (b.q, a.q.matrix)])
     if m is None:
         return None
-    try:
-        inv = inverse(m)
-    except ValueError as exc:
-        raise InvariantError("five lemma: wing-commuting carrier map must be invertible") from exc
-    return TwoMorphism(a, b, m, inv)
+    lift = generator_lift(m.matrix, b.carrier, IntMatrix.identity(b.carrier.ngens))
+    cause = None
+    if lift is not None:
+        try:
+            return TwoMorphism(a, b, m, FgAbMap(b.carrier, a.carrier, lift))
+        except ValueError as exc:
+            cause = exc
+    raise InvariantError("five lemma: wing-commuting carrier map must be invertible") from cause
 
 
 def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:

@@ -28,7 +28,7 @@ from .butterfly import (
 )
 from .twocomplex import homology
 from .derived import biext_groups
-from .exactness import is_exact, les, random_exact_seq
+from .exactness import les, random_exact_seq
 from . import jsonio
 from .intlinalg import InvariantError
 from .jsonio import SchemaError, RefusalError
@@ -51,7 +51,9 @@ def _read_kind(path: str, kind: str):
     return obj
 
 
-def _write_or_print(doc: dict, out_path):
+def _write_or_print(doc: dict, out_path, verdict: str = ""):
+    """doc to out_path, or to stdout after the verdict; the verdict goes to
+    stdout only once out_path is written, so a failed write prints nothing."""
     text = jsonio.emit(doc)
     if out_path:
         try:
@@ -59,8 +61,8 @@ def _write_or_print(doc: dict, out_path):
                 fh.write(text)
         except OSError as exc:
             raise SchemaError(f"cannot write {out_path}: {exc}")
-    else:
-        sys.stdout.write(text)
+        text = ""
+    sys.stdout.write(verdict + text)
 
 
 def _refused(named, stream=None) -> bool:
@@ -116,9 +118,8 @@ def cmd_iso2(args) -> int:
     tm = two_morphism_find(a, b)
     if tm is None:
         print("none")
-    else:
-        print("isomorphic")
-        _write_or_print({"matrix": jsonio.matrix_to_json(tm.m.matrix)}, args.out)
+        return 0
+    _write_or_print({"matrix": jsonio.matrix_to_json(tm.m.matrix)}, args.out, "isomorphic\n")
     return 0
 
 
@@ -159,10 +160,10 @@ def cmd_les(args) -> int:
     s = _read_kind(args.path, "sequence")
     if _refused(_sequence_parts(s)):
         return 1
-    if not is_exact(s):
+    l = les(s)
+    if l is None:
         print("sequence is not two-sided exact; refusing", file=sys.stderr)
         return 1
-    l = les(s)
     doc = {
         "groups": [jsonio.invariants_to_json(g) for g in l.groups],
         "maps": [jsonio.matrix_to_json(m.matrix) for m in l.maps],

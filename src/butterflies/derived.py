@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, InvariantError, hstack, vstack, kron, solve_matrix
+from .intlinalg import IntMatrix, InvariantError, hstack, vstack, kron, solve
 from .fgab import (
     FgAbGroup, FgAbMap, kernel, cokernel, hom_group, power_group,
     free_presentation, dual_presentation, precompose, precompose_matrix, ext1_realize,
@@ -80,7 +80,7 @@ def biext_groups(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> BiextGroups:
     r0, pre0 = dual_presentation(k0, c)
     r1, pre1 = dual_presentation(k1, c)
     dmat = k.d.matrix
-    dprime = solve_matrix(r0, dmat * r1)  # D*R1 = R0*D' exactly
+    dprime = solve(r0, dmat * r1)  # D*R1 = R0*D' exactly
     if dprime is None:
         raise InvariantError("the differential must lift through the free presentations")
 

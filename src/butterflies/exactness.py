@@ -184,7 +184,7 @@ class LongExactSequence:
         return self.maps[2]
 
 
-def les(s: ButterflyShortSeq) -> LongExactSequence:
+def les(s: ButterflyShortSeq) -> Optional[LongExactSequence]:
     """0 -> H^-1 E -> H^-1 F -> H^-1 G --delta--> H^0 E -> H^0 F -> H^0 G -> 0.
 
     delta is the snake-lemma map qbar * phibar^-1 * i_Z on H^-1 G, where
@@ -194,9 +194,12 @@ def les(s: ButterflyShortSeq) -> LongExactSequence:
     injective with image ker(p_Z), which holds i_Z(H^-1 G).  One generator
     lift through phibar gives phibar^-1 * i_Z; the checked map proves that
     the composite descends.
+
+    None when s is not two-sided exact: les is the one place that decides
+    it, so callers do not run is_exact first.
     """
     if not is_exact(s):
-        raise ValueError("les requires a two-sided exact sequence")
+        return None
     he, hf, hg = homology(s.e), homology(s.f), homology(s.g)
     m1y, h0y = homology_action(s.y)
     m1z, h0z = homology_action(s.z)

@@ -18,8 +18,10 @@ One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
 subquotient, Subquotient.lift_in and induce_out take the far endpoint group
 and a raw IntMatrix and return one checked map; Simplified.to and fro,
 Cokernel.fro and Ext1's coordinates are plain matrices.  generator_lift
-lifts through a raw matrix into a given group; hom_solve takes a map and a
-raw right-hand side per constraint; inverse is the one inversion.
+lifts through a raw matrix into a given group (one intlinalg.solve); hom_solve
+takes a map and a raw right-hand side per constraint.  Each fact is checked
+once: subquotient's b*a = 0 is the lift through ker(b), and a map's descent
+is its construction.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Optional, Sequence
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
-    solve_matrix, solve_congruences, kernel_basis, in_col_span, col_echelon, submatrix,
+    solve, solve_congruences, kernel_basis, in_col_span, col_echelon, submatrix,
 )
 
 
@@ -84,10 +87,7 @@ class FgAbGroup:
         rank, tors = self.invariant_factors()
         if rank:
             return None
-        n = 1
-        for d in tors:
-            n *= d
-        return n
+        return prod(tors)
 
     def describe(self) -> str:
         rank, tors = self.invariant_factors()
@@ -296,12 +296,11 @@ class Subquotient:
 
 
 def subquotient(src: FgAbGroup, a: IntMatrix, b: FgAbMap) -> Subquotient:
-    """ker(b)/im(a) for a matrix a: src -> b.src.  a's descent is proven by
-    the one checked map that factors it through ker(b)."""
+    """ker(b)/im(a) for a matrix a: src -> b.src.  The one checked map that
+    factors a through ker(b) is the one check: the lift exists exactly when
+    b*a = 0, and the map proves a's descent."""
     if (a.rows, a.cols) != (b.src.ngens, src.ngens):
         raise ValueError("subquotient endpoints mismatch")
-    if not in_col_span(b.dst.relations, b.matrix * a):
-        raise ValueError("subquotient requires b * a = 0")
     ker = kernel(b)
     return Subquotient(ker, cokernel(ker.factor(src, a)))
 
@@ -337,7 +336,7 @@ def generator_lift(m: IntMatrix, dst: FgAbGroup, targets: IntMatrix) -> Optional
     The result need not define a homomorphism on the source's relations;
     callers compose it so the composite does.
     """
-    x = solve_matrix(hstack(m, dst.relations), targets)
+    x = solve(hstack(m, dst.relations), targets)
     if x is None:
         return None
     return submatrix(x, range(m.cols))
@@ -350,21 +349,6 @@ def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgA
     if u is None:
         raise ValueError("map does not land in the subgroup")
     return FgAbMap(src, incl.src, u)
-
-
-def inverse(f: FgAbMap) -> FgAbMap:
-    """The inverse of an isomorphism f; ValueError when f is not one.
-
-    One lift of dst's generators gives L with f*L = 1 (none unless f is
-    onto); then the map on L (the one descent check) and L*f = 1 (one
-    membership test) both hold exactly when f is injective."""
-    lift = generator_lift(f.matrix, f.dst, IntMatrix.identity(f.dst.ngens))
-    if lift is None:
-        raise ValueError("map is not surjective, so it has no inverse")
-    inv = FgAbMap(f.dst, f.src, lift)
-    if not in_col_span(f.src.relations, lift * f.matrix - IntMatrix.identity(f.src.ngens)):
-        raise ValueError("map is not injective, so it has no inverse")
-    return inv
 
 
 # -- affine morphism solving -------------------------------------------------
@@ -489,7 +473,7 @@ def random_group(rng: random.Random, max_rank: int = 2, max_order: int = 16) -> 
     rank = rng.choice([0, 0, 0, min(1, max_rank), min(1, max_rank), max_rank])
     tors = []
     d = rng.choice([1, 1, 2, 2, 3, 4])
-    while d > 1 and _prod(tors) * d <= max_order:
+    while d > 1 and prod(tors) * d <= max_order:
         tors.append(d)
         d *= rng.choice([1, 2, 2, 3])
         if rng.random() < 0.5:
@@ -504,13 +488,6 @@ def random_group(rng: random.Random, max_rank: int = 2, max_order: int = 16) -> 
             rel = hstack(rel, extra)
         g = FgAbGroup(g.ngens, rel)
     return g
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def random_map(rng: random.Random, a: FgAbGroup, b: FgAbGroup) -> FgAbMap:

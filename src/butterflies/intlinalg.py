@@ -444,39 +444,21 @@ def _back_substitute(echelon: tuple, bvec) -> Optional[list]:
     return y
 
 
-def solve(a: IntMatrix, b) -> Optional[tuple]:
-    """Solve a*x = b over the integers.
+def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
+    """Solve a*X = b over the integers, one column of b at a time on a's
+    one cached factorization.
 
-    Returns (x0, K) with a*x0 = b and the columns of K a lattice basis of
-    {x : a*x = 0}, or None when no integer solution exists ("unsolvable" is
-    a normal answer, not an error).  The general solution is x0 + K*t.
+    Returns X, or None when some column has no integer solution
+    ("unsolvable" is a normal answer, not an error).  kernel_basis(a)
+    gives the rest of the solutions.
 
-    >>> x0, k = solve(IntMatrix.from_rows([[2]]), [4])
-    >>> x0.col(0), k.cols
-    ((2,), 0)
-    >>> solve(IntMatrix.from_rows([[2]]), [3]) is None
+    >>> solve(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[4, -6]])).entries
+    (2, -3)
+    >>> solve(IntMatrix.from_rows([[2]]), IntMatrix.column([3])) is None
     True
     """
-    if isinstance(b, IntMatrix):
-        if b.cols != 1:
-            raise ValueError("b must be a column vector")
-        bvec = b.col(0)
-    else:
-        bvec = [int(x) for x in b]
-    if len(bvec) != a.rows:
-        raise ValueError("dimension mismatch in solve")
-    echelon = col_echelon(a)
-    y = _back_substitute(echelon, bvec)
-    if y is None:
-        return None
-    x0 = IntMatrix._of(1, len(y), tuple(y)) * echelon[1]  # (V*y)^T = y^T * V^T
-    return (IntMatrix._of(a.cols, 1, x0.entries), kernel_basis(a))
-
-
-def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Solve a*X = b columnwise; returns X or None. Shares a's factorization."""
     if b.rows != a.rows:
-        raise ValueError("dimension mismatch in solve_matrix")
+        raise ValueError("dimension mismatch in solve")
     echelon = col_echelon(a)
     ys = []
     for j in range(b.cols):
@@ -555,10 +537,11 @@ def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> Opt
                 eqs.append(eq)
                 rhs.append(cmcol[u])
         slack_base += ra * bcols
-    res = solve(_from_lists(len(eqs), nx + slack_cols, eqs), rhs)
-    if res is None:
+    system = _from_lists(len(eqs), nx + slack_cols, eqs)
+    x0 = solve(system, IntMatrix._of(len(rhs), 1, tuple(rhs)))
+    if x0 is None:
         return None
-    x0, kern = res
+    kern = kernel_basis(system)
     ks = []
     for j in range(kern.cols):
         k = kern.col(j)[:nx]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .intlinalg import IntMatrix, snf
 from .fgab import FgAbGroup, FgAbMap
@@ -39,10 +39,7 @@ class ElementGroup:
 
     @property
     def size(self) -> int:
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return prod(self.orders)
 
     def zero(self):
         return (0,) * len(self.orders)
@@ -104,9 +101,7 @@ def realize(g: FgAbGroup, cap: int = DEFAULT_CAP) -> Realization:
     if any(d == 0 for d in orders):
         raise OracleError("group is infinite; the oracle only handles torsion")
     kept = tuple(i for i in range(n) if orders[i] >= 2)
-    total = 1
-    for i in kept:
-        total *= orders[i]
+    total = prod(orders[i] for i in kept)
     if total > cap:
         raise OracleError(f"group order {total} exceeds cap {cap}")
     return Realization(g, ElementGroup(tuple(orders[i] for i in kept)), u, uinv, kept)

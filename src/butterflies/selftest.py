@@ -26,7 +26,7 @@ from .butterfly import (
     image_b, coimage_b, middle_exact_iso, random_butterfly,
 )
 from .exactness import (
-    zero_witness_find, is_exact,
+    zero_witness_find,
     standard_seq_51, standard_seq_10, standard_seq_52, les, random_exact_seq,
 )
 from .derived import derived_tensor, biext_groups, biext_enumerate
@@ -254,17 +254,15 @@ def crit6_les(scale: float = 1.0):
     for k in range(ncx):
         cx = _small_complex(rng)
         for build in (standard_seq_51, standard_seq_10, standard_seq_52):
-            s = build(cx)
-            if not is_exact(s):
+            l = les(build(cx))
+            if l is None:
                 return False, f"{build.__name__} not exact on complex #{k}"
-            l = les(s)
             if not l.all_exact:
                 return False, f"les({build.__name__}) not exact on complex #{k}"
     nseq = _n(300, scale)
     for k in range(nseq):
-        s = random_exact_seq(rng)
-        l = les(s)
-        if not l.all_exact:
+        l = les(random_exact_seq(rng))
+        if l is None or not l.all_exact:
             return False, f"les of random sequence #{k} not exact"
     golden = les(standard_seq_10(fixtures.e2())).delta.matrix.to_lists()
     if golden != DELTA_GOLDEN:

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import butterflies
-from butterflies import fgab
+from butterflies import butterfly, fgab, intlinalg
 from butterflies.intlinalg import IntMatrix, InvariantError, hstack, vstack
 from butterflies.fgab import (
     FgAbGroup, FgAbMap, direct_sum, map_equal, is_injective, is_surjective, hom_solve,
@@ -277,16 +277,18 @@ class TestTwoMorphisms:
         m = FgAbMap(a.carrier, b.carrier, IntMatrix.from_rows([[1], [0]]))
         self.refuses("right inverse", a, b, m, FgAbMap(b.carrier, a.carrier, IntMatrix.from_rows([[1, 0]])))
 
-    @pytest.mark.parametrize("lift", [None, IntMatrix.from_rows([[0, 0], [1, 0]])],
-                             ids=["no lift", "lift that does not descend"])
-    def test_inverse_failure_is_invariant_error(self, monkeypatch, lift):
-        # carrier Z/2 + Z/4: sending the Z/2 generator to the Z/4 one does not descend
+    @pytest.mark.parametrize("lift, descends", [
+        (None, None), (IntMatrix.from_rows([[0, 0], [1, 0]]), False), (IntMatrix.zeros(2, 2), True)],
+        ids=["no lift", "lift that does not descend", "lift that is no left inverse"])
+    def test_inverse_failure_is_invariant_error(self, monkeypatch, lift, descends):
+        # carrier Z/2 + Z/4: sending the Z/2 generator to the Z/4 one does not descend;
+        # the zero map descends, and TwoMorphism's left-inverse equation refuses it
         y = identity_butterfly(TwoTermComplex(Z4, Z2, FgAbMap(Z4, Z2, IntMatrix.from_rows([[1]]))))
         assert two_morphism_find(y, y) is not None
         if lift is not None:
-            assert not is_well_defined(y.carrier, y.carrier, lift)
-        # two_morphism_find inverts m through fgab.inverse, whose one lift this replaces
-        monkeypatch.setattr(fgab, "generator_lift", lambda m, dst, targets: lift)
+            assert is_well_defined(y.carrier, y.carrier, lift) == descends
+        # two_morphism_find inverts m by one lift of the identity, which this replaces
+        monkeypatch.setattr(butterfly, "generator_lift", lambda m, dst, targets: lift)
         with pytest.raises(InvariantError, match="^five lemma: wing-commuting carrier map must be invertible$"):
             two_morphism_find(y, y)
 
@@ -747,3 +749,48 @@ class TestDescentCheckCounts:
             assert out in ([], [[], [], []])
         for f in maps:
             assert is_well_defined(f.src, f.dst, f.matrix)
+
+
+# (name, arguments built before counting, operation, in_col_span calls at most)
+MEMBERSHIP_CASES = [
+    ("compose B B", lambda: (bockstein(), bockstein()), compose, 10),
+    ("baer_sum B B", lambda: (bockstein(), bockstein()), baer_sum, 10),
+    ("compose triple", _composable_triple, lambda x, y, z: compose(compose(z, y), x), 15),
+    ("two_morphism_find B*B IK2", lambda: (compose(bockstein(), bockstein()), ik2()),
+     two_morphism_find, 8),
+]
+
+
+class TestMembershipTestCounts:
+    """Membership tests (calls of intlinalg.in_col_span, through every
+    module that binds it) per operation, from cold caches.  The bounds are
+    the counts once each fact is checked once: subquotient's b*a = 0 is the
+    lift through ker(b), and two_morphism_find's inverse equations are
+    TwoMorphism's alone."""
+
+    @pytest.fixture
+    def count_tests(self, monkeypatch):
+        calls = []
+        original = intlinalg.in_col_span
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for info in pkgutil.iter_modules(butterflies.__path__, "butterflies."):
+            mod = importlib.import_module(info.name)
+            for name, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, name, counting)
+
+        def run(op, args):
+            _clear_caches()
+            calls.clear()
+            op(*args)
+            return len(calls)
+        return run
+
+    @pytest.mark.parametrize("build, op, bound", [c[1:] for c in MEMBERSHIP_CASES],
+                             ids=[c[0] for c in MEMBERSHIP_CASES])
+    def test_membership_tests_bounded(self, count_tests, build, op, bound):
+        assert count_tests(op, build()) <= bound

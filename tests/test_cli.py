@@ -9,10 +9,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from butterflies import cli, jsonio
+from butterflies import cli, exactness, jsonio
 from butterflies.cli import main
 from butterflies.fixtures import bockstein, ik2, br, e2, k2
-from butterflies.exactness import standard_seq_10
+from butterflies.exactness import is_exact, standard_seq_10
 from butterflies.butterfly import TwoMorphism, zero_butterfly
 from butterflies.fgab import FgAbGroup, FgAbMap, hom_solve, map_equal
 from butterflies.intlinalg import IntMatrix, InvariantError
@@ -127,11 +127,32 @@ class TestExitCodes:
     def test_biext_bad_shorthand(self, docs):
         assert main(["biext", "Z/x", "2", "2"]) == 2
 
-    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_io_error(self, docs, tmp_path, capsys):
+        # every command with --out; iso2 finds a 2-morphism here, so a verdict
+        # printed before the write would show on stdout
+        assert main(["compose", docs["B.json"], docs["B.json"], "--out", docs["out"]]) == 0
         out = str(tmp_path / "missing" / "x.json")
-        assert main(["gen", "butterfly", "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"schema error: cannot write {out}: ") and err.count("\n") == 1
+        for argv in (["compose", docs["B.json"], docs["B.json"]], ["iso2", docs["out"], docs["IK2.json"]],
+                     ["report", docs["B.json"]], ["les", docs["seq10.json"]], ["biext", "2", "2", "Z"],
+                     ["gen", "butterfly"]):
+            capsys.readouterr()
+            assert main(argv + ["--out", out]) == 2, argv
+            got = capsys.readouterr()
+            assert got.out == "", argv
+            assert got.err.startswith(f"schema error: cannot write {out}: ") and got.err.count("\n") == 1
+
+    def test_les_decides_exactness_once(self, docs, capsys, monkeypatch):
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return is_exact(s)
+        for mod in (cli, exactness):  # each module the command could reach it through
+            if getattr(mod, "is_exact", None) is is_exact:
+                monkeypatch.setattr(mod, "is_exact", counting)
+        assert main(["les", docs["seq10.json"]]) == 0
+        assert json.loads(capsys.readouterr().out)["all_exact"] is True
+        assert len(calls) == 1
 
     def test_selftest_unknown_criterion_is_usage_error(self, capsys):
         for suite in (["99"], ["x"], ["1", "99"]):

@@ -11,7 +11,7 @@ from butterflies.fgab import (
     FgAbGroup, FgAbMap, is_well_defined, map_equal, direct_sum, simplify,
     kernel, cokernel, image, subquotient, is_exact_at, is_injective,
     is_surjective, hom_solve, hom_solve_all, ext1_realize, hom_group,
-    random_group, random_map, factor_through_injection, generator_lift, inverse,
+    random_group, random_map, factor_through_injection, generator_lift,
     precompose, dual_presentation, free_presentation,
 )
 
@@ -404,20 +404,6 @@ def test_generator_lift_and_injection_factor():
     t2 = FgAbMap(Z2, Z4, m([[2]]))
     u = factor_through_injection(k.incl, t2.src, t2.matrix)
     assert map_equal(k.incl * u, t2)
-
-
-def test_inverse_of_isomorphism_and_refusals():
-    z23 = FgAbGroup(2, m([[2, 0], [0, 3]]))
-    f = FgAbMap(Z6, z23, m([[1], [1]]))                  # Z/6 = Z/2 + Z/3
-    inv = inverse(f)
-    assert (inv.src, inv.dst) == (z23, Z6)
-    assert map_equal(inv * f, FgAbMap.identity(Z6)) and map_equal(f * inv, FgAbMap.identity(z23))
-    with pytest.raises(ValueError, match="does not define a homomorphism"):
-        inverse(FgAbMap(Z4, Z2, m([[1]])))               # onto, not injective: the lift does not descend
-    with pytest.raises(ValueError, match="not surjective"):
-        inverse(FgAbMap(Z2, Z4, m([[2]])))               # injective, not onto: no lift
-    with pytest.raises(ValueError, match="not injective"):
-        inverse(FgAbMap(direct_sum(Z2, Z2), Z2, m([[1, 0]])))  # the lift descends, but L*f != 1
 
 
 # use_true_random, for the reason given at the exactness property above

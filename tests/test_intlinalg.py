@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import butterflies
 from butterflies.fgab import FgAbGroup, simplify
 from butterflies.intlinalg import (
-    CACHE_SIZE, IntMatrix, hnf, snf, solve, solve_matrix, kernel_basis, in_col_span,
+    CACHE_SIZE, IntMatrix, hnf, snf, solve, kernel_basis, in_col_span,
     hstack, vstack, kron, submatrix, solve_congruences,
 )
 
@@ -185,32 +185,34 @@ class TestSnf:
 
 class TestSolve:
     def test_simple(self):
-        x0, k = solve(mat([[2]]), [4])
-        assert x0.col(0) == (2,)
-        assert k.cols == 0
+        assert solve(mat([[2]]), IntMatrix.column([4])).col(0) == (2,)
+        assert kernel_basis(mat([[2]])).cols == 0
 
     def test_parity_unsolvable(self):
-        assert solve(mat([[2]]), [3]) is None
+        assert solve(mat([[2]]), IntMatrix.column([3])) is None
 
     def test_kernel_line(self):
-        x0, k = solve(mat([[1, 1]]), [0])
-        assert x0.col(0) == (0, 0)
+        assert solve(mat([[1, 1]]), IntMatrix.column([0])).col(0) == (0, 0)
+        k = kernel_basis(mat([[1, 1]]))
         assert k.cols == 1
         a, b = k.col(0)
         assert a + b == 0 and abs(a) == 1
 
     def test_empty_shapes(self):
-        x0, k = solve(IntMatrix.zeros(0, 3), [])
-        assert x0.col(0) == (0, 0, 0) and k.cols == 3
-        assert solve(IntMatrix.zeros(3, 0), [0, 0, 0]) is not None
-        assert solve(IntMatrix.zeros(3, 0), [1, 0, 0]) is None
+        assert solve(IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 1)).col(0) == (0, 0, 0)
+        assert kernel_basis(IntMatrix.zeros(0, 3)).cols == 3
+        assert solve(IntMatrix.zeros(3, 0), IntMatrix.column([0, 0, 0])) is not None
+        assert solve(IntMatrix.zeros(3, 0), IntMatrix.column([1, 0, 0])) is None
+        assert solve(mat([[2]]), IntMatrix.zeros(1, 0)) == IntMatrix.zeros(1, 0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(mat([[2]]), IntMatrix.column([1, 2]))
 
     @given(st.integers(0, 3), st.integers(0, 3), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_against_bounded_search(self, r, c, rng):
         a = IntMatrix(r, c, [rng.randint(-3, 3) for _ in range(r * c)])
         b = [rng.randint(-5, 5) for _ in range(r)]
-        res = solve(a, b)
+        res = solve(a, IntMatrix.column(b))
         box = None
         for x in itertools.product(range(-6, 7), repeat=c):
             if all(sum(a[i, j] * x[j] for j in range(c)) == b[i] for i in range(r)):
@@ -219,19 +221,18 @@ class TestSolve:
         if box is not None:
             assert res is not None
         assert in_col_span(a, IntMatrix.column(b)) == (res is not None)
-        x = solve_matrix(a, IntMatrix.column(b))
-        assert x == (None if res is None else res[0])
         if res is not None:
-            x0, k = res
-            assert all(sum(a[i, j] * x0[j, 0] for j in range(c)) == b[i] for i in range(r))
+            assert all(sum(a[i, j] * res[j, 0] for j in range(c)) == b[i] for i in range(r))
+            k = kernel_basis(a)
             for t in range(k.cols):
                 assert all(sum(a[i, j] * k[j, t] for j in range(c)) == 0 for i in range(r))
 
 
 def test_solve_matrix_and_kernel_basis():
     a = mat([[2, 0], [0, 3]])
-    x = solve_matrix(a, mat([[4, 2], [9, 3]]))
+    x = solve(a, mat([[4, 2], [9, 3]]))
     assert a * x == mat([[4, 2], [9, 3]])
+    assert solve(a, mat([[4, 1], [9, 3]])) is None  # one unsolvable column refuses all
     assert kernel_basis(mat([[1, 1]])).cols == 1
 
 
