@@ -39,23 +39,29 @@ from .twocomplex import TwoTermComplex, ChainMap, homology
 
 @dataclass(frozen=True)
 class Butterfly:
+    """Four wings meeting in one carrier, i.dst; each wing is checked once."""
+
     src: TwoTermComplex
     dst: TwoTermComplex
-    carrier: FgAbGroup
     i: FgAbMap  # dst.deg_m1 -> carrier
     j: FgAbMap  # src.deg_m1 -> carrier
     p: FgAbMap  # carrier -> dst.deg_0
     q: FgAbMap  # carrier -> src.deg_0
 
     def __post_init__(self):
-        if self.i.src != self.dst.deg_m1 or self.i.dst != self.carrier:
+        car = self.i.dst
+        if self.i.src != self.dst.deg_m1:
             raise ValueError("wing i endpoints mismatch")
-        if self.j.src != self.src.deg_m1 or self.j.dst != self.carrier:
+        if self.j.src != self.src.deg_m1 or self.j.dst != car:
             raise ValueError("wing j endpoints mismatch")
-        if self.p.src != self.carrier or self.p.dst != self.dst.deg_0:
+        if self.p.src != car or self.p.dst != self.dst.deg_0:
             raise ValueError("wing p endpoints mismatch")
-        if self.q.src != self.carrier or self.q.dst != self.src.deg_0:
+        if self.q.src != car or self.q.dst != self.src.deg_0:
             raise ValueError("wing q endpoints mismatch")
+
+    @property
+    def carrier(self) -> FgAbGroup:
+        return self.i.dst
 
 
 def validate(b: Butterfly) -> list:
@@ -138,7 +144,7 @@ def from_chain_map(f: ChainMap) -> Butterfly:
     j = FgAbMap(e.deg_m1, car, vstack(e.d.matrix, f.f_m1.matrix))
     p = FgAbMap(car, ff.deg_0, hstack(f.f_0.matrix, -ff.d.matrix))
     q = FgAbMap(car, e.deg_0, hstack(IntMatrix.identity(n0), IntMatrix.zeros(n0, m1)))
-    return Butterfly(e, ff, car, i, j, p, q)
+    return Butterfly(e, ff, i, j, p, q)
 
 
 def zero_butterfly(e: TwoTermComplex, f: TwoTermComplex) -> Butterfly:
@@ -186,7 +192,7 @@ def compose(z: Butterfly, y: Butterfly) -> Butterfly:
                       hstack(IntMatrix.zeros(z.dst.deg_0.ngens, y.carrier.ngens), z.p.matrix))
     q = sq.induce_out(y.src.deg_0,
                       hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, z.carrier.ngens)))
-    return Butterfly(y.src, z.dst, sq.group, i, j, p, q)
+    return Butterfly(y.src, z.dst, i, j, p, q)
 
 
 def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
@@ -229,7 +235,7 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
     j = sq.lift_in(e.deg_m1, vstack(a.j.matrix, b.j.matrix))
     p = sq.induce_out(f.deg_0, hstack(a.p.matrix, b.p.matrix))
     q = sq.induce_out(e.deg_0, hstack(a.q.matrix, IntMatrix.zeros(e.deg_0.ngens, b.carrier.ngens)))
-    return Butterfly(e, f, sq.group, i, j, p, q)
+    return Butterfly(e, f, i, j, p, q)
 
 
 # -- homology functor --------------------------------------------------------
@@ -263,7 +269,7 @@ def invert(y: Butterfly) -> Butterfly:
     """
     if not is_invertible(y):
         raise ValueError("butterfly is not invertible")
-    return Butterfly(y.dst, y.src, y.carrier, y.j, y.i, -y.q, -y.p)
+    return Butterfly(y.dst, y.src, y.j, y.i, -y.q, -y.p)
 
 
 # -- kernels, cokernels, pips, images ----------------------------------------
@@ -273,7 +279,7 @@ def kernel_b(y: Butterfly):
     the chain map (identity, q restricted)."""
     kp = kernel(y.p)
     dk = kp.factor(y.src.deg_m1, y.j.matrix)
-    kcx = TwoTermComplex(y.src.deg_m1, kp.group, dk)
+    kcx = TwoTermComplex(dk)
     incl = ChainMap(kcx, y.src, FgAbMap.identity(y.src.deg_m1), y.q * kp.incl)
     return kcx, from_chain_map(incl)
 
@@ -283,7 +289,7 @@ def cokernel_b(y: Butterfly):
     from -p, and the butterfly of the chain map (proj * i, identity)."""
     cj = cokernel(y.j)
     dc = cj.induce(y.dst.deg_0, -y.p.matrix)
-    ccx = TwoTermComplex(cj.group, y.dst.deg_0, dc)
+    ccx = TwoTermComplex(dc)
     proj = ChainMap(y.dst, ccx, cj.proj * y.i, FgAbMap.identity(y.dst.deg_0))
     return ccx, from_chain_map(proj)
 
@@ -330,12 +336,11 @@ def image_b(y: Butterfly):
     """The image complex [dst.deg_m1 -> coker(j)] and the canonical invertible
     butterfly coker(pip) -> image with carrier Y."""
     cj = cokernel(y.j)
-    img = TwoTermComplex(y.dst.deg_m1, cj.group,
-                         FgAbMap(y.dst.deg_m1, cj.group, -(cj.proj.matrix * y.i.matrix)))
+    img = TwoTermComplex(FgAbMap(y.dst.deg_m1, cj.group, -(cj.proj.matrix * y.i.matrix)))
     coim_j = cokernel(kernel(y.j).incl)
-    src = TwoTermComplex(coim_j.group, y.src.deg_0, coim_j.induce(y.src.deg_0, y.src.d.matrix))
+    src = TwoTermComplex(coim_j.induce(y.src.deg_0, y.src.d.matrix))
     jbar = coim_j.induce(y.carrier, y.j.matrix)
-    bf = Butterfly(src, img, y.carrier, y.i, jbar, cj.proj, y.q)
+    bf = Butterfly(src, img, y.i, jbar, cj.proj, y.q)
     return img, bf
 
 
@@ -343,11 +348,10 @@ def coimage_b(y: Butterfly):
     """The coimage complex [ker(p) -> src.deg_0] and the canonical invertible
     butterfly coimage -> ker(copip) with carrier Y."""
     kp = kernel(y.p)
-    coim = TwoTermComplex(kp.group, y.src.deg_0, y.q * kp.incl)
+    coim = TwoTermComplex(y.q * kp.incl)
     imp = image(y.p)
-    dst = TwoTermComplex(y.dst.deg_m1, imp.group,
-                         FgAbMap(y.dst.deg_m1, imp.group, -(imp.corestrict.matrix * y.i.matrix)))
-    bf = Butterfly(coim, dst, y.carrier, y.i, kp.incl, imp.corestrict, y.q)
+    dst = TwoTermComplex(FgAbMap(y.dst.deg_m1, imp.group, -(imp.corestrict.matrix * y.i.matrix)))
+    bf = Butterfly(coim, dst, y.i, kp.incl, imp.corestrict, y.q)
     return coim, bf
 
 
@@ -363,7 +367,7 @@ def middle_exact_iso(y: Butterfly) -> tuple:
     kp, cj = kernel(y.p), cokernel(y.j)
     into_kp = kp.factor(c1.deg_m1, img.j.matrix)
     bf_a = from_chain_map(ChainMap(c1, c2, into_kp, FgAbMap.identity(y.src.deg_0)))
-    bf_b = Butterfly(c2, c3, y.carrier, y.i, kp.incl, cj.proj, y.q)
+    bf_b = Butterfly(c2, c3, y.i, kp.incl, cj.proj, y.q)
     pbar = cj.induce(c4.deg_0, coim.p.matrix)
     bf_c = from_chain_map(ChainMap(c3, c4, FgAbMap.identity(y.dst.deg_m1), pbar))
     return bf_a, bf_b, bf_c
@@ -407,7 +411,7 @@ def pullback_compose(z: Butterfly, f: ChainMap) -> Butterfly:
     q = FgAbMap(w, e.deg_0,
                 hstack(IntMatrix.identity(e.deg_0.ngens),
                        IntMatrix.zeros(e.deg_0.ngens, z.carrier.ngens)) * kk.incl.matrix)
-    return Butterfly(e, z.dst, w, i, j, p, q)
+    return Butterfly(e, z.dst, i, j, p, q)
 
 
 def pushout_compose(g: ChainMap, y: Butterfly) -> Butterfly:
@@ -426,7 +430,7 @@ def pushout_compose(g: ChainMap, y: Butterfly) -> Butterfly:
                        IntMatrix.identity(gg.deg_m1.ngens)))
     p = ck.induce(gg.deg_0, hstack(g.f_0.matrix * y.p.matrix, -gg.d.matrix))
     q = ck.induce(y.src.deg_0, hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, gg.deg_m1.ngens)))
-    return Butterfly(y.src, gg, w, i, j, p, q)
+    return Butterfly(y.src, gg, i, j, p, q)
 
 
 # -- randomized instances ------------------------------------------------------
@@ -456,7 +460,7 @@ def random_butterfly(e: TwoTermComplex, f: TwoTermComplex, seed) -> Butterfly:
             pm = pres[0]
             for km in pres[1]:
                 pm = pm + rng.randint(-1, 1) * km
-            b = Butterfly(e, f, ycar, i, j, FgAbMap(ycar, f.deg_0, pm), q)
+            b = Butterfly(e, f, i, j, FgAbMap(ycar, f.deg_0, pm), q)
             bad = validate(b)
             if bad:
                 raise InvariantError(f"random butterfly fails its axioms: {bad[0]}")

@@ -57,7 +57,7 @@ def derived_tensor(a: FgAbGroup, b: FgAbGroup) -> DerivedTensor:
     km1 = power_group(b, m)
     k0 = power_group(b, n)
     d = FgAbMap(km1, k0, kron(r, IntMatrix.identity(b.ngens)))
-    cx = TwoTermComplex(km1, k0, d)
+    cx = TwoTermComplex(d)
     t = tensor_product(a, b)
     h = homology(cx)
     iso = FgAbMap(t, h.h0, h.proj.matrix)
@@ -126,7 +126,7 @@ def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> list:
             for cf, km in zip(coeffs, kmats):
                 jm = jm + cf * km
             j = FgAbMap(k.deg_m1, ycar, jm)
-            bf = Butterfly(k, c1, ycar, i, j, FgAbMap.zero(ycar, c1.deg_0), q)
+            bf = Butterfly(k, c1, i, j, FgAbMap.zero(ycar, c1.deg_0), q)
             bad = validate(bf)
             if bad:
                 raise InvariantError(f"enumerated butterfly fails its axioms: {bad[0]}")

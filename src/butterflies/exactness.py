@@ -1,10 +1,10 @@
 """Complexes and exact sequences of butterflies, and the six-term homology
 sequence with its connecting map.
 
-A short sequence 0 -> E -> F -> G -> 0 of butterflies carries its zero
-witness phi: carrier(Y) -> carrier(Z) as structure, not property: two
-different witnesses can disagree about exactness, so the witness is stored,
-never recomputed.
+A short sequence 0 -> E -> F -> G -> 0 of butterflies is the composable pair
+(y, z) with its zero witness phi: carrier(Y) -> carrier(Z); E, F and G are
+read off y and z.  The witness is structure, not property: two different
+witnesses can disagree about exactness, so it is stored, never recomputed.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .butterfly import (
 
 
 @dataclass(frozen=True)
-class ZeroWitness:
-    """phi making z * y isomorphic to zero: the NW-SE diagonals compose to 0."""
+class ButterflyShortSeq:
+    """0 -> e --y--> f --z--> g -> 0 with phi making z * y isomorphic to zero:
+    the NW-SE diagonals compose to 0."""
 
     y: Butterfly  # E -> F
     z: Butterfly  # F -> G
@@ -49,9 +50,21 @@ class ZeroWitness:
             if not in_col_span(rel, diff):
                 raise ValueError(f"zero witness condition {name} fails")
 
+    @property
+    def e(self) -> TwoTermComplex:
+        return self.y.src
 
-def zero_witness_find(z: Butterfly, y: Butterfly) -> Optional[ZeroWitness]:
-    """Search for a witness that z * y is zero."""
+    @property
+    def f(self) -> TwoTermComplex:
+        return self.y.dst
+
+    @property
+    def g(self) -> TwoTermComplex:
+        return self.z.dst
+
+
+def zero_witness_find(z: Butterfly, y: Butterfly) -> Optional[ButterflyShortSeq]:
+    """Search for a witness that z * y is zero; the sequence it makes, or None."""
     if y.dst != z.src:
         raise ValueError("butterflies are not composable")
     phi = hom_solve(y.carrier, z.carrier,
@@ -59,49 +72,27 @@ def zero_witness_find(z: Butterfly, y: Butterfly) -> Optional[ZeroWitness]:
                          (y.j, IntMatrix.zeros(z.carrier.ngens, y.src.deg_m1.ngens))],
                     post=[(z.q, -y.p.matrix),
                           (z.p, IntMatrix.zeros(z.dst.deg_0.ngens, y.carrier.ngens))])
-    return None if phi is None else ZeroWitness(y, z, phi)
-
-
-@dataclass(frozen=True)
-class ButterflyShortSeq:
-    """0 -> e --y--> f --z--> g -> 0 with its zero witness."""
-
-    e: TwoTermComplex
-    f: TwoTermComplex
-    g: TwoTermComplex
-    y: Butterfly
-    z: Butterfly
-    w: ZeroWitness
-
-    def __post_init__(self):
-        if self.y.src != self.e or self.y.dst != self.f:
-            raise ValueError("y endpoints mismatch")
-        if self.z.src != self.f or self.z.dst != self.g:
-            raise ValueError("z endpoints mismatch")
-        if self.w.y != self.y or self.w.z != self.z:
-            raise ValueError("witness belongs to different butterflies")
+    return None if phi is None else ButterflyShortSeq(y, z, phi)
 
 
 def is_left_exact(s: ButterflyShortSeq) -> bool:
     """Exactness of 0 -> E^-1 -> Y -> Z -> G^0."""
-    phi = s.w.phi
     return (is_injective(s.y.j)
-            and is_exact_at(s.y.j, phi)
-            and is_exact_at(phi, s.z.p))
+            and is_exact_at(s.y.j, s.phi)
+            and is_exact_at(s.phi, s.z.p))
 
 
 def is_right_exact(s: ButterflyShortSeq) -> bool:
     """Exactness of E^-1 -> Y -> Z -> G^0 -> 0."""
-    phi = s.w.phi
-    return (is_exact_at(s.y.j, phi)
-            and is_exact_at(phi, s.z.p)
+    return (is_exact_at(s.y.j, s.phi)
+            and is_exact_at(s.phi, s.z.p)
             and is_surjective(s.z.p))
 
 
 def seq74_exact(s: ButterflyShortSeq) -> bool:
     """0 -> E^-1 -> Y -> ker(p_Z) -> 0, i.e. E ~ ker(Z)."""
     kp = kernel(s.z.p)
-    phit = kp.factor(s.y.carrier, s.w.phi.matrix)
+    phit = kp.factor(s.y.carrier, s.phi.matrix)
     return (is_injective(s.y.j)
             and is_exact_at(s.y.j, phit)
             and is_surjective(phit))
@@ -110,7 +101,7 @@ def seq74_exact(s: ButterflyShortSeq) -> bool:
 def seq75_exact(s: ButterflyShortSeq) -> bool:
     """0 -> coker(j_Y) -> Z -> G^0 -> 0, i.e. coker(Y) ~ G."""
     cj = cokernel(s.y.j)
-    phib = cj.induce(s.z.carrier, s.w.phi.matrix)
+    phib = cj.induce(s.z.carrier, s.phi.matrix)
     return (is_injective(phib)
             and is_exact_at(phib, s.z.p)
             and is_surjective(s.z.p))
@@ -137,7 +128,7 @@ def standard_seq_51(e: TwoTermComplex) -> ButterflyShortSeq:
     n1 = e.deg_m1.ngens
     phi = FgAbMap(y.carrier, z.carrier,
                   vstack(-e.d.matrix, -IntMatrix.identity(n1)))
-    return ButterflyShortSeq(a, b, e, y, z, ZeroWitness(y, z, phi))
+    return ButterflyShortSeq(y, z, phi)
 
 
 def standard_seq_10(e: TwoTermComplex) -> ButterflyShortSeq:
@@ -152,7 +143,7 @@ def standard_seq_10(e: TwoTermComplex) -> ButterflyShortSeq:
         [-IntMatrix.identity(n0), e.d.matrix],
         [IntMatrix.zeros(n1, n0), IntMatrix.identity(n1)],
     ]))
-    return ButterflyShortSeq(a, e, c, y, z, ZeroWitness(y, z, phi))
+    return ButterflyShortSeq(y, z, phi)
 
 
 def standard_seq_52(e: TwoTermComplex) -> ButterflyShortSeq:
@@ -164,7 +155,7 @@ def standard_seq_52(e: TwoTermComplex) -> ButterflyShortSeq:
     n0, n1 = e.deg_0.ngens, e.deg_m1.ngens
     phi = FgAbMap(y.carrier, z.carrier,
                   hstack(-IntMatrix.identity(n0), e.d.matrix))
-    return ButterflyShortSeq(e, b, c, y, z, ZeroWitness(y, z, phi))
+    return ButterflyShortSeq(y, z, phi)
 
 
 # -- the six-term long exact sequence -----------------------------------------
@@ -205,7 +196,7 @@ def les(s: ButterflyShortSeq) -> Optional[LongExactSequence]:
     m1z, h0z = homology_action(s.z)
 
     cj = cokernel(s.y.j)
-    u = generator_lift(s.w.phi.matrix * cj.fro, s.z.carrier,
+    u = generator_lift(s.phi.matrix * cj.fro, s.z.carrier,
                        s.z.i.matrix * hg.incl.matrix)  # H^-1 G -> coker(j_Y)
     if u is None:
         raise InvariantError("i_Z(H^-1 G) must lie in the image of coker(j_Y) -> Z")
@@ -237,7 +228,7 @@ def twisted_extension_seq(rng: random.Random, e: TwoTermComplex,
         [e.d.matrix, t.matrix],
         [IntMatrix.zeros(g.deg_0.ngens, e.deg_m1.ngens), g.d.matrix],
     ]))
-    f = TwoTermComplex(fm1, f0, df)
+    f = TwoTermComplex(df)
     ne1, ng1 = e.deg_m1.ngens, g.deg_m1.ngens
     ne0, ng0 = e.deg_0.ngens, g.deg_0.ngens
     u = ChainMap(e, f,
@@ -258,7 +249,7 @@ def twisted_extension_seq(rng: random.Random, e: TwoTermComplex,
         [IntMatrix.zeros(ng0, ne0), IntMatrix.zeros(ng0, ne1), g.d.matrix],
         [IntMatrix.zeros(ng1, ne0), IntMatrix.zeros(ng1, ne1), IntMatrix.identity(ng1)],
     ]))
-    return ButterflyShortSeq(e, f, g, y, z, ZeroWitness(y, z, phi))
+    return ButterflyShortSeq(y, z, phi)
 
 
 def cokernel_seq(e: TwoTermComplex, f: TwoTermComplex, seed) -> Optional[ButterflyShortSeq]:
@@ -266,12 +257,9 @@ def cokernel_seq(e: TwoTermComplex, f: TwoTermComplex, seed) -> Optional[Butterf
     witness resolved by the morphism solver; None when Y is not mono or no
     witness choice is exact."""
     y = random_butterfly(e, f, seed)
-    gcx, z = cokernel_b(y)
-    w = zero_witness_find(z, y)
-    if w is None:
-        return None
-    s = ButterflyShortSeq(e, f, gcx, y, z, w)
-    return s if is_exact(s) else None
+    _, z = cokernel_b(y)
+    s = zero_witness_find(z, y)
+    return s if s is not None and is_exact(s) else None
 
 
 def random_exact_seq(rng: random.Random) -> ButterflyShortSeq:

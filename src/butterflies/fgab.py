@@ -73,7 +73,7 @@ class FgAbGroup:
 
     def invariant_factors(self) -> tuple:
         """(free rank, torsion divisor chain), a complete isomorphism invariant."""
-        s, _, _, _ = snf(self.relations)
+        s, _, _ = snf(self.relations)
         diag = [s[i, i] for i in range(min(s.rows, s.cols))]
         nonzero = [d for d in diag if d != 0]
         rank = self.ngens - len(nonzero)
@@ -187,7 +187,7 @@ def simplify(g: FgAbGroup):
     Internal constructions (kernels, subquotients, ...) pass through this so
     presentations never accumulate redundant generators.
     """
-    s, u, _, uinv = snf(g.relations)
+    s, u, uinv = snf(g.relations)
     n = g.ngens
     diag = [s[i, i] for i in range(min(s.rows, s.cols))]
     # the divisor chain runs units, torsion orders, zeros: the kept generators are a tail

@@ -21,11 +21,11 @@ Z4 = FgAbGroup.cyclic(4)
 
 
 def k2() -> TwoTermComplex:
-    return TwoTermComplex(Z2, Z2, FgAbMap.zero(Z2, Z2))
+    return TwoTermComplex(FgAbMap.zero(Z2, Z2))
 
 
 def e2() -> TwoTermComplex:
-    return TwoTermComplex(Z, Z, FgAbMap(Z, Z, IntMatrix.from_rows([[2]])))
+    return TwoTermComplex(FgAbMap(Z, Z, IntMatrix.from_rows([[2]])))
 
 
 def f2() -> TwoTermComplex:
@@ -37,7 +37,7 @@ def bockstein() -> Butterfly:
     cx = k2()
     times2 = FgAbMap(Z2, Z4, IntMatrix.from_rows([[2]]))
     red = FgAbMap(Z4, Z2, IntMatrix.from_rows([[1]]))
-    return Butterfly(cx, cx, Z4, times2, times2, red, red)
+    return Butterfly(cx, cx, times2, times2, red, red)
 
 
 def ik2() -> Butterfly:

@@ -249,11 +249,13 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> None:
     H = E*a for a unimodular E.  Every row operation is done to the square
     u (len(a) rows of len(a) ints) as well, and its inverse transpose to the
     rows wt, so they end as E*u and E^-T*wt: with u = wt = I, u is E and wt
-    transposed is E^-1.  Rows of wt may be empty when E^-1 is not wanted.
+    transposed is E^-1.  Rows of u or wt may be empty when E or E^-1 is not
+    wanted.
 
     Euclidean elimination with a smallest pivot, then the entries above each
     pivot are reduced into [0, pivot)."""
     nr = len(a)
+    nu = len(u[0]) if nr else 0
     nw = len(wt[0]) if nr else 0
     r = 0
     pivots = []
@@ -287,7 +289,7 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> None:
                         for j in range(c, nc):
                             ai[j] -= q * ar[j]
                         ui = u[i]
-                        for j in range(nr):
+                        for j in range(nu):
                             ui[j] -= q * ur[j]
                         wi = wt[i]
                         for j in range(nw):
@@ -313,7 +315,7 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> None:
                 ai, ui, wi = a[i], u[i], wt[i]
                 for j in range(pc, nc):
                     ai[j] -= q * ar[j]
-                for j in range(nr):
+                for j in range(nu):
                     ui[j] -= q * ur[j]
                 for j in range(nw):
                     wr[j] += q * wi[j]
@@ -353,29 +355,30 @@ def _xgcd(a: int, b: int) -> tuple:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def snf(m: IntMatrix) -> tuple:
-    """Smith normal form with transformations: returns (S, U, V, W), U*m*V = S.
+    """Smith normal form with row transformations: returns (S, U, W), where
+    U*m*V = S for some unimodular V that is not computed.
 
-    U, V unimodular and W = U^-1; S diagonal with nonnegative entries
+    U is unimodular and W = U^-1; S is diagonal with nonnegative entries
     d1 | d2 | ..., zeros last.  Row Hermite passes on the matrix and on its
     transpose alternate until it is diagonal (Kannan and Bachem, SIAM J.
     Comput. 8(4), 1979), which keeps the transforms' entries small; 2x2
     Bezout steps then make each diagonal entry divide the next.
 
-    >>> s, u, v, w = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    >>> s, u, w = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> s.to_lists()
     [[2, 0], [0, 4]]
     >>> u * w == IntMatrix.identity(2)
     True
     """
     nr, nc = m.rows, m.cols
-    a, u, wt, vt = m.to_lists(), _eye(nr), _eye(nr), _eye(nc)
-    # W and V are kept transposed, so their column operations are row operations
+    a, u, wt = m.to_lists(), _eye(nr), _eye(nr)
+    # W is kept transposed, so its column operations are row operations
     while True:
         _hermite(a, u, wt, nc)
         if _is_diagonal(a):
             break
         at = [list(col) for col in zip(*a)]
-        _hermite(at, vt, [[]] * nc, nr)
+        _hermite(at, [[]] * nc, [[]] * nc, nr)
         a = [list(row) for row in zip(*at)]
         if _is_diagonal(a):
             break
@@ -388,18 +391,16 @@ def snf(m: IntMatrix) -> tuple:
                 # = diag(g, lcm), with s*x + t*y = 1 making both unimodular
                 g, s, t = _xgcd(d[i], d[j])
                 x, y = d[i] // g, d[j] // g
-                ui, uj, wi, wj, vi, vj = u[i], u[j], wt[i], wt[j], vt[i], vt[j]
+                ui, uj, wi, wj = u[i], u[j], wt[i], wt[j]
                 u[i] = [s * p + t * q for p, q in zip(ui, uj)]
                 u[j] = [x * q - y * p for p, q in zip(ui, uj)]
                 wt[i] = [x * p + y * q for p, q in zip(wi, wj)]
                 wt[j] = [s * q - t * p for p, q in zip(wi, wj)]
-                vt[i] = [p + q for p, q in zip(vi, vj)]
-                vt[j] = [s * x * q - t * y * p for p, q in zip(vi, vj)]
                 d[i], d[j] = g, x * d[j]
     s = [0] * (nr * nc)
     s[:len(d) * (nc + 1):nc + 1] = d
     return (IntMatrix._of(nr, nc, tuple(s)), _from_lists(nr, nr, u),
-            _from_lists(nc, nc, zip(*vt)), _from_lists(nr, nr, zip(*wt)))
+            _from_lists(nr, nr, zip(*wt)))
 
 
 # -- Diophantine systems ---------------------------------------------------

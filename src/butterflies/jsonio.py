@@ -7,8 +7,9 @@ because the schema fixes them.
 
 Malformed documents raise SchemaError where they are read.  Well-formed ones
 that a constructor rejects (a map that does not descend, a witness that
-fails, mismatched endpoints) raise RefusalError; parse_document is the one
-place that turns those constructors' ValueErrors into refusals.
+fails, mismatched endpoints), or a sequence whose E, F, G disagree with its
+Y, Z, raise RefusalError; parse_document is the one place that turns those
+ValueErrors into refusals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .intlinalg import IntMatrix
 from .fgab import FgAbGroup, FgAbMap
 from .twocomplex import TwoTermComplex
 from .butterfly import Butterfly
-from .exactness import ButterflyShortSeq, ZeroWitness
+from .exactness import ButterflyShortSeq
 
 
 class SchemaError(ValueError):
@@ -108,7 +109,7 @@ def sequence_to_json(s: ButterflyShortSeq) -> dict:
     return {"E": complex_to_json(s.e), "F": complex_to_json(s.f),
             "G": complex_to_json(s.g),
             "Y": butterfly_to_json(s.y), "Z": butterfly_to_json(s.z),
-            "phi": matrix_to_json(s.w.phi.matrix)}
+            "phi": matrix_to_json(s.phi.matrix)}
 
 
 def document(kind: str, payload: dict) -> dict:
@@ -168,7 +169,7 @@ def complex_from_json(data) -> TwoTermComplex:
     m1 = group_from_json(data.get("deg-1"))
     g0 = group_from_json(data.get("deg0"))
     d = matrix_from_json(data.get("d"), g0.ngens, m1.ngens)
-    return TwoTermComplex(m1, g0, FgAbMap(m1, g0, d))
+    return TwoTermComplex(FgAbMap(m1, g0, d))
 
 
 def butterfly_from_json(data) -> Butterfly:
@@ -180,7 +181,7 @@ def butterfly_from_json(data) -> Butterfly:
     j = FgAbMap(src.deg_m1, car, matrix_from_json(data.get("j"), car.ngens, src.deg_m1.ngens))
     p = FgAbMap(car, dst.deg_0, matrix_from_json(data.get("p"), dst.deg_0.ngens, car.ngens))
     q = FgAbMap(car, src.deg_0, matrix_from_json(data.get("q"), src.deg_0.ngens, car.ngens))
-    return Butterfly(src, dst, car, i, j, p, q)
+    return Butterfly(src, dst, i, j, p, q)
 
 
 def sequence_from_json(data) -> ButterflyShortSeq:
@@ -191,8 +192,13 @@ def sequence_from_json(data) -> ButterflyShortSeq:
     y = butterfly_from_json(data.get("Y"))
     z = butterfly_from_json(data.get("Z"))
     phi = matrix_from_json(data.get("phi"), z.carrier.ngens, y.carrier.ngens)
-    w = ZeroWitness(y, z, FgAbMap(y.carrier, z.carrier, phi))
-    return ButterflyShortSeq(e, f, g, y, z, w)
+    s = ButterflyShortSeq(y, z, FgAbMap(y.carrier, z.carrier, phi))
+    # E, F and G repeat what Y and Z say: the document must agree with itself
+    if (e, f) != (s.e, s.f):
+        raise ValueError("y endpoints mismatch")
+    if g != s.g:
+        raise ValueError("z endpoints mismatch")
+    return s
 
 
 PARSERS = {

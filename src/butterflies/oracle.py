@@ -95,7 +95,7 @@ def realize(g: FgAbGroup, cap: int = DEFAULT_CAP) -> Realization:
 
     Raises OracleError for infinite groups or order above the cap.
     """
-    s, u, _, uinv = snf(g.relations)
+    s, u, uinv = snf(g.relations)
     n = g.ngens
     orders = [s[i, i] if i < min(s.rows, s.cols) else 0 for i in range(n)]
     if any(d == 0 for d in orders):

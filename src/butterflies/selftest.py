@@ -18,7 +18,7 @@ from .intlinalg import CACHE_SIZE, IntMatrix, hstack, vstack
 from .fgab import (
     FgAbGroup, FgAbMap, map_equal, direct_sum, is_exact_at, is_injective, is_surjective,
 )
-from .twocomplex import TwoTermComplex, homology, random_complex
+from .twocomplex import TwoTermComplex, embed0, homology, random_complex
 from .butterfly import (
     Butterfly, validate, is_valid, identity_butterfly,
     zero_butterfly, compose, two_morphism_find, baer_sum, homology_action,
@@ -54,7 +54,7 @@ def _suite_complex(rng: random.Random) -> TwoTermComplex:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def butterfly_suite(scale: float = 1.0) -> tuple:
-    """The seeded random butterfly suite shared by criteria 1, 4 and 7."""
+    """The seeded random butterfly suite shared by criteria 1 and 7."""
     rng = random.Random(101)
     out = []
     for _ in range(_n(500, scale)):
@@ -78,7 +78,7 @@ def _mutant_refusal(b: Butterfly, wing: str, at: tuple, delta: int):
     mats[wing] = _mutate(mats[wing], at, delta)
     try:
         mut = Butterfly(
-            b.src, b.dst, b.carrier,
+            b.src, b.dst,
             FgAbMap(b.dst.deg_m1, b.carrier, mats["i"]),
             FgAbMap(b.src.deg_m1, b.carrier, mats["j"]),
             FgAbMap(b.carrier, b.dst.deg_0, mats["p"]),
@@ -96,9 +96,7 @@ def mutation_catalog() -> list:
     IK2 = fixtures.ik2()
     Br = fixtures.br()
     IE2 = identity_butterfly(fixtures.e2())
-    I4 = identity_butterfly(
-        TwoTermComplex(FgAbGroup.trivial(), FgAbGroup.cyclic(4),
-                       FgAbMap.zero(FgAbGroup.trivial(), FgAbGroup.cyclic(4))))
+    I4 = identity_butterfly(embed0(FgAbGroup.cyclic(4)))
     return [
         (B, "i", (0, 0), -1), (B, "i", (0, 0), 1),
         (B, "j", (0, 0), -1), (B, "j", (0, 0), 1),
@@ -180,7 +178,7 @@ def _has_two_sided_inverse(y: Butterfly) -> bool:
     against the identities; no precondition assumed.  The reflected wings
     always fit the reflected endpoints, and a negated map always descends,
     so the candidate can always be built; is_valid decides the rest."""
-    flip = Butterfly(y.dst, y.src, y.carrier, y.j, y.i, -y.q, -y.p)
+    flip = Butterfly(y.dst, y.src, y.j, y.i, -y.q, -y.p)
     if not is_valid(flip):
         return False
     if two_morphism_find(compose(flip, y), identity_butterfly(y.src)) is None:

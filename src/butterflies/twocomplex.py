@@ -19,15 +19,17 @@ from .fgab import (
 
 @dataclass(frozen=True)
 class TwoTermComplex:
-    """deg_m1 --d--> deg_0."""
+    """deg_m1 --d--> deg_0: the complex is its differential."""
 
-    deg_m1: FgAbGroup
-    deg_0: FgAbGroup
     d: FgAbMap
 
-    def __post_init__(self):
-        if self.d.src != self.deg_m1 or self.d.dst != self.deg_0:
-            raise ValueError("differential endpoints do not match the slots")
+    @property
+    def deg_m1(self) -> FgAbGroup:
+        return self.d.src
+
+    @property
+    def deg_0(self) -> FgAbGroup:
+        return self.d.dst
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,12 @@ class ChainMap:
 
 def shift1(a: FgAbGroup) -> TwoTermComplex:
     """[a -> 0], the complex a[1]."""
-    zero = FgAbGroup.trivial()
-    return TwoTermComplex(a, zero, FgAbMap.zero(a, zero))
+    return TwoTermComplex(FgAbMap.zero(a, FgAbGroup.trivial()))
 
 
 def embed0(a: FgAbGroup) -> TwoTermComplex:
     """[0 -> a], the degree-0 embedding of the underlying category."""
-    zero = FgAbGroup.trivial()
-    return TwoTermComplex(zero, a, FgAbMap.zero(zero, a))
+    return TwoTermComplex(FgAbMap.zero(FgAbGroup.trivial(), a))
 
 
 def zero_complex() -> TwoTermComplex:
@@ -114,18 +114,6 @@ def homology(e: TwoTermComplex) -> Homology:
     return Homology(kernel(e.d), cokernel(e.d))
 
 
-def induced_hm1(f: ChainMap) -> FgAbMap:
-    """H^-1(src) -> H^-1(dst) induced by a chain map."""
-    hs, hd = homology(f.src), homology(f.dst)
-    return hd.ker.factor(hs.hm1, f.f_m1.matrix * hs.incl.matrix)
-
-
-def induced_h0(f: ChainMap) -> FgAbMap:
-    """H^0(src) -> H^0(dst) induced by a chain map."""
-    hs, hd = homology(f.src), homology(f.dst)
-    return hs.cok.induce(hd.h0, hd.proj.matrix * f.f_0.matrix)
-
-
 def complex_direct_sum(a: TwoTermComplex, b: TwoTermComplex) -> TwoTermComplex:
     sm1 = direct_sum(a.deg_m1, b.deg_m1)
     s0 = direct_sum(a.deg_0, b.deg_0)
@@ -133,10 +121,10 @@ def complex_direct_sum(a: TwoTermComplex, b: TwoTermComplex) -> TwoTermComplex:
         [a.d.matrix, IntMatrix.zeros(a.deg_0.ngens, b.deg_m1.ngens)],
         [IntMatrix.zeros(b.deg_0.ngens, a.deg_m1.ngens), b.d.matrix],
     ])
-    return TwoTermComplex(sm1, s0, FgAbMap(sm1, s0, dm))
+    return TwoTermComplex(FgAbMap(sm1, s0, dm))
 
 
 def random_complex(rng: random.Random, max_rank: int = 1, max_order: int = 12) -> TwoTermComplex:
     a = random_group(rng, max_rank=max_rank, max_order=max_order)
     b = random_group(rng, max_rank=max_rank, max_order=max_order)
-    return TwoTermComplex(a, b, random_map(rng, a, b))
+    return TwoTermComplex(random_map(rng, a, b))

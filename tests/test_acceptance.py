@@ -5,6 +5,7 @@ documented exit-code contract)."""
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +106,7 @@ class TestCriterion10Cli:
         brr = put("Br.json", jsonio.document("butterfly", jsonio.butterfly_to_json(br())))
         seq = put("seq.json", jsonio.document("sequence",
                                               jsonio.sequence_to_json(standard_seq_10(e2()))))
-        broken = json.loads(open(brr).read())
+        broken = json.loads(Path(brr).read_text())
         broken["q"] = [["0"]]
         bad = put("bad.json", broken)
         garbage = put("garbage.json", "{oops")

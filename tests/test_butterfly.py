@@ -32,7 +32,7 @@ class TestValidate:
 
     def test_zeroed_q_on_bockstein(self):
         b = bockstein()
-        broken = Butterfly(b.src, b.dst, b.carrier, b.i, b.j, b.p,
+        broken = Butterfly(b.src, b.dst, b.i, b.j, b.p,
                            FgAbMap.zero(b.carrier, b.src.deg_0))
         bad = validate(broken)
         # d = 0 on K2, so the triangle survives; the diagonal breaks instead
@@ -40,7 +40,7 @@ class TestValidate:
 
     def test_zeroed_q_on_br(self):
         b = br()
-        broken = Butterfly(b.src, b.dst, b.carrier, b.i, b.j, b.p,
+        broken = Butterfly(b.src, b.dst, b.i, b.j, b.p,
                            FgAbMap.zero(b.carrier, b.src.deg_0))
         assert validate(broken)[0] == "triangle qj=d violated"
 
@@ -212,7 +212,7 @@ class TestTripleComposite:
                                IM.from_rows([list(x.q.matrix.row(r)) + [0] * (ny + nz)
                                              for r in range(d_.deg_0.ngens)],
                                             nx + ny + nz))
-            w = Butterfly(d_, g_, sq.group, iw, jw, pw, qw)
+            w = Butterfly(d_, g_, iw, jw, pw, qw)
             assert validate(w) == []
             assert two_morphism_find(w, compose(compose(z, y), x)) is not None
             assert two_morphism_find(w, compose(z, compose(y, x))) is not None
@@ -271,7 +271,7 @@ class TestTwoMorphisms:
 
         def bare(carrier):
             into, out = FgAbMap.zero(zc.deg_m1, carrier), FgAbMap.zero(carrier, zc.deg_0)
-            return Butterfly(zc, zc, carrier, into, into, out, out)
+            return Butterfly(zc, zc, into, into, out, out)
 
         a, b = bare(Z), bare(direct_sum(Z, Z))
         m = FgAbMap(a.carrier, b.carrier, IntMatrix.from_rows([[1], [0]]))
@@ -283,7 +283,7 @@ class TestTwoMorphisms:
     def test_inverse_failure_is_invariant_error(self, monkeypatch, lift, descends):
         # carrier Z/2 + Z/4: sending the Z/2 generator to the Z/4 one does not descend;
         # the zero map descends, and TwoMorphism's left-inverse equation refuses it
-        y = identity_butterfly(TwoTermComplex(Z4, Z2, FgAbMap(Z4, Z2, IntMatrix.from_rows([[1]]))))
+        y = identity_butterfly(TwoTermComplex(FgAbMap(Z4, Z2, IntMatrix.from_rows([[1]]))))
         assert two_morphism_find(y, y) is not None
         if lift is not None:
             assert is_well_defined(y.carrier, y.carrier, lift) == descends
@@ -452,7 +452,7 @@ class TestKernelCokernel:
         assert h.h0.invariant_factors() == (0, (2, 2))
 
     def test_cokernel_of_zero_composite_with_acyclic_source_h0(self):
-        ez = TwoTermComplex(Z, Z, FgAbMap.identity(Z))
+        ez = TwoTermComplex(FgAbMap.identity(Z))
         ccx, _ = cokernel_b(zero_butterfly(ez, k2()))
         h = homology(ccx)
         hk = homology(k2())

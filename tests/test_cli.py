@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,7 +73,7 @@ class TestExitCodes:
     def test_compose_and_iso2_refuse_invalid_butterfly(self, docs, tmp_path, capsys):
         # B with q = 0: d = 0 on K2, so the diagonal breaks at the carrier;
         # refused as report refuses it, before anything is computed
-        doc = json.loads(open(docs["B.json"]).read())
+        doc = json.loads(Path(docs["B.json"]).read_text())
         doc["q"] = [["0"]]
         bad = tmp_path / "B_qzero.json"
         bad.write_text(jsonio.emit(doc))
@@ -280,13 +281,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("change, msg", [
         ("witness", "zero witness condition phi*i = j fails"),
         ("endpoints", "y endpoints mismatch"),
+        ("F endpoints", "y endpoints mismatch"),
+        ("G endpoints", "z endpoints mismatch"),
     ])
     def test_ill_defined_sequence_is_refusal(self, tmp_path, capsys, change, msg):
+        # E, F and G repeat the endpoints of Y and Z: each must agree with them
         doc = jsonio.document("sequence", jsonio.sequence_to_json(standard_seq_10(e2())))
         if change == "witness":
             doc["phi"] = [[str(int(e) + 1) for e in row] for row in doc["phi"]]
         else:
-            doc["E"] = doc["G"]
+            slot, other = {"endpoints": ("E", "G"), "F endpoints": ("F", "G"),
+                           "G endpoints": ("G", "F")}[change]
+            doc[slot] = doc[other]
         self.assert_refused(tmp_path, capsys, doc, msg)
 
 
@@ -353,7 +359,7 @@ def test_output_bytes_pinned(docs, capsys):
     for argv, want in cases:
         assert main(argv) == 0
         assert capsys.readouterr().out == want, argv[0]
-    assert open(docs["out"]).read() == pretty(B_SQUARED)
+    assert Path(docs["out"]).read_text() == pretty(B_SQUARED)
 
 
 def test_repinned_outputs_are_equivalent(docs):
@@ -382,7 +388,7 @@ def _read(path):
 
 class TestRoundTrip:
     def test_butterfly_byte_stable(self, docs):
-        text1 = open(docs["B.json"]).read()
+        text1 = Path(docs["B.json"]).read_text()
         kind, obj = jsonio.parse_document(text1)
         text2 = jsonio.emit(jsonio.document(kind, jsonio.butterfly_to_json(obj)))
         assert text1 == text2
@@ -390,7 +396,7 @@ class TestRoundTrip:
         assert jsonio.emit(jsonio.document(kind2, jsonio.butterfly_to_json(obj2))) == text2
 
     def test_sequence_byte_stable(self, docs):
-        text1 = open(docs["seq10.json"]).read()
+        text1 = Path(docs["seq10.json"]).read_text()
         kind, obj = jsonio.parse_document(text1)
         text2 = jsonio.emit(jsonio.document(kind, jsonio.sequence_to_json(obj)))
         assert text1 == text2
@@ -441,7 +447,7 @@ class TestRoundTrip:
             out = str(tmp_path / f"gen{seed}.json")
             assert main(["gen", "butterfly", "--seed", str(seed), "--out", out]) == 0
             assert main(["validate", out]) == 0
-            text1 = open(out).read()
+            text1 = Path(out).read_text()
             kind, obj = jsonio.parse_document(text1)
             assert jsonio.emit(jsonio.document(kind, jsonio.butterfly_to_json(obj))) == text1
 
@@ -450,7 +456,7 @@ class TestRoundTrip:
         b = str(tmp_path / "b.json")
         main(["gen", "sequence", "--seed", "4", "--out", a])
         main(["gen", "sequence", "--seed", "4", "--out", b])
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_selftest_smoke(capsys):

@@ -103,24 +103,25 @@ class TestHnf:
 class TestSnf:
     def test_zero(self):
         m = IntMatrix.zeros(2, 3)
-        s, u, v, w = snf(m)
+        s, u, w = snf(m)
         assert s.is_zero()
-        assert u == IntMatrix.identity(2) and v == IntMatrix.identity(3)
-        assert w == IntMatrix.identity(2)
+        assert u == IntMatrix.identity(2) == w
 
     def test_2x2(self):
-        s, _, _, _ = snf(mat([[2, 4], [6, 8]]))
+        s, _, _ = snf(mat([[2, 4], [6, 8]]))
         assert s.to_lists() == [[2, 0], [0, 4]]
 
     def test_already_diagonal(self):
-        s, _, _, _ = snf(mat([[1, 0], [0, 6]]))
+        s, _, _ = snf(mat([[1, 0], [0, 6]]))
         assert s.to_lists() == [[1, 0], [0, 6]]
 
     @given(small_matrices)
     @settings(max_examples=60, deadline=None)
     def test_recompose_divisibility(self, m):
-        s, u, v, w = snf(m)
-        assert u * m * v == s
+        s, u, w = snf(m)
+        # some unimodular V has U*m*V = S exactly when U*m and S span the
+        # same column lattice
+        assert in_col_span(u * m, s) and in_col_span(s, u * m)
         assert u * w == IntMatrix.identity(m.rows) == w * u
         diag = [s[i, i] for i in range(min(m.rows, m.cols))]
         assert all(d >= 0 for d in diag)
@@ -140,8 +141,8 @@ class TestSnf:
         from butterflies.fgab import random_unimodular
         p = random_unimodular(rng, m.rows)
         q = random_unimodular(rng, m.cols)
-        s1, _, _, _ = snf(m)
-        s2, _, _, _ = snf(p * m * q)
+        s1, _, _ = snf(m)
+        s2, _, _ = snf(p * m * q)
         assert [s1[i, i] for i in range(min(m.rows, m.cols))] == \
                [s2[i, i] for i in range(min(m.rows, m.cols))]
 
@@ -152,7 +153,7 @@ class TestSnf:
         # missing sympy fails here rather than skipping
         import sympy
         from sympy.matrices.normalforms import smith_normal_form
-        s, _, _, _ = snf(m)
+        s, _, _ = snf(m)
         ours = [s[i, i] for i in range(min(m.rows, m.cols))]
         theirs = smith_normal_form(sympy.Matrix(m.rows, m.cols, list(m.entries)),
                                    domain=sympy.ZZ)
@@ -173,14 +174,14 @@ class TestSnf:
         for _ in range(3):
             m = dense()
             start = time.perf_counter()
-            s, u, v, w = snf(m)
+            s, u, w = snf(m)
             assert time.perf_counter() - start < 1.0
             start = time.perf_counter()
             simplify(FgAbGroup(n, dense()))
             assert time.perf_counter() - start < 1.0
-            assert u * m * v == s
+            assert in_col_span(u * m, s) and in_col_span(s, u * m)
             assert u * w == IntMatrix.identity(n) == w * u
-            assert max(bits(u), bits(v), bits(w)) <= 3 * bits(s)
+            assert max(bits(u), bits(w)) <= 3 * bits(s)
 
 
 class TestSolve:
