@@ -488,22 +488,25 @@ def scale_ok(scale: float) -> bool:
 def run(scale: float = 1.0, only=None, out=print) -> bool:
     """Run the criteria (those numbered in only, when given); True if all pass.
 
-    Raises ValueError, before running anything, when scale fails scale_ok
-    or only names a number that is not a criterion.
+    Raises ValueError, before running anything, when scale fails scale_ok, or
+    only is a str or has a member whose str() is not a criterion number.
     """
     if not scale_ok(scale):
         raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
+    if isinstance(only, str):
+        raise ValueError(f"only must be a collection of criterion numbers, not the str {only!r}")
     if only is not None:
-        unknown = sorted(map(str, set(only) - set(criterion_numbers())))
+        only = set(map(str, only))
+        unknown = sorted(only - set(criterion_numbers()))
         if unknown:
             raise ValueError(f"no criterion numbered {', '.join(unknown)}")
     ok_all = True
     for name, fn in CRITERIA:
         if only is not None and name.split()[0] not in only:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, detail = fn(scale)
         ok_all &= ok
         status = "PASS" if ok else "FAIL"
-        out(f"{status} criterion {name}: {detail} [{time.time() - t0:.1f}s]")
+        out(f"{status} criterion {name}: {detail} [{time.perf_counter() - t0:.1f}s]")
     return ok_all

@@ -77,6 +77,28 @@ class TestCriterion10Cli:
             selftest.run(scale=0.02, only={"1", "99"}, out=lines.append)
         assert lines == []
 
+    def test_run_rejects_a_str(self):
+        # a str is not a collection of criterion numbers: "18" is not {"1", "8"}
+        lines = []
+        with pytest.raises(ValueError, match="not the str '18'"):
+            selftest.run(scale=0.02, only="18", out=lines.append)
+        assert lines == []
+
+    def test_run_compares_members_as_str(self):
+        lines = []
+        assert selftest.run(scale=0.02, only={8}, out=lines.append)
+        assert len(lines) == 1 and lines[0].startswith("PASS criterion 8 ")
+
+    def test_run_times_with_a_monotonic_clock(self, monkeypatch):
+        # a wall-clock step of an hour during the criterion does not show
+        # in its time
+        wall = iter(range(0, 10 ** 9, 3600))
+        monkeypatch.setattr(selftest.time, "time", lambda: next(wall))
+        lines = []
+        assert selftest.run(scale=0.02, only={"8"}, out=lines.append)
+        seconds = float(lines[0].rsplit("[", 1)[1].rstrip("s]"))
+        assert seconds < 60
+
     def test_run_rejects_bad_scale(self):
         lines = []
         for scale in (float("nan"), float("inf"), -float("inf"), 0, -3, -0.5):

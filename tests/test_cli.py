@@ -1,9 +1,12 @@
 import contextlib
 import copy
 import functools
+import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -44,6 +47,13 @@ def docs(tmp_path):
     put("zero.json", nonexact)
     paths["out"] = str(tmp_path / "out.json")
     return paths
+
+
+# the whole of a selftest usage error on stderr, and of selftest --help on stdout,
+# is pinned: the --suite wording is this package's, so it is the same on every
+# Python version (COLUMNS fixes argparse's wrap width)
+SELFTEST_USAGE = "usage: butterflies selftest [-h] [--scale SCALE] [--suite [N ...]]\n"
+SUITE_CHOICES = "(choose from '1', '2', '3', '4', '5', '6', '7', '8', '9')"
 
 
 class TestExitCodes:
@@ -155,13 +165,15 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["all_exact"] is True
         assert len(calls) == 1
 
-    def test_selftest_unknown_criterion_is_usage_error(self, capsys):
+    def test_selftest_unknown_criterion_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
         for suite in (["99"], ["x"], ["1", "99"]):
             with pytest.raises(SystemExit) as exc:
                 main(["selftest", "--suite", *suite])
             assert exc.value.code == 2
-            got = capsys.readouterr()
-            assert got.out == "" and "choose from '1', '2', '3'" in got.err
+            assert capsys.readouterr() == ("", SELFTEST_USAGE + "butterflies selftest: error: "
+                                           f"argument --suite: invalid choice: {suite[-1]!r} "
+                                           f"{SUITE_CHOICES}\n")
 
     def test_failed_invariant_is_internal_error(self, docs, capsys, monkeypatch):
         def broken(z, y):
@@ -237,14 +249,15 @@ class TestExitCodes:
             assert main(["validate", str(p)]) == 0, lit
             assert jsonio.parse_document(p.read_text())[1].relations.entries == (int(lit),)
 
-    def test_selftest_bad_scale_is_usage_error(self, capsys):
+    def test_selftest_bad_scale_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
         for scale in ("nan", "inf", "-inf", "0", "-0.5", "x"):
             with pytest.raises(SystemExit) as exc:
                 main(["selftest", f"--scale={scale}", "--suite", "8"])
             assert exc.value.code == 2
-            got = capsys.readouterr()
-            assert got.out == "" and got.err.startswith("usage: ")
-            assert f"--scale: must be a finite number above 0, got '{scale}'" in got.err
+            assert capsys.readouterr() == ("", SELFTEST_USAGE + "butterflies selftest: error: "
+                                           "argument --scale: must be a finite number above 0, "
+                                           f"got '{scale}'\n")
 
     @staticmethod
     def assert_refused(tmp_path, capsys, doc, msg):
@@ -457,6 +470,42 @@ class TestRoundTrip:
         main(["gen", "sequence", "--seed", "4", "--out", a])
         main(["gen", "sequence", "--seed", "4", "--out", b])
         assert Path(a).read_text() == Path(b).read_text()
+
+
+def test_selftest_help_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (SELFTEST_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --scale SCALE\n"
+        "  --suite [N ...]  criterion numbers to run, e.g. 1 6 9\n"), "")
+
+
+def test_import_cli_loads_the_traced_modules_and_not_selftest():
+    """A fresh `import butterflies.cli` loads every module that
+    perfbench/tracer.py's ENTRY_POINTS names, and not selftest, oracle or
+    fixtures.
+
+    The benchmark's import_library and the tracer's install find the library
+    through the modules that importing butterflies.cli leaves in sys.modules,
+    so those must stay eager.  selftest and what it imports serve only
+    `butterflies selftest`; every other command would pay for loading them.
+    """
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, butterflies.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    loaded = set(proc.stdout.split())
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert {f"butterflies.{name}" for name in tracer.ENTRY_POINTS} <= loaded
+    assert not {"butterflies.selftest", "butterflies.oracle", "butterflies.fixtures"} & loaded
 
 
 def test_selftest_smoke(capsys):

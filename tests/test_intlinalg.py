@@ -56,6 +56,10 @@ small_matrices = st.integers(0, 4).flatmap(
 dense_matrices = st.sampled_from([(8, 8), (5, 8), (8, 5), (3, 7), (7, 2)]).flatmap(
     lambda rc: shaped(*rc, bound=9))
 
+# dense 6x6 to 12x12, square or not, entries in [-9, 9]
+large_dense_matrices = st.tuples(st.integers(6, 12), st.integers(6, 12)).flatmap(
+    lambda rc: shaped(*rc, bound=9))
+
 # rectangular products of rank at most k, so zeros sit on the diagonal
 low_rank_matrices = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3)).flatmap(
     lambda rck: st.tuples(shaped(rck[0], rck[2], bound=9), shaped(rck[2], rck[1], bound=9))
@@ -80,9 +84,10 @@ class TestHnf:
         assert u * m == h
         assert abs(det(u)) == 1
 
-    @given(small_matrices)
-    @settings(max_examples=60, deadline=None)
-    def test_recompose_and_shape(self, m):
+    @staticmethod
+    def assert_hermite(m):
+        """U*m = H with U unimodular, and H is in row echelon form with
+        positive pivots and the entries above each pivot in [0, pivot)."""
         h, u = hnf(m)
         assert u * m == h
         if m.rows:
@@ -98,6 +103,16 @@ class TestHnf:
             assert piv > 0
             for ii in range(i):
                 assert 0 <= h[ii, nz[0]] < piv
+
+    @given(small_matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_recompose_and_shape(self, m):
+        self.assert_hermite(m)
+
+    @given(large_dense_matrices)
+    @settings(max_examples=30, deadline=None)
+    def test_recompose_and_shape_large_dense(self, m):
+        self.assert_hermite(m)
 
 
 class TestSnf:
@@ -115,9 +130,10 @@ class TestSnf:
         s, _, _ = snf(mat([[1, 0], [0, 6]]))
         assert s.to_lists() == [[1, 0], [0, 6]]
 
-    @given(small_matrices)
-    @settings(max_examples=60, deadline=None)
-    def test_recompose_divisibility(self, m):
+    @staticmethod
+    def assert_smith(m):
+        """U*m and S span the same column lattice, U*W = W*U = I, and S is
+        diagonal with d1 | d2 | ..., nonnegative, zeros last."""
         s, u, w = snf(m)
         # some unimodular V has U*m*V = S exactly when U*m and S span the
         # same column lattice
@@ -134,6 +150,16 @@ class TestSnf:
             for j in range(s.cols):
                 if i != j:
                     assert s[i, j] == 0
+
+    @given(small_matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_recompose_divisibility(self, m):
+        self.assert_smith(m)
+
+    @given(large_dense_matrices)
+    @settings(max_examples=30, deadline=None)
+    def test_recompose_divisibility_large_dense(self, m):
+        self.assert_smith(m)
 
     @given(small_matrices, st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -207,6 +233,15 @@ class TestSolve:
         assert solve(mat([[2]]), IntMatrix.zeros(1, 0)) == IntMatrix.zeros(1, 0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             solve(mat([[2]]), IntMatrix.column([1, 2]))
+
+    @given(large_dense_matrices, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_large_dense(self, a, data):
+        x = data.draw(st.integers(1, 3).flatmap(lambda k: shaped(a.cols, k, bound=9)))
+        b = a * x
+        assert in_col_span(a, b)
+        y = solve(a, b)
+        assert y is not None and a * y == b
 
     @given(st.integers(0, 3), st.integers(0, 3), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
