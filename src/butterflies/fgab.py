@@ -2,9 +2,9 @@
 
 A group is Z^ngens modulo the column span of a relation matrix; a morphism
 is an integer matrix on generators, checked at construction to descend to
-the quotients.  Objects are presentations, never canonical forms: equality
-is presentation identity, and isomorphism is the separate, decidable
-question answered by invariant_factors (plus an explicit map when needed).
+the quotients and then reduced modulo the target's relations, so == on maps
+is map equality.  Groups are presentations, never canonical forms: equality
+is presentation identity, and isomorphism is decided by invariant_factors.
 
 Kernels, cokernels, images and subquotients return groups in simplified
 (diagonal) presentation together with the maps tying them to the inputs;
@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
-    solve, solve_congruences, kernel_basis, in_col_span, col_echelon, submatrix,
+    solve, solve_congruences, kernel_basis, in_col_span, reduce_cols, col_echelon, submatrix,
 )
 
 
@@ -97,7 +97,8 @@ class FgAbGroup:
 
 @dataclass(frozen=True)
 class FgAbMap:
-    """A homomorphism src -> dst given by a dst.ngens x src.ngens matrix.
+    """A homomorphism src -> dst given by a dst.ngens x src.ngens matrix,
+    kept as reduce_cols(dst.relations, matrix), so == is map equality.
 
     Construction checks that the matrix descends to the presented quotients
     (matrix * src.relations lands in the column span of dst.relations) and
@@ -111,6 +112,8 @@ class FgAbMap:
     def __post_init__(self):
         if not is_well_defined(self.src, self.dst, self.matrix):
             raise ValueError("matrix does not define a homomorphism on the presentations")
+        if self.dst.relations.cols:  # into a free group every matrix is reduced
+            object.__setattr__(self, "matrix", reduce_cols(self.dst.relations, self.matrix))
 
     @staticmethod
     def identity(g: FgAbGroup) -> "FgAbMap":
@@ -137,7 +140,7 @@ class FgAbMap:
         return FgAbMap(self.src, self.dst, -self.matrix)
 
     def is_zero(self) -> bool:
-        return in_col_span(self.dst.relations, self.matrix)
+        return self.matrix.is_zero()
 
 
 def is_well_defined(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
@@ -152,13 +155,6 @@ def is_well_defined(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
     if not src.relations.cols:
         return True
     return in_col_span(dst.relations, matrix * src.relations)
-
-
-def map_equal(f: FgAbMap, g: FgAbMap) -> bool:
-    """Do f and g agree as group homomorphisms?  Endpoints must be the same presentations."""
-    if (f.src, f.dst) != (g.src, g.dst):
-        raise ValueError("map_equal requires identical endpoints")
-    return in_col_span(f.dst.relations, f.matrix - g.matrix)
 
 
 # -- direct sums -----------------------------------------------------------

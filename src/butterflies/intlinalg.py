@@ -422,27 +422,27 @@ def col_echelon(a: IntMatrix) -> tuple:
     return (ht, vt, tuple(pivot_rows))
 
 
-def _back_substitute(echelon: tuple, bvec) -> Optional[list]:
-    """y with H*y = bvec, for echelon = col_echelon(a) = (H^T, V^T, pivot
-    rows), so that a*(V*y) = bvec; or None."""
-    ht, _, pivot_rows = echelon
-    he, nr = ht.entries, ht.cols
-    r = list(bvec)
-    y = [0] * ht.rows
+def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str) -> tuple:
+    """(y, r, V^T): the entries, row major, of Y and R with b = H*Y + R for
+    a's cached column echelon form a*V = H, each entry of R at pivot row k
+    floored into [0, pivot k).  So each column of R is one remainder per
+    coset of a's column span (Cohen, GTM 138, section 2.4), zero exactly for
+    the columns of b in the span."""
+    if b.rows != a.rows:
+        raise ValueError(f"dimension mismatch in {caller}")
+    ht, vt, pivot_rows = col_echelon(a)
+    he, nr, nb = ht.entries, ht.cols, b.cols
+    r, y = list(b.entries), [0] * (ht.rows * nb)
     for k, p in enumerate(pivot_rows):
-        base = k * nr
-        q, rem = divmod(r[p], he[base + p])
-        if rem:
-            return None
-        if q:
-            y[k] = q
-            for i in range(p, nr):
-                hik = he[base + i]
-                if hik:
-                    r[i] -= q * hik
-    if any(r):
-        return None
-    return y
+        hk = he[k * nr + p:(k + 1) * nr]  # column k of H, from its pivot down
+        for j in range(nb):
+            q = r[p * nb + j] // hk[0]
+            if q:
+                y[k * nb + j] = q
+                for i, hik in zip(range(p * nb + j, nr * nb, nb), hk):
+                    if hik:
+                        r[i] -= q * hik
+    return y, r, vt
 
 
 def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -458,16 +458,10 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     >>> solve(IntMatrix.from_rows([[2]]), IntMatrix.column([3])) is None
     True
     """
-    if b.rows != a.rows:
-        raise ValueError("dimension mismatch in solve")
-    echelon = col_echelon(a)
-    ys = []
-    for j in range(b.cols):
-        y = _back_substitute(echelon, b.col(j))
-        if y is None:
-            return None
-        ys.append(y)
-    return (_from_lists(b.cols, a.cols, ys) * echelon[1]).transpose()
+    y, r, vt = _back_substitute(a, b, "solve")
+    if any(r):
+        return None
+    return (_from_lists(b.cols, a.cols, (y[j::b.cols] for j in range(b.cols))) * vt).transpose()
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -485,12 +479,19 @@ def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
     >>> in_col_span(a, IntMatrix.column([1, 0]))
     False
     """
-    if b.rows != a.rows:
-        raise ValueError("dimension mismatch in in_col_span")
-    if not b.cols:
-        return True
-    echelon = col_echelon(a)
-    return all(_back_substitute(echelon, b.col(j)) is not None for j in range(b.cols))
+    return not any(_back_substitute(a, b, "in_col_span")[1])
+
+
+def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
+    """m with each column replaced by its Hermite remainder modulo the
+    column span of a: two matrices give the same result exactly when their
+    difference lies in the span.  m itself when it is reduced already.
+
+    >>> reduce_cols(IntMatrix.column([4]), IntMatrix.from_rows([[9, -1, 3]])).entries
+    (1, 3, 3)
+    """
+    y, r, _ = _back_substitute(a, m, "reduce_cols")
+    return IntMatrix._of(m.rows, m.cols, tuple(r)) if any(y) else m
 
 
 def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> Optional[tuple]:

@@ -1,9 +1,10 @@
 """Canonical JSON for groups, maps, complexes, butterflies and sequences.
 
-Matrix entries are decimal strings (bit-exact at any size); keys are sorted
-on output, so emit(parse(emit(x))) == emit(x) byte for byte.  Documents are
-tagged with a "kind" field at the top level; nested objects carry no tag
-because the schema fixes them.
+Matrix entries are decimal strings (bit-exact at any size), and map matrices
+are parsed and emitted reduced modulo their target's relations (FgAbMap);
+keys are sorted on output, so emit(parse(emit(x))) == emit(x) byte for byte.
+Documents are tagged with a "kind" field at the top level; nested objects
+carry no tag because the schema fixes them.
 
 Malformed documents raise SchemaError where they are read.  Well-formed ones
 that a constructor rejects (a map that does not descend, a witness that
@@ -193,7 +194,7 @@ def sequence_from_json(data) -> ButterflyShortSeq:
     z = butterfly_from_json(data.get("Z"))
     phi = matrix_from_json(data.get("phi"), z.carrier.ngens, y.carrier.ngens)
     s = ButterflyShortSeq(y, z, FgAbMap(y.carrier, z.carrier, phi))
-    # E, F and G repeat what Y and Z say: the document must agree with itself
+    # E, F and G repeat what Y and Z say: the same groups and differentials as maps
     if (e, f) != (s.e, s.f):
         raise ValueError("y endpoints mismatch")
     if g != s.g:

@@ -16,7 +16,7 @@ from math import gcd
 
 from .intlinalg import CACHE_SIZE, IntMatrix, hstack, vstack
 from .fgab import (
-    FgAbGroup, FgAbMap, map_equal, direct_sum, is_exact_at, is_injective, is_surjective,
+    FgAbGroup, FgAbMap, direct_sum, is_exact_at, is_injective, is_surjective,
 )
 from .twocomplex import TwoTermComplex, embed0, homology, random_complex
 from .butterfly import (
@@ -160,9 +160,9 @@ def crit3_functoriality(scale: float = 1.0):
         zym1, zyh0 = homology_action(compose(z, y))
         ym1, yh0 = homology_action(y)
         zm1, zh0 = homology_action(z)
-        if not map_equal(zym1, zm1 * ym1):
+        if zym1 != zm1 * ym1:
             return False, f"H^-1 functoriality fails on pair #{k}"
-        if not map_equal(zyh0, zh0 * yh0):
+        if zyh0 != zh0 * yh0:
             return False, f"H^0 functoriality fails on pair #{k}"
     return True, f"{n} pairs: (Z*Y)_* = Z_* * Y_* exactly in both degrees"
 
@@ -489,7 +489,7 @@ def run(scale: float = 1.0, only=None, out=print) -> bool:
     """Run the criteria (those numbered in only, when given); True if all pass.
 
     Raises ValueError, before running anything, when scale fails scale_ok, or
-    only is a str or has a member whose str() is not a criterion number.
+    only is a str, is empty or has a member whose str() names no criterion.
     """
     if not scale_ok(scale):
         raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
@@ -497,6 +497,8 @@ def run(scale: float = 1.0, only=None, out=print) -> bool:
         raise ValueError(f"only must be a collection of criterion numbers, not the str {only!r}")
     if only is not None:
         only = set(map(str, only))
+        if not only:
+            raise ValueError("only names no criterion; pass None to run them all")
         unknown = sorted(only - set(criterion_numbers()))
         if unknown:
             raise ValueError(f"no criterion numbered {', '.join(unknown)}")

@@ -84,6 +84,19 @@ class TestCriterion10Cli:
             selftest.run(scale=0.02, only="18", out=lines.append)
         assert lines == []
 
+    def test_run_rejects_an_empty_collection(self, monkeypatch):
+        # an empty only would run nothing and pass; None runs every criterion
+        lines = []
+        for only in ((), set(), [], frozenset()):
+            with pytest.raises(ValueError, match="^only names no criterion"):
+                selftest.run(scale=0.02, only=only, out=lines.append)
+        assert lines == []
+        # a bare --suite still means all of them
+        seen = []
+        monkeypatch.setattr(selftest, "run", lambda scale, only: seen.append(only) or True)
+        assert main(["selftest", "--suite"]) == 0
+        assert seen == [None]
+
     def test_run_compares_members_as_str(self):
         lines = []
         assert selftest.run(scale=0.02, only={8}, out=lines.append)

@@ -3,15 +3,16 @@ import importlib
 import pkgutil
 import random
 import re
+import time
 
 import pytest
 
 import butterflies
 from butterflies import butterfly, fgab, intlinalg
-from butterflies.intlinalg import IntMatrix, InvariantError, hstack, vstack
+from butterflies.intlinalg import IntMatrix, InvariantError, hstack, vstack, in_col_span, col_echelon
 from butterflies.fgab import (
-    FgAbGroup, FgAbMap, direct_sum, map_equal, is_injective, is_surjective, hom_solve,
-    is_well_defined,
+    FgAbGroup, FgAbMap, direct_sum, is_injective, is_surjective, hom_solve,
+    is_well_defined, random_map,
 )
 from butterflies.twocomplex import TwoTermComplex, ChainMap, homology, embed0, zero_complex, random_complex
 from butterflies.butterfly import (
@@ -82,10 +83,12 @@ class TestIdentity:
             n0, n1, d = e.deg_0.ngens, e.deg_m1.ngens, e.d.matrix
             one0, one1 = IntMatrix.identity(n0), IntMatrix.identity(n1)
             assert (b.src, b.dst, b.carrier) == (e, e, direct_sum(e.deg_0, e.deg_m1))
-            assert b.i.matrix == vstack(IntMatrix.zeros(n0, n1), one1)
-            assert b.j.matrix == vstack(d, one1)
-            assert b.p.matrix == hstack(one0, -d)
-            assert b.q.matrix == hstack(one0, IntMatrix.zeros(n0, n1))
+            # each wing keeps the reduced representative of the formula's matrix
+            for wing, formula in [(b.i, vstack(IntMatrix.zeros(n0, n1), one1)),
+                                  (b.j, vstack(d, one1)),
+                                  (b.p, hstack(one0, -d)),
+                                  (b.q, hstack(one0, IntMatrix.zeros(n0, n1)))]:
+                assert in_col_span(wing.dst.relations, wing.matrix - formula)
 
 
 class TestFromChainMap:
@@ -113,15 +116,15 @@ class TestToChainMap:
         s = FgAbMap(b.src.deg_0, b.carrier, IntMatrix.from_rows([[1]]))
         back = to_chain_map(b, s)
         r = r_chain_map()
-        assert map_equal(back.f_0, r.f_0) and map_equal(back.f_m1, r.f_m1)
+        assert back.f_0 == r.f_0 and back.f_m1 == r.f_m1
 
     def test_identity_with_canonical_section(self):
         e = e2()
         b = identity_butterfly(e)
         s = FgAbMap(e.deg_0, b.carrier, vstack(IntMatrix.identity(1), IntMatrix.zeros(1, 1)))
         cm = to_chain_map(b, s)
-        assert map_equal(cm.f_0, FgAbMap.identity(e.deg_0))
-        assert map_equal(cm.f_m1, FgAbMap.identity(e.deg_m1))
+        assert cm.f_0 == FgAbMap.identity(e.deg_0)
+        assert cm.f_m1 == FgAbMap.identity(e.deg_m1)
 
     def test_bockstein_has_no_section(self):
         assert find_section(bockstein()) is None
@@ -223,8 +226,8 @@ class TestTwoMorphisms:
         b = bockstein()
         tm = two_morphism_find(b, b)
         assert tm is not None
-        assert map_equal(tm.m * tm.inverse, FgAbMap.identity(b.carrier))
-        assert map_equal(tm.inverse * tm.m, FgAbMap.identity(b.carrier))
+        assert tm.m * tm.inverse == FgAbMap.identity(b.carrier)
+        assert tm.inverse * tm.m == FgAbMap.identity(b.carrier)
 
     def test_carrier_obstruction(self):
         assert two_morphism_find(bockstein(), ik2()) is None
@@ -313,7 +316,7 @@ class TestTwoMorphisms:
             solved = hom_solve(b.carrier, a.carrier,
                                pre=[(tm.m, IntMatrix.identity(a.carrier.ngens))],
                                post=[(tm.m, IntMatrix.identity(b.carrier.ngens))])
-            assert solved is not None and map_equal(tm.inverse, solved)
+            assert solved is not None and tm.inverse == solved
         assert sum(a.carrier.ngens > 1 for a, _ in pairs) >= 12
 
 
@@ -347,8 +350,8 @@ class TestBaerSum:
             am1, a0 = homology_action(a)
             bm1, b0 = homology_action(b)
             sm1, s0 = homology_action(s)
-            assert map_equal(sm1, am1 + bm1)
-            assert map_equal(s0, a0 + b0)
+            assert sm1 == am1 + bm1
+            assert s0 == a0 + b0
 
     def test_commutative_and_associative_up_to_iso(self):
         rng = random.Random(15)
@@ -365,13 +368,13 @@ class TestBaerSum:
 class TestHomologyAction:
     def test_bockstein_identities(self):
         hm1, h0 = homology_action(bockstein())
-        assert map_equal(hm1, FgAbMap.identity(hm1.src))
-        assert map_equal(h0, FgAbMap.identity(h0.src))
+        assert hm1 == FgAbMap.identity(hm1.src)
+        assert h0 == FgAbMap.identity(h0.src)
 
     def test_identity_butterfly(self):
         hm1, h0 = homology_action(identity_butterfly(e2()))
-        assert map_equal(hm1, FgAbMap.identity(hm1.src))
-        assert map_equal(h0, FgAbMap.identity(h0.src))
+        assert hm1 == FgAbMap.identity(hm1.src)
+        assert h0 == FgAbMap.identity(h0.src)
 
     def test_br(self):
         hm1, h0 = homology_action(br())
@@ -390,7 +393,7 @@ class TestHomologyAction:
             assert u is not None
             reference.append(hd.ker.factor(hs.hm1, u))
             ours.append(homology_action(y)[0])
-        assert all(map_equal(a, b) for a, b in zip(ours, reference))
+        assert all(a == b for a, b in zip(ours, reference))
         # not vacuous: some actions are nonzero
         assert sum(not a.is_zero() for a in ours) >= 10
 
@@ -546,8 +549,8 @@ class TestSplittingCompose:
     def test_inverse_with_identity_witness(self):
         b = bockstein()
         psi = splitting_compose(invert(b), b, FgAbMap.identity(b.carrier))
-        assert map_equal(psi.f_0, FgAbMap.identity(b.src.deg_0))
-        assert map_equal(psi.f_m1, FgAbMap.identity(b.src.deg_m1))
+        assert psi.f_0 == FgAbMap.identity(b.src.deg_0)
+        assert psi.f_m1 == FgAbMap.identity(b.src.deg_m1)
 
     def test_result_matches_general_composition(self):
         b = bockstein()
@@ -579,7 +582,7 @@ class TestSplittingCompose:
         binv = invert(b)
         psi1 = splitting_compose(binv, b, FgAbMap.identity(b.carrier))
         psi2 = splitting_compose(binv, b, FgAbMap.identity(b.carrier))
-        assert map_equal(psi1.f_0, psi2.f_0)
+        assert psi1.f_0 == psi2.f_0
 
 
 class TestPullbackPushout:
@@ -652,6 +655,53 @@ class TestRandomButterfly:
         z = random_butterfly(e2(), k2(), 1)
         assert validate(z) == []
         assert z.carrier.invariant_factors() == (1, (2,))
+
+
+
+class TestDenseTorsion:
+    """Dense torsion presentations: relations dense n x n in [-9, 9]
+    (Random(1)).  Each map keeps its reduced matrix, so a wing into a finite
+    group has every entry in [0, the largest Hermite pivot of its target's
+    relations), and composites stay as small as their groups; unreduced,
+    the composite's wings reached 28,131 bits at n = 5."""
+
+    BUDGET_S = 2.0
+
+    @staticmethod
+    def dense_complex(n):
+        rng = random.Random(1)
+        a, b = (FgAbGroup(n, IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]))
+                for _ in range(2))
+        return TwoTermComplex(random_map(rng, a, b)), rng
+
+    @staticmethod
+    def assert_wings_reduced(b):
+        for w in (b.i, b.j, b.p, b.q):
+            assert w.dst.order() is not None
+            ht, _, pivot_rows = col_echelon(w.dst.relations)
+            largest = max((ht[k, p] for k, p in enumerate(pivot_rows)), default=1)
+            assert all(0 <= e < largest for e in w.matrix.entries)
+
+    def test_compose_and_two_morphism_find_n5(self):
+        e, rng = self.dense_complex(5)
+        start = time.perf_counter()
+        y = random_butterfly(e, e, rng)
+        c = compose(y, y)
+        assert two_morphism_find(c, c) is not None
+        assert time.perf_counter() - start < self.BUDGET_S
+        self.assert_wings_reduced(y)
+        self.assert_wings_reduced(c)
+
+    def test_chain_of_eight_compositions_n4(self):
+        e, rng = self.dense_complex(4)
+        start = time.perf_counter()
+        y = random_butterfly(e, e, rng)
+        w = y
+        for _ in range(8):
+            w = compose(y, w)
+            self.assert_wings_reduced(w)
+        assert two_morphism_find(w, compose(w, identity_butterfly(e))) is not None
+        assert time.perf_counter() - start < self.BUDGET_S
 
 
 def _clear_caches():

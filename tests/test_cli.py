@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from butterflies import cli, exactness, jsonio
 from butterflies.cli import main
-from butterflies.fixtures import bockstein, ik2, br, e2, k2
-from butterflies.exactness import is_exact, standard_seq_10
+from butterflies.fixtures import bockstein, ik2, br, e2, k2, Z2, Z4
+from butterflies.exactness import is_exact, standard_seq_10, standard_seq_51
 from butterflies.butterfly import TwoMorphism, zero_butterfly
-from butterflies.fgab import FgAbGroup, FgAbMap, hom_solve, map_equal
+from butterflies.twocomplex import TwoTermComplex
+from butterflies.fgab import FgAbGroup, FgAbMap, hom_solve
 from butterflies.intlinalg import IntMatrix, InvariantError
 
 
@@ -308,6 +309,24 @@ class TestExitCodes:
             doc[slot] = doc[other]
         self.assert_refused(tmp_path, capsys, doc, msg)
 
+    @pytest.mark.parametrize("build, slot, msg", [
+        (standard_seq_10, "F", "y endpoints mismatch"),
+        (standard_seq_51, "G", "z endpoints mismatch"),
+    ])
+    def test_sequence_endpoints_compare_maps(self, tmp_path, capsys, build, slot, msg):
+        # the slot's differential is [[1]]: Z/4 -> Z/2; [[3]] is the same map
+        # written unreduced, [[0]] another map
+        e = TwoTermComplex(FgAbMap(Z4, Z2, IntMatrix.from_rows([[1]])))
+        doc = jsonio.document("sequence", jsonio.sequence_to_json(build(e)))
+        assert doc[slot]["d"] == [["1"]]
+        doc[slot]["d"] = [["3"]]
+        p = tmp_path / "same.json"
+        p.write_text(jsonio.emit(doc))
+        assert main(["validate", str(p)]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+        doc[slot]["d"] = [["0"]]
+        self.assert_refused(tmp_path, capsys, doc, msg)
+
 
 def pretty(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -317,17 +336,21 @@ B_SQUARED = {
     "carrier": {"ngens": 2, "relations": [["2", "0"], ["0", "2"]]},
     "dst": {"d": [["0"]], "deg-1": {"ngens": 1, "relations": [["2"]]},
             "deg0": {"ngens": 1, "relations": [["2"]]}},
-    "i": [["-1"], ["-2"]], "j": [["-1"], ["0"]], "kind": "butterfly",
-    "p": [["0", "-1"]], "q": [["-2", "1"]],
+    "i": [["1"], ["0"]], "j": [["1"], ["0"]], "kind": "butterfly",
+    "p": [["0", "1"]], "q": [["0", "1"]],
     "src": {"d": [["0"]], "deg-1": {"ngens": 1, "relations": [["2"]]},
             "deg0": {"ngens": 1, "relations": [["2"]]}},
 }
 
-# The bytes an earlier Smith elimination gave for compose B B, and the iso2
-# witness it gave against IK2; kept to show the re-pinned ones are the same
+# The bytes compose B B gave before map matrices were kept reduced, and
+# before that under an earlier Smith elimination, with the iso2 witnesses
+# against IK2 they gave; kept to show the re-pinned ones are the same
 # butterfly and a valid 2-morphism (test_repinned_outputs_are_equivalent).
-B_SQUARED_EARLIER = dict(B_SQUARED, i=[["1"], ["-2"]], q=[["-2", "-1"]])
-ISO2_WITNESS = [[-2, 1], [-1, 0]]
+B_SQUARED_UNREDUCED = dict(B_SQUARED, i=[["-1"], ["-2"]], j=[["-1"], ["0"]],
+                           p=[["0", "-1"]], q=[["-2", "1"]])
+B_SQUARED_EARLIER = dict(B_SQUARED_UNREDUCED, i=[["1"], ["-2"]], q=[["-2", "-1"]])
+ISO2_WITNESS = [[0, 1], [1, 0]]
+ISO2_WITNESS_UNREDUCED = [[-2, 1], [-1, 0]]
 ISO2_WITNESS_EARLIER = [[-2, -1], [-1, -1]]
 
 
@@ -376,22 +399,26 @@ def test_output_bytes_pinned(docs, capsys):
 
 
 def test_repinned_outputs_are_equivalent(docs):
-    """compose B B and its iso2 witness changed bytes, not meaning: both
-    compose outputs are one butterfly (same presentations, map_equal wings),
-    and both witnesses are 2-morphisms onto IK2."""
-    _, earlier = jsonio.parse_document(pretty(B_SQUARED_EARLIER))
-    _, now = jsonio.parse_document(pretty(B_SQUARED))
-    assert earlier != now
-    assert (earlier.src, earlier.dst, earlier.carrier) == (now.src, now.dst, now.carrier)
-    for wing in "ijpq":
-        assert map_equal(getattr(earlier, wing), getattr(now, wing))
+    """compose B B and its iso2 witness changed bytes, not meaning: every
+    compose output parses to one butterfly (equal presentations and wings,
+    and == on maps is equality of homomorphisms) that emits the pinned
+    bytes, the unreduced witness parses to the pinned one, and every
+    witness is a 2-morphism onto IK2."""
+    outputs = [B_SQUARED_EARLIER, B_SQUARED_UNREDUCED, B_SQUARED]
+    assert len({pretty(doc) for doc in outputs}) == 3
+    parsed = [jsonio.parse_document(pretty(doc))[1] for doc in outputs]
+    assert parsed[0] == parsed[1] == parsed[2]
+    for b in parsed:
+        assert jsonio.emit(jsonio.document("butterfly", jsonio.butterfly_to_json(b))) == pretty(B_SQUARED)
     ik = _read(docs["IK2.json"])
-    for source in (earlier, now):
-        for rows in (ISO2_WITNESS_EARLIER, ISO2_WITNESS):
+    for source in parsed:
+        for rows in (ISO2_WITNESS_EARLIER, ISO2_WITNESS_UNREDUCED, ISO2_WITNESS):
             m = FgAbMap(source.carrier, ik.carrier, IntMatrix.from_rows(rows))
             inverse = hom_solve(ik.carrier, source.carrier,
                                 pre=[(m, IntMatrix.identity(source.carrier.ngens))])
             TwoMorphism(source, ik, m, inverse)  # raises unless every condition holds
+    unreduced = FgAbMap(ik.carrier, ik.carrier, IntMatrix.from_rows(ISO2_WITNESS_UNREDUCED))
+    assert unreduced.matrix.to_lists() == ISO2_WITNESS
 
 
 def _read(path):

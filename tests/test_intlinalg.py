@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import butterflies
 from butterflies.fgab import FgAbGroup, simplify
 from butterflies.intlinalg import (
-    CACHE_SIZE, IntMatrix, hnf, snf, solve, kernel_basis, in_col_span,
+    CACHE_SIZE, IntMatrix, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
     hstack, vstack, kron, submatrix, solve_congruences,
 )
 
@@ -262,6 +262,42 @@ class TestSolve:
             k = kernel_basis(a)
             for t in range(k.cols):
                 assert all(sum(a[i, j] * k[j, t] for j in range(c)) == 0 for i in range(r))
+
+
+
+class TestReduceCols:
+    """reduce_cols(a, m): each column of m brought to its Hermite remainder,
+    the one representative of its coset modulo the column span of a."""
+
+    @staticmethod
+    def assert_remainder(a, data):
+        k = data.draw(st.integers(0, 3))
+        m = data.draw(shaped(a.rows, k))
+        x = data.draw(shaped(a.cols, k, bound=9))
+        r = reduce_cols(a, m)
+        assert reduce_cols(a, r) is r                 # idempotent: a reduced m comes back as is
+        assert in_col_span(a, m - r)                  # the same coset
+        assert reduce_cols(a, m + a * x) == r         # the same remainder for the whole coset
+        assert reduce_cols(a, a * x).is_zero()
+        for j in range(k):
+            assert (not any(r.col(j))) == in_col_span(a, IntMatrix.column(m.col(j)))
+
+    @given(small_matrices, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_remainder(self, a, data):
+        self.assert_remainder(a, data)
+
+    @given(large_dense_matrices, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_remainder_large_dense(self, a, data):
+        self.assert_remainder(a, data)
+
+    def test_pivot_entries_in_range(self):
+        assert reduce_cols(mat([[4, 2], [0, 6]]), mat([[5, -1], [7, -6]])) == mat([[1, 1], [7, 0]])
+        m = mat([[1], [2]])
+        assert reduce_cols(IntMatrix.zeros(2, 0), m) is m
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            reduce_cols(mat([[2]]), m)
 
 
 def test_solve_matrix_and_kernel_basis():
