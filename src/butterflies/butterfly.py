@@ -30,7 +30,7 @@ from typing import Optional
 from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, in_col_span
 from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
-    subquotient, is_exact_at, is_injective, is_surjective,
+    subquotient, is_exact_at, is_injective, is_surjective, exact_verdicts,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
     ext1_realize,
 )
@@ -79,12 +79,9 @@ def validate(b: Butterfly) -> list:
         bad.append("triangle pi=-d violated")
     if not in_col_span(rel_f0, p * j):
         bad.append("pj=0 violated")
-    if not is_injective(b.i):
-        bad.append("diagonal not exact: i not injective")
-    if not is_exact_at(b.i, b.q):
-        bad.append("diagonal not exact at carrier")
-    if not is_surjective(b.q):
-        bad.append("diagonal not exact: q not surjective")
+    diagonal = ("diagonal not exact: i not injective", "diagonal not exact at carrier",
+                "diagonal not exact: q not surjective")
+    bad += [msg for ok, msg in zip(exact_verdicts(b.i, b.q), diagonal) if not ok]
     if not in_col_span(rel_e0, q * i):
         bad.append("qi=0 violated")  # implied by exactness; sanity check
     return bad
@@ -258,7 +255,7 @@ def homology_action(y: Butterfly) -> tuple:
 
 def is_invertible(y: Butterfly) -> bool:
     """Exactness of  0 -> src.deg_m1 -> Y -> dst.deg_0 -> 0."""
-    return (is_injective(y.j) and is_exact_at(y.j, y.p) and is_surjective(y.p))
+    return all(exact_verdicts(y.j, y.p))
 
 
 def invert(y: Butterfly) -> Butterfly:
@@ -318,9 +315,7 @@ def classify(y: Butterfly) -> Classification:
     Faithfulness is cross-checked against injectivity of the H^-1 action and
     cofaithfulness against surjectivity of the H^0 action.
     """
-    j_inj = is_injective(y.j)
-    mid = is_exact_at(y.j, y.p)
-    p_surj = is_surjective(y.p)
+    j_inj, mid, p_surj = exact_verdicts(y.j, y.p)
     faithful = pip(y).is_trivial()
     cofaithful = copip(y).is_trivial()
     hm1, h0 = homology_action(y)

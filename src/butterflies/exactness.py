@@ -16,7 +16,7 @@ from typing import Optional
 from .intlinalg import IntMatrix, InvariantError, hstack, vstack, block, in_col_span
 from .fgab import (
     FgAbMap, direct_sum, kernel, cokernel, is_exact_at, generator_lift,
-    is_injective, is_surjective, hom_solve, random_map,
+    is_injective, is_surjective, exact_verdicts, hom_solve, random_map,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology, embed0, shift1, random_complex
 from .butterfly import (
@@ -93,23 +93,19 @@ def seq74_exact(s: ButterflyShortSeq) -> bool:
     """0 -> E^-1 -> Y -> ker(p_Z) -> 0, i.e. E ~ ker(Z)."""
     kp = kernel(s.z.p)
     phit = kp.factor(s.y.carrier, s.phi.matrix)
-    return (is_injective(s.y.j)
-            and is_exact_at(s.y.j, phit)
-            and is_surjective(phit))
+    return all(exact_verdicts(s.y.j, phit))
 
 
 def seq75_exact(s: ButterflyShortSeq) -> bool:
     """0 -> coker(j_Y) -> Z -> G^0 -> 0, i.e. coker(Y) ~ G."""
     cj = cokernel(s.y.j)
     phib = cj.induce(s.z.carrier, s.phi.matrix)
-    return (is_injective(phib)
-            and is_exact_at(phib, s.z.p)
-            and is_surjective(s.z.p))
+    return all(exact_verdicts(phib, s.z.p))
 
 
 def is_exact(s: ButterflyShortSeq) -> bool:
     """Two-sided exactness, with the proof's equivalent forms cross-checked."""
-    out = is_left_exact(s) and is_surjective(s.z.p)
+    out = all(exact_verdicts(s.y.j, s.phi, s.z.p))
     alt1 = seq74_exact(s) and is_surjective(s.z.p)
     alt2 = seq75_exact(s) and is_injective(s.y.j)
     if not out == alt1 == alt2:
@@ -164,7 +160,7 @@ def standard_seq_52(e: TwoTermComplex) -> ButterflyShortSeq:
 class LongExactSequence:
     groups: tuple   # H^-1 E, H^-1 F, H^-1 G, H^0 E, H^0 F, H^0 G
     maps: tuple     # the four outer maps and delta, in sequence order
-    verdicts: tuple # injective at the head, exact at 4 interior spots, surjective at the tail
+    verdicts: tuple # exact_verdicts(*maps): injective, exact at 4 interior spots, surjective
 
     @property
     def all_exact(self) -> bool:
@@ -204,15 +200,7 @@ def les(s: ButterflyShortSeq) -> Optional[LongExactSequence]:
 
     groups = (he.hm1, hf.hm1, hg.hm1, he.h0, hf.h0, hg.h0)
     maps = (m1y, m1z, delta, h0y, h0z)
-    verdicts = (
-        is_injective(m1y),
-        is_exact_at(m1y, m1z),
-        is_exact_at(m1z, delta),
-        is_exact_at(delta, h0y),
-        is_exact_at(h0y, h0z),
-        is_surjective(h0z),
-    )
-    return LongExactSequence(groups, maps, verdicts)
+    return LongExactSequence(groups, maps, tuple(exact_verdicts(*maps)))
 
 
 # -- randomized exact sequences ------------------------------------------------

@@ -13,6 +13,7 @@ are memoized (bounded by intlinalg.CACHE_SIZE), so the exactness criteria
 that ask about the same maps share one computation.  Exactness at a spot is
 decided by membership in a column span (is_exact_at), never by building the
 subquotient; subquotient is for the callers that need the group itself.
+exact_verdicts is the one statement of what an exact sequence is.
 
 One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
 subquotient, Subquotient.lift_in and induce_out take the far endpoint group
@@ -323,6 +324,17 @@ def is_injective(f: FgAbMap) -> bool:
 
 def is_surjective(f: FgAbMap) -> bool:
     return cokernel(f).group.is_trivial()
+
+
+def exact_verdicts(*maps: FgAbMap):
+    """The verdicts for 0 -> A_0 -> ... -> A_n -> 0 along maps, lazily:
+    injective at the head, exact at each interior spot, surjective at the
+    tail.  all(...) stops at the first failure; one map gives (injective,
+    surjective), i.e. isomorphism."""
+    yield is_injective(maps[0])
+    for a, b in zip(maps, maps[1:]):
+        yield is_exact_at(a, b)
+    yield is_surjective(maps[-1])
 
 
 def generator_lift(m: IntMatrix, dst: FgAbGroup, targets: IntMatrix) -> Optional[IntMatrix]:

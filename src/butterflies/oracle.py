@@ -141,27 +141,11 @@ def is_exact_elementwise(a_fn, b_fn, src: ElementGroup, mid: ElementGroup, out_z
 
 @dataclass(frozen=True)
 class ElementQuotient:
-    """A quotient (subset of an ElementGroup) / (subgroup), with coset reps."""
+    """A quotient (subset of an ElementGroup) / (subgroup)."""
 
     ambient: ElementGroup
     members: frozenset
     divisor: frozenset
-
-    def canon(self, x):
-        return min(self.ambient.add(x, h) for h in self.divisor)
-
-    def elements(self):
-        return sorted({self.canon(x) for x in self.members})
-
-    def add(self, x, y):
-        return self.canon(self.ambient.add(x, y))
-
-    def zero(self):
-        return self.canon(self.ambient.zero())
-
-    @property
-    def size(self) -> int:
-        return len(self.members) // len(self.divisor)
 
 
 def quotient_structure(q: ElementQuotient) -> tuple:

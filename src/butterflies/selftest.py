@@ -15,9 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from .intlinalg import CACHE_SIZE, IntMatrix, hstack, vstack
-from .fgab import (
-    FgAbGroup, FgAbMap, direct_sum, is_exact_at, is_injective, is_surjective,
-)
+from .fgab import FgAbGroup, FgAbMap, direct_sum, is_exact_at, exact_verdicts
 from .twocomplex import TwoTermComplex, embed0, homology, random_complex
 from .butterfly import (
     Butterfly, validate, is_valid, identity_butterfly,
@@ -169,10 +167,6 @@ def crit3_functoriality(scale: float = 1.0):
 
 # -- criterion 4: the three invertibility criteria ------------------------------
 
-def _is_iso(f: FgAbMap) -> bool:
-    return is_injective(f) and is_surjective(f)
-
-
 def _has_two_sided_inverse(y: Butterfly) -> bool:
     """Build the reflected candidate inverse and test both composites
     against the identities; no precondition assumed.  The reflected wings
@@ -197,7 +191,7 @@ def crit4_tri_equivalence(scale: float = 1.0):
     expected = {len(cases) - 2: True, len(cases) - 1: False}
     for k, y in enumerate(cases):
         hm1, h0 = homology_action(y)
-        b_qis = _is_iso(hm1) and _is_iso(h0)
+        b_qis = all(exact_verdicts(hm1)) and all(exact_verdicts(h0))
         b_cone = is_invertible(y)
         b_inv = _has_two_sided_inverse(y)
         if not (b_inv == b_qis == b_cone):

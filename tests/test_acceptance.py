@@ -16,9 +16,9 @@ from butterflies.exactness import standard_seq_10
 
 
 def _run(fn, budget=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok, detail = fn(1.0)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     print(f"{'PASS' if ok else 'FAIL'} {fn.__name__}: {detail} [{dt:.1f}s]")
     assert ok, detail
     if budget is not None:

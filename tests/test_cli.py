@@ -583,11 +583,11 @@ def _paths(node, at=()):
 
 
 @st.composite
-def json_mutants(draw) -> bytes:
-    """A golden document with one or two changes: a leaf set to a small
-    decimal or to an odd literal, or any value replaced, deleted or (a list
-    item, such as a matrix row) duplicated."""
-    doc = json.loads(draw(st.sampled_from(golden_texts())))
+def json_mutants(draw, texts=None) -> bytes:
+    """A golden document (one of texts, by default any) with one or two
+    changes: a leaf set to a small decimal or to an odd literal, or any
+    value replaced, deleted or (a list item, such as a matrix row) duplicated."""
+    doc = json.loads(draw(st.sampled_from(texts or golden_texts())))
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
         if not paths:
@@ -612,11 +612,12 @@ def json_mutants(draw) -> bytes:
 
 
 @st.composite
-def byte_mutants(draw) -> bytes:
-    """A golden document's bytes with one to four bytes set, inserted or
-    deleted, or a truncation; inserts include a byte order mark that is not
-    UTF-8 and nesting deeper than the recursion limit."""
-    data = bytearray(draw(st.sampled_from(golden_texts())).encode())
+def byte_mutants(draw, texts=None) -> bytes:
+    """A golden document's bytes (one of texts, by default any) with one to
+    four bytes set, inserted or deleted, or a truncation; inserts include a
+    byte order mark that is not UTF-8 and nesting deeper than the recursion
+    limit."""
+    data = bytearray(draw(st.sampled_from(texts or golden_texts())).encode())
     for _ in range(draw(st.integers(1, 4))):
         pos = draw(st.integers(0, len(data)))
         op = draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
@@ -657,6 +658,22 @@ def _check_documented_outcome(data: bytes):
                 assert jsonio.emit(jsonio.document(kind2, TO_JSON[kind2](obj2))) == text
 
 
+def _check_two_document_outcome(data: bytes, golden: str):
+    """compose and iso2, with the mutant first and then second beside a
+    golden butterfly, exit 0, 1 or 2 with no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant, good = os.path.join(tmp, "mutant.json"), os.path.join(tmp, "golden.json")
+        with open(mutant, "wb") as fh:
+            fh.write(data)
+        with open(good, "w") as fh:
+            fh.write(golden)
+        for command in ("compose", "iso2"):
+            for pair in ((mutant, good), (good, mutant)):
+                code, out, err = _run([command, *pair])
+                assert code in (0, 1, 2), (command, pair, err)
+                assert "Traceback" not in out + err, (command, pair)
+
+
 class TestFuzzGoldenDocuments:
     """Mutants of the golden documents only ever meet the documented exit
     codes: 0, 1 or 2, never 3 (an internal error) and never a traceback."""
@@ -670,3 +687,11 @@ class TestFuzzGoldenDocuments:
     @given(byte_mutants())
     def test_byte_level_mutants(self, data):
         _check_documented_outcome(data)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(golden_texts()[:3]).flatmap(lambda golden: st.tuples(
+        json_mutants((golden,)) | byte_mutants((golden,)), st.just(golden))))
+    def test_two_document_commands(self, pair):
+        """A mutant of B, IK2 or Br (golden_texts()[:3]) beside the golden
+        butterfly it came from, so the endpoints often still match."""
+        _check_two_document_outcome(*pair)

@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from butterflies import jsonio
+from butterflies import fgab, jsonio
 from butterflies.intlinalg import IntMatrix, in_col_span
 from butterflies.butterfly import compose, identity_butterfly
 from butterflies.fixtures import bockstein, e2, ik2
 from butterflies.fgab import (
     FgAbGroup, FgAbMap, is_well_defined, direct_sum, simplify,
     kernel, cokernel, image, subquotient, is_exact_at, is_injective,
-    is_surjective, hom_solve, hom_solve_all, ext1_realize, hom_group,
+    is_surjective, exact_verdicts, hom_solve, hom_solve_all, ext1_realize, hom_group,
     random_group, random_map, factor_through_injection, generator_lift,
     precompose, dual_presentation, free_presentation,
 )
@@ -181,6 +181,28 @@ class TestExactness:
     def test_nonzero_composite_not_exact(self):
         # ker(b) = 2Z/4 lies in im(a) = Z/4, but b*a is not zero
         assert not is_exact_at(FgAbMap.identity(Z4), FgAbMap(Z4, Z2, m([[1]])))
+
+    def test_one_map_gives_injective_then_surjective(self):
+        assert list(exact_verdicts(FgAbMap(Z2, Z4, m([[2]])))) == [True, False]
+        assert list(exact_verdicts(FgAbMap(Z4, Z2, m([[1]])))) == [False, True]
+        assert list(exact_verdicts(FgAbMap.identity(Z4))) == [True, True]
+        assert list(exact_verdicts(FgAbMap.zero(Z, Z))) == [False, False]
+
+    def test_all_stops_at_the_first_failing_verdict(self, monkeypatch):
+        """0 -> Z/2 --2--> Z/4 --0--> Z/4 --1--> Z/2 -> 0 first fails at the
+        first Z/4, so all(...) decides after two verdicts and runs no more."""
+        calls = []
+        for name in ("is_injective", "is_exact_at", "is_surjective"):
+            def counted(*maps, _name=name, _original=getattr(fgab, name)):
+                calls.append(_name)
+                return _original(*maps)
+            monkeypatch.setattr(fgab, name, counted)
+        maps = (FgAbMap(Z2, Z4, m([[2]])), FgAbMap.zero(Z4, Z4), FgAbMap(Z4, Z2, m([[1]])))
+        assert not all(exact_verdicts(*maps))
+        assert calls == ["is_injective", "is_exact_at"]
+        calls.clear()
+        assert list(exact_verdicts(*maps)) == [True, False, False, True]
+        assert calls == ["is_injective", "is_exact_at", "is_exact_at", "is_surjective"]
 
 
 def composable_pair(rng):

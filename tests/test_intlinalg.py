@@ -479,7 +479,10 @@ class TestSourceRules:
     def test_no_unreferenced_functions(self):
         """Every function or method defined under src/ is named somewhere in
         src/, tests/ or perfbench/ besides its own def: as a name, an
-        attribute, or a string such as a patch target (dunders exempt)."""
+        attribute, or a string such as a patch target (dunders exempt).
+        Names are matched, not definitions: a method that shares its name
+        with another definition or use (an add on two classes) is invisible
+        to this test even when nothing calls it."""
         root = SRC.parents[1]
         files = [*source_files(), *sorted((root / "tests").glob("*.py")),
                  *sorted((root / "perfbench").glob("*.py"))]
