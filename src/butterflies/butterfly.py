@@ -23,11 +23,10 @@ that raises caches nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, in_col_span
+from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, in_col_span
 from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective, exact_verdicts,
@@ -37,8 +36,7 @@ from .fgab import (
 from .twocomplex import TwoTermComplex, ChainMap, homology
 
 
-@dataclass(frozen=True)
-class Butterfly:
+class Butterfly(Record):
     """Four wings meeting in one carrier, i.dst; each wing is checked once."""
 
     src: TwoTermComplex
@@ -91,8 +89,7 @@ def is_valid(b: Butterfly) -> bool:
     return not validate(b)
 
 
-@dataclass(frozen=True)
-class TwoMorphism:
+class TwoMorphism(Record):
     """An isomorphism of carriers commuting with all four wings."""
 
     source: Butterfly
@@ -301,8 +298,7 @@ def copip(y: Butterfly) -> FgAbGroup:
     return cokernel(y.p).group
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     mono: bool
     epi: bool
     faithful: bool

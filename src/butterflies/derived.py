@@ -19,9 +19,8 @@ explicitly, and is validated against exhaustive butterfly enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, InvariantError, hstack, vstack, kron, solve
+from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, kron, solve
 from .fgab import (
     FgAbGroup, FgAbMap, kernel, cokernel, hom_group, power_group,
     free_presentation, dual_presentation, precompose, precompose_matrix, ext1_realize,
@@ -31,8 +30,7 @@ from .twocomplex import TwoTermComplex, homology, shift1
 from .butterfly import Butterfly, two_morphism_find, validate
 
 
-@dataclass(frozen=True)
-class DerivedTensor:
+class DerivedTensor(Record):
     a: FgAbGroup
     b: FgAbGroup
     complex: TwoTermComplex   # [B^m -> B^n], degrees [-1, 0]
@@ -64,8 +62,7 @@ def derived_tensor(a: FgAbGroup, b: FgAbGroup) -> DerivedTensor:
     return DerivedTensor(a, b, cx, t, iso)
 
 
-@dataclass(frozen=True)
-class BiextGroups:
+class BiextGroups(Record):
     pi1: FgAbGroup
     pi0: FgAbGroup
     filtration_sub: FgAbGroup   # coker(Hom(K^0,C) -> Hom(K^-1,C))

@@ -10,10 +10,9 @@ witnesses can disagree about exactness, so it is stored, never recomputed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import IntMatrix, InvariantError, hstack, vstack, block, in_col_span
+from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, block, in_col_span
 from .fgab import (
     FgAbMap, direct_sum, kernel, cokernel, is_exact_at, generator_lift,
     is_injective, is_surjective, exact_verdicts, hom_solve, random_map,
@@ -24,8 +23,7 @@ from .butterfly import (
 )
 
 
-@dataclass(frozen=True)
-class ButterflyShortSeq:
+class ButterflyShortSeq(Record):
     """0 -> e --y--> f --z--> g -> 0 with phi making z * y isomorphic to zero:
     the NW-SE diagonals compose to 0."""
 
@@ -156,8 +154,7 @@ def standard_seq_52(e: TwoTermComplex) -> ButterflyShortSeq:
 
 # -- the six-term long exact sequence -----------------------------------------
 
-@dataclass(frozen=True)
-class LongExactSequence:
+class LongExactSequence(Record):
     groups: tuple   # H^-1 E, H^-1 F, H^-1 G, H^0 E, H^0 F, H^0 G
     maps: tuple     # the four outer maps and delta, in sequence order
     verdicts: tuple # exact_verdicts(*maps): injective, exact at 4 interior spots, surjective

@@ -28,19 +28,17 @@ is its construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Optional, Sequence
 
 from .intlinalg import (
-    CACHE_SIZE, IntMatrix, InvariantError, hstack, vstack, block, kron, snf,
+    CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, block, kron, snf,
     solve, solve_congruences, kernel_basis, in_col_span, reduce_cols, col_echelon, submatrix,
 )
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Record):
     """Z^ngens / column-span(relations); relations has ngens rows."""
 
     ngens: int
@@ -96,8 +94,7 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class FgAbMap:
+class FgAbMap(Record):
     """A homomorphism src -> dst given by a dst.ngens x src.ngens matrix,
     kept as reduce_cols(dst.relations, matrix), so == is map equality.
 
@@ -171,8 +168,7 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 
 # -- presentation simplification --------------------------------------------
 
-@dataclass(frozen=True)
-class Simplified:
+class Simplified(Record):
     group: FgAbGroup
     to: IntMatrix    # original -> simplified coordinates
     fro: IntMatrix   # simplified -> original; mutually inverse as group maps
@@ -196,8 +192,7 @@ def simplify(g: FgAbGroup):
 
 # -- kernels, cokernels, images, subquotients --------------------------------
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record):
     group: FgAbGroup
     incl: FgAbMap  # group -> src of the original map; injective
 
@@ -222,8 +217,7 @@ def _span(gens: IntMatrix, ambient: FgAbGroup) -> Simplified:
     return simplify(FgAbGroup(gens.cols, submatrix(rel_big, range(gens.cols))))
 
 
-@dataclass(frozen=True)
-class Cokernel:
+class Cokernel(Record):
     group: FgAbGroup
     proj: FgAbMap         # dst of the original map -> group; surjective
     fro: IntMatrix        # group -> dst's generators modulo the image; inverse to proj
@@ -244,8 +238,7 @@ def cokernel(f: FgAbMap) -> Cokernel:
     return Cokernel(simp.group, FgAbMap(f.dst, simp.group, simp.to), simp.fro, rel)
 
 
-@dataclass(frozen=True)
-class Image:
+class Image(Record):
     group: FgAbGroup
     incl: FgAbMap        # group -> dst; injective
     corestrict: FgAbMap  # src -> group; surjective; incl * corestrict == f
@@ -258,8 +251,7 @@ def image(f: FgAbMap) -> Image:
     return Image(simp.group, incl, cores)
 
 
-@dataclass(frozen=True)
-class Subquotient:
+class Subquotient(Record):
     """H = ker(b)/im(a) for composable a, b with b*a = 0: the cokernel of a
     factored through ker(b).
 
@@ -431,8 +423,7 @@ def hom_group(a: FgAbGroup, c: FgAbGroup) -> FgAbGroup:
     return kernel(dual_presentation(a, c)[1]).group
 
 
-@dataclass(frozen=True)
-class Ext1:
+class Ext1(Record):
     group: FgAbGroup
     _a: FgAbGroup
     _c: FgAbGroup

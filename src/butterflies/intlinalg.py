@@ -26,6 +26,54 @@ class InvariantError(RuntimeError):
     """An internal invariant failed: a defect in this library, never bad input."""
 
 
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass's fields are the names its own body annotates, in order.
+    Each subclass gets, compiled once, what a frozen dataclass would get:
+    an __init__ taking the fields by position or keyword (it then calls
+    self.__post_init__() when the class has one), an == that compares the
+    field tuples of two instances of the same class, and the hash of the
+    field tuple.  Instances refuse assignment and deletion.
+
+    >>> class Pair(Record):
+    ...     a: int
+    ...     b: int
+    >>> Pair(1, b=2), Pair(1, 2) == Pair(1, 2), hash(Pair(1, 2)) == hash((1, 2))
+    (Pair(a=1, b=2), True, True)
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        names = tuple(cls.__annotations__)
+        mine = "".join(f"self.{n}, " for n in names)
+        theirs = "".join(f"other.{n}, " for n in names)
+        sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
+        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        src = (f"def __init__(self, {', '.join(names)}):\n{sets}{post}"
+               "def __eq__(self, other):\n"
+               "    if other.__class__ is not self.__class__:\n"
+               "        return NotImplemented\n"
+               f"    return ({mine}) == ({theirs})\n"
+               "def __hash__(self):\n"
+               f"    return hash(({mine}))\n")
+        ns: dict = {}
+        exec(src, {"_setattr": object.__setattr__}, ns)
+        for name, fn in ns.items():
+            fn.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, fn)
+        cls.__match_args__ = names
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class IntMatrix:
     """An immutable rows x cols matrix of Python ints, row major.
 

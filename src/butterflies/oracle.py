@@ -11,10 +11,9 @@ to translate a presentation into cyclic coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, prod
 
-from .intlinalg import IntMatrix, snf
+from .intlinalg import IntMatrix, Record, snf
 from .fgab import FgAbGroup, FgAbMap
 
 DEFAULT_CAP = 4096
@@ -24,8 +23,7 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ElementGroup:
+class ElementGroup(Record):
     """A product of cyclic groups; elements are residue tuples."""
 
     orders: tuple
@@ -61,8 +59,7 @@ class ElementGroup:
         return n
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Record):
     """A presented group in cyclic coordinates, with both translations."""
 
     group: FgAbGroup
@@ -139,8 +136,7 @@ def is_exact_elementwise(a_fn, b_fn, src: ElementGroup, mid: ElementGroup, out_z
     return image_elements(a_fn, src) == kernel_elements(b_fn, mid, out_zero)
 
 
-@dataclass(frozen=True)
-class ElementQuotient:
+class ElementQuotient(Record):
     """A quotient (subset of an ElementGroup) / (subgroup)."""
 
     ambient: ElementGroup
@@ -194,8 +190,7 @@ def group_structure(sub: frozenset, eg: ElementGroup) -> tuple:
 
 # -- butterflies, elementwise -------------------------------------------------
 
-@dataclass(frozen=True)
-class ButterflyRealization:
+class ButterflyRealization(Record):
     em1: Realization
     e0: Realization
     fm1: Realization

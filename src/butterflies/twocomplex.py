@@ -7,18 +7,16 @@ complexes via embed0, and shift1 puts a group in degree -1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import CACHE_SIZE, IntMatrix, block, in_col_span
+from .intlinalg import CACHE_SIZE, IntMatrix, Record, block, in_col_span
 from .fgab import (
     FgAbGroup, FgAbMap, Kernel, Cokernel, direct_sum,
     kernel, cokernel, random_group, random_map,
 )
 
 
-@dataclass(frozen=True)
-class TwoTermComplex:
+class TwoTermComplex(Record):
     """deg_m1 --d--> deg_0: the complex is its differential."""
 
     d: FgAbMap
@@ -32,8 +30,7 @@ class TwoTermComplex:
         return self.d.dst
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Record):
     src: TwoTermComplex
     dst: TwoTermComplex
     f_m1: FgAbMap
@@ -85,8 +82,7 @@ def zero_complex() -> TwoTermComplex:
     return embed0(FgAbGroup.trivial())
 
 
-@dataclass(frozen=True)
-class Homology:
+class Homology(Record):
     """H^-1 = ker(d) with its inclusion, H^0 = coker(d) with its projection."""
 
     ker: Kernel

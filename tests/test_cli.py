@@ -535,6 +535,21 @@ def test_import_cli_loads_the_traced_modules_and_not_selftest():
     assert not {"butterflies.selftest", "butterflies.oracle", "butterflies.fixtures"} & loaded
 
 
+def test_import_cli_loads_neither_dataclasses_nor_inspect():
+    """The value classes derive from intlinalg.Record, not dataclasses, so a
+    fresh `import butterflies.cli` loads neither dataclasses nor the inspect
+    (with ast, dis and tokenize) it imports: together they were about a third
+    of the import time every CLI process pays.  -S keeps site .pth files,
+    which may import anything, out of the count."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, butterflies.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    loaded = set(proc.stdout.split())
+    assert "butterflies.cli" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
 def test_selftest_smoke(capsys):
     # the CLI entry point dispatches into the same acceptance functions that
     # tests/test_acceptance.py runs at full scale
@@ -585,20 +600,25 @@ def _paths(node, at=()):
 @st.composite
 def json_mutants(draw, texts=None) -> bytes:
     """A golden document (one of texts, by default any) with one or two
-    changes: a leaf set to a small decimal or to an odd literal, or any
-    value replaced, deleted or (a list item, such as a matrix row) duplicated."""
+    changes: a matrix entry (of a relation matrix, a differential or a wing)
+    set to another small integer, keeping every shape, so the mutant passes
+    the schema and meets the algebra; a leaf set to a small decimal or to an
+    odd literal; or any value replaced, deleted or (a list item, such as a
+    matrix row) duplicated."""
     doc = json.loads(draw(st.sampled_from(texts or golden_texts())))
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
         if not paths:
             break
-        op = draw(st.sampled_from(["entry", "entry", "literal", "replace", "delete", "duplicate"]))
+        op = draw(st.sampled_from(["matrix", "matrix", "matrix", "entry", "literal",
+                                   "replace", "delete", "duplicate"]))
         leaves = [p for p in paths if not isinstance(_at(doc, p), (dict, list))]
+        entries = [p for p in leaves if len(p) > 2 and isinstance(_at(doc, p[:-2]), list)]
         items = [p for p in paths if isinstance(_at(doc, p[:-1]), list)]
-        path = draw(st.sampled_from({"entry": leaves, "literal": leaves,
+        path = draw(st.sampled_from({"matrix": entries, "entry": leaves, "literal": leaves,
                                      "duplicate": items}.get(op) or paths))
         parent, key = _at(doc, path[:-1]), path[-1]
-        if op == "entry":
+        if op in ("matrix", "entry"):
             parent[key] = str(draw(st.integers(-4, 8)))
         elif op == "literal":
             parent[key] = draw(st.sampled_from(LITERALS))

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import butterflies
-from butterflies.fgab import FgAbGroup, simplify
+from butterflies.fgab import FgAbGroup, FgAbMap, simplify
 from butterflies.intlinalg import (
-    CACHE_SIZE, IntMatrix, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
+    CACHE_SIZE, IntMatrix, Record, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
     hstack, vstack, kron, submatrix, solve_congruences,
 )
 
@@ -376,6 +376,76 @@ def test_immutability_and_hash():
     assert hash(m) == hash(IntMatrix(2, 2, (1, 2, 3, 4)))
 
 
+class Pair(Record):
+    a: int
+    b: object
+
+
+class Twin(Record):
+    a: int
+    b: object
+
+
+class Ordered(Record):
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if self.hi < self.lo:  # reads both fields, so both are set by now
+            raise ValueError("hi < lo")
+
+
+def _post_init_patched_after_the_class():
+    class Late(Record):
+        a: int
+
+        def __post_init__(self):
+            pass
+
+    def refuse(self):
+        raise ValueError("patched")
+
+    Late.__post_init__ = refuse  # as perfbench/tracer.py patches FgAbMap
+    return Late(1)
+
+
+Z2 = FgAbGroup(1, IntMatrix(1, 1, [2]))
+
+RECORD_CONTRACT = [
+    ("by position", lambda: (Pair(1, "x").a, Pair(1, "x").b), (1, "x")),
+    ("by keyword", lambda: Pair(b="x", a=1) == Pair(1, "x") == Pair(1, b="x"), True),
+    ("missing field", lambda: Pair(1), TypeError),
+    ("unknown field", lambda: Pair(1, c=2), TypeError),
+    ("extra field", lambda: Pair(1, 2, 3), TypeError),
+    ("assignment", lambda: setattr(Pair(1, 2), "a", 3), AttributeError),
+    ("new attribute", lambda: setattr(Pair(1, 2), "c", 3), AttributeError),
+    ("deletion", lambda: delattr(Pair(1, 2), "a"), AttributeError),
+    ("== on the field tuple", lambda: (Pair(1, 2) == Pair(1, 2), Pair(1, 2) != Pair(2, 1)), (True, True)),
+    ("hash of the field tuple", lambda: hash(Pair(1, (2, 3))) == hash((1, (2, 3))), True),
+    ("one hash per value", lambda: len({Pair(1, 2), Pair(1, 2), Pair(2, 1)}), 2),
+    ("another class, same fields", lambda: Pair(1, 2) == Twin(1, 2), False),
+    ("not a tuple", lambda: Pair(1, 2) == (1, 2), False),
+    ("__post_init__ after every field", lambda: Ordered(2, 1), ValueError),
+    ("__post_init__ looked up per call", _post_init_patched_after_the_class, ValueError),
+    ("a map that does not descend", lambda: FgAbMap(Z2, FgAbGroup.free(1), IntMatrix(1, 1, [1])), ValueError),
+    ("__post_init__ may set a field", lambda: FgAbMap(FgAbGroup.free(1), Z2, IntMatrix(1, 1, [3])).matrix,
+     IntMatrix(1, 1, [1])),
+    ("repr", lambda: repr(Pair(1, "x")), "Pair(a=1, b='x')"),
+]
+
+
+@pytest.mark.parametrize("run, expected", [c[1:] for c in RECORD_CONTRACT],
+                         ids=[c[0] for c in RECORD_CONTRACT])
+def test_record_contract(run, expected):
+    """Record gives each subclass what a frozen dataclass would: __init__,
+    == and hash on the field tuple, no mutation, and a Name(field=...) repr."""
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            run()
+    else:
+        assert run() == expected
+
+
 class TestCachePolicy:
     def test_every_cache_has_the_one_bound(self):
         caches = {}
@@ -500,6 +570,22 @@ class TestSourceRules:
         unreferenced = [f"{where} {name}" for name, where in defined
                         if name not in named and not (name.startswith("__") and name.endswith("__"))]
         assert unreferenced == []
+
+    def test_no_dataclasses_import(self):
+        """Value classes derive from intlinalg.Record: importing dataclasses
+        (and the inspect it loads) would cost every CLI process its import."""
+        found = []
+        for path in source_files():
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "dataclasses"]
+        assert found == []
 
     def test_no_unused_imports(self):
         """Every name a module imports is used in it (__init__ re-exports)."""
