@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Optional
 
 from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, in_col_span
 from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective, exact_verdicts,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
-    ext1_realize,
+    ext1_realize, _lattice,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology
 
@@ -161,7 +160,7 @@ def to_chain_map(b: Butterfly, s: FgAbMap) -> ChainMap:
     return ChainMap(b.src, b.dst, fm1, b.p * s)
 
 
-def find_section(b: Butterfly) -> Optional[FgAbMap]:
+def find_section(b: Butterfly) -> FgAbMap | None:
     """A homomorphic section of q, when the diagonal splits."""
     return hom_solve(b.src.deg_0, b.carrier,
                      post=[(b.q, IntMatrix.identity(b.src.deg_0.ngens))])
@@ -189,7 +188,7 @@ def compose(z: Butterfly, y: Butterfly) -> Butterfly:
     return Butterfly(y.src, z.dst, i, j, p, q)
 
 
-def two_morphism_find(a: Butterfly, b: Butterfly) -> Optional[TwoMorphism]:
+def two_morphism_find(a: Butterfly, b: Butterfly) -> TwoMorphism | None:
     """A 2-morphism a => b, or None when the carriers cannot be matched.
 
     Any carrier map m commuting with the wings is invertible (short five
@@ -306,14 +305,19 @@ class Classification(Record):
 
 
 def classify(y: Butterfly) -> Classification:
-    """Mono/epi via the exactness criteria, faithful/cofaithful via pip/copip.
+    """Mono/epi via the exactness criteria, faithful/cofaithful (trivial
+    pip/copip) by membership.
 
-    Faithfulness is cross-checked against injectivity of the H^-1 action and
-    cofaithfulness against surjectivity of the H^0 action.
+    Faithful: j's lattice, the preimage of the carrier's relations, lies in
+    the relations of src.deg_m1.  Cofaithful: p's columns and the relations
+    of dst.deg_0 span every generator.  Each is cross-checked against the
+    kernel or cokernel group that exact_verdicts reads (j injective, p
+    surjective) and against the H^-1 or H^0 action.
     """
     j_inj, mid, p_surj = exact_verdicts(y.j, y.p)
-    faithful = pip(y).is_trivial()
-    cofaithful = copip(y).is_trivial()
+    faithful = in_col_span(y.src.deg_m1.relations, _lattice(y.j))
+    f0 = y.dst.deg_0
+    cofaithful = in_col_span(hstack(y.p.matrix, f0.relations), IntMatrix.identity(f0.ngens))
     hm1, h0 = homology_action(y)
     if not faithful == j_inj == is_injective(hm1):
         raise InvariantError("pip, j and the H^-1 action disagree on faithfulness")

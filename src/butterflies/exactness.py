@@ -10,7 +10,6 @@ witnesses can disagree about exactness, so it is stored, never recomputed.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, block, in_col_span
 from .fgab import (
@@ -61,7 +60,7 @@ class ButterflyShortSeq(Record):
         return self.z.dst
 
 
-def zero_witness_find(z: Butterfly, y: Butterfly) -> Optional[ButterflyShortSeq]:
+def zero_witness_find(z: Butterfly, y: Butterfly) -> ButterflyShortSeq | None:
     """Search for a witness that z * y is zero; the sequence it makes, or None."""
     if y.dst != z.src:
         raise ValueError("butterflies are not composable")
@@ -168,7 +167,7 @@ class LongExactSequence(Record):
         return self.maps[2]
 
 
-def les(s: ButterflyShortSeq) -> Optional[LongExactSequence]:
+def les(s: ButterflyShortSeq) -> LongExactSequence | None:
     """0 -> H^-1 E -> H^-1 F -> H^-1 G --delta--> H^0 E -> H^0 F -> H^0 G -> 0.
 
     delta is the snake-lemma map qbar * phibar^-1 * i_Z on H^-1 G, where
@@ -237,7 +236,7 @@ def twisted_extension_seq(rng: random.Random, e: TwoTermComplex,
     return ButterflyShortSeq(y, z, phi)
 
 
-def cokernel_seq(e: TwoTermComplex, f: TwoTermComplex, seed) -> Optional[ButterflyShortSeq]:
+def cokernel_seq(e: TwoTermComplex, f: TwoTermComplex, seed) -> ButterflyShortSeq | None:
     """0 -> E -> F -> coker(Y) -> 0 for a random monomorphism Y, with the
     witness resolved by the morphism solver; None when Y is not mono or no
     witness choice is exact."""

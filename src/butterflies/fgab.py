@@ -8,12 +8,15 @@ is presentation identity, and isomorphism is decided by invariant_factors.
 
 Kernels, cokernels, images and subquotients return groups in simplified
 (diagonal) presentation together with the maps tying them to the inputs;
-nothing downstream ever needs to re-derive those maps.  kernel and cokernel
-are memoized (bounded by intlinalg.CACHE_SIZE), so the exactness criteria
-that ask about the same maps share one computation.  Exactness at a spot is
-decided by membership in a column span (is_exact_at), never by building the
-subquotient; subquotient is for the callers that need the group itself.
-exact_verdicts is the one statement of what an exact sequence is.
+nothing downstream ever needs to re-derive those maps.  A map's lattice
+L = {x : f*x in rel(dst)} gets a Z-basis from one factorization; the kernel
+L/rel(src) is presented on that basis, and the image src/L shares the
+cached factorization.  kernel and cokernel are memoized (bounded by
+intlinalg.CACHE_SIZE), so the exactness criteria that ask about the same
+maps share one computation.  Exactness at a spot is decided by membership
+in a column span (is_exact_at), never by building the subquotient;
+subquotient is for the callers that need the group itself.  exact_verdicts
+is the one statement of what an exact sequence is.
 
 One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
 subquotient, Subquotient.lift_in and induce_out take the far endpoint group
@@ -28,9 +31,9 @@ is its construction.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from functools import lru_cache
 from math import prod
-from typing import Optional, Sequence
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, block, kron, snf,
@@ -81,7 +84,7 @@ class FgAbGroup(Record):
     def is_trivial(self) -> bool:
         return self.invariant_factors() == (0, ())
 
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         """Number of elements, or None when infinite."""
         rank, tors = self.invariant_factors()
         if rank:
@@ -201,20 +204,26 @@ class Kernel(Record):
         return factor_through_injection(self.incl, src, x)
 
 
+def _lattice(f: FgAbMap) -> IntMatrix:
+    """A Z-basis, as columns, of L = {x : f*x in rel(dst)}, the preimage of
+    dst's relations: the top src.ngens rows of the kernel of
+    [f | free_presentation(dst)].  Those relators are independent, so the
+    cut loses and repeats no kernel vector (Cohen, GTM 138, section 2.4.3).
+    kernel and image share it, on one cached factorization."""
+    big = kernel_basis(hstack(f.matrix, free_presentation(f.dst)))
+    return submatrix(big, range(f.src.ngens))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def kernel(f: FgAbMap) -> Kernel:
-    a, b = f.src, f.dst
-    big = kernel_basis(hstack(f.matrix, b.relations))
-    gens = submatrix(big, range(a.ngens))
-    simp = _span(gens, a)
-    return Kernel(simp.group, FgAbMap(simp.group, a, gens * simp.fro))
-
-
-def _span(gens: IntMatrix, ambient: FgAbGroup) -> Simplified:
-    """The subgroup of ambient generated by the columns of gens, presented
-    on those columns (generator k is column k) and then simplified."""
-    rel_big = kernel_basis(hstack(gens, ambient.relations))
-    return simplify(FgAbGroup(gens.cols, submatrix(rel_big, range(gens.cols))))
+    """L/rel(src), presented on the basis of L and then simplified."""
+    gens = _lattice(f)
+    # exact because f descends: rel(src) lies in L
+    rel = solve(gens, f.src.relations)
+    if rel is None:
+        raise InvariantError("a map's lattice must contain its source's relations")
+    simp = simplify(FgAbGroup(gens.cols, rel))
+    return Kernel(simp.group, FgAbMap(simp.group, f.src, gens * simp.fro))
 
 
 class Cokernel(Record):
@@ -245,7 +254,8 @@ class Image(Record):
 
 
 def image(f: FgAbMap) -> Image:
-    simp = _span(f.matrix, f.dst)
+    """src/L, the image presented on src's generators, then simplified."""
+    simp = simplify(FgAbGroup(f.src.ngens, _lattice(f)))
     incl = FgAbMap(simp.group, f.dst, f.matrix * simp.fro)
     cores = FgAbMap(f.src, simp.group, simp.to)
     return Image(simp.group, incl, cores)
@@ -329,7 +339,7 @@ def exact_verdicts(*maps: FgAbMap):
     yield is_surjective(maps[-1])
 
 
-def generator_lift(m: IntMatrix, dst: FgAbGroup, targets: IntMatrix) -> Optional[IntMatrix]:
+def generator_lift(m: IntMatrix, dst: FgAbGroup, targets: IntMatrix) -> IntMatrix | None:
     """Generator-wise preimages: a raw matrix Y with m*Y = targets modulo
     dst's relations, for a matrix m into dst.
 
@@ -354,7 +364,7 @@ def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgA
 # -- affine morphism solving -------------------------------------------------
 
 def hom_solve(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
-              post: Sequence[tuple] = ()) -> Optional[FgAbMap]:
+              post: Sequence[tuple] = ()) -> FgAbMap | None:
     """Find X: src -> dst with X*f = g for each (f, g) in pre and h*X = k
     for each (h, k) in post, or None.
 

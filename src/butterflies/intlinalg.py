@@ -11,10 +11,10 @@ groups and zero complexes and must behave as zero objects.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
 from operator import add, mul, neg, sub
-from typing import Iterable, Optional, Sequence
 
 
 # The one bound on every memo cache in the package: results are pure
@@ -107,7 +107,7 @@ class IntMatrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_rows(rows_list: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+    def from_rows(rows_list: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         rows = len(rows_list)
         if rows == 0:
             return IntMatrix(0, 0 if cols is None else cols, ())
@@ -254,7 +254,7 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
                          tuple(chain.from_iterable(m.entries for m in mats)))
 
 
-def submatrix(m: IntMatrix, rows: range, cols: Optional[range] = None) -> IntMatrix:
+def submatrix(m: IntMatrix, rows: range, cols: range | None = None) -> IntMatrix:
     """The block of m on runs of consecutive rows and columns (all by default).
 
     >>> submatrix(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), range(2), range(1, 3)).entries
@@ -493,7 +493,7 @@ def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str) -> tuple:
     return y, r, vt
 
 
-def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
+def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Solve a*X = b over the integers, one column of b at a time on a's
     one cached factorization.
 
@@ -505,7 +505,15 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     (2, -3)
     >>> solve(IntMatrix.from_rows([[2]]), IntMatrix.column([3])) is None
     True
+
+    A right-hand side with no columns has the a.cols x 0 answer, returned
+    without factoring a:
+
+    >>> solve(IntMatrix.from_rows([[2, 0]]), IntMatrix.zeros(1, 0))
+    IntMatrix(2x0)
     """
+    if not b.cols and b.rows == a.rows:
+        return IntMatrix._of(a.cols, 0, ())
     y, r, vt = _back_substitute(a, b, "solve")
     if any(r):
         return None
@@ -542,7 +550,7 @@ def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
     return IntMatrix._of(m.rows, m.cols, tuple(r)) if any(y) else m
 
 
-def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> Optional[tuple]:
+def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tuple | None:
     """Integer rows x cols matrices X with L*X*R = C modulo the column span
     of Rel, for every (L, R, C, Rel) in congruences.
 

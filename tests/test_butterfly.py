@@ -481,6 +481,34 @@ class TestClassify:
         c = classify(ik2())
         assert c.mono and c.epi and c.faithful and c.cofaithful
 
+    @pytest.mark.parametrize("name, message", [
+        ("kernel", "^pip, j and the H\\^-1 action disagree on faithfulness$"),
+        ("cokernel", "^copip, p and the H\\^0 action disagree on cofaithfulness$"),
+    ], ids=["kernel", "cokernel"])
+    def test_lying_kernel_or_cokernel_groups_refused(self, monkeypatch, name, message):
+        """faithful and cofaithful are decided by membership, apart from the
+        kernel and cokernel groups.  So when every kernel (or cokernel) group
+        comes out trivial, which also makes the homology actions injective
+        (or surjective), classify still refuses the zero butterfly, whose
+        pip and copip are Z/2; comparing pip with ker(j) could not."""
+        lie = FgAbGroup.trivial()
+        liar = {"kernel": lambda f: fgab.Kernel(lie, FgAbMap.zero(lie, f.src)),
+                "cokernel": lambda f: fgab.Cokernel(lie, FgAbMap.zero(f.dst, lie),
+                                                    IntMatrix.zeros(f.dst.ngens, 0),
+                                                    IntMatrix.zeros(f.dst.ngens, 0))}[name]
+        y = zero_butterfly(k2(), k2())
+        real = getattr(fgab, name)
+        for info in pkgutil.iter_modules(butterflies.__path__, "butterflies."):
+            mod = importlib.import_module(info.name)
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, liar)
+        _clear_caches()
+        try:
+            with pytest.raises(InvariantError, match=message):
+                classify(y)
+        finally:
+            _clear_caches()  # homology memoized what the liar said
+
 
 class TestPipCopip:
     def test_bockstein_trivial(self):

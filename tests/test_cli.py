@@ -539,7 +539,8 @@ def test_import_cli_loads_neither_dataclasses_nor_inspect():
     """The value classes derive from intlinalg.Record, not dataclasses, so a
     fresh `import butterflies.cli` loads neither dataclasses nor the inspect
     (with ast, dis and tokenize) it imports: together they were about a third
-    of the import time every CLI process pays.  -S keeps site .pth files,
+    of the import time every CLI process pays.  Annotations are never
+    evaluated, so typing is not loaded either.  -S keeps site .pth files,
     which may import anything, out of the count."""
     src = Path(cli.__file__).resolve().parent.parent
     code = "import sys, butterflies.cli; print(*sorted(sys.modules))"
@@ -547,7 +548,7 @@ def test_import_cli_loads_neither_dataclasses_nor_inspect():
                           check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     loaded = set(proc.stdout.split())
     assert "butterflies.cli" in loaded
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "typing"} & loaded
 
 
 def test_selftest_smoke(capsys):

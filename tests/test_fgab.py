@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from butterflies import fgab, jsonio
-from butterflies.intlinalg import IntMatrix, in_col_span
+from butterflies.intlinalg import (
+    IntMatrix, in_col_span, hstack, kernel_basis, submatrix, snf, col_echelon,
+)
 from butterflies.butterfly import compose, identity_butterfly
 from butterflies.fixtures import bockstein, e2, ik2
 from butterflies.fgab import (
@@ -98,6 +100,65 @@ class TestKernel:
         k = kernel(FgAbMap(Z4, Z2, m([[1]])))
         with pytest.raises(ValueError, match="does not land in the subgroup"):
             k.factor(Z, m([[1]]))                        # 1 in Z/4 is not killed mod 2
+
+
+def _kernel_by_span(f):
+    """The kernel construction that presenting L = {x : f*x in rel(dst)} on
+    a basis replaced: generators of L, the top rows of the kernel of
+    [f | dst.relations], then the relations among them from a second kernel,
+    of [generators | src.relations].  (group, generators as columns)."""
+    gens = submatrix(kernel_basis(hstack(f.matrix, f.dst.relations)), range(f.src.ngens))
+    rel = submatrix(kernel_basis(hstack(gens, f.src.relations)), range(gens.cols))
+    return FgAbGroup(gens.cols, rel), gens
+
+
+def _with_dependent_relator(rng, g):
+    """g presented again with a dependent relator appended: a copy of one
+    relation column or the sum of two, or a zero column when g has none."""
+    rel = g.relations
+    if not rel.cols:
+        return FgAbGroup(g.ngens, IntMatrix.zeros(g.ngens, 1))
+    i, j = rng.randrange(rel.cols), rng.randrange(rel.cols)
+    extra = rel.col(i) if rng.random() < 0.5 else [a + b for a, b in zip(rel.col(i), rel.col(j))]
+    return FgAbGroup(g.ngens, hstack(rel, IntMatrix.column(extra)))
+
+
+# use_true_random, for the reason given at the exactness property below
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=60, deadline=None)
+def test_kernel_on_lattice_basis_matches_span_construction(rng):
+    src = random_group(rng, max_order=8)
+    if rng.random() < 0.75:  # mostly sources with relations
+        src = direct_sum(src, FgAbGroup.cyclic(rng.randint(2, 6)))
+    dst = _with_dependent_relator(rng, random_group(rng, max_order=8))
+    f = random_map(rng, src, dst)
+    old, gens = _kernel_by_span(f)
+    ker = kernel(f)
+    assert ker.group.invariant_factors() == old.invariant_factors()
+    # the two inclusions span one subgroup modulo src's relations
+    assert in_col_span(hstack(ker.incl.matrix, src.relations), gens)
+    assert in_col_span(hstack(gens, src.relations), ker.incl.matrix)
+    # and the image is src modulo the same lattice
+    assert image(f).group.invariant_factors() == FgAbGroup(src.ngens, gens).invariant_factors()
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_kernel_and_image_out_of_free_group_factor_once(n):
+    """Column echelon factorizations computed (col_echelon misses) from cold
+    caches: the kernel of a map out of a free group is one factorization,
+    of [f | free_presentation(dst)], with no second pass for the relations
+    among its generators, and the image of the same map reuses it."""
+    rng = random.Random(n)
+    free = FgAbGroup.free(n)
+    for cache in (col_echelon, snf, kernel, cokernel):
+        cache.cache_clear()
+    cok = cokernel(FgAbMap(free, free, IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])))
+    f = FgAbMap(free, cok.group, cok.proj.matrix * IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]))
+    before = col_echelon.cache_info().misses  # f's construction factored dst's relations
+    kernel(f)
+    assert col_echelon.cache_info().misses - before == 1
+    image(f)
+    assert col_echelon.cache_info().misses - before == 1
 
 
 class TestCokernel:
