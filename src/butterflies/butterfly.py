@@ -30,7 +30,7 @@ from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective, exact_verdicts,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
-    ext1_realize, _lattice,
+    ext1_realize, preimage_lattice,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology
 
@@ -315,7 +315,7 @@ def classify(y: Butterfly) -> Classification:
     surjective) and against the H^-1 or H^0 action.
     """
     j_inj, mid, p_surj = exact_verdicts(y.j, y.p)
-    faithful = in_col_span(y.src.deg_m1.relations, _lattice(y.j))
+    faithful = in_col_span(y.src.deg_m1.relations, preimage_lattice(y.j))
     f0 = y.dst.deg_0
     cofaithful = in_col_span(hstack(y.p.matrix, f0.relations), IntMatrix.identity(f0.ngens))
     hm1, h0 = homology_action(y)

@@ -9,14 +9,17 @@ is presentation identity, and isomorphism is decided by invariant_factors.
 Kernels, cokernels, images and subquotients return groups in simplified
 (diagonal) presentation together with the maps tying them to the inputs;
 nothing downstream ever needs to re-derive those maps.  A map's lattice
-L = {x : f*x in rel(dst)} gets a Z-basis from one factorization; the kernel
-L/rel(src) is presented on that basis, and the image src/L shares the
-cached factorization.  kernel and cokernel are memoized (bounded by
-intlinalg.CACHE_SIZE), so the exactness criteria that ask about the same
-maps share one computation.  Exactness at a spot is decided by membership
-in a column span (is_exact_at), never by building the subquotient;
-subquotient is for the callers that need the group itself.  exact_verdicts
-is the one statement of what an exact sequence is.
+L = {x : f*x in rel(dst)} gets a Z-basis from one factorization, of
+[f | free_presentation(dst)]; the kernel L/rel(src) is presented on that
+basis.  The image (f(src) + rel(dst))/rel(dst) is presented in dst's
+coordinates, on the Hermite basis of that span from the same cached
+factorization, so its Smith form has at most dst.ngens rows.  kernel and
+cokernel are memoized (bounded by intlinalg.CACHE_SIZE), so the exactness
+criteria that ask about the same maps share one computation.  Exactness at
+a spot is decided by membership in a column span (is_exact_at), never by
+building the subquotient; subquotient is for the callers that need the
+group itself.  exact_verdicts is the one statement of what an exact
+sequence is.
 
 One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
 subquotient, Subquotient.lift_in and induce_out take the far endpoint group
@@ -37,7 +40,8 @@ from math import prod
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, block, kron, snf,
-    solve, solve_congruences, kernel_basis, in_col_span, reduce_cols, col_echelon, submatrix,
+    solve, solve_congruences, kernel_basis, span_basis, in_col_span, reduce_cols, col_echelon,
+    submatrix,
 )
 
 
@@ -204,12 +208,12 @@ class Kernel(Record):
         return factor_through_injection(self.incl, src, x)
 
 
-def _lattice(f: FgAbMap) -> IntMatrix:
+def preimage_lattice(f: FgAbMap) -> IntMatrix:
     """A Z-basis, as columns, of L = {x : f*x in rel(dst)}, the preimage of
     dst's relations: the top src.ngens rows of the kernel of
     [f | free_presentation(dst)].  Those relators are independent, so the
     cut loses and repeats no kernel vector (Cohen, GTM 138, section 2.4.3).
-    kernel and image share it, on one cached factorization."""
+    kernel reads it, and image the span of the same cached factorization."""
     big = kernel_basis(hstack(f.matrix, free_presentation(f.dst)))
     return submatrix(big, range(f.src.ngens))
 
@@ -217,7 +221,7 @@ def _lattice(f: FgAbMap) -> IntMatrix:
 @lru_cache(maxsize=CACHE_SIZE)
 def kernel(f: FgAbMap) -> Kernel:
     """L/rel(src), presented on the basis of L and then simplified."""
-    gens = _lattice(f)
+    gens = preimage_lattice(f)
     # exact because f descends: rel(src) lies in L
     rel = solve(gens, f.src.relations)
     if rel is None:
@@ -254,10 +258,17 @@ class Image(Record):
 
 
 def image(f: FgAbMap) -> Image:
-    """src/L, the image presented on src's generators, then simplified."""
-    simp = simplify(FgAbGroup(f.src.ngens, _lattice(f)))
-    incl = FgAbMap(simp.group, f.dst, f.matrix * simp.fro)
-    cores = FgAbMap(f.src, simp.group, simp.to)
+    """(f(src) + rel(dst))/rel(dst), presented in dst's coordinates, then
+    simplified.  [f | free_presentation(dst)] = h*y, on the Hermite basis h
+    of its span (the factorization preimage_lattice uses); h's columns are
+    independent, so the image is Z^r modulo the coordinates y of dst's
+    relators, included by h and reached from src by the coordinates of f."""
+    na = f.src.ngens
+    h, y = span_basis(hstack(f.matrix, free_presentation(f.dst)))
+    r = h.cols
+    simp = simplify(FgAbGroup(r, submatrix(y, range(r), range(na, y.cols))))
+    incl = FgAbMap(simp.group, f.dst, h * simp.fro)
+    cores = FgAbMap(f.src, simp.group, simp.to * submatrix(y, range(r), range(na)))
     return Image(simp.group, incl, cores)
 
 

@@ -520,6 +520,23 @@ def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     return (_from_lists(b.cols, a.cols, (y[j::b.cols] for j in range(b.cols))) * vt).transpose()
 
 
+def span_basis(a: IntMatrix) -> tuple:
+    """(h, y) with a = h*y: h is the Hermite basis, as columns, of a's
+    column span (the first r columns of H, for a's cached column echelon
+    form a*V = H), and y holds the coordinates of a's columns on it, read
+    by back-substituting a's own columns on that factorization (Cohen,
+    GTM 138, section 2.4).  h has independent columns, so y is unique.
+
+    >>> h, y = span_basis(IntMatrix.from_rows([[2, 4, 6]]))
+    >>> h.entries, y.entries
+    ((2,), (1, 2, 3))
+    """
+    ht, _, pivot_rows = col_echelon(a)
+    r = len(pivot_rows)
+    y, _, _ = _back_substitute(a, a, "span_basis")
+    return submatrix(ht, range(r)).transpose(), IntMatrix._of(r, a.cols, tuple(y[:r * a.cols]))
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns generate {x : a*x = 0}."""
     _, vt, pivot_rows = col_echelon(a)

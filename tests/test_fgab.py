@@ -142,23 +142,79 @@ def test_kernel_on_lattice_basis_matches_span_construction(rng):
     assert image(f).group.invariant_factors() == FgAbGroup(src.ngens, gens).invariant_factors()
 
 
+def _map_out_of_free_group(n):
+    """From cleared caches, a map Z^n -> Z^n/M for a random dense M, given
+    by a random dense matrix: the shape of the presentations benchmark."""
+    rng = random.Random(n)
+    free = FgAbGroup.free(n)
+    for cache in (col_echelon, snf, kernel, cokernel):
+        cache.cache_clear()
+    cok = cokernel(FgAbMap(free, free, IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])))
+    return FgAbMap(free, cok.group, cok.proj.matrix * IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]))
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_kernel_and_image_out_of_free_group_factor_once(n):
     """Column echelon factorizations computed (col_echelon misses) from cold
     caches: the kernel of a map out of a free group is one factorization,
     of [f | free_presentation(dst)], with no second pass for the relations
     among its generators, and the image of the same map reuses it."""
-    rng = random.Random(n)
-    free = FgAbGroup.free(n)
-    for cache in (col_echelon, snf, kernel, cokernel):
-        cache.cache_clear()
-    cok = cokernel(FgAbMap(free, free, IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])))
-    f = FgAbMap(free, cok.group, cok.proj.matrix * IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]))
+    f = _map_out_of_free_group(n)
     before = col_echelon.cache_info().misses  # f's construction factored dst's relations
     kernel(f)
     assert col_echelon.cache_info().misses - before == 1
     image(f)
     assert col_echelon.cache_info().misses - before == 1
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_image_smith_form_is_target_sized(n, monkeypatch):
+    """From cold caches, the image of a map out of Z^n calls snf only on
+    matrices with at most dst.ngens rows: it is presented in dst's
+    coordinates, not as Z^n modulo the map's lattice (n rows)."""
+    f = _map_out_of_free_group(n)
+    for cache in (col_echelon, snf):
+        cache.cache_clear()
+    assert f.dst.ngens < n
+    rows = []
+
+    def counted(m):
+        rows.append(m.rows)
+        return snf(m)
+
+    monkeypatch.setattr(fgab, "snf", counted)
+    image(f)
+    assert rows and max(rows) <= f.dst.ngens
+
+
+def _image_on_source(f):
+    """The image construction that presenting in dst's coordinates replaced:
+    src/L on src's generators, for f's lattice L = {x : f*x in rel(dst)},
+    then simplified.  (group, inclusion matrix)"""
+    simp = simplify(FgAbGroup(f.src.ngens, fgab.preimage_lattice(f)))
+    return simp.group, f.matrix * simp.fro
+
+
+# use_true_random, for the reason given at the exactness property below
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=60, deadline=None)
+def test_image_in_target_coordinates_matches_source_construction(rng):
+    src = random_group(rng, max_order=8)
+    if rng.random() < 0.75:  # mostly sources with relations
+        src = direct_sum(src, FgAbGroup.cyclic(rng.randint(2, 6)))
+    if rng.random() < 0.2:
+        dst = FgAbGroup.free(rng.randint(0, 3))
+    else:
+        dst = _with_dependent_relator(rng, random_group(rng, max_order=8))
+    f = FgAbMap.zero(src, dst) if rng.random() < 0.15 else random_map(rng, src, dst)
+    old, old_incl = _image_on_source(f)
+    im = image(f)
+    assert im.group.invariant_factors() == old.invariant_factors()
+    assert im.incl * im.corestrict == f
+    assert is_injective(im.incl) and is_surjective(im.corestrict)
+    # the two inclusions span one subgroup modulo dst's relations
+    assert in_col_span(hstack(im.incl.matrix, dst.relations), old_incl)
+    assert in_col_span(hstack(old_incl, dst.relations), im.incl.matrix)
 
 
 class TestCokernel:

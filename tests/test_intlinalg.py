@@ -546,6 +546,18 @@ class TestSourceRules:
                         found.append(f"{path.name}:{node.lineno} except AssertionError")
         assert found == []
 
+    def test_no_private_name_imported_from_another_module(self):
+        """A module's _private names stay its own: no module of the package
+        imports one from another (from .mod import _name)."""
+        found = []
+        for path in source_files():
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").split(".")[0] == "butterflies"):
+                    found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+        assert found == []
+
     def test_no_unreferenced_functions(self):
         """Every function or method defined under src/ is named somewhere in
         src/, tests/ or perfbench/ besides its own def: as a name, an
