@@ -31,8 +31,6 @@ from .butterfly import Butterfly, two_morphism_find, validate
 
 
 class DerivedTensor(Record):
-    a: FgAbGroup
-    b: FgAbGroup
     complex: TwoTermComplex   # [B^m -> B^n], degrees [-1, 0]
     tensor: FgAbGroup         # the direct presentation of A (x) B
     h0_iso: FgAbMap           # tensor -> H^0(complex); an isomorphism
@@ -59,7 +57,7 @@ def derived_tensor(a: FgAbGroup, b: FgAbGroup) -> DerivedTensor:
     t = tensor_product(a, b)
     h = homology(cx)
     iso = FgAbMap(t, h.h0, h.proj.matrix)
-    return DerivedTensor(a, b, cx, t, iso)
+    return DerivedTensor(cx, t, iso)
 
 
 class BiextGroups(Record):

@@ -112,43 +112,46 @@ def is_exact(s: ButterflyShortSeq) -> bool:
 
 # -- the standard exact sequences --------------------------------------------
 
+def chain_map_seq(u: ChainMap, v: ChainMap, h: IntMatrix) -> ButterflyShortSeq:
+    """from_chain_map(v) after from_chain_map(u), for u: E -> F and v: F -> G,
+    with the witness phi = [[-u^0, d_F], [h, v^-1]]: E^0 (+) F^-1 -> F^0 (+) G^-1.
+
+    h: E^0 -> G^-1 is a homotopy from v*u to 0.  The wings of from_chain_map
+    make phi*i_Y = j_Z and q_Z*phi = -p_Y hold for every h; phi is a witness
+    exactly when d_G*h = -v^0*u^0 (p_Z*phi = 0) and h*d_E = -v^-1*u^-1
+    (phi*j_Y = 0), which ButterflyShortSeq checks.
+    """
+    y, z = from_chain_map(u), from_chain_map(v)
+    phi = block([[-u.f_0.matrix, v.src.d.matrix], [h, v.f_m1.matrix]])
+    return ButterflyShortSeq(y, z, FgAbMap(y.carrier, z.carrier, phi))
+
+
 def standard_seq_51(e: TwoTermComplex) -> ButterflyShortSeq:
-    """0 -> E^-1 -> E^0 -> E -> 0 (degree-0 embeddings on the left)."""
+    """0 -> E^-1 -> E^0 -> E -> 0 (degree-0 embeddings on the left); h = -1 on E^-1."""
     a, b = embed0(e.deg_m1), embed0(e.deg_0)
-    y = from_chain_map(ChainMap(a, b, FgAbMap.zero(a.deg_m1, b.deg_m1), e.d))
-    z = from_chain_map(ChainMap(b, e, FgAbMap.zero(b.deg_m1, e.deg_m1),
-                                FgAbMap.identity(e.deg_0)))
-    n1 = e.deg_m1.ngens
-    phi = FgAbMap(y.carrier, z.carrier,
-                  vstack(-e.d.matrix, -IntMatrix.identity(n1)))
-    return ButterflyShortSeq(y, z, phi)
+    return chain_map_seq(ChainMap(a, b, FgAbMap.zero(a.deg_m1, b.deg_m1), e.d),
+                         ChainMap(b, e, FgAbMap.zero(b.deg_m1, e.deg_m1),
+                                  FgAbMap.identity(e.deg_0)),
+                         -IntMatrix.identity(e.deg_m1.ngens))
 
 
 def standard_seq_10(e: TwoTermComplex) -> ButterflyShortSeq:
-    """0 -> E^0 -> E -> E^-1[1] -> 0."""
+    """0 -> E^0 -> E -> E^-1[1] -> 0; h = 0."""
     a, c = embed0(e.deg_0), shift1(e.deg_m1)
-    y = from_chain_map(ChainMap(a, e, FgAbMap.zero(a.deg_m1, e.deg_m1),
-                                FgAbMap.identity(e.deg_0)))
-    z = from_chain_map(ChainMap(e, c, FgAbMap.identity(e.deg_m1),
-                                FgAbMap.zero(e.deg_0, c.deg_0)))
-    n0, n1 = e.deg_0.ngens, e.deg_m1.ngens
-    phi = FgAbMap(y.carrier, z.carrier, block([
-        [-IntMatrix.identity(n0), e.d.matrix],
-        [IntMatrix.zeros(n1, n0), IntMatrix.identity(n1)],
-    ]))
-    return ButterflyShortSeq(y, z, phi)
+    return chain_map_seq(ChainMap(a, e, FgAbMap.zero(a.deg_m1, e.deg_m1),
+                                  FgAbMap.identity(e.deg_0)),
+                         ChainMap(e, c, FgAbMap.identity(e.deg_m1),
+                                  FgAbMap.zero(e.deg_0, c.deg_0)),
+                         IntMatrix.zeros(e.deg_m1.ngens, e.deg_0.ngens))
 
 
 def standard_seq_52(e: TwoTermComplex) -> ButterflyShortSeq:
-    """0 -> E -> E^-1[1] -> E^0[1] -> 0."""
+    """0 -> E -> E^-1[1] -> E^0[1] -> 0; h = -1 on E^0."""
     b, c = shift1(e.deg_m1), shift1(e.deg_0)
-    y = from_chain_map(ChainMap(e, b, FgAbMap.identity(e.deg_m1),
-                                FgAbMap.zero(e.deg_0, b.deg_0)))
-    z = from_chain_map(ChainMap(b, c, e.d, FgAbMap.zero(b.deg_0, c.deg_0)))
-    n0, n1 = e.deg_0.ngens, e.deg_m1.ngens
-    phi = FgAbMap(y.carrier, z.carrier,
-                  hstack(-IntMatrix.identity(n0), e.d.matrix))
-    return ButterflyShortSeq(y, z, phi)
+    return chain_map_seq(ChainMap(e, b, FgAbMap.identity(e.deg_m1),
+                                  FgAbMap.zero(e.deg_0, b.deg_0)),
+                         ChainMap(b, c, e.d, FgAbMap.zero(b.deg_0, c.deg_0)),
+                         -IntMatrix.identity(e.deg_0.ngens))
 
 
 # -- the six-term long exact sequence -----------------------------------------
@@ -204,7 +207,8 @@ def les(s: ButterflyShortSeq) -> LongExactSequence | None:
 def twisted_extension_seq(rng: random.Random, e: TwoTermComplex,
                           g: TwoTermComplex) -> ButterflyShortSeq:
     """A degreewise-split extension F = E (+) G with a random twist
-    t: G^-1 -> E^0 folded into the differential; the witness is explicit."""
+    t: G^-1 -> E^0 folded into the differential; h = 0, because v * u = 0
+    strictly."""
     t = random_map(rng, g.deg_m1, e.deg_0)
     fm1 = direct_sum(e.deg_m1, g.deg_m1)
     f0 = direct_sum(e.deg_0, g.deg_0)
@@ -225,15 +229,7 @@ def twisted_extension_seq(rng: random.Random, e: TwoTermComplex,
                                                IntMatrix.identity(ng1))),
                  FgAbMap(f0, g.deg_0, hstack(IntMatrix.zeros(ng0, ne0),
                                              IntMatrix.identity(ng0))))
-    y = from_chain_map(u)
-    z = from_chain_map(v)
-    # phi(e0, (em1, gm1)) = (-u0 e0 + dF (em1, gm1), v^-1 (em1, gm1))
-    phi = FgAbMap(y.carrier, z.carrier, block([
-        [-IntMatrix.identity(ne0), e.d.matrix, t.matrix],
-        [IntMatrix.zeros(ng0, ne0), IntMatrix.zeros(ng0, ne1), g.d.matrix],
-        [IntMatrix.zeros(ng1, ne0), IntMatrix.zeros(ng1, ne1), IntMatrix.identity(ng1)],
-    ]))
-    return ButterflyShortSeq(y, z, phi)
+    return chain_map_seq(u, v, IntMatrix.zeros(ng1, ne0))
 
 
 def cokernel_seq(e: TwoTermComplex, f: TwoTermComplex, seed) -> ButterflyShortSeq | None:

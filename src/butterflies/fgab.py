@@ -96,6 +96,10 @@ class FgAbGroup(Record):
         return prod(tors)
 
     def describe(self) -> str:
+        """
+        >>> FgAbGroup.from_invariants(1, [2, 4]).describe(), FgAbGroup.trivial().describe()
+        ('Z + Z/2 + Z/4', '0')
+        """
         rank, tors = self.invariant_factors()
         parts = ["Z"] * rank + [f"Z/{d}" for d in tors]
         return " + ".join(parts) if parts else "0"

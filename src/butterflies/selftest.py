@@ -300,8 +300,6 @@ def _oracle_check_butterfly(b: Butterfly) -> str:
     if kcx.deg_0.invariant_factors() != (0, kerel):
         return "ker(p) disagrees"
     # homology action tables
-    dE = oracle.element_map(b.src.d, r.em1, r.e0)
-    dF = oracle.element_map(b.dst.d, r.fm1, r.f0)
     hm1, h0 = homology_action(b)
     hs, hd = homology(b.src), homology(b.dst)
     rhs_s, rhs_d = oracle.realize(hs.hm1), oracle.realize(hd.hm1)

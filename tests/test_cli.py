@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from butterflies import cli, exactness, jsonio
 from butterflies.cli import main
 from butterflies.fixtures import bockstein, ik2, br, e2, k2, Z2, Z4
-from butterflies.exactness import is_exact, standard_seq_10, standard_seq_51
+from butterflies.exactness import is_exact, standard_seq_10, standard_seq_51, zero_witness_find
 from butterflies.butterfly import TwoMorphism, zero_butterfly
 from butterflies.twocomplex import TwoTermComplex
 from butterflies.fgab import FgAbGroup, FgAbMap, hom_solve
@@ -120,6 +120,16 @@ class TestExitCodes:
         assert main(["les", str(p)]) == 1
         assert capsys.readouterr() == ("", msg + "\n")
 
+    def test_les_refuses_sequence_that_is_not_exact(self, tmp_path, capsys):
+        # two valid zero butterflies of K2 with a solved witness: the witness
+        # conditions hold, so the document parses, but les finds it not exact
+        zk = zero_butterfly(k2(), k2())
+        s = zero_witness_find(zk, zk)
+        p = tmp_path / "seq.json"
+        p.write_text(jsonio.emit(jsonio.document("sequence", jsonio.sequence_to_json(s))))
+        assert main(["les", str(p)]) == 1
+        assert capsys.readouterr() == ("", "sequence is not two-sided exact; refusing\n")
+
     def test_report_ok(self, docs, capsys):
         assert main(["report", docs["B.json"]]) == 0
         rep = json.loads(capsys.readouterr().out)
@@ -138,6 +148,10 @@ class TestExitCodes:
 
     def test_biext_bad_shorthand(self, docs):
         assert main(["biext", "Z/x", "2", "2"]) == 2
+
+    def test_biext_torsion_factor_below_two_is_schema_error(self, capsys):
+        assert main(["biext", "Z/1", "Z", "Z"]) == 2
+        assert capsys.readouterr() == ("", "schema error: torsion factor must be >= 2, got 1\n")
 
     def test_unwritable_out_is_io_error(self, docs, tmp_path, capsys):
         # every command with --out; iso2 finds a 2-morphism here, so a verdict
@@ -490,6 +504,16 @@ class TestRoundTrip:
             text1 = Path(out).read_text()
             kind, obj = jsonio.parse_document(text1)
             assert jsonio.emit(jsonio.document(kind, jsonio.butterfly_to_json(obj))) == text1
+
+    @pytest.mark.parametrize("kind", ["group", "complex"])
+    def test_gen_group_and_complex(self, tmp_path, capsys, kind):
+        for seed in (0, 3, 11):
+            a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+            assert main(["gen", kind, "--seed", str(seed), "--out", a]) == 0
+            assert main(["gen", kind, "--seed", str(seed), "--out", b]) == 0
+            assert Path(a).read_text() == Path(b).read_text()
+            assert main(["validate", a]) == 0
+            assert capsys.readouterr().out == "ok\n"
 
     def test_gen_deterministic(self, tmp_path):
         a = str(tmp_path / "a.json")

@@ -3,11 +3,13 @@ import re
 
 import pytest
 
-from butterflies.intlinalg import IntMatrix
+from butterflies.intlinalg import IntMatrix, hstack, vstack, block
 from butterflies.fgab import (
     FgAbGroup, FgAbMap, is_injective, is_surjective, hom_solve, kernel, cokernel,
 )
-from butterflies.twocomplex import TwoTermComplex, ChainMap, homology, zero_complex, random_complex
+from butterflies.twocomplex import (
+    TwoTermComplex, ChainMap, homology, embed0, shift1, zero_complex, random_complex,
+)
 from butterflies.butterfly import (
     Butterfly, validate, zero_butterfly, kernel_b, identity_butterfly,
     random_butterfly,
@@ -15,7 +17,7 @@ from butterflies.butterfly import (
 from butterflies.exactness import (
     ButterflyShortSeq, zero_witness_find, is_left_exact,
     is_right_exact, is_exact, seq74_exact, seq75_exact,
-    standard_seq_51, standard_seq_10, standard_seq_52, les,
+    standard_seq_51, standard_seq_10, standard_seq_52, chain_map_seq, les,
     twisted_extension_seq, random_exact_seq,
 )
 from butterflies.fixtures import k2, e2
@@ -87,13 +89,58 @@ class TestStandardSequences:
                 assert is_exact(build(cx))
 
 
+def maps_51(e):
+    """The chain maps E^-1 -> E^0 -> E of sequence 5.1, as degree-0 complexes."""
+    a, b = embed0(e.deg_m1), embed0(e.deg_0)
+    return (ChainMap(a, b, FgAbMap.zero(a.deg_m1, b.deg_m1), e.d),
+            ChainMap(b, e, FgAbMap.zero(b.deg_m1, e.deg_m1), FgAbMap.identity(e.deg_0)))
+
+
+def maps_52(e):
+    """The chain maps E -> E^-1[1] -> E^0[1] of sequence 5.2."""
+    b, c = shift1(e.deg_m1), shift1(e.deg_0)
+    return (ChainMap(e, b, FgAbMap.identity(e.deg_m1), FgAbMap.zero(e.deg_0, b.deg_0)),
+            ChainMap(b, c, e.d, FgAbMap.zero(b.deg_0, c.deg_0)))
+
+
+class TestChainMapSeq:
+    @pytest.mark.parametrize("maps, condition", [(maps_51, "p*phi = 0"), (maps_52, "phi*j = 0")])
+    def test_zero_homotopy_refused(self, maps, condition):
+        # v * u is not strictly zero here, so h = 0 breaks one homotopy equation
+        u, v = maps(e2())
+        h = IntMatrix.zeros(v.dst.deg_m1.ngens, u.src.deg_0.ngens)
+        with pytest.raises(ValueError, match=f"^zero witness condition {re.escape(condition)} fails$"):
+            chain_map_seq(u, v, h)
+
+    def test_witness_matches_hand_written_blocks(self):
+        # the block matrices each standard sequence wrote out before it
+        # passed its chain maps and homotopy to chain_map_seq
+        def phi_51(e):
+            return vstack(-e.d.matrix, -IntMatrix.identity(e.deg_m1.ngens))
+
+        def phi_10(e):
+            n0, n1 = e.deg_0.ngens, e.deg_m1.ngens
+            return block([[-IntMatrix.identity(n0), e.d.matrix],
+                          [IntMatrix.zeros(n1, n0), IntMatrix.identity(n1)]])
+
+        def phi_52(e):
+            return hstack(-IntMatrix.identity(e.deg_0.ngens), e.d.matrix)
+
+        rng = random.Random(5)
+        for e in [e2(), k2(), zero_complex()] + [random_complex(rng, max_rank=1, max_order=8)
+                                                 for _ in range(10)]:
+            for build, phi in [(standard_seq_51, phi_51), (standard_seq_10, phi_10),
+                               (standard_seq_52, phi_52)]:
+                s = build(e)
+                assert s.phi == FgAbMap(s.y.carrier, s.z.carrier, phi(e))
+
+
 class TestExactnessCriteria:
     def test_left_only_fixture(self):
         # 0 -> ker(Z) -> F -> G with Z the zero composite on K2: the kernel
         # inclusion is left exact but p_Z is not onto G^0.  The witness must
         # be the canonical one phi(k, f) = -incl(k) + j_Z(f); an arbitrary
         # solver witness may fail exactness (witness choice is structure).
-        from butterflies.intlinalg import hstack
         z = zero_butterfly(k2(), k2())
         _, incl = kernel_b(z)
         kp = kernel(z.p)

@@ -617,6 +617,22 @@ class TestSourceRules:
                             found.append(f"{path.name}:{node.lineno} {name}")
         assert found == []
 
+    def test_no_local_assigned_and_never_read(self):
+        """No function stores a name that it never reads (_ exempt): such a
+        value is computed for nothing.  Reads in nested functions count."""
+        found = []
+        for path in source_files():
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+                read = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+                read |= {name for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                         for name in n.names}
+                found += [f"{path.name}:{n.lineno} {n.id}" for n in names
+                          if isinstance(n.ctx, ast.Store) and n.id not in read | {"_"}]
+        assert found == []
+
     def test_exceptions_caught_only_at_the_boundary(self):
         """Nothing uses an exception for control flow.  A try statement
         appears only where input enters (cli, jsonio), in selftest's
