@@ -32,8 +32,7 @@ from .butterfly import Butterfly, two_morphism_find, validate
 
 class DerivedTensor(Record):
     complex: TwoTermComplex   # [B^m -> B^n], degrees [-1, 0]
-    tensor: FgAbGroup         # the direct presentation of A (x) B
-    h0_iso: FgAbMap           # tensor -> H^0(complex); an isomorphism
+    h0_iso: FgAbMap           # tensor_product(A, B) -> H^0(complex); an isomorphism
 
     @property
     def tor1(self) -> FgAbGroup:
@@ -48,16 +47,11 @@ def tensor_product(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 
 
 def derived_tensor(a: FgAbGroup, b: FgAbGroup) -> DerivedTensor:
-    r = free_presentation(a)
-    n, m = a.ngens, r.cols
-    km1 = power_group(b, m)
-    k0 = power_group(b, n)
-    d = FgAbMap(km1, k0, kron(r, IntMatrix.identity(b.ngens)))
-    cx = TwoTermComplex(d)
-    t = tensor_product(a, b)
+    r = free_presentation(a)  # Z^m -> Z^n
+    cx = TwoTermComplex(FgAbMap(power_group(b, r.cols), power_group(b, a.ngens),
+                                kron(r, IntMatrix.identity(b.ngens))))
     h = homology(cx)
-    iso = FgAbMap(t, h.h0, h.proj.matrix)
-    return DerivedTensor(cx, t, iso)
+    return DerivedTensor(cx, FgAbMap(tensor_product(a, b), h.h0, h.proj.matrix))
 
 
 class BiextGroups(Record):

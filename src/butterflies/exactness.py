@@ -10,10 +10,11 @@ witnesses can disagree about exactness, so it is stored, never recomputed.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, block, in_col_span
 from .fgab import (
-    FgAbMap, direct_sum, kernel, cokernel, is_exact_at, generator_lift,
+    FgAbMap, direct_sum, kernel, cokernel, generator_lift,
     is_injective, is_surjective, exact_verdicts, hom_solve, random_map,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology, embed0, shift1, random_complex
@@ -73,17 +74,13 @@ def zero_witness_find(z: Butterfly, y: Butterfly) -> ButterflyShortSeq | None:
 
 
 def is_left_exact(s: ButterflyShortSeq) -> bool:
-    """Exactness of 0 -> E^-1 -> Y -> Z -> G^0."""
-    return (is_injective(s.y.j)
-            and is_exact_at(s.y.j, s.phi)
-            and is_exact_at(s.phi, s.z.p))
+    """Exactness of 0 -> E^-1 -> Y -> Z -> G^0: the first three verdicts."""
+    return all(islice(exact_verdicts(s.y.j, s.phi, s.z.p), 3))
 
 
 def is_right_exact(s: ButterflyShortSeq) -> bool:
-    """Exactness of E^-1 -> Y -> Z -> G^0 -> 0."""
-    return (is_exact_at(s.y.j, s.phi)
-            and is_exact_at(s.phi, s.z.p)
-            and is_surjective(s.z.p))
+    """Exactness of E^-1 -> Y -> Z -> G^0 -> 0: the last three verdicts."""
+    return all(islice(exact_verdicts(s.y.j, s.phi, s.z.p), 1, None))
 
 
 def seq74_exact(s: ButterflyShortSeq) -> bool:

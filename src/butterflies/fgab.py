@@ -61,7 +61,10 @@ class FgAbGroup(Record):
 
     @staticmethod
     def cyclic(n: int) -> "FgAbGroup":
-        """Z/n (n = 0 gives Z)."""
+        """Z/n; n = 0 gives Z:
+        >>> FgAbGroup.cyclic(0) == FgAbGroup.free(1)
+        True
+        """
         if n == 0:
             return FgAbGroup.free(1)
         return FgAbGroup(1, IntMatrix(1, 1, (n,)))

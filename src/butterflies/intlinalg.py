@@ -81,8 +81,8 @@ class IntMatrix:
     are ever hashed, and most matrices are intermediate results.
 
     >>> m = IntMatrix(2, 2, [1, 2, 3, 4])
-    >>> (m * m).entries
-    (7, 10, 15, 22)
+    >>> m, (m * m).entries
+    (IntMatrix(1 2; 3 4), (7, 10, 15, 22))
     """
 
     __slots__ = ("rows", "cols", "entries")

@@ -11,7 +11,7 @@ to translate a presentation into cyclic coordinates.
 from __future__ import annotations
 
 import itertools
-from math import gcd, prod
+from math import prod
 
 from .intlinalg import IntMatrix, Record, snf
 from .fgab import FgAbGroup, FgAbMap
@@ -45,18 +45,8 @@ class ElementGroup(Record):
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.orders))
-
     def scale(self, k, x):
         return tuple((k * a) % d for a, d in zip(x, self.orders))
-
-    def order_of(self, x) -> int:
-        n = 1
-        for a, d in zip(x, self.orders):
-            k = d // gcd(a, d) if a else 1
-            n = n * k // gcd(n, k)
-        return n
 
 
 class Realization(Record):
@@ -136,22 +126,14 @@ def is_exact_elementwise(a_fn, b_fn, src: ElementGroup, mid: ElementGroup, out_z
     return image_elements(a_fn, src) == kernel_elements(b_fn, mid, out_zero)
 
 
-class ElementQuotient(Record):
-    """A quotient (subset of an ElementGroup) / (subgroup)."""
-
-    ambient: ElementGroup
-    members: frozenset
-    divisor: frozenset
-
-
-def quotient_structure(q: ElementQuotient) -> tuple:
-    """Invariant factors of a finite abelian quotient, greedily: split off a
-    maximal-order cyclic summand, enlarge the divisor, repeat."""
-    divisor = set(q.divisor)
-    amb = q.ambient
+def quotient_structure(amb: ElementGroup, members, divisor) -> tuple:
+    """Invariant factors of the quotient members / divisor of subsets of amb
+    (divisor a subgroup), greedily: split off a maximal-order cyclic summand,
+    enlarge the divisor, repeat."""
+    divisor = set(divisor)
     factors = []
     while True:
-        reps = {min(amb.add(x, h) for h in divisor) for x in q.members}
+        reps = {min(amb.add(x, h) for h in divisor) for x in members}
         if len(reps) == 1:
             break
         best, best_ord = None, 1
@@ -180,12 +162,12 @@ def element_homology(a_fn, b_fn, src: ElementGroup, mid: ElementGroup, out_zero)
     ima = span(list(image_elements(a_fn, src)), mid)
     if not ima <= kerb:
         raise OracleError("image not contained in kernel")
-    return quotient_structure(ElementQuotient(mid, kerb, ima))
+    return quotient_structure(mid, kerb, ima)
 
 
 def group_structure(sub: frozenset, eg: ElementGroup) -> tuple:
     """Invariant factors of a subgroup given by its element set."""
-    return quotient_structure(ElementQuotient(eg, sub, frozenset({eg.zero()})))
+    return quotient_structure(eg, sub, {eg.zero()})
 
 
 # -- butterflies, elementwise -------------------------------------------------

@@ -288,9 +288,9 @@ def _oracle_check_butterfly(b: Butterfly) -> str:
         oracle.kernel_elements(jfn, r.em1.egroup, r.car.egroup.zero()), r.em1.egroup)
     if pip(b).invariant_factors() != (0, pipel):
         return "pip disagrees"
-    copel = oracle.quotient_structure(oracle.ElementQuotient(
+    copel = oracle.quotient_structure(
         r.f0.egroup, frozenset(r.f0.egroup.elements()),
-        oracle.span(list(oracle.image_elements(pfn, r.car.egroup)), r.f0.egroup)))
+        oracle.span(list(oracle.image_elements(pfn, r.car.egroup)), r.f0.egroup))
     if copip(b).invariant_factors() != (0, copel):
         return "copip disagrees"
     # kernel complex degree-0 slot: ker(p) elementwise

@@ -233,6 +233,15 @@ class TestExitCodes:
         assert got.out == ""
         assert got.err == "schema error: group.relations must be a matrix\n"
 
+    @pytest.mark.parametrize("kind", ['"nope"', '["butterfly"]', '{"a": 1}'])
+    def test_unknown_document_kind_is_schema_error(self, tmp_path, capsys, kind):
+        # an unhashable kind is refused like any other, not an internal error
+        p = tmp_path / "doc.json"
+        p.write_text(f'{{"kind": {kind}}}')
+        assert main(["validate", str(p)]) == 2
+        want = repr(json.loads(kind))
+        assert capsys.readouterr() == ("", f"schema error: unknown document kind {want}\n")
+
     def test_json_booleans_are_schema_errors(self, tmp_path, capsys):
         # true and false parse to bool, a subclass of int; neither is a JSON integer
         p = tmp_path / "group.json"

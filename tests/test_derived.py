@@ -34,7 +34,7 @@ class TestDerivedTensor:
     def test_h0_witness_is_isomorphism(self):
         for a, b in [(zn(4), zn(6)), (Z, zn(5)), (zn(2), Z), (zn(12), zn(8))]:
             dt = derived_tensor(a, b)
-            assert dt.tensor.invariant_factors() == homology(dt.complex).h0.invariant_factors()
+            assert dt.h0_iso.src.invariant_factors() == homology(dt.complex).h0.invariant_factors()
             assert is_injective(dt.h0_iso) and is_surjective(dt.h0_iso)
 
     def test_tor_gcd_table(self):

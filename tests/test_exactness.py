@@ -5,13 +5,14 @@ import pytest
 
 from butterflies.intlinalg import IntMatrix, hstack, vstack, block
 from butterflies.fgab import (
-    FgAbGroup, FgAbMap, is_injective, is_surjective, hom_solve, kernel, cokernel,
+    FgAbGroup, FgAbMap, is_injective, is_surjective, is_exact_at, hom_solve, kernel,
+    cokernel,
 )
 from butterflies.twocomplex import (
     TwoTermComplex, ChainMap, homology, embed0, shift1, zero_complex, random_complex,
 )
 from butterflies.butterfly import (
-    Butterfly, validate, zero_butterfly, kernel_b, identity_butterfly,
+    Butterfly, validate, zero_butterfly, kernel_b, cokernel_b, identity_butterfly,
     random_butterfly,
 )
 from butterflies.exactness import (
@@ -161,6 +162,25 @@ class TestExactnessCriteria:
             assert two_sided == is_exact(s)
             assert (seq74_exact(s) and is_surjective(s.z.p)) == is_exact(s)
             assert (seq75_exact(s) and is_injective(s.y.j)) == is_exact(s)
+
+    def test_partial_exactness_matches_explicit_chains(self):
+        # The reference: the chains 0 -> E^-1 -> Y -> Z -> G^0 and
+        # E^-1 -> Y -> Z -> G^0 -> 0 written out verdict by verdict.  The
+        # first three draws give all four (left, right) classes.
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(3):
+            y = random_butterfly(random_complex(rng, 1, 8), random_complex(rng, 1, 8), rng)
+            for s in (zero_witness_find(y, kernel_b(y)[1]),
+                      zero_witness_find(cokernel_b(y)[1], y)):
+                if s is None:
+                    continue
+                middle = is_exact_at(s.y.j, s.phi) and is_exact_at(s.phi, s.z.p)
+                left = is_injective(s.y.j) and middle
+                right = middle and is_surjective(s.z.p)
+                assert (is_left_exact(s), is_right_exact(s)) == (left, right)
+                seen.add((left, right))
+        assert len(seen) == 4
 
     def test_disagreeing_criteria_raise(self, monkeypatch):
         from butterflies import exactness

@@ -7,7 +7,7 @@ from butterflies.fgab import FgAbGroup, FgAbMap, direct_sum, subquotient, is_exa
 from butterflies.twocomplex import homology, random_complex
 from butterflies.butterfly import two_morphism_find, random_butterfly
 from butterflies.oracle import (
-    OracleError, ElementGroup, ElementQuotient, realize, element_map,
+    OracleError, ElementGroup, realize, element_map,
     kernel_elements, image_elements, span, is_exact_elementwise,
     element_homology, quotient_structure, group_structure,
     enumerate_two_morphisms,
@@ -49,9 +49,6 @@ class TestElementGroup:
     def test_arithmetic(self):
         eg = ElementGroup((2, 4))
         assert eg.add((1, 3), (1, 2)) == (0, 1)
-        assert eg.neg((1, 1)) == (1, 3)
-        assert eg.order_of((0, 2)) == 2
-        assert eg.order_of((1, 1)) == 4
         assert eg.size == 8
 
 
@@ -90,9 +87,8 @@ class TestElementHomology:
 def test_quotient_structure_z4_z4_mod_diagonal():
     z44 = direct_sum(Z4, Z4)
     r = realize(z44)
-    quo = ElementQuotient(r.egroup, frozenset(r.egroup.elements()),
-                          span([r.to_element([2, 2])], r.egroup))
-    assert quotient_structure(quo) == (2, 4)
+    assert quotient_structure(r.egroup, frozenset(r.egroup.elements()),
+                              span([r.to_element([2, 2])], r.egroup)) == (2, 4)
 
 
 class TestEnumerateTwoMorphisms:
@@ -138,8 +134,7 @@ def test_presentation_vs_element_homology_on_random_complexes():
         ker = kernel_elements(d, rm1.egroup, r0.egroup.zero())
         assert h.hm1.invariant_factors() == (0, group_structure(ker, rm1.egroup))
         ima = span(list(image_elements(d, rm1.egroup)), r0.egroup)
-        coker = quotient_structure(
-            ElementQuotient(r0.egroup, frozenset(r0.egroup.elements()), ima))
+        coker = quotient_structure(r0.egroup, frozenset(r0.egroup.elements()), ima)
         assert h.h0.invariant_factors() == (0, coker)
     assert checked >= 10
 

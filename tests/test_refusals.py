@@ -16,6 +16,7 @@ from butterflies.butterfly import (
     baer_sum, homology_action, splitting_compose, pullback_compose, pushout_compose,
 )
 from butterflies.exactness import ButterflyShortSeq, zero_witness_find
+from butterflies.oracle import OracleError, ElementGroup, enumerate_two_morphisms
 from butterflies.fixtures import k2, e2, bockstein, ik2, br, r_chain_map, Z2, Z4
 
 
@@ -120,6 +121,10 @@ REFUSALS = {
                ValueError, "hstack: row counts differ"),
     "vstack": (lambda: vstack(IntMatrix.identity(2), IntMatrix.identity(3)),
                ValueError, "vstack: column counts differ"),
+    # the element-level oracle
+    "ElementGroup": (lambda: ElementGroup((0,)), OracleError, "cyclic orders must be >= 1"),
+    "enumerate_two_morphisms": (lambda: enumerate_two_morphisms(ik2(), br()),
+                                OracleError, "parallel butterflies required"),
 }
 
 
