@@ -3,7 +3,9 @@
 Hermite and Smith normal forms with transformation matrices, and linear
 Diophantine systems.  Everything is pure and immutable; results are exact
 (Python ints never overflow).  Pivot selection always takes a smallest
-absolute value to limit coefficient growth.
+absolute value to limit coefficient growth.  The Smith form starts with a
+column Hermite pass, so its row transforms depend only on the lattice the
+matrix's columns span, not on how its columns are written.
 
 Empty matrices (0 x n, n x 0) are first class: they arise from trivial
 groups and zero complexes and must behave as zero objects.
@@ -298,7 +300,7 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> None:
     u (len(a) rows of len(a) ints) as well, and its inverse transpose to the
     rows wt, so they end as E*u and E^-T*wt: with u = wt = I, u is E and wt
     transposed is E^-1.  Rows of u or wt may be empty when E or E^-1 is not
-    wanted.
+    wanted, and then no row operation touches them.
 
     Euclidean elimination with a smallest pivot, then the entries above each
     pivot are reduced into [0, pivot)."""
@@ -336,12 +338,14 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> None:
                     if q:
                         for j in range(c, nc):
                             ai[j] -= q * ar[j]
-                        ui = u[i]
-                        for j in range(nu):
-                            ui[j] -= q * ur[j]
-                        wi = wt[i]
-                        for j in range(nw):
-                            wr[j] += q * wi[j]
+                        if nu:
+                            ui = u[i]
+                            for j in range(nu):
+                                ui[j] -= q * ur[j]
+                        if nw:
+                            wi = wt[i]
+                            for j in range(nw):
+                                wr[j] += q * wi[j]
                     if ai[c]:
                         done = False
             if done:
@@ -363,10 +367,12 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> None:
                 ai, ui, wi = a[i], u[i], wt[i]
                 for j in range(pc, nc):
                     ai[j] -= q * ar[j]
-                for j in range(nu):
-                    ui[j] -= q * ur[j]
-                for j in range(nw):
-                    wr[j] += q * wi[j]
+                if nu:
+                    for j in range(nu):
+                        ui[j] -= q * ur[j]
+                if nw:
+                    for j in range(nw):
+                        wr[j] += q * wi[j]
 
 
 def hnf(m: IntMatrix) -> tuple:
@@ -407,29 +413,45 @@ def snf(m: IntMatrix) -> tuple:
     U*m*V = S for some unimodular V that is not computed.
 
     U is unimodular and W = U^-1; S is diagonal with nonnegative entries
-    d1 | d2 | ..., zeros last.  Row Hermite passes on the matrix and on its
-    transpose alternate until it is diagonal (Kannan and Bachem, SIAM J.
-    Comput. 8(4), 1979), which keeps the transforms' entries small; 2x2
-    Bezout steps then make each diagonal entry divide the next.
+    d1 | d2 | ..., zeros last.  Row Hermite passes on the matrix's transpose
+    and on the matrix alternate until it is diagonal (Kannan and Bachem,
+    SIAM J. Comput. 8(4), 1979), which keeps the transforms' entries small;
+    2x2 Bezout steps then make each diagonal entry divide the next.
+
+    The column pass comes first and tracks no transform, since V is not
+    wanted.  It leaves the column Hermite form of m, which is unique for the
+    lattice m's columns span (Cohen, GTM 138, section 2.4), and every later
+    step reads only that form.  So U and W depend only on that lattice and
+    on m's row count: reordering, combining or adding columns within the
+    lattice leaves them as they are.
 
     >>> s, u, w = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> s.to_lists()
     [[2, 0], [0, 4]]
     >>> u * w == IntMatrix.identity(2)
     True
+
+    The columns of [[1, 2], [3, 4]], swapped, are those of [[2, 1], [4, 3]]:
+
+    >>> for rows in ([[1, 2], [3, 4]], [[2, 1], [4, 3]]):
+    ...     _, u, w = snf(IntMatrix.from_rows(rows))
+    ...     print(u.to_lists(), w.to_lists())
+    [[1, 0], [-1, 1]] [[1, 0], [1, 1]]
+    [[1, 0], [-1, 1]] [[1, 0], [1, 1]]
     """
     nr, nc = m.rows, m.cols
-    a, u, wt = m.to_lists(), _eye(nr), _eye(nr)
+    at = [list(m.entries[j::nc]) for j in range(nc)]  # m transposed
     # W is kept transposed, so its column operations are row operations
+    u, wt = _eye(nr), _eye(nr)
     while True:
+        _hermite(at, [[]] * nc, [[]] * nc, nr)
+        a = [list(row) for row in zip(*at)] if nc else [[] for _ in range(nr)]
+        if _is_diagonal(a):
+            break
         _hermite(a, u, wt, nc)
         if _is_diagonal(a):
             break
         at = [list(col) for col in zip(*a)]
-        _hermite(at, [[]] * nc, [[]] * nc, nr)
-        a = [list(row) for row in zip(*at)]
-        if _is_diagonal(a):
-            break
     d = [a[i][i] for i in range(min(nr, nc))]
     k = sum(1 for x in d if x)  # the nonzero entries, positive and first
     for i in range(k):

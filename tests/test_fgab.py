@@ -399,6 +399,25 @@ class TestInvariantFactors:
             assert to * fro == FgAbMap.identity(s.group)
 
 
+def test_simplify_depends_only_on_the_relation_lattice():
+    """Two presentations of one relation lattice on the same generators
+    simplify alike: the same group, and the same maps to and from it."""
+    rng = random.Random(7)
+    randoms, dense = simplify_inputs()
+    for g in randoms + dense:
+        rel = g.relations
+        c = IntMatrix.column([rng.randint(-3, 3) for _ in range(rel.cols)])
+        other = hstack(rel * fgab.random_unimodular(rng, rel.cols), rel * c)
+        assert simplify(FgAbGroup(g.ngens, other)) == simplify(g)
+
+
+@pytest.mark.parametrize("g", [FgAbGroup.free(3), FgAbGroup.trivial()], ids=["free3", "trivial"])
+def test_simplify_keeps_free_and_trivial_groups(g):
+    s = simplify(g)
+    assert s.group == g
+    assert s.to == s.fro == IntMatrix.identity(g.ngens)
+
+
 def test_cached_kernel_and_cokernel_match_fresh():
     for g in simplify_inputs()[1]:
         n = g.ngens

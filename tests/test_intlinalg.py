@@ -122,6 +122,12 @@ class TestSnf:
         assert s.is_zero()
         assert u == IntMatrix.identity(2) == w
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3, 3)])
+    def test_empty_and_zero_shapes(self, shape):
+        s, u, w = snf(IntMatrix.zeros(*shape))
+        assert s == IntMatrix.zeros(*shape)
+        assert u == w == IntMatrix.identity(shape[0])
+
     def test_2x2(self):
         s, _, _ = snf(mat([[2, 4], [6, 8]]))
         assert s.to_lists() == [[2, 0], [0, 4]]
@@ -171,6 +177,19 @@ class TestSnf:
         s2, _, _ = snf(p * m * q)
         assert [s1[i, i] for i in range(min(m.rows, m.cols))] == \
                [s2[i, i] for i in range(min(m.rows, m.cols))]
+
+    @given(st.one_of(small_matrices, dense_matrices, low_rank_matrices),
+           st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_transforms_depend_only_on_the_column_lattice(self, m, rng, data):
+        """U and W are functions of the lattice m's columns span: a
+        unimodular change of columns, or one more column inside the
+        lattice, leaves them as they are."""
+        from butterflies.fgab import random_unimodular
+        c = IntMatrix.column(data.draw(st.lists(st.integers(-5, 5), min_size=m.cols,
+                                                max_size=m.cols)))
+        assert snf(m)[1:] == snf(m * random_unimodular(rng, m.cols))[1:] \
+            == snf(hstack(m, m * c))[1:]
 
     @given(st.one_of(small_matrices, dense_matrices, low_rank_matrices))
     @settings(max_examples=120, deadline=None)
