@@ -30,7 +30,7 @@ from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective, exact_verdicts,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
-    ext1_realize, preimage_lattice,
+    ext1_realize, preimage_lattice, solution_at,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology
 
@@ -82,10 +82,6 @@ def validate(b: Butterfly) -> list:
     if not in_col_span(rel_e0, q * i):
         bad.append("qi=0 violated")  # implied by exactness; sanity check
     return bad
-
-
-def is_valid(b: Butterfly) -> bool:
-    return not validate(b)
 
 
 class TwoMorphism(Record):
@@ -444,17 +440,12 @@ def random_butterfly(e: TwoTermComplex, f: TwoTermComplex, seed) -> Butterfly:
         if jres is None:
             continue
         for _ in range(3):
-            jm = jres[0]
-            for km in jres[1]:
-                jm = jm + rng.randint(-1, 1) * km
-            j = FgAbMap(e.deg_m1, ycar, jm)
+            j = FgAbMap(e.deg_m1, ycar, solution_at(jres, [rng.randint(-1, 1) for _ in jres[1]]))
             pres = hom_solve_all(ycar, f.deg_0, pre=[
                 (i, -f.d.matrix), (j, IntMatrix.zeros(f.deg_0.ngens, e.deg_m1.ngens))])
             if pres is None:
                 continue
-            pm = pres[0]
-            for km in pres[1]:
-                pm = pm + rng.randint(-1, 1) * km
+            pm = solution_at(pres, [rng.randint(-1, 1) for _ in pres[1]])
             b = Butterfly(e, f, i, j, FgAbMap(ycar, f.deg_0, pm), q)
             bad = validate(b)
             if bad:

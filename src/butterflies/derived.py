@@ -24,7 +24,7 @@ from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, kron, 
 from .fgab import (
     FgAbGroup, FgAbMap, kernel, cokernel, hom_group, power_group,
     free_presentation, dual_presentation, precompose, precompose_matrix, ext1_realize,
-    hom_solve_all,
+    hom_solve_all, solution_at,
 )
 from .twocomplex import TwoTermComplex, homology, shift1
 from .butterfly import Butterfly, two_morphism_find, validate
@@ -109,12 +109,8 @@ def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> list:
         lifted = hom_solve_all(k.deg_m1, ycar, post=[(q, k.d.matrix)])
         if lifted is None:
             continue
-        base, kmats = lifted
-        for coeffs in itertools.product(range(-1, 2), repeat=len(kmats)):
-            jm = base
-            for cf, km in zip(coeffs, kmats):
-                jm = jm + cf * km
-            j = FgAbMap(k.deg_m1, ycar, jm)
+        for coeffs in itertools.product(range(-1, 2), repeat=len(lifted[1])):
+            j = FgAbMap(k.deg_m1, ycar, solution_at(lifted, coeffs))
             bf = Butterfly(k, c1, i, j, FgAbMap.zero(ycar, c1.deg_0), q)
             bad = validate(bf)
             if bad:

@@ -152,7 +152,7 @@ class FgAbMap(Record):
         return FgAbMap(self.src, self.dst, -self.matrix)
 
     def is_zero(self) -> bool:
-        return self.matrix.is_zero()
+        return not any(self.matrix.entries)  # the matrix is kept reduced
 
 
 def is_well_defined(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
@@ -413,6 +413,15 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
     return solve_congruences(nb, na, congruences)
 
 
+def solution_at(solutions: tuple, coeffs: Sequence[int]) -> IntMatrix:
+    """x0 + sum of c_k * K_k, the point of a solution set (x0, Ks) that
+    hom_solve_all returns at one integer coefficient per K_k."""
+    x, ks = solutions
+    for c, k in zip(coeffs, ks, strict=True):
+        x = x + c * k
+    return x
+
+
 # -- Ext^1 with explicit realizations ----------------------------------------
 
 def free_presentation(a: FgAbGroup) -> IntMatrix:
@@ -522,7 +531,4 @@ def random_map(rng: random.Random, a: FgAbGroup, b: FgAbGroup) -> FgAbMap:
     res = hom_solve_all(a, b)
     if res is None:
         raise InvariantError("the zero map solves the empty system")
-    m, kmats = res
-    for km in kmats:
-        m = m + rng.randint(-2, 2) * km
-    return FgAbMap(a, b, m)
+    return FgAbMap(a, b, solution_at(res, [rng.randint(-2, 2) for _ in res[1]]))

@@ -159,9 +159,6 @@ class IntMatrix:
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):
@@ -294,13 +291,15 @@ def _eye(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _hermite(a: list, u: list, wt: list, nc: int) -> None:
+def _hermite(a: list, u: list, wt: list, nc: int) -> list:
     """Row Hermite normal form in place: the rows a (lists of nc ints) become
     H = E*a for a unimodular E.  Every row operation is done to the square
     u (len(a) rows of len(a) ints) as well, and its inverse transpose to the
     rows wt, so they end as E*u and E^-T*wt: with u = wt = I, u is E and wt
     transposed is E^-1.  Rows of u or wt may be empty when E or E^-1 is not
-    wanted, and then no row operation touches them.
+    wanted, and then no row operation touches them.  Returns the pivots
+    (row, column) in order: rows 0, 1, ... of H, each with its first nonzero
+    entry in its pivot's column; the rows after the last pivot are zero.
 
     Euclidean elimination with a smallest pivot, then the entries above each
     pivot are reduced into [0, pivot)."""
@@ -373,13 +372,15 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> None:
                 if nw:
                     for j in range(nw):
                         wr[j] += q * wi[j]
+    return pivots
 
 
 def hnf(m: IntMatrix) -> tuple:
     """Row Hermite normal form with transformation: returns (H, U), U*m = H.
 
     U is unimodular; H is in row echelon form with positive pivots and the
-    entries above each pivot reduced into [0, pivot).
+    entries above each pivot reduced into [0, pivot).  It is the cached
+    column echelon factorization of m's transpose, read as is.
 
     >>> h, u = hnf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> h.to_lists()
@@ -387,9 +388,7 @@ def hnf(m: IntMatrix) -> tuple:
     >>> (u * IntMatrix.from_rows([[2, 4], [6, 8]])) == h
     True
     """
-    a, u = m.to_lists(), _eye(m.rows)
-    _hermite(a, u, [[]] * m.rows, m.cols)
-    return (_from_lists(m.rows, m.cols, a), _from_lists(m.rows, m.rows, u))
+    return col_echelon(m.transpose())[:2]
 
 
 def _is_diagonal(a: list) -> bool:
@@ -480,16 +479,13 @@ def col_echelon(a: IntMatrix) -> tuple:
     """Cached column echelon factorization a*V = H, kept transposed.
 
     Returns (H^T, V^T, pivot rows per pivot column), where (H^T, V^T) is the
-    row HNF of a^T; column k of H is row k of H^T.
+    row HNF of a^T; column k of H is row k of H^T.  The elimination runs on
+    a's columns as rows, and the pivots it finds are the pivot rows.
     """
-    ht, vt = hnf(a.transpose())
-    pivot_rows = []
-    for k in range(ht.rows):
-        nz = next((i for i, e in enumerate(ht.row(k)) if e), None)
-        if nz is None:
-            break
-        pivot_rows.append(nz)
-    return (ht, vt, tuple(pivot_rows))
+    nr, nc = a.rows, a.cols
+    at, vt = [list(a.entries[j::nc]) for j in range(nc)], _eye(nc)
+    pivots = _hermite(at, vt, [[]] * nc, nr)
+    return (_from_lists(nc, nr, at), _from_lists(nc, nc, vt), tuple(c for _, c in pivots))
 
 
 def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str) -> tuple:

@@ -33,9 +33,6 @@ class RefusalError(ValueError):
     """Mathematically well-formed input that violates an axiom or precondition."""
 
 
-KINDS = ("group", "map", "complex", "butterfly", "sequence")
-
-
 # -- integers of any size ----------------------------------------------------
 # int() and str() refuse more than 4300 decimal digits by default; the limit
 # is process-global, so long numbers are converted here in chunks instead.
@@ -207,6 +204,7 @@ PARSERS = {
     "butterfly": butterfly_from_json,
     "sequence": sequence_from_json,
 }
+KINDS = tuple(PARSERS)  # `in` a tuple compares, so an unhashable kind is refused, not a TypeError
 
 
 def parse_document(text: str):

@@ -18,7 +18,7 @@ from .intlinalg import CACHE_SIZE, IntMatrix, hstack, vstack
 from .fgab import FgAbGroup, FgAbMap, direct_sum, is_exact_at, exact_verdicts
 from .twocomplex import TwoTermComplex, embed0, homology, random_complex
 from .butterfly import (
-    Butterfly, validate, is_valid, identity_butterfly,
+    Butterfly, validate, identity_butterfly,
     zero_butterfly, compose, two_morphism_find, baer_sum, homology_action,
     is_invertible, kernel_b, cokernel_b, classify, pip, copip,
     image_b, coimage_b, middle_exact_iso, random_butterfly,
@@ -171,9 +171,9 @@ def _has_two_sided_inverse(y: Butterfly) -> bool:
     """Build the reflected candidate inverse and test both composites
     against the identities; no precondition assumed.  The reflected wings
     always fit the reflected endpoints, and a negated map always descends,
-    so the candidate can always be built; is_valid decides the rest."""
+    so the candidate can always be built; validate decides the rest."""
     flip = Butterfly(y.dst, y.src, y.j, y.i, -y.q, -y.p)
-    if not is_valid(flip):
+    if validate(flip):
         return False
     if two_morphism_find(compose(flip, y), identity_butterfly(y.src)) is None:
         return False

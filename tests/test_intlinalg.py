@@ -7,6 +7,7 @@ import random
 import re
 import time
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import butterflies
 from butterflies.fgab import FgAbGroup, FgAbMap, simplify
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, Record, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
-    hstack, vstack, kron, submatrix, solve_congruences,
+    hstack, vstack, kron, submatrix, solve_congruences, col_echelon,
 )
 
 
@@ -84,25 +85,38 @@ class TestHnf:
         assert u * m == h
         assert abs(det(u)) == 1
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3, 3)])
+    def test_col_echelon_of_empty_and_zero_shapes(self, shape):
+        ht, vt, pivot_rows = col_echelon(IntMatrix.zeros(*shape))
+        assert ht == IntMatrix.zeros(shape[1], shape[0])
+        assert vt == IntMatrix.identity(shape[1])
+        assert pivot_rows == ()
+
     @staticmethod
     def assert_hermite(m):
         """U*m = H with U unimodular, and H is in row echelon form with
-        positive pivots and the entries above each pivot in [0, pivot)."""
+        positive pivots and the entries above each pivot in [0, pivot).
+        col_echelon of m's transpose is (H, U, p), with p the first nonzero
+        column of each nonzero row of H."""
         h, u = hnf(m)
         assert u * m == h
         if m.rows:
             assert abs(det(u)) == 1
         last = -1
+        firsts = []
         for i in range(h.rows):
             nz = [j for j in range(h.cols) if h[i, j]]
             if not nz:
                 continue
             assert nz[0] > last
             last = nz[0]
+            firsts.append(nz[0])
             piv = h[i, nz[0]]
             assert piv > 0
             for ii in range(i):
                 assert 0 <= h[ii, nz[0]] < piv
+        assert not any(h.entries[len(firsts) * h.cols:])  # zero rows last
+        assert col_echelon(m.transpose()) == (h, u, tuple(firsts))
 
     @given(small_matrices)
     @settings(max_examples=60, deadline=None)
@@ -119,7 +133,7 @@ class TestSnf:
     def test_zero(self):
         m = IntMatrix.zeros(2, 3)
         s, u, w = snf(m)
-        assert s.is_zero()
+        assert not any(s.entries)
         assert u == IntMatrix.identity(2) == w
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3, 3)])
@@ -297,7 +311,7 @@ class TestReduceCols:
         assert reduce_cols(a, r) is r                 # idempotent: a reduced m comes back as is
         assert in_col_span(a, m - r)                  # the same coset
         assert reduce_cols(a, m + a * x) == r         # the same remainder for the whole coset
-        assert reduce_cols(a, a * x).is_zero()
+        assert not any(reduce_cols(a, a * x).entries)
         for j in range(k):
             assert (not any(r.col(j))) == in_col_span(a, IntMatrix.column(m.col(j)))
 
@@ -583,36 +597,49 @@ class TestSourceRules:
     PUBLIC = {
         "to_chain_map", "find_section", "invert", "splitting_compose",
         "pullback_compose", "pushout_compose", "is_left_exact", "is_right_exact",
-        "map_to_json", "zero_complex", "complex_direct_sum",
+        "map_to_json", "zero_complex", "complex_direct_sum", "is_zero",
     }
+
+    @staticmethod
+    def names_in(tree) -> Counter:
+        """How often each name occurs in tree: as a name, an attribute, or a
+        string such as a patch target."""
+        out = Counter()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                out[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out[node.value] += 1
+        return out
 
     def test_no_unreferenced_functions(self):
         """Every function or method defined under src/ is named in src/ or
-        perfbench/ besides its own def statement (as a name, an attribute,
-        or a string such as a patch target; dunders exempt), or is listed in
-        PUBLIC; and no PUBLIC name is named there, so the list stays minimal.
-        Tests do not count: a helper that only its own test calls is dead.
-        Names are matched, not definitions: a method that shares its name
-        with another definition or use is invisible to this test even when
-        nothing calls it, as ElementGroup.neg was beside operator.neg."""
+        perfbench/ outside its own body (dunders exempt), or is listed in
+        PUBLIC; and no PUBLIC function is named so, so the list stays
+        minimal.  Tests do not count: a helper that only its own test calls
+        is dead, and so is a method whose one caller is itself, as
+        FgAbMap.is_zero calling IntMatrix.is_zero was.  Names are matched,
+        not definitions: a method that shares its name with another
+        definition or use is invisible to this test even when nothing calls
+        it, as ElementGroup.neg was beside operator.neg."""
         root = SRC.parents[1]
-        defined, named = [], set()
+        defs, named = [], Counter()
         for path in [*source_files(), *sorted((root / "perfbench").glob("*.py"))]:
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    named.add(node.value)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and SRC in path.parents:
-                    defined.append((node.name, f"{path.name}:{node.lineno}"))
-        unreferenced = [f"{where} {name}" for name, where in defined
-                        if name not in named | self.PUBLIC
+            tree = ast.parse(path.read_text())
+            named += self.names_in(tree)
+            if SRC in path.parents:
+                defs += [(node, f"{path.name}:{node.lineno}") for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        referenced = [(node.name, where, named[node.name] > self.names_in(node)[node.name])
+                      for node, where in defs]
+        unreferenced = [f"{where} {name}" for name, where, ref in referenced
+                        if not ref and name not in self.PUBLIC
                         and not (name.startswith("__") and name.endswith("__"))]
         assert unreferenced == []
-        assert self.PUBLIC <= {name for name, _ in defined}
-        assert sorted(self.PUBLIC & named) == []
+        assert self.PUBLIC <= {name for name, _, _ in referenced}
+        assert sorted(name for name, _, ref in referenced if ref and name in self.PUBLIC) == []
 
     def test_no_dataclasses_import(self):
         """Value classes derive from intlinalg.Record: importing dataclasses
