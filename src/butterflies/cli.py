@@ -20,6 +20,7 @@ import math
 import random
 import sys
 
+from .fgab import random_group
 from .twocomplex import homology, random_complex
 from .butterfly import (
     validate, compose, two_morphism_find, homology_action, is_invertible,
@@ -186,7 +187,6 @@ def cmd_biext(args) -> int:
 def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     if args.kind == "group":
-        from .fgab import random_group
         doc = jsonio.document("group", jsonio.group_to_json(random_group(rng)))
     elif args.kind == "complex":
         doc = jsonio.document("complex", jsonio.complex_to_json(random_complex(rng)))
@@ -228,57 +228,39 @@ def _suite(text: str) -> str:
     return text
 
 
+OUT = ("--out", {})
+
+# name: (handler, help, (argument, kwargs) specs), in the order --help lists them
+COMMANDS = {
+    "validate": (cmd_validate, "check a document against the axioms", [("path", {})]),
+    "compose": (cmd_compose, "compose two butterflies (second after first)",
+                [("first", {}), ("second", {}), OUT]),
+    "iso2": (cmd_iso2, "search for a 2-morphism between parallel butterflies",
+             [("first", {}), ("second", {}), OUT]),
+    "report": (cmd_report, "full invariant report for one butterfly", [("path", {}), OUT]),
+    "les": (cmd_les, "six-term homology sequence of an exact sequence", [("path", {}), OUT]),
+    "biext": (cmd_biext, "Biext groups pi1, pi0 for shorthand groups (e.g. Z/2+Z)",
+              [("a", {}), ("b", {}), ("c", {}), OUT]),
+    "gen": (cmd_gen, "generate a random fixture, deterministic per seed",
+            [("kind", {"choices": ["group", "complex", "butterfly", "sequence"]}),
+             ("--seed", {"type": int, "default": 0}), OUT]),
+    "selftest": (cmd_selftest, "run the acceptance suites",
+                 [("--scale", {"type": _scale, "default": 1.0}),
+                  ("--suite", {"nargs": "*", "type": _suite, "metavar": "N",
+                               "help": "criterion numbers to run, e.g. 1 6 9"})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="butterflies",
         description="2-term complexes of f.g. abelian groups with butterflies as morphisms")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a document against the axioms")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("compose", help="compose two butterflies (second after first)")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_compose)
-
-    p = sub.add_parser("iso2", help="search for a 2-morphism between parallel butterflies")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_iso2)
-
-    p = sub.add_parser("report", help="full invariant report for one butterfly")
-    p.add_argument("path")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("les", help="six-term homology sequence of an exact sequence")
-    p.add_argument("path")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_les)
-
-    p = sub.add_parser("biext", help="Biext groups pi1, pi0 for shorthand groups (e.g. Z/2+Z)")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_biext)
-
-    p = sub.add_parser("gen", help="generate a random fixture, deterministic per seed")
-    p.add_argument("kind", choices=["group", "complex", "butterfly", "sequence"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("selftest", help="run the acceptance suites")
-    p.add_argument("--scale", type=_scale, default=1.0)
-    p.add_argument("--suite", nargs="*", type=_suite, metavar="N",
-                   help="criterion numbers to run, e.g. 1 6 9")
-    p.set_defaults(fn=cmd_selftest)
-
+    for name, (fn, help_text, specs) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in specs:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 

@@ -96,16 +96,14 @@ def biext_enumerate(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> list:
     extension, search all lifts of the differential with coefficients in
     {-1, 0, 1}, and dedupe with the 2-morphism solver.  Ground truth for
     biext_groups on small inputs."""
-    from .oracle import realize  # enumerate Ext classes through their realization
     k = derived_tensor(a, b).complex
     c1 = shift1(c)
     ext = ext1_realize(k.deg_0, c)
-    re = realize(ext.group, 512)
-    classes = [list(el) for el in re.egroup.elements()]
+    # Ext^1 is finite and presented diagonally: its classes are residue tuples
+    residues = [range(ext.group.relations[t, t]) for t in range(ext.group.ngens)]
     reps = []
-    for el in classes[:64]:
-        vec = re.rep_of(el)
-        ycar, i, q = ext.realize([vec[t, 0] for t in range(vec.rows)])
+    for cls in itertools.islice(itertools.product(*residues), 64):
+        ycar, i, q = ext.realize(cls)
         lifted = hom_solve_all(k.deg_m1, ycar, post=[(q, k.d.matrix)])
         if lifted is None:
             continue

@@ -189,7 +189,8 @@ class Simplified(Record):
 
 
 def simplify(g: FgAbGroup):
-    """An isomorphic diagonal presentation with no unit factors.
+    """An isomorphic diagonal presentation with no unit factors, so the
+    group is trivial exactly when the presentation has no generators.
 
     Internal constructions (kernels, subquotients, ...) pass through this so
     presentations never accumulate redundant generators.
@@ -339,11 +340,11 @@ def is_exact_at(a: FgAbMap, b: FgAbMap) -> bool:
 
 
 def is_injective(f: FgAbMap) -> bool:
-    return kernel(f).group.is_trivial()
+    return not kernel(f).group.ngens
 
 
 def is_surjective(f: FgAbMap) -> bool:
-    return cokernel(f).group.is_trivial()
+    return not cokernel(f).group.ngens
 
 
 def exact_verdicts(*maps: FgAbMap):

@@ -173,19 +173,26 @@ def group_structure(sub: frozenset, eg: ElementGroup) -> tuple:
 # -- butterflies, elementwise -------------------------------------------------
 
 class ButterflyRealization(Record):
+    """A butterfly's five groups in cyclic coordinates; its wings on element tuples."""
+
     em1: Realization
     e0: Realization
     fm1: Realization
     f0: Realization
     car: Realization
+    i: object  # fm1 -> car
+    j: object  # em1 -> car
+    p: object  # car -> f0
+    q: object  # car -> e0
 
 
 def realize_butterfly(b, cap: int = DEFAULT_CAP) -> ButterflyRealization:
-    return ButterflyRealization(
-        realize(b.src.deg_m1, cap), realize(b.src.deg_0, cap),
-        realize(b.dst.deg_m1, cap), realize(b.dst.deg_0, cap),
-        realize(b.carrier, cap),
-    )
+    em1, e0 = realize(b.src.deg_m1, cap), realize(b.src.deg_0, cap)
+    fm1, f0 = realize(b.dst.deg_m1, cap), realize(b.dst.deg_0, cap)
+    car = realize(b.carrier, cap)
+    return ButterflyRealization(em1, e0, fm1, f0, car,
+                                element_map(b.i, fm1, car), element_map(b.j, em1, car),
+                                element_map(b.p, car, f0), element_map(b.q, car, e0))
 
 
 def all_homs(src: ElementGroup, dst: ElementGroup):
@@ -214,23 +221,15 @@ def enumerate_two_morphisms(a, b, cap: int = DEFAULT_CAP) -> list:
     ya, yb = ra.car.egroup, rb.car.egroup
     if ya.size != yb.size:
         return []
-    ia = element_map(a.i, ra.fm1, ra.car)
-    ib = element_map(b.i, rb.fm1, rb.car)
-    ja = element_map(a.j, ra.em1, ra.car)
-    jb = element_map(b.j, rb.em1, rb.car)
-    pa = element_map(a.p, ra.car, ra.f0)
-    pb = element_map(b.p, rb.car, rb.f0)
-    qa = element_map(a.q, ra.car, ra.e0)
-    qb = element_map(b.q, rb.car, rb.e0)
     found = []
     for imgs, fn in all_homs(ya, yb):
-        if any(fn(ia(x)) != ib(x) for x in ra.fm1.egroup.elements()):
+        if any(fn(ra.i(x)) != rb.i(x) for x in ra.fm1.egroup.elements()):
             continue
-        if any(fn(ja(x)) != jb(x) for x in ra.em1.egroup.elements()):
+        if any(fn(ra.j(x)) != rb.j(x) for x in ra.em1.egroup.elements()):
             continue
-        if any(pb(fn(y)) != pa(y) for y in ya.elements()):
+        if any(rb.p(fn(y)) != ra.p(y) for y in ya.elements()):
             continue
-        if any(qb(fn(y)) != qa(y) for y in ya.elements()):
+        if any(rb.q(fn(y)) != ra.q(y) for y in ya.elements()):
             continue
         if len({fn(y) for y in ya.elements()}) != yb.size:
             continue

@@ -276,27 +276,23 @@ def _finite_small(b: Butterfly) -> bool:
 def _oracle_check_butterfly(b: Butterfly) -> str:
     """Element-level recheck of one butterfly; returns an error or ''."""
     r = oracle.realize_butterfly(b)
-    ifn = oracle.element_map(b.i, r.fm1, r.car)
-    jfn = oracle.element_map(b.j, r.em1, r.car)
-    pfn = oracle.element_map(b.p, r.car, r.f0)
-    qfn = oracle.element_map(b.q, r.car, r.e0)
-    if not oracle.is_exact_elementwise(ifn, qfn, r.fm1.egroup, r.car.egroup,
+    if not oracle.is_exact_elementwise(r.i, r.q, r.fm1.egroup, r.car.egroup,
                                        r.e0.egroup.zero()):
         return "diagonal exactness disagrees"
     # pip and copip
     pipel = oracle.group_structure(
-        oracle.kernel_elements(jfn, r.em1.egroup, r.car.egroup.zero()), r.em1.egroup)
+        oracle.kernel_elements(r.j, r.em1.egroup, r.car.egroup.zero()), r.em1.egroup)
     if pip(b).invariant_factors() != (0, pipel):
         return "pip disagrees"
     copel = oracle.quotient_structure(
         r.f0.egroup, frozenset(r.f0.egroup.elements()),
-        oracle.span(list(oracle.image_elements(pfn, r.car.egroup)), r.f0.egroup))
+        oracle.span(list(oracle.image_elements(r.p, r.car.egroup)), r.f0.egroup))
     if copip(b).invariant_factors() != (0, copel):
         return "copip disagrees"
     # kernel complex degree-0 slot: ker(p) elementwise
     kcx, _ = kernel_b(b)
     kerel = oracle.group_structure(
-        oracle.kernel_elements(pfn, r.car.egroup, r.f0.egroup.zero()), r.car.egroup)
+        oracle.kernel_elements(r.p, r.car.egroup, r.f0.egroup.zero()), r.car.egroup)
     if kcx.deg_0.invariant_factors() != (0, kerel):
         return "ker(p) disagrees"
     # homology action tables
@@ -306,8 +302,8 @@ def _oracle_check_butterfly(b: Butterfly) -> str:
     fm1_els = list(r.fm1.egroup.elements())
     for x in rhs_s.egroup.elements():
         xe = rhs_s.map_image(hs.incl, r.em1, x)
-        target = jfn(xe)
-        pre = [f for f in fm1_els if ifn(f) == target]
+        target = r.j(xe)
+        pre = [f for f in fm1_els if r.i(f) == target]
         if len(pre) != 1:
             return "H^-1 action not uniquely resolvable elementwise"
         got = rhs_s.map_image(hm1, rhs_d, x)
@@ -323,10 +319,10 @@ def _oracle_check_butterfly(b: Butterfly) -> str:
             if r.e0.map_image(hs.proj, rh0_s, cand) == x:
                 e0_el = cand
                 break
-        lifts = [yy for yy in car_els if qfn(yy) == e0_el]
+        lifts = [yy for yy in car_els if r.q(yy) == e0_el]
         if not lifts:
             return "q not surjective elementwise"
-        img = r.f0.map_image(hd.proj, rh0_d, pfn(lifts[0]))
+        img = r.f0.map_image(hd.proj, rh0_d, r.p(lifts[0]))
         if img != got:
             return "H^0 action table disagrees"
     return ""

@@ -13,6 +13,10 @@ from butterflies import selftest, jsonio
 from butterflies.cli import main
 from butterflies.fixtures import bockstein, ik2, br, e2, k2
 from butterflies.exactness import standard_seq_10
+from butterflies.fgab import FgAbGroup, FgAbMap
+from butterflies.twocomplex import TwoTermComplex
+from butterflies.butterfly import is_invertible, zero_butterfly
+from butterflies.derived import derived_tensor
 
 
 def _run(fn, budget=None):
@@ -59,6 +63,41 @@ def test_criterion_08_bockstein():
 
 def test_criterion_09_derived_biext():
     _run(selftest.crit9_derived_biext)
+
+
+Z7 = FgAbGroup.cyclic(7)
+
+# (criterion, name in butterflies.selftest, a defective stand-in, the failure
+# the criterion must report at scale 0.02)
+DEFECTS = [
+    (1, "validate", lambda b: [], "mutation q(0, 0)-1 not refused"),
+    (2, "two_morphism_find", lambda a, b: None, "associativity fails on triple #0"),
+    (3, "compose", lambda z, y: zero_butterfly(y.src, z.dst),
+     "H^-1 functoriality fails on pair #1"),
+    (4, "is_invertible", lambda y: not is_invertible(y),
+     "criteria disagree on #0: inverse=False qis=False cone=True"),
+    (5, "zero_witness_find", lambda a, b: None,
+     "kernel composite admits no zero witness on #0"),
+    (6, "les", lambda s: None, "standard_seq_51 not exact on complex #0"),
+    (7, "pip", lambda b: Z7, "pip disagrees on a suite butterfly"),
+    (7, "copip", lambda b: Z7, "copip disagrees on a suite butterfly"),
+    (7, "kernel_b", lambda b: (TwoTermComplex(FgAbMap.zero(Z7, Z7)), None),
+     "ker(p) disagrees on a suite butterfly"),
+    (7, "two_morphism_find", lambda a, b: None, "2-morphism solver completeness fails"),
+    (8, "is_invertible", lambda y: False, "B is not invertible"),
+    (9, "derived_tensor", lambda a, b: derived_tensor(b, b),
+     "Tor1(Z/1,Z/2) = (0, (2,)), want (0, ())"),
+]
+
+
+@pytest.mark.parametrize("number, name, defect, message", DEFECTS,
+                         ids=[f"{number}-{name}" for number, name, _, _ in DEFECTS])
+def test_criterion_reports_a_defect(number, name, defect, message, monkeypatch):
+    """Each criterion fails, with its own message, when a name it calls is
+    defective: the gate's failure branches are reachable and say what broke."""
+    monkeypatch.setattr(selftest, name, defect)
+    _, criterion = selftest.CRITERIA[number - 1]
+    assert criterion(0.02) == (False, message)
 
 
 class TestCriterion10Cli:

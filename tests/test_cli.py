@@ -532,17 +532,113 @@ class TestRoundTrip:
         assert Path(a).read_text() == Path(b).read_text()
 
 
-def test_selftest_help_bytes(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main(["selftest", "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr() == (SELFTEST_USAGE + (
+# every --help screen, byte for byte (COLUMNS=80), keyed by subcommand
+# ("" is the top level)
+HELP_SCREENS = {
+    "": (
+        "usage: butterflies [-h]\n"
+        "                   {validate,compose,iso2,report,les,biext,gen,selftest} ...\n"
+        "\n"
+        "2-term complexes of f.g. abelian groups with butterflies as morphisms\n"
+        "\n"
+        "positional arguments:\n"
+        "  {validate,compose,iso2,report,les,biext,gen,selftest}\n"
+        "    validate            check a document against the axioms\n"
+        "    compose             compose two butterflies (second after first)\n"
+        "    iso2                search for a 2-morphism between parallel butterflies\n"
+        "    report              full invariant report for one butterfly\n"
+        "    les                 six-term homology sequence of an exact sequence\n"
+        "    biext               Biext groups pi1, pi0 for shorthand groups (e.g.\n"
+        "                        Z/2+Z)\n"
+        "    gen                 generate a random fixture, deterministic per seed\n"
+        "    selftest            run the acceptance suites\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"),
+    "validate": (
+        "usage: butterflies validate [-h] path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"),
+    "compose": (
+        "usage: butterflies compose [-h] [--out OUT] first second\n"
+        "\n"
+        "positional arguments:\n"
+        "  first\n"
+        "  second\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --out OUT\n"),
+    "iso2": (
+        "usage: butterflies iso2 [-h] [--out OUT] first second\n"
+        "\n"
+        "positional arguments:\n"
+        "  first\n"
+        "  second\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --out OUT\n"),
+    "report": (
+        "usage: butterflies report [-h] [--out OUT] path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --out OUT\n"),
+    "les": (
+        "usage: butterflies les [-h] [--out OUT] path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --out OUT\n"),
+    "biext": (
+        "usage: butterflies biext [-h] [--out OUT] a b c\n"
+        "\n"
+        "positional arguments:\n"
+        "  a\n"
+        "  b\n"
+        "  c\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --out OUT\n"),
+    "gen": (
+        "usage: butterflies gen [-h] [--seed SEED] [--out OUT]\n"
+        "                       {group,complex,butterfly,sequence}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {group,complex,butterfly,sequence}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --out OUT\n"),
+    "selftest": SELFTEST_USAGE + (
         "\n"
         "options:\n"
         "  -h, --help       show this help message and exit\n"
         "  --scale SCALE\n"
-        "  --suite [N ...]  criterion numbers to run, e.g. 1 6 9\n"), "")
+        "  --suite [N ...]  criterion numbers to run, e.g. 1 6 9\n"),
+}
+
+
+@pytest.mark.parametrize("command", HELP_SCREENS, ids=lambda command: command or "butterflies")
+def test_help_bytes(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP_SCREENS[command], "")
 
 
 def test_import_cli_loads_the_traced_modules_and_not_selftest():

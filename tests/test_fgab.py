@@ -391,9 +391,12 @@ class TestInvariantFactors:
 
     def test_simplify_is_isomorphism(self):
         randoms, dense = simplify_inputs()
-        for g in randoms + dense:
+        # the trivial group on three generators, related by a unimodular matrix
+        hidden = FgAbGroup(3, fgab.random_unimodular(random.Random(5), 3))
+        for g in randoms + dense + [hidden]:
             s = simplify(g)
             assert s.group.invariant_factors() == g.invariant_factors()
+            assert (s.group.ngens == 0) == g.is_trivial()
             to, fro = FgAbMap(g, s.group, s.to), FgAbMap(s.group, g, s.fro)
             assert fro * to == FgAbMap.identity(g)
             assert to * fro == FgAbMap.identity(s.group)

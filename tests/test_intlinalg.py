@@ -591,6 +591,26 @@ class TestSourceRules:
                               if alias.name.startswith("_")]
         assert found == []
 
+    def test_only_selftest_imports_the_oracle(self):
+        """The element-level oracle is ground truth for the acceptance suites,
+        so it stays out of the library: no module but selftest imports it,
+        as from .oracle import ..., from . import oracle or an absolute form."""
+        found = []
+        for path in source_files():
+            if path.name == "selftest.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").split(".")[0] == "butterflies"):
+                    names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any("oracle" in name.split(".") for name in names):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
     # The paper's entry points that only tests call: constructions and
     # predicates a library user reaches for, kept although no program
     # path runs them.
