@@ -7,9 +7,9 @@ such that q*j = d_src, p*i = -d_dst, p*j = 0 and the NE-SW diagonal
 0 -> dst.deg_m1 -> Y -> src.deg_0 -> 0 is short exact.  2-morphisms are
 carrier maps commuting with all four wings (automatically invertible).
 
-Composition is the homology of  F^-1 -> Y (+) Z -> F^0  and every further
-construction (kernels, pips, images, Baer sum, ...) is built from the same
-subquotient machinery.  Sign conventions are fixed once (p*i = -d, the
+Composition is the homology of  F^-1 -> Y (+) Z -> F^0; the Baer sum and the
+compositions with chain maps glue the same way, and kernels, pips and images
+use the same subquotient machinery.  Sign conventions are fixed once (p*i = -d, the
 composition complex uses (i; -j) and (-p, q), the cokernel differential is
 -p) and pinned by the chain-map compatibility tests: flipping any of them
 breaks the roundtrip through from_chain_map.
@@ -164,24 +164,28 @@ def find_section(b: Butterfly) -> FgAbMap | None:
 
 # -- composition and 2-morphisms ---------------------------------------------
 
+def _glue(e: TwoTermComplex, f: TwoTermComplex, a_src: FgAbGroup, a: IntMatrix, b: FgAbMap,
+          i: IntMatrix, j: IntMatrix, p: IntMatrix, q: IntMatrix) -> Butterfly:
+    """The butterfly e -> f on the carrier ker(b)/im(a), for a: a_src -> b.src,
+    with the wings that i, j (into b.src) and p, q (out of it) induce."""
+    sq = subquotient(a_src, a, b)
+    return Butterfly(e, f, sq.lift_in(f.deg_m1, i), sq.lift_in(e.deg_m1, j),
+                     sq.induce_out(f.deg_0, p), sq.induce_out(e.deg_0, q))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def compose(z: Butterfly, y: Butterfly) -> Butterfly:
     """z * y as the homology of  F^-1 --(i;-j)--> Y (+) Z --(-p,q)--> F^0."""
     if y.dst != z.src:
         raise ValueError("compose endpoint mismatch")
-    f = y.dst
+    f, ny, nz = y.dst, y.carrier.ngens, z.carrier.ngens
     yz = direct_sum(y.carrier, z.carrier)
-    bmap = FgAbMap(yz, f.deg_0, hstack(-y.p.matrix, z.q.matrix))
-    sq = subquotient(f.deg_m1, vstack(y.i.matrix, -z.j.matrix), bmap)
-    j = sq.lift_in(y.src.deg_m1,
-                   vstack(y.j.matrix, IntMatrix.zeros(z.carrier.ngens, y.src.deg_m1.ngens)))
-    i = sq.lift_in(z.dst.deg_m1,
-                   vstack(IntMatrix.zeros(y.carrier.ngens, z.dst.deg_m1.ngens), z.i.matrix))
-    p = sq.induce_out(z.dst.deg_0,
-                      hstack(IntMatrix.zeros(z.dst.deg_0.ngens, y.carrier.ngens), z.p.matrix))
-    q = sq.induce_out(y.src.deg_0,
-                      hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, z.carrier.ngens)))
-    return Butterfly(y.src, z.dst, i, j, p, q)
+    return _glue(y.src, z.dst, f.deg_m1, vstack(y.i.matrix, -z.j.matrix),
+                 FgAbMap(yz, f.deg_0, hstack(-y.p.matrix, z.q.matrix)),
+                 vstack(IntMatrix.zeros(ny, z.dst.deg_m1.ngens), z.i.matrix),
+                 vstack(y.j.matrix, IntMatrix.zeros(nz, y.src.deg_m1.ngens)),
+                 hstack(IntMatrix.zeros(z.dst.deg_0.ngens, ny), z.p.matrix),
+                 hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, nz)))
 
 
 def two_morphism_find(a: Butterfly, b: Butterfly) -> TwoMorphism | None:
@@ -216,15 +220,13 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
     copy of dst.deg_m1; wings add.  Neutral element: the zero composite."""
     if (a.src, a.dst) != (b.src, b.dst):
         raise ValueError("Baer sum needs parallel butterflies")
-    e, f = a.src, a.dst
+    e, f, nb = a.src, a.dst, b.carrier.ngens
     s = direct_sum(a.carrier, b.carrier)
-    diff = FgAbMap(s, e.deg_0, hstack(a.q.matrix, -b.q.matrix))
-    sq = subquotient(f.deg_m1, vstack(a.i.matrix, -b.i.matrix), diff)
-    i = sq.lift_in(f.deg_m1, vstack(a.i.matrix, IntMatrix.zeros(b.carrier.ngens, f.deg_m1.ngens)))
-    j = sq.lift_in(e.deg_m1, vstack(a.j.matrix, b.j.matrix))
-    p = sq.induce_out(f.deg_0, hstack(a.p.matrix, b.p.matrix))
-    q = sq.induce_out(e.deg_0, hstack(a.q.matrix, IntMatrix.zeros(e.deg_0.ngens, b.carrier.ngens)))
-    return Butterfly(e, f, i, j, p, q)
+    return _glue(e, f, f.deg_m1, vstack(a.i.matrix, -b.i.matrix),
+                 FgAbMap(s, e.deg_0, hstack(a.q.matrix, -b.q.matrix)),
+                 vstack(a.i.matrix, IntMatrix.zeros(nb, f.deg_m1.ngens)),
+                 vstack(a.j.matrix, b.j.matrix), hstack(a.p.matrix, b.p.matrix),
+                 hstack(a.q.matrix, IntMatrix.zeros(e.deg_0.ngens, nb)))
 
 
 # -- homology functor --------------------------------------------------------
@@ -391,18 +393,14 @@ def pullback_compose(z: Butterfly, f: ChainMap) -> Butterfly:
     carrier = ker( E^0 (+) Z --(-f0, q)--> F^0 )."""
     if f.dst != z.src:
         raise ValueError("pullback endpoints mismatch")
-    e = f.src
+    e, n0 = f.src, f.src.deg_0.ngens
     s = direct_sum(e.deg_0, z.carrier)
-    kk = kernel(FgAbMap(s, f.dst.deg_0, hstack(-f.f_0.matrix, z.q.matrix)))
-    w = kk.group
-    j = kk.factor(e.deg_m1, vstack(e.d.matrix, z.j.matrix * f.f_m1.matrix))
-    i = kk.factor(z.dst.deg_m1, vstack(IntMatrix.zeros(e.deg_0.ngens, z.dst.deg_m1.ngens), z.i.matrix))
-    p = FgAbMap(w, z.dst.deg_0,
-                hstack(IntMatrix.zeros(z.dst.deg_0.ngens, e.deg_0.ngens), z.p.matrix) * kk.incl.matrix)
-    q = FgAbMap(w, e.deg_0,
-                hstack(IntMatrix.identity(e.deg_0.ngens),
-                       IntMatrix.zeros(e.deg_0.ngens, z.carrier.ngens)) * kk.incl.matrix)
-    return Butterfly(e, z.dst, i, j, p, q)
+    return _glue(e, z.dst, FgAbGroup.trivial(), IntMatrix.zeros(s.ngens, 0),
+                 FgAbMap(s, f.dst.deg_0, hstack(-f.f_0.matrix, z.q.matrix)),
+                 vstack(IntMatrix.zeros(n0, z.dst.deg_m1.ngens), z.i.matrix),
+                 vstack(e.d.matrix, z.j.matrix * f.f_m1.matrix),
+                 hstack(IntMatrix.zeros(z.dst.deg_0.ngens, n0), z.p.matrix),
+                 hstack(IntMatrix.identity(n0), IntMatrix.zeros(n0, z.carrier.ngens)))
 
 
 def pushout_compose(g: ChainMap, y: Butterfly) -> Butterfly:
@@ -410,18 +408,14 @@ def pushout_compose(g: ChainMap, y: Butterfly) -> Butterfly:
     carrier = coker( F^-1 --(i; -g^-1)--> Y (+) G^-1 )."""
     if y.dst != g.src:
         raise ValueError("pushout endpoints mismatch")
-    gg = g.dst
+    gg, ny, m1 = g.dst, y.carrier.ngens, g.dst.deg_m1.ngens
     s = direct_sum(y.carrier, gg.deg_m1)
-    ck = cokernel(FgAbMap(y.dst.deg_m1, s, vstack(y.i.matrix, -g.f_m1.matrix)))
-    w = ck.group
-    j = FgAbMap(y.src.deg_m1, w, ck.proj.matrix *
-                vstack(y.j.matrix, IntMatrix.zeros(gg.deg_m1.ngens, y.src.deg_m1.ngens)))
-    i = FgAbMap(gg.deg_m1, w, ck.proj.matrix *
-                vstack(IntMatrix.zeros(y.carrier.ngens, gg.deg_m1.ngens),
-                       IntMatrix.identity(gg.deg_m1.ngens)))
-    p = ck.induce(gg.deg_0, hstack(g.f_0.matrix * y.p.matrix, -gg.d.matrix))
-    q = ck.induce(y.src.deg_0, hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, gg.deg_m1.ngens)))
-    return Butterfly(y.src, gg, i, j, p, q)
+    return _glue(y.src, gg, y.dst.deg_m1, vstack(y.i.matrix, -g.f_m1.matrix),
+                 FgAbMap.zero(s, FgAbGroup.trivial()),
+                 vstack(IntMatrix.zeros(ny, m1), IntMatrix.identity(m1)),
+                 vstack(y.j.matrix, IntMatrix.zeros(m1, y.src.deg_m1.ngens)),
+                 hstack(g.f_0.matrix * y.p.matrix, -gg.d.matrix),
+                 hstack(y.q.matrix, IntMatrix.zeros(y.src.deg_0.ngens, m1)))
 
 
 # -- randomized instances ------------------------------------------------------

@@ -40,7 +40,7 @@ from math import prod
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, block, kron, snf,
-    solve, solve_congruences, kernel_basis, span_basis, in_col_span, reduce_cols, col_echelon,
+    solve, solve_congruences, kernel_basis, span_basis, in_col_span, reduce_cols, hermite_basis,
     submatrix,
 )
 
@@ -428,8 +428,7 @@ def solution_at(solutions: tuple, coeffs: Sequence[int]) -> IntMatrix:
 def free_presentation(a: FgAbGroup) -> IntMatrix:
     """Relations of a with redundant relators discarded: independent columns
     spanning the same lattice, giving 0 -> Z^m -> Z^n -> a -> 0."""
-    ht, _, pivot_rows = col_echelon(a.relations)
-    return submatrix(ht, range(len(pivot_rows))).transpose()
+    return hermite_basis(a.relations)
 
 
 def power_group(c: FgAbGroup, k: int) -> FgAbGroup:

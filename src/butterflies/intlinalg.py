@@ -273,16 +273,9 @@ def block(rows_of_blocks: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product a (x) b."""
-    out = []
-    for i in range(a.rows):
-        for s in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                aij = a.entries[i * a.cols + j]
-                row.extend(aij * e for e in b.row(s))
-            out.append(row)
-    return _from_lists(a.rows * b.rows, a.cols * b.cols, out)
+    """Kronecker product a (x) b: row (i, s) is [x*y for x in a.row(i) for y in b.row(s)]."""
+    return IntMatrix._of(a.rows * b.rows, a.cols * b.cols, tuple(
+        x * y for i in range(a.rows) for s in range(b.rows) for x in a.row(i) for y in b.row(s)))
 
 
 # -- Hermite and Smith normal forms -----------------------------------------
@@ -291,20 +284,18 @@ def _eye(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _hermite(a: list, u: list, wt: list, nc: int) -> list:
-    """Row Hermite normal form in place: the rows a (lists of nc ints) become
-    H = E*a for a unimodular E.  Every row operation is done to the square
-    u (len(a) rows of len(a) ints) as well, and its inverse transpose to the
-    rows wt, so they end as E*u and E^-T*wt: with u = wt = I, u is E and wt
-    transposed is E^-1.  Rows of u or wt may be empty when E or E^-1 is not
-    wanted, and then no row operation touches them.  Returns the pivots
-    (row, column) in order: rows 0, 1, ... of H, each with its first nonzero
-    entry in its pivot's column; the rows after the last pivot are zero.
+def _hermite(a: list, wt: list, nc: int) -> list:
+    """Row Hermite normal form in place on the first nc entries of the rows
+    a: they become H = E*a for a unimodular E, and any later entries ride
+    along, so rows [a | u] end as [E*a | E*u].  The rows wt end as E^-T*wt
+    (with wt = I, wt transposed is E^-1); rows of wt may be empty, and then
+    no row operation touches them.  Returns the pivots (row, column) in
+    order: rows 0, 1, ... of H, each with its first nonzero entry in its
+    pivot's column; the rows after the last pivot are zero.
 
     Euclidean elimination with a smallest pivot, then the entries above each
     pivot are reduced into [0, pivot)."""
     nr = len(a)
-    nu = len(u[0]) if nr else 0
     nw = len(wt[0]) if nr else 0
     r = 0
     pivots = []
@@ -325,22 +316,17 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> list:
                 break
             if piv != r:
                 a[r], a[piv] = a[piv], a[r]
-                u[r], u[piv] = u[piv], u[r]
                 wt[r], wt[piv] = wt[piv], wt[r]
             done = True
-            ar, ur, wr = a[r], u[r], wt[r]
+            ar, wr = a[r], wt[r]
             arc = ar[c]
             for i in range(r + 1, nr):
                 ai = a[i]
                 if ai[c]:
                     q = ai[c] // arc
                     if q:
-                        for j in range(c, nc):
+                        for j in range(c, len(ai)):
                             ai[j] -= q * ar[j]
-                        if nu:
-                            ui = u[i]
-                            for j in range(nu):
-                                ui[j] -= q * ur[j]
                         if nw:
                             wi = wt[i]
                             for j in range(nw):
@@ -352,23 +338,19 @@ def _hermite(a: list, u: list, wt: list, nc: int) -> list:
         if a[r][c]:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
                 wt[r] = [-x for x in wt[r]]
             pivots.append((r, c))
             r += 1
     # reduce entries above each pivot into [0, pivot)
     for (pr, pc) in pivots:
-        ar, ur, wr = a[pr], u[pr], wt[pr]
+        ar, wr = a[pr], wt[pr]
         piv = ar[pc]
         for i in range(pr):
             q = a[i][pc] // piv
             if q:
-                ai, ui, wi = a[i], u[i], wt[i]
-                for j in range(pc, nc):
+                ai, wi = a[i], wt[i]
+                for j in range(pc, len(ai)):
                     ai[j] -= q * ar[j]
-                if nu:
-                    for j in range(nu):
-                        ui[j] -= q * ur[j]
                 if nw:
                     for j in range(nw):
                         wr[j] += q * wi[j]
@@ -443,11 +425,13 @@ def snf(m: IntMatrix) -> tuple:
     # W is kept transposed, so its column operations are row operations
     u, wt = _eye(nr), _eye(nr)
     while True:
-        _hermite(at, [[]] * nc, [[]] * nc, nr)
+        _hermite(at, [[]] * nc, nr)
         a = [list(row) for row in zip(*at)] if nc else [[] for _ in range(nr)]
         if _is_diagonal(a):
             break
-        _hermite(a, u, wt, nc)
+        a = [row + ur for row, ur in zip(a, u)]  # U rides in the rows
+        _hermite(a, wt, nc)
+        a, u = [row[:nc] for row in a], [row[nc:] for row in a]
         if _is_diagonal(a):
             break
         at = [list(col) for col in zip(*a)]
@@ -480,12 +464,14 @@ def col_echelon(a: IntMatrix) -> tuple:
 
     Returns (H^T, V^T, pivot rows per pivot column), where (H^T, V^T) is the
     row HNF of a^T; column k of H is row k of H^T.  The elimination runs on
-    a's columns as rows, and the pivots it finds are the pivot rows.
+    the rows [column j of a | row j of I], so each ends as [row j of H^T |
+    row j of V^T], and the pivots it finds are the pivot rows.
     """
     nr, nc = a.rows, a.cols
-    at, vt = [list(a.entries[j::nc]) for j in range(nc)], _eye(nc)
-    pivots = _hermite(at, vt, [[]] * nc, nr)
-    return (_from_lists(nc, nr, at), _from_lists(nc, nc, vt), tuple(c for _, c in pivots))
+    rows = [[*a.entries[j::nc], *e] for j, e in enumerate(_eye(nc))]
+    pivots = _hermite(rows, [[]] * nc, nr)
+    return (_from_lists(nc, nr, (row[:nr] for row in rows)),
+            _from_lists(nc, nc, (row[nr:] for row in rows)), tuple(c for _, c in pivots))
 
 
 def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str) -> tuple:
@@ -538,21 +524,31 @@ def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     return (_from_lists(b.cols, a.cols, (y[j::b.cols] for j in range(b.cols))) * vt).transpose()
 
 
+def hermite_basis(a: IntMatrix) -> IntMatrix:
+    """The Hermite basis, as columns, of a's column span: the first r
+    columns of H, for a's cached column echelon form a*V = H.  Its columns
+    are independent and span the same lattice as a's.
+
+    >>> hermite_basis(IntMatrix.from_rows([[2, 4, 6], [0, 1, 1]])).to_lists()
+    [[2, 0], [0, 1]]
+    """
+    ht, _, pivot_rows = col_echelon(a)
+    return submatrix(ht, range(len(pivot_rows))).transpose()
+
+
 def span_basis(a: IntMatrix) -> tuple:
-    """(h, y) with a = h*y: h is the Hermite basis, as columns, of a's
-    column span (the first r columns of H, for a's cached column echelon
-    form a*V = H), and y holds the coordinates of a's columns on it, read
-    by back-substituting a's own columns on that factorization (Cohen,
-    GTM 138, section 2.4).  h has independent columns, so y is unique.
+    """(h, y) with a = h*y: h is hermite_basis(a), and y holds the
+    coordinates of a's columns on it, read by back-substituting a's own
+    columns on the same factorization (Cohen, GTM 138, section 2.4).  h has
+    independent columns, so y is unique.
 
     >>> h, y = span_basis(IntMatrix.from_rows([[2, 4, 6]]))
     >>> h.entries, y.entries
     ((2,), (1, 2, 3))
     """
-    ht, _, pivot_rows = col_echelon(a)
-    r = len(pivot_rows)
+    h = hermite_basis(a)
     y, _, _ = _back_substitute(a, a, "span_basis")
-    return submatrix(ht, range(r)).transpose(), IntMatrix._of(r, a.cols, tuple(y[:r * a.cols]))
+    return h, IntMatrix._of(h.cols, a.cols, tuple(y[:h.cols * a.cols]))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -605,32 +601,17 @@ def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tup
                 or (cm.rows, cm.cols) != (lm.rows, rm.cols)):
             raise ValueError("solve_congruences: shape mismatch")
     nx = rows * cols
-    slack_cols = sum(rel.cols * rm.cols for (_, rm, _, rel) in congruences)
-    eqs = []
-    rhs = []
-    slack_base = nx
+    eqs, rhs, pad = [], [], 0
     for (lm, rm, cm, rel) in congruences:
-        a, bcols, ra = lm.rows, rm.cols, rel.cols
-        for v in range(bcols):
-            rmcol, cmcol = rm.col(v), cm.col(v)
-            for u in range(a):
-                eq = [0] * (nx + slack_cols)
-                lrow = lm.row(u)
-                for r in range(rows):
-                    lur = lrow[r]
-                    if lur:
-                        base = r * cols
-                        for cc in range(cols):
-                            if rmcol[cc]:
-                                eq[base + cc] += lur * rmcol[cc]
-                slack = slack_base + v * ra
-                for t, e in enumerate(rel.row(u)):
-                    if e:
-                        eq[slack + t] = -e
-                eqs.append(eq)
-                rhs.append(cmcol[u])
-        slack_base += ra * bcols
-    system = _from_lists(len(eqs), nx + slack_cols, eqs)
+        for v in range(rm.cols):
+            rv, cv = rm.col(v), cm.col(v)
+            for u in range(lm.rows):  # (L*X*R)[u][v], then -Rel[u] in column v's slack block
+                eqs.append([x * y for x in lm.row(u) for y in rv]
+                           + [0] * pad + [-e for e in rel.row(u)])
+                rhs.append(cv[u])
+            pad += rel.cols
+    width = nx + pad
+    system = _from_lists(len(eqs), width, (eq + [0] * (width - len(eq)) for eq in eqs))
     x0 = solve(system, IntMatrix._of(len(rhs), 1, tuple(rhs)))
     if x0 is None:
         return None

@@ -349,6 +349,30 @@ def test_solve_congruences_checks_shapes():
         solve_congruences(1, 1, [(one, one, one, IntMatrix.zeros(2, 0))])
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_congruences_recovers_a_planted_solution(data):
+    """Two congruences L*X*R = C modulo Rel on a planted X that is not
+    square, the first with L and R not square either: x0 and each K pass
+    by membership, and the planted X is x0 plus an integer combination of
+    the Ks."""
+    rows = data.draw(st.integers(1, 3))
+    cols = data.draw(st.integers(1, 3).filter(lambda c: c != rows))
+    x = data.draw(shaped(rows, cols, bound=5))
+    congruences = []
+    for a, b in ((rows + 1, cols + 1), (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))):
+        lm, rm = data.draw(shaped(a, rows, bound=5)), data.draw(shaped(cols, b, bound=5))
+        rel = data.draw(shaped(a, data.draw(st.integers(0, 2)), bound=5))
+        congruences.append((lm, rm, lm * x * rm, rel))
+    x0, ks = solve_congruences(rows, cols, congruences)
+    for lm, rm, cm, rel in congruences:
+        assert in_col_span(rel, lm * x0 * rm - cm)
+        assert all(in_col_span(rel, lm * k * rm) for k in ks)
+    n = rows * cols
+    span = IntMatrix(n, len(ks), [k.entries[i] for i in range(n) for k in ks])
+    assert solve(span, IntMatrix.column((x - x0).entries)) is not None
+
+
 def test_block_helpers():
     a = IntMatrix.identity(2)
     assert hstack(a, IntMatrix.zeros(2, 1)).cols == 3
@@ -608,6 +632,25 @@ class TestSourceRules:
                 else:
                     continue
                 if any("oracle" in name.split(".") for name in names):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_only_intlinalg_reads_col_echelon(self):
+        """col_echelon's transposed (H^T, V^T, pivots) triple stays in
+        intlinalg: other modules read hermite_basis, span_basis,
+        kernel_basis or solve, and neither import nor name col_echelon."""
+        found = []
+        for path in source_files():
+            if path.name == "intlinalg.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                if "col_echelon" in names:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
