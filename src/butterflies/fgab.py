@@ -144,6 +144,8 @@ class FgAbMap(Record):
         return FgAbMap(other.src, self.dst, self.matrix * other.matrix)
 
     def __add__(self, other: "FgAbMap") -> "FgAbMap":
+        if not isinstance(other, FgAbMap):
+            return NotImplemented
         if (self.src, self.dst) != (other.src, other.dst):
             raise ValueError("sum endpoint mismatch")
         return FgAbMap(self.src, self.dst, self.matrix + other.matrix)

@@ -92,7 +92,11 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        ent = tuple(map(int, entries))
+        given = tuple(entries)
+        ent = tuple(map(int, given))
+        # int() truncates 2.5 and Fraction(7, 2); a str is parsed, not compared
+        if ent != given and any(not isinstance(x, str) and x != e for x, e in zip(given, ent)):
+            raise ValueError("matrix entries must be integers")
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
         _fill(self, rows, cols, ent)

@@ -16,7 +16,7 @@ from math import prod
 from .intlinalg import IntMatrix, Record, snf
 from .fgab import FgAbGroup, FgAbMap
 
-DEFAULT_CAP = 4096
+CAP = 4096  # the largest group order the oracle enumerates
 
 
 class OracleError(ValueError):
@@ -58,11 +58,9 @@ class Realization(Record):
     _uinv: IntMatrix
     _kept: tuple  # indices of the cyclic coordinates among the ngens slots
 
-    def to_element(self, vec) -> tuple:
-        """Generator-coordinate vector -> element tuple."""
-        if isinstance(vec, IntMatrix):
-            vec = [vec[i, 0] for i in range(vec.rows)]
-        w = self._u * IntMatrix.column(list(vec))
+    def to_element(self, vec: IntMatrix) -> tuple:
+        """Generator-coordinate column -> element tuple."""
+        w = self._u * vec
         return tuple(w[i, 0] % d for i, d in zip(self._kept, self.egroup.orders))
 
     def rep_of(self, el) -> IntMatrix:
@@ -72,15 +70,11 @@ class Realization(Record):
             full[i] = el[idx]
         return self._uinv * IntMatrix.column(full)
 
-    def map_image(self, f: FgAbMap, other: "Realization", el) -> tuple:
-        """Image of el under f, landing in other's coordinates."""
-        return other.to_element(f.matrix * self.rep_of(el))
 
-
-def realize(g: FgAbGroup, cap: int = DEFAULT_CAP) -> Realization:
+def realize(g: FgAbGroup) -> Realization:
     """Cyclic decomposition of a finite presented group, via snf.
 
-    Raises OracleError for infinite groups or order above the cap.
+    Raises OracleError for infinite groups or order above CAP.
     """
     s, u, uinv = snf(g.relations)
     n = g.ngens
@@ -89,8 +83,8 @@ def realize(g: FgAbGroup, cap: int = DEFAULT_CAP) -> Realization:
         raise OracleError("group is infinite; the oracle only handles torsion")
     kept = tuple(i for i in range(n) if orders[i] >= 2)
     total = prod(orders[i] for i in kept)
-    if total > cap:
-        raise OracleError(f"group order {total} exceeds cap {cap}")
+    if total > CAP:
+        raise OracleError(f"group order {total} exceeds cap {CAP}")
     return Realization(g, ElementGroup(tuple(orders[i] for i in kept)), u, uinv, kept)
 
 
@@ -120,10 +114,6 @@ def span(gens, eg: ElementGroup) -> frozenset:
                 seen.add(y)
                 frontier.append(y)
     return frozenset(seen)
-
-
-def is_exact_elementwise(a_fn, b_fn, src: ElementGroup, mid: ElementGroup, out_zero) -> bool:
-    return image_elements(a_fn, src) == kernel_elements(b_fn, mid, out_zero)
 
 
 def quotient_structure(amb: ElementGroup, members, divisor) -> tuple:
@@ -186,10 +176,10 @@ class ButterflyRealization(Record):
     q: object  # car -> e0
 
 
-def realize_butterfly(b, cap: int = DEFAULT_CAP) -> ButterflyRealization:
-    em1, e0 = realize(b.src.deg_m1, cap), realize(b.src.deg_0, cap)
-    fm1, f0 = realize(b.dst.deg_m1, cap), realize(b.dst.deg_0, cap)
-    car = realize(b.carrier, cap)
+def realize_butterfly(b) -> ButterflyRealization:
+    em1, e0 = realize(b.src.deg_m1), realize(b.src.deg_0)
+    fm1, f0 = realize(b.dst.deg_m1), realize(b.dst.deg_0)
+    car = realize(b.carrier)
     return ButterflyRealization(em1, e0, fm1, f0, car,
                                 element_map(b.i, fm1, car), element_map(b.j, em1, car),
                                 element_map(b.p, car, f0), element_map(b.q, car, e0))
@@ -213,11 +203,11 @@ def all_homs(src: ElementGroup, dst: ElementGroup):
         yield imgs, fn
 
 
-def enumerate_two_morphisms(a, b, cap: int = DEFAULT_CAP) -> list:
+def enumerate_two_morphisms(a, b) -> list:
     """All element-level carrier isomorphisms commuting with the four wings."""
     if (a.src, a.dst) != (b.src, b.dst):
         raise OracleError("parallel butterflies required")
-    ra, rb = realize_butterfly(a, cap), realize_butterfly(b, cap)
+    ra, rb = realize_butterfly(a), realize_butterfly(b)
     ya, yb = ra.car.egroup, rb.car.egroup
     if ya.size != yb.size:
         return []

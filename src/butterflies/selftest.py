@@ -276,55 +276,43 @@ def _finite_small(b: Butterfly) -> bool:
 def _oracle_check_butterfly(b: Butterfly) -> str:
     """Element-level recheck of one butterfly; returns an error or ''."""
     r = oracle.realize_butterfly(b)
-    if not oracle.is_exact_elementwise(r.i, r.q, r.fm1.egroup, r.car.egroup,
-                                       r.e0.egroup.zero()):
+    fm1, car, e0 = r.fm1.egroup, r.car.egroup, r.e0.egroup
+    # the NE-SW diagonal 0 -> F^-1 -> Y -> E^0 -> 0 is short exact
+    if (oracle.kernel_elements(r.i, fm1, car.zero()) != {fm1.zero()}
+            or oracle.image_elements(r.i, fm1) != oracle.kernel_elements(r.q, car, e0.zero())
+            or oracle.image_elements(r.q, car) != set(e0.elements())):
         return "diagonal exactness disagrees"
     # pip and copip
     pipel = oracle.group_structure(
-        oracle.kernel_elements(r.j, r.em1.egroup, r.car.egroup.zero()), r.em1.egroup)
+        oracle.kernel_elements(r.j, r.em1.egroup, car.zero()), r.em1.egroup)
     if pip(b).invariant_factors() != (0, pipel):
         return "pip disagrees"
     copel = oracle.quotient_structure(
         r.f0.egroup, frozenset(r.f0.egroup.elements()),
-        oracle.span(list(oracle.image_elements(r.p, r.car.egroup)), r.f0.egroup))
+        oracle.span(list(oracle.image_elements(r.p, car)), r.f0.egroup))
     if copip(b).invariant_factors() != (0, copel):
         return "copip disagrees"
     # kernel complex degree-0 slot: ker(p) elementwise
     kcx, _ = kernel_b(b)
     kerel = oracle.group_structure(
-        oracle.kernel_elements(r.p, r.car.egroup, r.f0.egroup.zero()), r.car.egroup)
+        oracle.kernel_elements(r.p, car, r.f0.egroup.zero()), car)
     if kcx.deg_0.invariant_factors() != (0, kerel):
         return "ker(p) disagrees"
-    # homology action tables
+    # the homology actions i^-1 j and p q^-1, as commuting squares
     hm1, h0 = homology_action(b)
     hs, hd = homology(b.src), homology(b.dst)
-    rhs_s, rhs_d = oracle.realize(hs.hm1), oracle.realize(hd.hm1)
-    fm1_els = list(r.fm1.egroup.elements())
-    for x in rhs_s.egroup.elements():
-        xe = rhs_s.map_image(hs.incl, r.em1, x)
-        target = r.j(xe)
-        pre = [f for f in fm1_els if r.i(f) == target]
-        if len(pre) != 1:
-            return "H^-1 action not uniquely resolvable elementwise"
-        got = rhs_s.map_image(hm1, rhs_d, x)
-        if rhs_d.map_image(hd.incl, r.fm1, got) != pre[0]:
-            return "H^-1 action table disagrees"
-    # H^0 action: lift each coset rep through q, push with p, compare classes
-    rh0_s, rh0_d = oracle.realize(hs.h0), oracle.realize(hd.h0)
-    car_els = list(r.car.egroup.elements())
-    for x in rh0_s.egroup.elements():
-        got = rh0_s.map_image(h0, rh0_d, x)
-        e0_el = None
-        for cand in r.e0.egroup.elements():
-            if r.e0.map_image(hs.proj, rh0_s, cand) == x:
-                e0_el = cand
-                break
-        lifts = [yy for yy in car_els if r.q(yy) == e0_el]
-        if not lifts:
-            return "q not surjective elementwise"
-        img = r.f0.map_image(hd.proj, rh0_d, r.p(lifts[0]))
-        if img != got:
-            return "H^0 action table disagrees"
+    rhs, rhd = oracle.realize(hs.hm1), oracle.realize(hd.hm1)
+    incl_s = oracle.element_map(hs.incl, rhs, r.em1)
+    incl_d = oracle.element_map(hd.incl, rhd, r.fm1)
+    act = oracle.element_map(hm1, rhs, rhd)
+    if any(r.i(incl_d(act(x))) != r.j(incl_s(x)) for x in rhs.egroup.elements()):
+        return "H^-1 action table disagrees"
+    r0s, r0d = oracle.realize(hs.h0), oracle.realize(hd.h0)
+    proj_s = oracle.element_map(hs.proj, r.e0, r0s)
+    proj_d = oracle.element_map(hd.proj, r.f0, r0d)
+    act = oracle.element_map(h0, r0s, r0d)
+    if any(proj_d(r.p(y)) != act(proj_s(r.q(y))) for y in car.elements()):
+        return "H^0 action table disagrees"
     return ""
 
 

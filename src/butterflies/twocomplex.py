@@ -63,6 +63,8 @@ class ChainMap(Record):
         return ChainMap(other.src, self.dst, self.f_m1 * other.f_m1, self.f_0 * other.f_0)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
+        if not isinstance(other, ChainMap):
+            return NotImplemented
         if (self.src, self.dst) != (other.src, other.dst):
             raise ValueError("chain map sum endpoint mismatch")
         return ChainMap(self.src, self.dst, self.f_m1 + other.f_m1, self.f_0 + other.f_0)

@@ -14,8 +14,9 @@ from butterflies.cli import main
 from butterflies.fixtures import bockstein, ik2, br, e2, k2
 from butterflies.exactness import standard_seq_10
 from butterflies.fgab import FgAbGroup, FgAbMap
-from butterflies.twocomplex import TwoTermComplex
-from butterflies.butterfly import is_invertible, zero_butterfly
+from butterflies.intlinalg import IntMatrix
+from butterflies.twocomplex import TwoTermComplex, embed0, shift1, zero_complex
+from butterflies.butterfly import Butterfly, is_invertible, validate, zero_butterfly
 from butterflies.derived import derived_tensor
 
 
@@ -98,6 +99,23 @@ def test_criterion_reports_a_defect(number, name, defect, message, monkeypatch):
     monkeypatch.setattr(selftest, name, defect)
     _, criterion = selftest.CRITERIA[number - 1]
     assert criterion(0.02) == (False, message)
+
+
+def _diagonal_defects():
+    """Two butterflies whose diagonal 0 -> F^-1 -> Y -> E^0 -> 0 is not
+    short exact: i = [1] : Z/4 -> Z/2 is not injective, and q : 0 -> Z/2 is
+    not onto."""
+    z2, z4, t = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), FgAbGroup.trivial()
+    zero = FgAbMap.zero
+    yield Butterfly(zero_complex(), shift1(z4), FgAbMap(z4, z2, IntMatrix.from_rows([[1]])),
+                    zero(t, z2), zero(z2, t), zero(z2, t))
+    yield Butterfly(embed0(z2), zero_complex(), zero(t, t), zero(t, t), zero(t, t), zero(t, z2))
+
+
+@pytest.mark.parametrize("b", _diagonal_defects(), ids=["i-not-injective", "q-not-onto"])
+def test_oracle_check_reports_a_broken_diagonal(b):
+    assert validate(b)
+    assert selftest._oracle_check_butterfly(b) == "diagonal exactness disagrees"
 
 
 class TestCriterion10Cli:

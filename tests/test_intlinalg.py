@@ -8,6 +8,7 @@ import re
 import time
 import tokenize
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,6 @@ def mat(rows):
 
 
 def det(m):
-    from fractions import Fraction
     n = m.rows
     a = [[Fraction(x) for x in m.row(i)] for i in range(n)]
     d = Fraction(1)
@@ -566,6 +566,11 @@ class TestTrustedResults:
             IntMatrix(1, 1, ["x"])
         with pytest.raises(TypeError):
             IntMatrix(1, 1, [None])
+        # int() would truncate these without a word
+        with pytest.raises(ValueError):
+            IntMatrix(1, 1, [2.5])
+        with pytest.raises(ValueError):
+            IntMatrix(1, 1, [Fraction(7, 2)])
         with pytest.raises(ValueError):
             IntMatrix.identity(-1)
         with pytest.raises(ValueError):
@@ -652,6 +657,18 @@ class TestSourceRules:
                     continue
                 if "col_echelon" in names:
                     found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_only_the_oracle_translates_coordinates(self):
+        """Realization's coordinate translations stay inside oracle.py:
+        other modules turn a map into an element function with element_map,
+        so the translations can change without touching their callers."""
+        private = {"map_image", "to_element", "rep_of"}
+        found = []
+        for path in source_files():
+            if path.name != "oracle.py":
+                found += [f"{path.name} {name}"
+                          for name in sorted(private & set(self.names_in(ast.parse(path.read_text()))))]
         assert found == []
 
     # The paper's entry points that only tests call: constructions and

@@ -90,6 +90,8 @@ REFUSALS = {
                           ValueError, "degree 0 component endpoints mismatch"),
     "ChainMap +": (lambda: ChainMap.identity(k2()) + ChainMap.identity(e2()),
                    ValueError, "chain map sum endpoint mismatch"),
+    "ChainMap + int": (lambda: ChainMap.identity(k2()) + 1,
+                       TypeError, "unsupported operand type(s) for +: 'ChainMap' and 'int'"),
     # groups and maps
     "FgAbGroup relations": (lambda: FgAbGroup(2, IntMatrix.identity(1)),
                             ValueError, "relations must have ngens rows"),
@@ -97,6 +99,8 @@ REFUSALS = {
                   ValueError, "composition endpoint mismatch"),
     "FgAbMap +": (lambda: FgAbMap.identity(Z2) + FgAbMap.identity(Z4),
                   ValueError, "sum endpoint mismatch"),
+    "FgAbMap + int": (lambda: FgAbMap.identity(Z2) + 1,
+                      TypeError, "unsupported operand type(s) for +: 'FgAbMap' and 'int'"),
     "subquotient": (lambda: subquotient(Z2, IntMatrix.identity(2), FgAbMap.identity(Z2)),
                     ValueError, "subquotient endpoints mismatch"),
     "is_exact_at": (lambda: is_exact_at(FgAbMap.identity(Z2), FgAbMap.identity(Z4)),
