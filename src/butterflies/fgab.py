@@ -224,8 +224,7 @@ def preimage_lattice(f: FgAbMap) -> IntMatrix:
     [f | free_presentation(dst)].  Those relators are independent, so the
     cut loses and repeats no kernel vector (Cohen, GTM 138, section 2.4.3).
     kernel reads it, and image the span of the same cached factorization."""
-    big = kernel_basis(hstack(f.matrix, free_presentation(f.dst)))
-    return submatrix(big, range(f.src.ngens))
+    return kernel_basis(hstack(f.matrix, free_presentation(f.dst)), f.src.ngens)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -362,15 +361,13 @@ def exact_verdicts(*maps: FgAbMap):
 
 def generator_lift(m: IntMatrix, dst: FgAbGroup, targets: IntMatrix) -> IntMatrix | None:
     """Generator-wise preimages: a raw matrix Y with m*Y = targets modulo
-    dst's relations, for a matrix m into dst.
+    dst's relations, for a matrix m into dst: the top m.cols rows of one
+    solution of [m | dst.relations]*X = targets.
 
     The result need not define a homomorphism on the source's relations;
     callers compose it so the composite does.
     """
-    x = solve(hstack(m, dst.relations), targets)
-    if x is None:
-        return None
-    return submatrix(x, range(m.cols))
+    return solve(hstack(m, dst.relations), targets, m.cols)
 
 
 def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgAbMap:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
 
 # The one bound on every memo cache in the package: results are pure
@@ -90,6 +90,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
+        rows, cols = index(rows), index(cols)  # refuses 2.0, which the checks below let by
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         given = tuple(entries)
@@ -478,19 +479,24 @@ def col_echelon(a: IntMatrix) -> tuple:
             _from_lists(nc, nc, (row[nr:] for row in rows)), tuple(c for _, c in pivots))
 
 
-def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str) -> tuple:
-    """(y, r, V^T): the entries, row major, of Y and R with b = H*Y + R for
+def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str, top: int = 0) -> tuple:
+    """(y, r, x): the entries, row major, of Y and R with b = H*Y + R for
     a's cached column echelon form a*V = H, each entry of R at pivot row k
-    floored into [0, pivot k).  So each column of R is one remainder per
-    coset of a's column span (Cohen, GTM 138, section 2.4), zero exactly for
-    the columns of b in the span."""
+    floored into [0, pivot k), and of the first top rows of X = V*Y.  So
+    each column of R is one remainder per coset of a's column span (Cohen,
+    GTM 138, section 2.4), zero exactly for the columns of b in the span.
+
+    Y is zero below the pivots, so X sums, for each quotient q found at
+    pivot k, q times the first top entries of V's column k, which is row k
+    of the cached V^T; with top = 0 the transform is not read."""
     if b.rows != a.rows:
         raise ValueError(f"dimension mismatch in {caller}")
     ht, vt, pivot_rows = col_echelon(a)
-    he, nr, nb = ht.entries, ht.cols, b.cols
-    r, y = list(b.entries), [0] * (ht.rows * nb)
+    he, ve, nr, nb, w = ht.entries, vt.entries, ht.cols, b.cols, vt.cols
+    r, y, x = list(b.entries), [0] * (ht.rows * nb), [0] * (top * nb)
     for k, p in enumerate(pivot_rows):
         hk = he[k * nr + p:(k + 1) * nr]  # column k of H, from its pivot down
+        vk = ve[k * w:k * w + top]        # column k of V, its first top entries
         for j in range(nb):
             q = r[p * nb + j] // hk[0]
             if q:
@@ -498,12 +504,26 @@ def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str) -> tuple:
                 for i, hik in zip(range(p * nb + j, nr * nb, nb), hk):
                     if hik:
                         r[i] -= q * hik
-    return y, r, vt
+                if top:
+                    for i, vik in zip(range(j, top * nb, nb), vk):
+                        if vik:
+                            x[i] += q * vik
+    return y, r, x
 
 
-def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+def _check_top(a: IntMatrix, top: int | None) -> int:
+    """The count of a solution's rows to keep: all a.cols when top is None."""
+    if top is None:
+        return a.cols
+    if not 0 <= top <= a.cols:
+        raise ValueError(f"top = {top} rows of a solution with {a.cols}")
+    return top
+
+
+def solve(a: IntMatrix, b: IntMatrix, top: int | None = None) -> IntMatrix | None:
     """Solve a*X = b over the integers, one column of b at a time on a's
-    one cached factorization.
+    one cached factorization, and return the first top rows of X (all of
+    them by default).
 
     Returns X, or None when some column has no integer solution
     ("unsolvable" is a normal answer, not an error).  kernel_basis(a)
@@ -513,19 +533,22 @@ def solve(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     (2, -3)
     >>> solve(IntMatrix.from_rows([[2]]), IntMatrix.column([3])) is None
     True
+    >>> solve(IntMatrix.from_rows([[1, 1, 0]]), IntMatrix.column([5]), top=1).entries
+    (5,)
 
-    A right-hand side with no columns has the a.cols x 0 answer, returned
+    A right-hand side with no columns has the top x 0 answer, returned
     without factoring a:
 
     >>> solve(IntMatrix.from_rows([[2, 0]]), IntMatrix.zeros(1, 0))
     IntMatrix(2x0)
     """
+    top = _check_top(a, top)
     if not b.cols and b.rows == a.rows:
-        return IntMatrix._of(a.cols, 0, ())
-    y, r, vt = _back_substitute(a, b, "solve")
+        return IntMatrix._of(top, 0, ())
+    _, r, x = _back_substitute(a, b, "solve", top)
     if any(r):
         return None
-    return (_from_lists(b.cols, a.cols, (y[j::b.cols] for j in range(b.cols))) * vt).transpose()
+    return IntMatrix._of(top, b.cols, tuple(x))
 
 
 def hermite_basis(a: IntMatrix) -> IntMatrix:
@@ -555,10 +578,20 @@ def span_basis(a: IntMatrix) -> tuple:
     return h, IntMatrix._of(h.cols, a.cols, tuple(y[:h.cols * a.cols]))
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns generate {x : a*x = 0}."""
+def kernel_basis(a: IntMatrix, top: int | None = None) -> IntMatrix:
+    """Columns generate {x : a*x = 0}: the columns of V after the pivots,
+    for a's cached column echelon form a*V = H, each cut to its first top
+    entries (all of them by default).
+
+    >>> kernel_basis(IntMatrix.from_rows([[1, 1, 0]]), top=2).to_lists()
+    [[-1, 0], [1, 0]]
+    """
+    top = _check_top(a, top)
     _, vt, pivot_rows = col_echelon(a)
-    return submatrix(vt, range(len(pivot_rows), a.cols)).transpose()
+    n = a.cols
+    tail = vt.entries[len(pivot_rows) * n:]  # the rows of V^T after the pivots
+    return IntMatrix._of(top, n - len(pivot_rows),
+                         tuple(chain.from_iterable(tail[i::n] for i in range(top))))
 
 
 def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
@@ -616,13 +649,9 @@ def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tup
             pad += rel.cols
     width = nx + pad
     system = _from_lists(len(eqs), width, (eq + [0] * (width - len(eq)) for eq in eqs))
-    x0 = solve(system, IntMatrix._of(len(rhs), 1, tuple(rhs)))
+    x0 = solve(system, IntMatrix._of(len(rhs), 1, tuple(rhs)), nx)
     if x0 is None:
         return None
-    kern = kernel_basis(system)
-    ks = []
-    for j in range(kern.cols):
-        k = kern.col(j)[:nx]
-        if any(k):
-            ks.append(IntMatrix._of(rows, cols, k))
-    return IntMatrix._of(rows, cols, x0.entries[:nx]), ks
+    kern = kernel_basis(system, nx)
+    ks = [IntMatrix._of(rows, cols, k) for k in map(kern.col, range(kern.cols)) if any(k)]
+    return IntMatrix._of(rows, cols, x0.entries), ks

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from butterflies import fgab, jsonio
 from butterflies.intlinalg import (
-    IntMatrix, in_col_span, hstack, kernel_basis, submatrix, snf, col_echelon,
+    IntMatrix, in_col_span, hstack, kernel_basis, submatrix, snf, col_echelon, solve,
 )
 from butterflies.butterfly import compose, identity_butterfly
 from butterflies.fixtures import bockstein, e2, ik2
@@ -595,3 +595,32 @@ def test_kernel_cokernel_universal_properties(rng):
     im = image(f)
     assert im.incl * im.corestrict == f
     assert is_injective(im.incl) and is_surjective(im.corestrict)
+
+
+def test_solvers_build_no_product_or_transpose(monkeypatch):
+    """solve, kernel_basis, generator_lift and hom_solve_all read each kept
+    row of a solution off the cached transform: no IntMatrix product or
+    transpose runs inside them, a count that does not depend on timing."""
+    rng = random.Random(11)
+    a, b = random_group(rng), random_group(rng)
+    while not (a.ngens and b.ngens):
+        a, b = random_group(rng), random_group(rng)
+    f = random_map(rng, a, b)
+    x = IntMatrix(a.ngens, 2, [rng.randint(-3, 3) for _ in range(2 * a.ngens)])
+    lattice, fx, one = hstack(f.matrix, b.relations), f.matrix * x, FgAbMap.identity(a)
+    calls = {"__mul__": 0, "transpose": 0}
+    with monkeypatch.context() as patch:
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(IntMatrix, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            patch.setattr(IntMatrix, name, counted)
+        solved = solve(lattice, fx, a.ngens)
+        kern = kernel_basis(lattice, a.ngens)
+        lifted = generator_lift(f.matrix, b, fx)
+        homs = hom_solve_all(a, b, pre=[(one, f.matrix)])
+    assert calls == {"__mul__": 0, "transpose": 0}
+    assert in_col_span(b.relations, f.matrix * solved - fx)
+    assert in_col_span(b.relations, f.matrix * lifted - fx)
+    assert kern.rows == a.ngens and in_col_span(b.relations, f.matrix * kern)
+    assert homs is not None and FgAbMap(a, b, homs[0]) == f

@@ -296,6 +296,67 @@ class TestSolve:
             for t in range(k.cols):
                 assert all(sum(a[i, j] * k[j, t] for j in range(c)) == 0 for i in range(r))
 
+    @staticmethod
+    def reference_solve(a, b, top):
+        """X by the product construction: Y and R by back-substitution on
+        a's column echelon form a*V = H, then (Y^T * V^T)^T cut to its
+        first top rows; None when R is not zero."""
+        ht, vt, pivot_rows = col_echelon(a)
+        y = [[0] * b.cols for _ in range(a.cols)]
+        r = b.to_lists()
+        for k, p in enumerate(pivot_rows):
+            hk = ht.row(k)
+            for j in range(b.cols):
+                q = y[k][j] = r[p][j] // hk[p]
+                for i in range(p, a.rows):
+                    r[i][j] -= q * hk[i]
+        if any(map(any, r)):
+            return None
+        yt = IntMatrix(a.cols, b.cols, [e for row in y for e in row]).transpose()
+        return submatrix((yt * vt).transpose(), range(top))
+
+    @staticmethod
+    def reference_kernel(a, top):
+        _, vt, pivot_rows = col_echelon(a)
+        return submatrix(submatrix(vt, range(len(pivot_rows), a.cols)).transpose(), range(top))
+
+    @given(small_matrices, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_kept_rows_equal_the_product_reference(self, a, data):
+        """solve(a, b, top) and kernel_basis(a, top) sum only the rows they
+        keep; each equals the product construction cut to top rows, for
+        every top, on solvable and unsolvable b and on b with no columns."""
+        k = data.draw(st.integers(0, 3))
+        if data.draw(st.booleans()):
+            b = a * data.draw(shaped(a.cols, k, bound=9))
+        else:
+            b = data.draw(shaped(a.rows, k))
+        for top in range(a.cols + 1):
+            assert solve(a, b, top) == self.reference_solve(a, b, top)
+            assert kernel_basis(a, top) == self.reference_kernel(a, top)
+        assert solve(a, b) == solve(a, b, a.cols)
+        assert kernel_basis(a) == kernel_basis(a, a.cols)
+        for top in (-1, a.cols + 1):
+            with pytest.raises(ValueError, match="top"):
+                solve(a, b, top)
+            with pytest.raises(ValueError, match="top"):
+                kernel_basis(a, top)
+
+    @pytest.mark.parametrize("a, b", [
+        (mat([[2]]), IntMatrix.column([3])),                   # unsolvable
+        (mat([[2, 4]]), mat([[2, 3]])),                        # one column unsolvable
+        (IntMatrix.zeros(3, 0), IntMatrix.column([1, 0, 0])),
+        (IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 2)),
+        (IntMatrix.zeros(3, 0), IntMatrix.zeros(3, 0)),
+        (mat([[1, 1, 0], [0, 2, 2]]), IntMatrix.zeros(2, 0)),  # top x 0 answers
+        (mat([[1, 1, 0], [0, 2, 2]]), mat([[3, 1], [4, 6]])),
+    ])
+    def test_kept_rows_at_the_edges(self, a, b):
+        for top in range(a.cols + 1):
+            x = solve(a, b, top)
+            assert x == self.reference_solve(a, b, top)
+            assert x is None or (x.rows, x.cols) == (top, b.cols)
+            assert kernel_basis(a, top) == self.reference_kernel(a, top)
 
 
 class TestReduceCols:
@@ -576,6 +637,11 @@ class TestTrustedResults:
         with pytest.raises(ValueError):
             IntMatrix.zeros(2, -1)
         assert_as_checked(IntMatrix(1, 2, [True, "3"]))
+        # a dimension must be an int: 2.0 passes the entry count, 4 == 4.0
+        with pytest.raises(TypeError):
+            IntMatrix(2.0, 2, [1, 0, 0, 1])
+        with pytest.raises(TypeError):
+            FgAbGroup.free(1.5)
 
 
 SRC = Path(butterflies.__file__).resolve().parent
