@@ -1,9 +1,10 @@
 """Command-line surface: validate, compute and compare constructions on
 JSON-described inputs.
 
-Every command that reads a butterfly or a sequence checks the butterflies'
-axioms before computing anything, and refuses (exit 1) on the first
-violation.
+Each COMMANDS entry names the kind of each document its command reads
+(validate takes any).  main reads them all, in order, refusing one of the
+wrong kind (exit 2), then refuses (exit 1) on the first axiom violation of a
+butterfly they hold, and only then runs the handler on the parsed objects.
 
 Exit codes: 0 success, 1 mathematical refusal (axiom or precondition
 violated), 2 I/O, usage or schema error (including an unwritable --out
@@ -34,20 +35,32 @@ from .intlinalg import InvariantError
 from .jsonio import SchemaError, RefusalError
 
 
-def _read_doc(path: str):
+def _read_doc(path: str, kind) -> tuple:
+    """(kind, object) of the document at path, which must be of kind unless
+    kind is None."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
-    return jsonio.parse_document(text)
-
-
-def _read_kind(path: str, kind: str):
-    got, obj = _read_doc(path)
-    if got != kind:
+    got, obj = jsonio.parse_document(text)
+    if kind not in (None, got):
         raise SchemaError(f"{path}: expected a {kind} document, got {got}")
-    return obj
+    return got, obj
+
+
+def _first_violation(docs) -> str:
+    """The first axiom violation of the butterflies the (kind, object) docs
+    hold, in order and a sequence's after "Y: " or "Z: ", or ''.  A
+    sequence's witness conditions were checked while parsing."""
+    for kind, obj in docs:
+        named = ([("", obj)] if kind == "butterfly" else
+                 [("Y: ", obj.y), ("Z: ", obj.z)] if kind == "sequence" else [])
+        for prefix, bf in named:
+            bad = validate(bf)
+            if bad:
+                return prefix + bad[0]
+    return ""
 
 
 def _write_or_print(doc: dict, out_path, verdict: str = ""):
@@ -64,40 +77,12 @@ def _write_or_print(doc: dict, out_path, verdict: str = ""):
     sys.stdout.write(verdict + text)
 
 
-def _refused(named, stream=None) -> bool:
-    """Print the first axiom violation of the (prefix, butterfly) pairs, in
-    order and after its prefix, on stream (stderr by default); was there one?"""
-    for prefix, bf in named:
-        bad = validate(bf)
-        if bad:
-            print(prefix + bad[0], file=stream or sys.stderr)
-            return True
-    return False
-
-
-def _sequence_parts(s) -> tuple:
-    return (("Y: ", s.y), ("Z: ", s.z))
-
-
-def cmd_validate(args) -> int:
-    kind, obj = _read_doc(args.path)
-    named = ()
-    if kind == "butterfly":
-        named = [("", obj)]
-    elif kind == "sequence":
-        # the witness conditions themselves were checked while parsing
-        named = _sequence_parts(obj)
-    if _refused(named, sys.stdout):
-        return 1
+def cmd_validate(args, doc) -> int:
     print("ok")
     return 0
 
 
-def cmd_compose(args) -> int:
-    y = _read_kind(args.first, "butterfly")
-    z = _read_kind(args.second, "butterfly")
-    if _refused([("", y), ("", z)]):
-        return 1
+def cmd_compose(args, y, z) -> int:
     if y.dst != z.src:
         print("endpoint mismatch: first.dst != second.src", file=sys.stderr)
         return 1
@@ -106,11 +91,7 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def cmd_iso2(args) -> int:
-    a = _read_kind(args.first, "butterfly")
-    b = _read_kind(args.second, "butterfly")
-    if _refused([("", a), ("", b)]):
-        return 1
+def cmd_iso2(args, a, b) -> int:
     if (a.src, a.dst) != (b.src, b.dst):
         print("endpoint mismatch: butterflies are not parallel", file=sys.stderr)
         return 1
@@ -122,10 +103,7 @@ def cmd_iso2(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    y = _read_kind(args.path, "butterfly")
-    if _refused([("", y)]):
-        return 1
+def cmd_report(args, y) -> int:
     hm1, h0 = homology_action(y)
     flags = classify(y)
     kcx, _ = kernel_b(y)
@@ -155,10 +133,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_les(args) -> int:
-    s = _read_kind(args.path, "sequence")
-    if _refused(_sequence_parts(s)):
-        return 1
+def cmd_les(args, s) -> int:
     l = les(s)
     if l is None:
         print("sequence is not two-sided exact; refusing", file=sys.stderr)
@@ -229,25 +204,31 @@ def _suite(text: str) -> str:
 
 
 OUT = ("--out", {})
+TWO_BUTTERFLIES = {"first": "butterfly", "second": "butterfly"}
 
-# name: (handler, help, (argument, kwargs) specs), in the order --help lists them
+# name: (handler, help, (argument, kwargs) specs, {document argument: its kind,
+# None for any}, the sys stream for an axiom refusal: validate's is its output),
+# in the order --help lists them; the handler takes args, then the documents
 COMMANDS = {
-    "validate": (cmd_validate, "check a document against the axioms", [("path", {})]),
+    "validate": (cmd_validate, "check a document against the axioms", [("path", {})],
+                 {"path": None}, "stdout"),
     "compose": (cmd_compose, "compose two butterflies (second after first)",
-                [("first", {}), ("second", {}), OUT]),
+                [("first", {}), ("second", {}), OUT], TWO_BUTTERFLIES, "stderr"),
     "iso2": (cmd_iso2, "search for a 2-morphism between parallel butterflies",
-             [("first", {}), ("second", {}), OUT]),
-    "report": (cmd_report, "full invariant report for one butterfly", [("path", {}), OUT]),
-    "les": (cmd_les, "six-term homology sequence of an exact sequence", [("path", {}), OUT]),
+             [("first", {}), ("second", {}), OUT], TWO_BUTTERFLIES, "stderr"),
+    "report": (cmd_report, "full invariant report for one butterfly", [("path", {}), OUT],
+               {"path": "butterfly"}, "stderr"),
+    "les": (cmd_les, "six-term homology sequence of an exact sequence", [("path", {}), OUT],
+            {"path": "sequence"}, "stderr"),
     "biext": (cmd_biext, "Biext groups pi1, pi0 for shorthand groups (e.g. Z/2+Z)",
-              [("a", {}), ("b", {}), ("c", {}), OUT]),
+              [("a", {}), ("b", {}), ("c", {}), OUT], {}, None),
     "gen": (cmd_gen, "generate a random fixture, deterministic per seed",
             [("kind", {"choices": ["group", "complex", "butterfly", "sequence"]}),
-             ("--seed", {"type": int, "default": 0}), OUT]),
+             ("--seed", {"type": int, "default": 0}), OUT], {}, None),
     "selftest": (cmd_selftest, "run the acceptance suites",
                  [("--scale", {"type": _scale, "default": 1.0}),
                   ("--suite", {"nargs": "*", "type": _suite, "metavar": "N",
-                               "help": "criterion numbers to run, e.g. 1 6 9"})]),
+                               "help": "criterion numbers to run, e.g. 1 6 9"})], {}, None),
 }
 
 
@@ -256,18 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="butterflies",
         description="2-term complexes of f.g. abelian groups with butterflies as morphisms")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, specs) in COMMANDS.items():
+    for name, (_, help_text, specs, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for arg, kwargs in specs:
             p.add_argument(arg, **kwargs)
-        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, _, documents, refusals = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        # read (and kind-check) every document, then refuse, then compute
+        docs = [_read_doc(getattr(args, arg), kind) for arg, kind in documents.items()]
+        bad = _first_violation(docs)
+        if bad:
+            print(bad, file=getattr(sys, refusals))
+            return 1
+        return handler(args, *(obj for _, obj in docs))
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,7 @@ documented exit-code contract)."""
 
 import json
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ from butterflies.exactness import standard_seq_10
 from butterflies.fgab import FgAbGroup, FgAbMap
 from butterflies.intlinalg import IntMatrix
 from butterflies.twocomplex import TwoTermComplex, embed0, shift1, zero_complex
-from butterflies.butterfly import Butterfly, is_invertible, validate, zero_butterfly
+from butterflies.butterfly import (
+    Butterfly, identity_butterfly, is_invertible, validate, zero_butterfly,
+)
 from butterflies.derived import derived_tensor
 
 
@@ -67,16 +70,25 @@ def test_criterion_09_derived_biext():
 
 
 Z7 = FgAbGroup.cyclic(7)
+CATALOG = selftest.mutation_catalog()
 
 # (criterion, name in butterflies.selftest, a defective stand-in, the failure
 # the criterion must report at scale 0.02)
 DEFECTS = [
     (1, "validate", lambda b: [], "mutation q(0, 0)-1 not refused"),
+    (1, "mutation_catalog", lambda: CATALOG[:-1] + CATALOG[:1],
+     "mutation catalog repeats an entry"),
     (2, "two_morphism_find", lambda a, b: None, "associativity fails on triple #0"),
     (3, "compose", lambda z, y: zero_butterfly(y.src, z.dst),
      "H^-1 functoriality fails on pair #1"),
     (4, "is_invertible", lambda y: not is_invertible(y),
      "criteria disagree on #0: inverse=False qis=False cone=True"),
+    (4, "fixtures", types.SimpleNamespace(bockstein=lambda: zero_butterfly(k2(), k2()), k2=k2),
+     "fixture #4 expected invertible=True"),
+    (4, "zero_butterfly", lambda e, f: identity_butterfly(e),
+     "fixture #5 expected invertible=False"),
+    (5, "middle_exact_iso", lambda y: (zero_butterfly(k2(), k2()),) * 3,
+     "middle-exactness chain not invertible on the Bockstein"),
     (5, "zero_witness_find", lambda a, b: None,
      "kernel composite admits no zero witness on #0"),
     (6, "les", lambda s: None, "standard_seq_51 not exact on complex #0"),
@@ -99,6 +111,14 @@ def test_criterion_reports_a_defect(number, name, defect, message, monkeypatch):
     monkeypatch.setattr(selftest, name, defect)
     _, criterion = selftest.CRITERIA[number - 1]
     assert criterion(0.02) == (False, message)
+
+
+def test_criterion_7_compares_a_pair_with_no_2_morphism(monkeypatch):
+    """A solver that always finds a 2-morphism fails criterion 7 at any
+    scale: B and IK2 have none, and the oracle enumerates none."""
+    monkeypatch.setattr(selftest, "two_morphism_find", lambda a, b: object())
+    assert selftest.crit7_oracle_differential(0.02) == (
+        False, "2-morphism existence disagrees with enumeration on B and IK2")
 
 
 def _diagonal_defects():

@@ -94,6 +94,22 @@ class TestExitCodes:
             assert main([str(a) for a in argv]) == 1, argv
             assert capsys.readouterr() == ("", "diagonal not exact at carrier\n"), argv
 
+    def test_every_document_is_read_before_any_is_refused(self, docs, tmp_path, capsys):
+        # a first butterfly that fails the axioms beside a second document
+        # that is malformed or of the wrong kind: the schema error wins, so
+        # no butterfly is refused before all the documents have been read
+        doc = json.loads(Path(docs["B.json"]).read_text())
+        doc["q"] = [["0"]]
+        bad = tmp_path / "B_qzero.json"
+        bad.write_text(jsonio.emit(doc))
+        for command in ("compose", "iso2"):
+            assert main([command, str(bad), docs["garbage.json"]]) == 2, command
+            got = capsys.readouterr()
+            assert got.out == "" and got.err.startswith("schema error: invalid JSON: "), command
+            assert main([command, str(bad), docs["seq10.json"]]) == 2, command
+            assert capsys.readouterr() == ("", f"schema error: {docs['seq10.json']}: expected a "
+                                               "butterfly document, got sequence\n"), command
+
     def test_iso2_found_and_none(self, docs, capsys):
         main(["compose", docs["B.json"], docs["B.json"], "--out", docs["out"]])
         capsys.readouterr()
@@ -504,6 +520,12 @@ class TestRoundTrip:
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "bad integer literal" in err and len(err) < 200
+        # the message quotes the literal's repr whole up to 40 characters
+        for lit, quoted in [("9" * 37 + "x", "'" + "9" * 37 + "x'"),
+                            ("9" * 38 + "x", "'" + "9" * 38 + "x... (41 characters)")]:
+            path.write_text(jsonio.emit({"kind": "group", "ngens": 1, "relations": [[lit]]}))
+            assert main(["validate", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"schema error: bad integer literal {quoted}\n")
 
     def test_gen_output_revalidates(self, docs, tmp_path):
         for seed in (0, 3, 11):
