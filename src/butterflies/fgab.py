@@ -40,8 +40,8 @@ from math import prod
 
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, block, kron, snf,
-    solve, solve_congruences, kernel_basis, span_basis, in_col_span, reduce_cols, hermite_basis,
-    submatrix,
+    solve, solve_congruences, particular_solution, kernel_basis, span_basis, in_col_span,
+    reduce_cols, hermite_basis, submatrix,
 )
 
 
@@ -388,17 +388,25 @@ def hom_solve(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
 
     The maps f: V -> src and h: dst -> W state the constraints; g and k are
     raw matrices, which need no descent proof: any solution makes them
-    descend.  intlinalg.solve_congruences checks their shapes and solves
-    one integer system in the entries of X and relation coefficients.
+    descend.  intlinalg.particular_solution checks their shapes and solves
+    one integer system in the entries of X and relation coefficients, for
+    one solution only: the homogeneous ones are hom_solve_all's.
     """
-    res = hom_solve_all(src, dst, pre, post)
-    return None if res is None else FgAbMap(src, dst, res[0])
+    x = particular_solution(dst.ngens, src.ngens, _hom_congruences(src, dst, pre, post))
+    return None if x is None else FgAbMap(src, dst, x)
 
 
 def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
                   post: Sequence[tuple] = ()):
     """Like hom_solve but returns raw matrices, (one solution, the kernel
     generators), so callers that combine them build no map for the parts."""
+    return solve_congruences(dst.ngens, src.ngens, _hom_congruences(src, dst, pre, post))
+
+
+def _hom_congruences(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple],
+                     post: Sequence[tuple]) -> list:
+    """hom_solve's constraints, and X's descent to src's relations, as
+    congruences (L, R, C, Rel) on X: L*X*R = C modulo Rel."""
     na, nb = src.ngens, dst.ngens
     congruences = [(IntMatrix.identity(nb), src.relations,
                     IntMatrix.zeros(nb, src.relations.cols), dst.relations)]
@@ -410,7 +418,7 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
         if h.src != dst:
             raise ValueError("post-constraint endpoint mismatch")
         congruences.append((h.matrix, IntMatrix.identity(na), k, h.dst.relations))
-    return solve_congruences(nb, na, congruences)
+    return congruences
 
 
 def solution_at(solutions: tuple, coeffs: Sequence[int]) -> IntMatrix:

@@ -130,7 +130,8 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         if n < 0:
             raise ValueError("negative dimensions")
-        return IntMatrix._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        # n - 1 runs of a 1 and n zeros, then the last 1
+        return IntMatrix._of(n, n, ((1,) + (0,) * n) * (n - 1) + (1,) if n else ())
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -464,22 +465,40 @@ def snf(m: IntMatrix) -> tuple:
 # -- Diophantine systems ---------------------------------------------------
 
 @lru_cache(maxsize=CACHE_SIZE)
-def col_echelon(a: IntMatrix) -> tuple:
+def col_echelon(a: IntMatrix, width: int | None = None) -> tuple:
     """Cached column echelon factorization a*V = H, kept transposed.
 
     Returns (H^T, V^T, pivot rows per pivot column), where (H^T, V^T) is the
     row HNF of a^T; column k of H is row k of H^T.  The elimination runs on
     the rows [column j of a | row j of I], so each ends as [row j of H^T |
     row j of V^T], and the pivots it finds are the pivot rows.
+
+    With a width, each row starts with the first width entries of row j of
+    I instead, and V^T keeps only its first width columns.  They equal the
+    full V^T's entry for entry: _hermite picks each pivot and quotient from
+    the first a.rows entries of the rows, and updates every later entry on
+    its own.  lru_cache keys col_echelon(a) and col_echelon(a, None) apart,
+    so callers without a width call col_echelon(a).
+
+    >>> a = IntMatrix.from_rows([[2, 3]])
+    >>> col_echelon(a)[1].to_lists(), col_echelon(a, 1)[1].to_lists()
+    ([[-1, 1], [3, -2]], [[-1], [3]])
     """
     nr, nc = a.rows, a.cols
-    rows = [[*a.entries[j::nc], *e] for j, e in enumerate(_eye(nc))]
+    w = nc if width is None else width
+    if not 0 <= w <= nc:
+        raise ValueError(f"width = {width} of a transform with {nc} rows")
+    ent, pad = a.entries, [0] * w
+    rows = [[*ent[j::nc], *pad] for j in range(nc)]
+    for j in range(w):
+        rows[j][nr + j] = 1
     pivots = _hermite(rows, [[]] * nc, nr)
     return (_from_lists(nc, nr, (row[:nr] for row in rows)),
-            _from_lists(nc, nc, (row[nr:] for row in rows)), tuple(c for _, c in pivots))
+            _from_lists(nc, w, (row[nr:] for row in rows)), tuple(c for _, c in pivots))
 
 
-def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str, top: int = 0) -> tuple:
+def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str, top: int = 0,
+                     width: int | None = None) -> tuple:
     """(y, r, x): the entries, row major, of Y and R with b = H*Y + R for
     a's cached column echelon form a*V = H, each entry of R at pivot row k
     floored into [0, pivot k), and of the first top rows of X = V*Y.  So
@@ -488,10 +507,12 @@ def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str, top: int = 0) -> t
 
     Y is zero below the pivots, so X sums, for each quotient q found at
     pivot k, q times the first top entries of V's column k, which is row k
-    of the cached V^T; with top = 0 the transform is not read."""
+    of the cached V^T; with top = 0 the transform is not read.  A width
+    (at least top) reads the factorization that carries only the first
+    width rows of V."""
     if b.rows != a.rows:
         raise ValueError(f"dimension mismatch in {caller}")
-    ht, vt, pivot_rows = col_echelon(a)
+    ht, vt, pivot_rows = col_echelon(a) if width is None else col_echelon(a, width)
     he, ve, nr, nb, w = ht.entries, vt.entries, ht.cols, b.cols, vt.cols
     r, y, x = list(b.entries), [0] * (ht.rows * nb), [0] * (top * nb)
     for k, p in enumerate(pivot_rows):
@@ -511,19 +532,25 @@ def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str, top: int = 0) -> t
     return y, r, x
 
 
-def _check_top(a: IntMatrix, top: int | None) -> int:
-    """The count of a solution's rows to keep: all a.cols when top is None."""
+def _check_top(a: IntMatrix, top: int | None, width: int | None) -> int:
+    """The count of a solution's rows to keep: all rows of V that the
+    factorization carries (width, or a.cols without one) when top is None."""
+    n = a.cols if width is None else width
+    if not 0 <= n <= a.cols:
+        raise ValueError(f"width = {width} of a transform with {a.cols} rows")
     if top is None:
-        return a.cols
-    if not 0 <= top <= a.cols:
-        raise ValueError(f"top = {top} rows of a solution with {a.cols}")
+        return n
+    if not 0 <= top <= n:
+        raise ValueError(f"top = {top} rows of a solution with {n}")
     return top
 
 
-def solve(a: IntMatrix, b: IntMatrix, top: int | None = None) -> IntMatrix | None:
+def solve(a: IntMatrix, b: IntMatrix, top: int | None = None,
+          width: int | None = None) -> IntMatrix | None:
     """Solve a*X = b over the integers, one column of b at a time on a's
     one cached factorization, and return the first top rows of X (all of
-    them by default).
+    them by default).  With a width, a is factored carrying only the first
+    width rows of V, and top is at most width (width by default).
 
     Returns X, or None when some column has no integer solution
     ("unsolvable" is a normal answer, not an error).  kernel_basis(a)
@@ -542,10 +569,10 @@ def solve(a: IntMatrix, b: IntMatrix, top: int | None = None) -> IntMatrix | Non
     >>> solve(IntMatrix.from_rows([[2, 0]]), IntMatrix.zeros(1, 0))
     IntMatrix(2x0)
     """
-    top = _check_top(a, top)
+    top = _check_top(a, top, width)
     if not b.cols and b.rows == a.rows:
         return IntMatrix._of(top, 0, ())
-    _, r, x = _back_substitute(a, b, "solve", top)
+    _, r, x = _back_substitute(a, b, "solve", top, width)
     if any(r):
         return None
     return IntMatrix._of(top, b.cols, tuple(x))
@@ -578,20 +605,21 @@ def span_basis(a: IntMatrix) -> tuple:
     return h, IntMatrix._of(h.cols, a.cols, tuple(y[:h.cols * a.cols]))
 
 
-def kernel_basis(a: IntMatrix, top: int | None = None) -> IntMatrix:
+def kernel_basis(a: IntMatrix, top: int | None = None, width: int | None = None) -> IntMatrix:
     """Columns generate {x : a*x = 0}: the columns of V after the pivots,
     for a's cached column echelon form a*V = H, each cut to its first top
-    entries (all of them by default).
+    entries (all of them by default).  A width reads the factorization that
+    carries only the first width rows of V, as in solve.
 
     >>> kernel_basis(IntMatrix.from_rows([[1, 1, 0]]), top=2).to_lists()
     [[-1, 0], [1, 0]]
     """
-    top = _check_top(a, top)
-    _, vt, pivot_rows = col_echelon(a)
-    n = a.cols
-    tail = vt.entries[len(pivot_rows) * n:]  # the rows of V^T after the pivots
-    return IntMatrix._of(top, n - len(pivot_rows),
-                         tuple(chain.from_iterable(tail[i::n] for i in range(top))))
+    top = _check_top(a, top, width)
+    _, vt, pivot_rows = col_echelon(a) if width is None else col_echelon(a, width)
+    w = vt.cols
+    tail = vt.entries[len(pivot_rows) * w:]  # the rows of V^T after the pivots
+    return IntMatrix._of(top, a.cols - len(pivot_rows),
+                         tuple(chain.from_iterable(tail[i::w] for i in range(top))))
 
 
 def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
@@ -618,6 +646,49 @@ def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
     return IntMatrix._of(m.rows, m.cols, tuple(r)) if any(y) else m
 
 
+def _congruence_system(rows: int, cols: int, congruences: Sequence[tuple]) -> tuple:
+    """(A, c): the congruences L*X*R = C modulo Rel as one system A*z = c.
+    z holds the entries of X, row major, then one slack unknown per relation
+    coefficient.  Equation (u, v) of a congruence is (L*X*R)[u][v] = C[u][v]
+    less Rel[u] times column v's slack block, so its row of A is row u of
+    the Kronecker product L (x) R^T, then -Rel[u] in that block: block s of
+    its X part is L[u][s] times column v of R."""
+    for (lm, rm, cm, rel) in congruences:
+        if (lm.cols != rows or rm.rows != cols or rel.rows != lm.rows
+                or (cm.rows, cm.cols) != (lm.rows, rm.cols)):
+            raise ValueError("solve_congruences: shape mismatch")
+    width = rows * cols + sum(rm.cols * rel.cols for (_, rm, _, rel) in congruences)
+    n = sum(lm.rows * rm.cols for (lm, rm, _, _) in congruences)
+    flat, rhs, at, slack = [0] * (n * width), [], 0, rows * cols
+    for (lm, rm, cm, rel) in congruences:
+        for v in range(rm.cols):
+            rv, cv = rm.col(v), cm.col(v)
+            for u in range(lm.rows):
+                for s, x in enumerate(lm.row(u)):
+                    if x:
+                        start = at + s * cols
+                        flat[start:start + cols] = rv if x == 1 else [x * y for y in rv]
+                flat[at + slack:at + slack + rel.cols] = map(neg, rel.row(u))
+                rhs.append(cv[u])
+                at += width
+            slack += rel.cols
+    return IntMatrix._of(n, width, tuple(flat)), IntMatrix._of(n, 1, tuple(rhs))
+
+
+def particular_solution(rows: int, cols: int, congruences: Sequence[tuple]) -> IntMatrix | None:
+    """One integer rows x cols matrix X0 with L*X0*R = C modulo the column
+    span of Rel, for every (L, R, C, Rel) in congruences, or None: the X0
+    of solve_congruences, without its homogeneous solutions.
+
+    >>> particular_solution(1, 1, [(IntMatrix.identity(1), IntMatrix.identity(1),
+    ...                             IntMatrix.column([3]), IntMatrix.column([4]))]).entries
+    (3,)
+    """
+    system, rhs = _congruence_system(rows, cols, congruences)
+    x0 = solve(system, rhs, rows * cols, rows * cols)
+    return None if x0 is None else IntMatrix._of(rows, cols, x0.entries)
+
+
 def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tuple | None:
     """Integer rows x cols matrices X with L*X*R = C modulo the column span
     of Rel, for every (L, R, C, Rel) in congruences.
@@ -626,32 +697,19 @@ def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tup
     a generating set of the solutions of the homogeneous system, so every
     solution is X0 plus an integer combination of Ks; or None.  Everything is
     flattened to one system in the entries of X (row major) plus one slack
-    unknown per relation coefficient.
+    unknown per relation coefficient, factored carrying only the nx =
+    rows * cols rows of its transform that X reads.
 
     >>> x0, ks = solve_congruences(1, 1, [(IntMatrix.identity(1), IntMatrix.identity(1),
     ...                                     IntMatrix.column([3]), IntMatrix.column([4]))])
     >>> x0.entries, [k.entries for k in ks]
     ((3,), [(4,)])
     """
-    for (lm, rm, cm, rel) in congruences:
-        if (lm.cols != rows or rm.rows != cols or rel.rows != lm.rows
-                or (cm.rows, cm.cols) != (lm.rows, rm.cols)):
-            raise ValueError("solve_congruences: shape mismatch")
+    system, rhs = _congruence_system(rows, cols, congruences)
     nx = rows * cols
-    eqs, rhs, pad = [], [], 0
-    for (lm, rm, cm, rel) in congruences:
-        for v in range(rm.cols):
-            rv, cv = rm.col(v), cm.col(v)
-            for u in range(lm.rows):  # (L*X*R)[u][v], then -Rel[u] in column v's slack block
-                eqs.append([x * y for x in lm.row(u) for y in rv]
-                           + [0] * pad + [-e for e in rel.row(u)])
-                rhs.append(cv[u])
-            pad += rel.cols
-    width = nx + pad
-    system = _from_lists(len(eqs), width, (eq + [0] * (width - len(eq)) for eq in eqs))
-    x0 = solve(system, IntMatrix._of(len(rhs), 1, tuple(rhs)), nx)
+    x0 = solve(system, rhs, nx, nx)
     if x0 is None:
         return None
-    kern = kernel_basis(system, nx)
+    kern = kernel_basis(system, nx, nx)
     ks = [IntMatrix._of(rows, cols, k) for k in map(kern.col, range(kern.cols)) if any(k)]
     return IntMatrix._of(rows, cols, x0.entries), ks

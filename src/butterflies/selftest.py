@@ -89,7 +89,7 @@ def _mutant_refusal(b: Butterfly, wing: str, at: tuple, delta: int):
 
 
 def mutation_catalog() -> list:
-    """20 single-entry mutations, each of which must refuse with a named axiom."""
+    """Single-entry mutations, each of which must refuse with a named axiom."""
     B = fixtures.bockstein()
     IK2 = fixtures.ik2()
     Br = fixtures.br()
@@ -125,7 +125,7 @@ def crit1_axioms(scale: float = 1.0):
             return False, f"mutation {wing}{at}{delta:+d} not refused"
         refusals.append(msg)
     kinds = sorted(set(refusals))
-    return True, f"{len(suite)} butterflies valid; 20 mutations refused ({len(kinds)} axiom kinds)"
+    return True, f"{len(suite)} butterflies valid; {len(catalog)} mutations refused ({len(kinds)} axiom kinds)"
 
 
 # -- criterion 2: category laws -----------------------------------------------

@@ -72,53 +72,58 @@ def test_criterion_09_derived_biext():
 Z7 = FgAbGroup.cyclic(7)
 CATALOG = selftest.mutation_catalog()
 
-# (criterion, name in butterflies.selftest, a defective stand-in, the failure
-# the criterion must report at scale 0.02)
+# (test id, criterion, name in butterflies.selftest, a defective stand-in,
+# the failure the criterion must report at scale 0.02); each id is given, so
+# two rows may patch the same name for the same criterion
 DEFECTS = [
-    (1, "validate", lambda b: [], "mutation q(0, 0)-1 not refused"),
-    (1, "mutation_catalog", lambda: CATALOG[:-1] + CATALOG[:1],
+    ("1-validate", 1, "validate", lambda b: [], "mutation q(0, 0)-1 not refused"),
+    ("1-mutation_catalog", 1, "mutation_catalog", lambda: CATALOG[:-1] + CATALOG[:1],
      "mutation catalog repeats an entry"),
-    (2, "two_morphism_find", lambda a, b: None, "associativity fails on triple #0"),
-    (3, "compose", lambda z, y: zero_butterfly(y.src, z.dst),
+    ("2-two_morphism_find", 2, "two_morphism_find", lambda a, b: None,
+     "associativity fails on triple #0"),
+    ("3-compose", 3, "compose", lambda z, y: zero_butterfly(y.src, z.dst),
      "H^-1 functoriality fails on pair #1"),
-    (4, "is_invertible", lambda y: not is_invertible(y),
+    ("4-is_invertible", 4, "is_invertible", lambda y: not is_invertible(y),
      "criteria disagree on #0: inverse=False qis=False cone=True"),
-    (4, "fixtures", types.SimpleNamespace(bockstein=lambda: zero_butterfly(k2(), k2()), k2=k2),
+    ("4-fixtures", 4, "fixtures",
+     types.SimpleNamespace(bockstein=lambda: zero_butterfly(k2(), k2()), k2=k2),
      "fixture #4 expected invertible=True"),
-    (4, "zero_butterfly", lambda e, f: identity_butterfly(e),
+    ("4-zero_butterfly", 4, "zero_butterfly", lambda e, f: identity_butterfly(e),
      "fixture #5 expected invertible=False"),
-    (5, "middle_exact_iso", lambda y: (zero_butterfly(k2(), k2()),) * 3,
+    ("5-middle_exact_iso", 5, "middle_exact_iso", lambda y: (zero_butterfly(k2(), k2()),) * 3,
      "middle-exactness chain not invertible on the Bockstein"),
-    (5, "zero_witness_find", lambda a, b: None,
+    ("5-zero_witness_find", 5, "zero_witness_find", lambda a, b: None,
      "kernel composite admits no zero witness on #0"),
-    (6, "les", lambda s: None, "standard_seq_51 not exact on complex #0"),
-    (7, "pip", lambda b: Z7, "pip disagrees on a suite butterfly"),
-    (7, "copip", lambda b: Z7, "copip disagrees on a suite butterfly"),
-    (7, "kernel_b", lambda b: (TwoTermComplex(FgAbMap.zero(Z7, Z7)), None),
+    ("6-les", 6, "les", lambda s: None, "standard_seq_51 not exact on complex #0"),
+    ("7-pip", 7, "pip", lambda b: Z7, "pip disagrees on a suite butterfly"),
+    ("7-copip", 7, "copip", lambda b: Z7, "copip disagrees on a suite butterfly"),
+    ("7-kernel_b", 7, "kernel_b", lambda b: (TwoTermComplex(FgAbMap.zero(Z7, Z7)), None),
      "ker(p) disagrees on a suite butterfly"),
-    (7, "two_morphism_find", lambda a, b: None, "2-morphism solver completeness fails"),
-    (8, "is_invertible", lambda y: False, "B is not invertible"),
-    (9, "derived_tensor", lambda a, b: derived_tensor(b, b),
+    ("7-two_morphism_find", 7, "two_morphism_find", lambda a, b: None,
+     "2-morphism solver completeness fails"),
+    # a solver that always finds a 2-morphism: B and IK2 have none, and the
+    # oracle enumerates none
+    ("7-two_morphism_find-always", 7, "two_morphism_find", lambda a, b: object(),
+     "2-morphism existence disagrees with enumeration on B and IK2"),
+    ("8-is_invertible", 8, "is_invertible", lambda y: False, "B is not invertible"),
+    ("9-derived_tensor", 9, "derived_tensor", lambda a, b: derived_tensor(b, b),
      "Tor1(Z/1,Z/2) = (0, (2,)), want (0, ())"),
 ]
 
 
-@pytest.mark.parametrize("number, name, defect, message", DEFECTS,
-                         ids=[f"{number}-{name}" for number, name, _, _ in DEFECTS])
+def test_defect_ids_are_distinct():
+    ids = [row[0] for row in DEFECTS]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("number, name, defect, message", [row[1:] for row in DEFECTS],
+                         ids=[row[0] for row in DEFECTS])
 def test_criterion_reports_a_defect(number, name, defect, message, monkeypatch):
     """Each criterion fails, with its own message, when a name it calls is
     defective: the gate's failure branches are reachable and say what broke."""
     monkeypatch.setattr(selftest, name, defect)
     _, criterion = selftest.CRITERIA[number - 1]
     assert criterion(0.02) == (False, message)
-
-
-def test_criterion_7_compares_a_pair_with_no_2_morphism(monkeypatch):
-    """A solver that always finds a 2-morphism fails criterion 7 at any
-    scale: B and IK2 have none, and the oracle enumerates none."""
-    monkeypatch.setattr(selftest, "two_morphism_find", lambda a, b: object())
-    assert selftest.crit7_oracle_differential(0.02) == (
-        False, "2-morphism existence disagrees with enumeration on B and IK2")
 
 
 def _diagonal_defects():

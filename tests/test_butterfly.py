@@ -735,6 +735,18 @@ class TestDenseTorsion:
         assert two_morphism_find(w, compose(w, identity_butterfly(e))) is not None
         assert time.perf_counter() - start < self.BUDGET_S
 
+    def test_random_butterfly_n8(self):
+        """One random butterfly on dense n = 8 within 3 s: the Hom system's
+        transform carries only the rows of X.  On the 2-core host where this
+        budget was set it took 5.2-5.5 s carrying the whole transform, and
+        about 2 s carrying X's rows."""
+        e, rng = self.dense_complex(8)
+        start = time.perf_counter()
+        y = random_butterfly(e, e, rng)
+        assert time.perf_counter() - start < 3.0
+        assert validate(y) == []
+        self.assert_wings_reduced(y)
+
 
 def _clear_caches():
     """Empty every memo cache in the package, so a count starts cold."""

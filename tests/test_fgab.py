@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from butterflies import fgab, jsonio
+from butterflies import fgab, intlinalg, jsonio
 from butterflies.intlinalg import (
     IntMatrix, in_col_span, hstack, kernel_basis, submatrix, snf, col_echelon, solve,
 )
-from butterflies.butterfly import compose, identity_butterfly
+from butterflies.butterfly import compose, identity_butterfly, two_morphism_find
 from butterflies.fixtures import bockstein, e2, ik2
 from butterflies.fgab import (
     FgAbGroup, FgAbMap, is_well_defined, direct_sum, simplify,
@@ -624,3 +624,25 @@ def test_solvers_build_no_product_or_transpose(monkeypatch):
     assert in_col_span(b.relations, f.matrix * lifted - fx)
     assert kern.rows == a.ngens and in_col_span(b.relations, f.matrix * kern)
     assert homs is not None and FgAbMap(a, b, homs[0]) == f
+
+
+def test_hom_solve_factors_no_kernel_of_its_system(monkeypatch):
+    """hom_solve, and two_morphism_find through it, read one solution of the
+    flattened Hom system and never its kernel basis; hom_solve_all, which
+    returns the homogeneous solutions too, still computes it."""
+    systems = []
+
+    def counted(a, *args):
+        systems.append(a)
+        return kernel_basis(a, *args)
+
+    monkeypatch.setattr(intlinalg, "kernel_basis", counted)
+    b = bockstein()
+    one = FgAbMap.identity(b.carrier)
+    x = hom_solve(b.carrier, b.carrier, pre=[(one, one.matrix)])
+    assert x == one and systems == []
+    assert two_morphism_find(b, b) is not None and systems == []
+    assert two_morphism_find(ik2(), b) is None and systems == []
+    base, kmats = hom_solve_all(b.carrier, b.carrier, pre=[(one, one.matrix)])
+    assert FgAbMap(b.carrier, b.carrier, base) == one
+    assert len(systems) == 1

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import butterflies
+from butterflies import intlinalg
 from butterflies.fgab import FgAbGroup, FgAbMap, simplify
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, Record, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
-    hstack, vstack, kron, submatrix, solve_congruences, col_echelon,
+    hstack, vstack, kron, submatrix, solve_congruences, particular_solution, col_echelon,
 )
 
 
@@ -65,6 +66,11 @@ large_dense_matrices = st.tuples(st.integers(6, 12), st.integers(6, 12)).flatmap
 low_rank_matrices = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3)).flatmap(
     lambda rck: st.tuples(shaped(rck[0], rck[2], bound=9), shaped(rck[2], rck[1], bound=9))
     .map(lambda ab: ab[0] * ab[1]))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_identity_matches_its_definition(n):
+    assert IntMatrix.identity(n) == IntMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
 
 class TestHnf:
@@ -342,6 +348,33 @@ class TestSolve:
             with pytest.raises(ValueError, match="top"):
                 kernel_basis(a, top)
 
+    @given(small_matrices, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_width_keeps_the_first_rows_of_the_transform(self, a, data):
+        """col_echelon(a, width) carries the first width rows of V only:
+        its H, pivots and V^T's first width columns are the full
+        factorization's, and solve and kernel_basis with a width give the
+        product reference for every top up to it."""
+        b = data.draw(shaped(a.rows, data.draw(st.integers(0, 2))))
+        ht, vt, pivot_rows = col_echelon(a)
+        for width in range(a.cols + 1):
+            assert col_echelon(a, width) == (ht, submatrix(vt, range(a.cols), range(width)),
+                                             pivot_rows)
+            for top in range(width + 1):
+                assert solve(a, b, top, width) == self.reference_solve(a, b, top)
+                assert kernel_basis(a, top, width) == self.reference_kernel(a, top)
+            assert solve(a, b, None, width) == solve(a, b, width)
+            assert kernel_basis(a, None, width) == kernel_basis(a, width)
+            with pytest.raises(ValueError, match="top"):
+                solve(a, b, width + 1, width)
+        for width in (-1, a.cols + 1):
+            with pytest.raises(ValueError, match="width"):
+                col_echelon(a, width)
+            with pytest.raises(ValueError, match="width"):
+                solve(a, b, 0, width)
+            with pytest.raises(ValueError, match="width"):
+                kernel_basis(a, 0, width)
+
     @pytest.mark.parametrize("a, b", [
         (mat([[2]]), IntMatrix.column([3])),                   # unsolvable
         (mat([[2, 4]]), mat([[2, 3]])),                        # one column unsolvable
@@ -404,10 +437,85 @@ def test_solve_matrix_and_kernel_basis():
 
 def test_solve_congruences_checks_shapes():
     one, none = IntMatrix.identity(1), IntMatrix.zeros(1, 0)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        solve_congruences(1, 2, [(one, one, one, none)])      # R has 1 row, X 2 columns
-    with pytest.raises(ValueError, match="shape mismatch"):
-        solve_congruences(1, 1, [(one, one, one, IntMatrix.zeros(2, 0))])
+    for solver in (solve_congruences, particular_solution):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solver(1, 2, [(one, one, one, none)])      # R has 1 row, X 2 columns
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solver(1, 1, [(one, one, one, IntMatrix.zeros(2, 0))])
+
+
+def kronecker_system(rows, cols, congruences):
+    """The flattened system of solve_congruences by its definition, entry
+    by entry: equation (u, v) of each congruence (L, R, C, Rel) has
+    L[u][s] * R[t][v] at unknown (s, t) of X, row major, then -Rel[u] in
+    column v's slack block, and right-hand side C[u][v]."""
+    nx = rows * cols
+    width = nx + sum(rm.cols * rel.cols for _, rm, _, rel in congruences)
+    eqs, rhs, slack = [], [], nx
+    for lm, rm, cm, rel in congruences:
+        for v in range(rm.cols):
+            for u in range(lm.rows):
+                eq = [lm[u, s] * rm[t, v] for s in range(rows) for t in range(cols)]
+                eq += [0] * (width - nx)
+                for k in range(rel.cols):
+                    eq[slack + k] = -rel[u, k]
+                eqs.append(eq)
+                rhs.append(cm[u, v])
+            slack += rel.cols
+    return (IntMatrix(len(eqs), width, [e for eq in eqs for e in eq]),
+            IntMatrix(len(rhs), 1, rhs))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_congruence_system_is_the_kronecker_definition(data):
+    """The system built by blocks (a row of R, or a multiple of one, per
+    nonzero entry of L) equals the per-entry definition, for identity and
+    dense L and R, any of whose dimensions may be 0."""
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    congruences = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            lm = IntMatrix.identity(rows)
+        else:
+            lm = data.draw(shaped(data.draw(st.integers(0, 3)), rows, bound=3))
+        if data.draw(st.booleans()):
+            rm = IntMatrix.identity(cols)
+        else:
+            rm = data.draw(shaped(cols, data.draw(st.integers(0, 3)), bound=3))
+        cm = data.draw(shaped(lm.rows, rm.cols, bound=3))
+        rel = data.draw(shaped(lm.rows, data.draw(st.integers(0, 2)), bound=3))
+        congruences.append((lm, rm, cm, rel))
+    want = kronecker_system(rows, cols, congruences)
+    assert intlinalg._congruence_system(rows, cols, congruences) == want
+    res, x0 = solve_congruences(rows, cols, congruences), particular_solution(rows, cols, congruences)
+    assert (res is None) == (x0 is None) == (solve(*want) is None)
+    assert res is None or res[0] == x0
+
+
+def test_congruence_systems_carry_only_the_rows_of_x(monkeypatch):
+    """The V^T factored for a solve_congruences system has nx = rows * cols
+    columns, not one per unknown: both readers factor it with width nx,
+    and share that one factorization."""
+    seen = []
+
+    def spy(a, *width):
+        out = col_echelon(a, *width)
+        seen.append((a.cols, width, out[1].cols))
+        return out
+
+    monkeypatch.setattr(intlinalg, "col_echelon", spy)
+    # X: 2 x 3 and one relation column per congruence: 6 + 1 + 3 unknowns
+    x = mat([[1, 0, 2], [0, 1, 1]])
+    congruences = [(lm, rm, lm * x * rm, rel) for lm, rm, rel in (
+        (IntMatrix.identity(2), mat([[1], [2], [3]]), mat([[4], [6]])),
+        (mat([[1, 1]]), IntMatrix.identity(3), mat([[5]])))]
+    col_echelon.cache_clear()
+    x0, ks = solve_congruences(2, 3, congruences)
+    assert particular_solution(2, 3, congruences) == x0
+    assert seen == [(6 + 1 + 3, (6,), 6)] * 3
+    assert col_echelon.cache_info().misses == 1
+    assert ks and all((k.rows, k.cols) == (2, 3) for k in ks)
 
 
 @given(st.data())
