@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
-from operator import add, index, mul, neg, sub
+from operator import add, attrgetter, index, mul, neg, sub
 
 
 # The one bound on every memo cache in the package: results are pure
@@ -28,15 +28,35 @@ class InvariantError(RuntimeError):
     """An internal invariant failed: a defect in this library, never bad input."""
 
 
-class Record:
+# Record's own slot and per-class field getter, whose names no field may take.
+_RESERVED = frozenset(("_hash", "_field_tuple"))
+
+
+class _RecordType(type):
+    """Gives each Record subclass __slots__ for the names its body annotates.
+    Slots must be in the class namespace before the class exists, which is
+    too early for __init_subclass__."""
+
+    def __new__(mcs, name, bases, ns):
+        if bases:
+            names = tuple(ns.get("__annotations__", ()))
+            for n in _RESERVED.intersection(names):
+                raise TypeError(f"{name}: field {n!r} is a name Record keeps for itself")
+            ns["__slots__"] = names
+        return super().__new__(mcs, name, bases, ns)
+
+
+class Record(metaclass=_RecordType):
     """Base of the package's immutable value classes.
 
-    A subclass's fields are the names its own body annotates, in order.
-    Each subclass gets, compiled once, what a frozen dataclass would get:
-    an __init__ taking the fields by position or keyword (it then calls
-    self.__post_init__() when the class has one), an == that compares the
-    field tuples of two instances of the same class, and the hash of the
-    field tuple.  Instances refuse assignment and deletion.
+    A subclass's fields are the names its own body annotates, in order, and
+    each gets a slot, so instances have no __dict__.  Each subclass gets,
+    compiled once, what a frozen dataclass would get: an __init__ taking the
+    fields by position or keyword (it then calls self.__post_init__() when
+    the class has one), and an == that compares the field tuples of two
+    instances of the same class.  The hash is that of the field tuple,
+    computed on first use and kept in a slot, so a memo key is walked once
+    over its whole life.  Instances refuse assignment and deletion.
 
     >>> class Pair(Record):
     ...     a: int
@@ -45,26 +65,38 @@ class Record:
     (Pair(a=1, b=2), True, True)
     """
 
+    __slots__ = ("_hash",)
+
     def __init_subclass__(cls):
         super().__init_subclass__()
-        names = tuple(cls.__annotations__)
+        names = cls.__slots__
         mine = "".join(f"self.{n}, " for n in names)
         theirs = "".join(f"other.{n}, " for n in names)
         sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
         post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        # _hash is set last: __post_init__ may still replace a field
         src = (f"def __init__(self, {', '.join(names)}):\n{sets}{post}"
+               "    _set_hash(self, None)\n"
                "def __eq__(self, other):\n"
                "    if other.__class__ is not self.__class__:\n"
                "        return NotImplemented\n"
-               f"    return ({mine}) == ({theirs})\n"
-               "def __hash__(self):\n"
-               f"    return hash(({mine}))\n")
+               f"    return ({mine}) == ({theirs})\n")
         ns: dict = {}
-        exec(src, {"_setattr": object.__setattr__}, ns)
+        exec(src, {"_setattr": object.__setattr__, "_set_hash": _set_hash}, ns)
         for name, fn in ns.items():
             fn.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, fn)
         cls.__match_args__ = names
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._field_tuple = staticmethod(attrgetter(*names) if len(names) > 1
+                                        else lambda self: tuple(getattr(self, n) for n in names))
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._field_tuple(self))
+            _set_hash(self, h)
+        return h
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -74,6 +106,10 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
+
+
+# The kept-hash slot's own setter, which bypasses the immutability guard.
+_set_hash = Record._hash.__set__
 
 
 class IntMatrix:

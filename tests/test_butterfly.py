@@ -21,7 +21,7 @@ from butterflies.butterfly import (
     classify, pip, copip, image_b, coimage_b, middle_exact_iso,
     splitting_compose, pullback_compose, pushout_compose, random_butterfly,
 )
-from butterflies.exactness import LongExactSequence, les, standard_seq_10
+from butterflies.exactness import LongExactSequence, les, random_exact_seq, standard_seq_10
 from butterflies.fixtures import k2, e2, bockstein, ik2, br, r_chain_map, Z, Z2, Z4
 
 
@@ -888,3 +888,54 @@ class TestMembershipTestCounts:
                              ids=[c[0] for c in MEMBERSHIP_CASES])
     def test_membership_tests_bounded(self, count_tests, build, op, bound):
         assert count_tests(op, build()) <= bound
+
+
+def _records_within(value):
+    """Every Record reachable from value through fields, tuples and lists."""
+    if isinstance(value, intlinalg.Record):
+        yield value
+        for name in value.__match_args__:
+            yield from _records_within(getattr(value, name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _records_within(item)
+
+
+class TestKeptHashes:
+    """A Record keeps its hash after first use, so a memo hit hashes its key
+    without walking the key's nested values again."""
+
+    def test_memo_hits_hash_no_matrix(self, monkeypatch):
+        rng = random.Random(33)
+        e, f, g = (random_complex(rng, max_rank=1, max_order=6) for _ in range(3))
+        y, z = random_butterfly(e, f, rng), random_butterfly(f, g, rng)
+        compose(z, y)
+        identity_butterfly(e)
+        fgab.kernel(y.q)
+        hits = [op.cache_info().hits for op in (compose, identity_butterfly, fgab.kernel)]
+        calls = []
+        original = IntMatrix.__hash__
+        monkeypatch.setattr(IntMatrix, "__hash__", lambda m: calls.append(m) or original(m))
+        compose(z, y)
+        identity_butterfly(e)
+        fgab.kernel(y.q)
+        assert [op.cache_info().hits for op in (compose, identity_butterfly, fgab.kernel)] == \
+            [h + 1 for h in hits]
+        assert calls == []
+
+    def test_kept_hash_is_the_field_tuple_hash(self):
+        """Each hash is kept only once __post_init__ is done: a hash kept
+        before FgAbMap's reduction replaced its matrix would differ here."""
+        rng = random.Random(34)
+        values = []
+        for _ in range(3):
+            e, f, g = (random_complex(rng, max_rank=1, max_order=8) for _ in range(3))
+            y, z = random_butterfly(e, f, rng), random_butterfly(f, g, rng)
+            s = random_exact_seq(rng)
+            values += [y, z, compose(z, y), s, les(s)]
+        records = list(_records_within(values))
+        assert len(records) > 100
+        for r in records:
+            fields = tuple(getattr(r, n) for n in r.__match_args__)
+            assert hash(r) == hash(fields)
+            assert r == type(r)(*fields)

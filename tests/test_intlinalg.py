@@ -635,6 +635,29 @@ def _post_init_patched_after_the_class():
     return Late(1)
 
 
+class Counted:
+    """A field value that counts how often it is hashed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 0
+
+
+def _field_hashes_over_two_hashes():
+    c = Counted()
+    p = Pair(1, c)
+    hash(p), hash(p)
+    return c.calls
+
+
+def _field_named_hash():
+    class Clash(Record):
+        _hash: int
+
+
 Z2 = FgAbGroup(1, IntMatrix(1, 1, [2]))
 
 RECORD_CONTRACT = [
@@ -649,6 +672,12 @@ RECORD_CONTRACT = [
     ("== on the field tuple", lambda: (Pair(1, 2) == Pair(1, 2), Pair(1, 2) != Pair(2, 1)), (True, True)),
     ("hash of the field tuple", lambda: hash(Pair(1, (2, 3))) == hash((1, (2, 3))), True),
     ("one hash per value", lambda: len({Pair(1, 2), Pair(1, 2), Pair(2, 1)}), 2),
+    ("hash kept after first use", _field_hashes_over_two_hashes, 1),
+    ("no instance dict", lambda: hasattr(Pair(1, 2), "__dict__"), False),
+    ("hash after a __post_init__ that sets a field",
+     lambda: hash(FgAbMap(FgAbGroup.free(1), Z2, IntMatrix(1, 1, [3])))
+     == hash((FgAbGroup.free(1), Z2, IntMatrix(1, 1, [1]))), True),
+    ("a field named _hash is refused", _field_named_hash, TypeError),
     ("another class, same fields", lambda: Pair(1, 2) == Twin(1, 2), False),
     ("not a tuple", lambda: Pair(1, 2) == (1, 2), False),
     ("__post_init__ after every field", lambda: Ordered(2, 1), ValueError),
@@ -664,7 +693,8 @@ RECORD_CONTRACT = [
                          ids=[c[0] for c in RECORD_CONTRACT])
 def test_record_contract(run, expected):
     """Record gives each subclass what a frozen dataclass would: __init__,
-    == and hash on the field tuple, no mutation, and a Name(field=...) repr."""
+    == and hash on the field tuple, no mutation, and a Name(field=...) repr;
+    the hash is kept after first use, and instances have slots only."""
     if isinstance(expected, type) and issubclass(expected, Exception):
         with pytest.raises(expected):
             run()
