@@ -30,7 +30,7 @@ from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective, exact_verdicts,
     factor_through_injection, generator_lift, hom_solve, hom_solve_all,
-    ext1_realize, preimage_lattice, solution_at,
+    ext1_realize, map_lattice, preimage_lattice, solution_at,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology
 
@@ -314,8 +314,7 @@ def classify(y: Butterfly) -> Classification:
     """
     j_inj, mid, p_surj = exact_verdicts(y.j, y.p)
     faithful = in_col_span(y.src.deg_m1.relations, preimage_lattice(y.j))
-    f0 = y.dst.deg_0
-    cofaithful = in_col_span(hstack(y.p.matrix, f0.relations), IntMatrix.identity(f0.ngens))
+    cofaithful = in_col_span(map_lattice(y.p), IntMatrix.identity(y.dst.deg_0.ngens))
     hm1, h0 = homology_action(y)
     if not faithful == j_inj == is_injective(hm1):
         raise InvariantError("pip, j and the H^-1 action disagree on faithfulness")

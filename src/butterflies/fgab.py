@@ -10,16 +10,17 @@ Kernels, cokernels, images and subquotients return groups in simplified
 (diagonal) presentation together with the maps tying them to the inputs;
 nothing downstream ever needs to re-derive those maps.  A map's lattice
 L = {x : f*x in rel(dst)} gets a Z-basis from one factorization, of
-[f | free_presentation(dst)]; the kernel L/rel(src) is presented on that
-basis.  The image (f(src) + rel(dst))/rel(dst) is presented in dst's
-coordinates, on the Hermite basis of that span from the same cached
-factorization, so its Smith form has at most dst.ngens rows.  kernel and
-cokernel are memoized (bounded by intlinalg.CACHE_SIZE), so the exactness
-criteria that ask about the same maps share one computation.  Exactness at
-a spot is decided by membership in a column span (is_exact_at), never by
-building the subquotient; subquotient is for the callers that need the
-group itself.  exact_verdicts is the one statement of what an exact
-sequence is.
+map_lattice(f) = [f | free_presentation(dst)]; the kernel L/rel(src) is
+presented on that basis.  The image (f(src) + rel(dst))/rel(dst) is
+presented in dst's coordinates, on the Hermite basis of that span from the
+same cached factorization, so its Smith form has at most dst.ngens rows.
+map_lattice, kernel and cokernel are memoized (bounded by
+intlinalg.CACHE_SIZE), so the exactness criteria that ask about the same
+maps share one computation.  Exactness at a spot is decided by membership
+in a column span (is_exact_at: ker(b) in the span of map_lattice(a), the
+same factored lattice kernel(a) and image(a) read), never by building the
+subquotient; subquotient is for the callers that need the group itself.
+exact_verdicts is the one statement of what an exact sequence is.
 
 One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
 subquotient, Subquotient.lift_in and induce_out take the far endpoint group
@@ -218,13 +219,23 @@ class Kernel(Record):
         return factor_through_injection(self.incl, src, x)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def map_lattice(f: FgAbMap) -> IntMatrix:
+    """[f | free_presentation(dst)], the one matrix factored for f's lattice:
+    its kernel's top rows give preimage_lattice, its span is
+    f(src) + rel(dst), which image and is_exact_at read.  Memoized, so each
+    map's matrix is built once and its factorization looked up through the
+    matrix the memo keeps."""
+    return hstack(f.matrix, free_presentation(f.dst))
+
+
 def preimage_lattice(f: FgAbMap) -> IntMatrix:
     """A Z-basis, as columns, of L = {x : f*x in rel(dst)}, the preimage of
-    dst's relations: the top src.ngens rows of the kernel of
-    [f | free_presentation(dst)].  Those relators are independent, so the
-    cut loses and repeats no kernel vector (Cohen, GTM 138, section 2.4.3).
-    kernel reads it, and image the span of the same cached factorization."""
-    return kernel_basis(hstack(f.matrix, free_presentation(f.dst)), f.src.ngens)
+    dst's relations: the top src.ngens rows of the kernel of map_lattice(f).
+    Those relators are independent, so the cut loses and repeats no kernel
+    vector (Cohen, GTM 138, section 2.4.3).  kernel reads it, and image the
+    span of the same cached factorization."""
+    return kernel_basis(map_lattice(f), f.src.ngens)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -268,12 +279,12 @@ class Image(Record):
 
 def image(f: FgAbMap) -> Image:
     """(f(src) + rel(dst))/rel(dst), presented in dst's coordinates, then
-    simplified.  [f | free_presentation(dst)] = h*y, on the Hermite basis h
-    of its span (the factorization preimage_lattice uses); h's columns are
-    independent, so the image is Z^r modulo the coordinates y of dst's
-    relators, included by h and reached from src by the coordinates of f."""
+    simplified.  map_lattice(f) = h*y, on the Hermite basis h of its span
+    (the factorization preimage_lattice uses); h's columns are independent,
+    so the image is Z^r modulo the coordinates y of dst's relators, included
+    by h and reached from src by the coordinates of f."""
     na = f.src.ngens
-    h, y = span_basis(hstack(f.matrix, free_presentation(f.dst)))
+    h, y = span_basis(map_lattice(f))
     r = h.cols
     simp = simplify(FgAbGroup(r, submatrix(y, range(r), range(na, y.cols))))
     incl = FgAbMap(simp.group, f.dst, h * simp.fro)
@@ -328,16 +339,18 @@ def is_exact_at(a: FgAbMap, b: FgAbMap) -> bool:
     """im(a) = ker(b)?  False (not an error) when b*a is not even zero.
 
     Decided by two membership tests, with no subquotient built: b*a = 0
-    (its columns lie in the span of b.dst's relations), and then ker(b)
-    lies in im(a) + relations of the middle group, i.e. the kernel's
-    generators lie in the column span of [a | a.dst.relations].  Given
-    b*a = 0 that is the same as ker(b)/im(a) being trivial.
+    (its columns lie in the span of b.dst's relations; a product that is
+    zero as a matrix is answered without factoring), and then ker(b) lies
+    in im(a) + relations of the middle group, i.e. the kernel's generators
+    lie in the span of map_lattice(a), whose factorization kernel(a) and
+    image(a) share.  Given b*a = 0 that is the same as ker(b)/im(a) being
+    trivial.
     """
     if a.dst != b.src:
         raise ValueError("exactness endpoints mismatch")
     if not in_col_span(b.dst.relations, b.matrix * a.matrix):
         return False
-    return in_col_span(hstack(a.matrix, a.dst.relations), kernel(b).incl.matrix)
+    return in_col_span(map_lattice(a), kernel(b).incl.matrix)
 
 
 def is_injective(f: FgAbMap) -> bool:

@@ -533,7 +533,17 @@ def col_echelon(a: IntMatrix, width: int | None = None) -> tuple:
             _from_lists(nc, w, (row[nr:] for row in rows)), tuple(c for _, c in pivots))
 
 
-def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str, top: int = 0,
+def _is_zero_rhs(a: IntMatrix, b: IntMatrix, caller: str) -> bool:
+    """Does b, a right-hand side for a, have no nonzero entry?  Raises
+    ValueError first unless b has a's row count.  solve, in_col_span and
+    reduce_cols answer such a b without looking up a's factorization: its
+    quotients and remainders are all zero."""
+    if b.rows != a.rows:
+        raise ValueError(f"dimension mismatch in {caller}")
+    return not any(b.entries)
+
+
+def _back_substitute(a: IntMatrix, b: IntMatrix, top: int = 0,
                      width: int | None = None) -> tuple:
     """(y, r, x): the entries, row major, of Y and R with b = H*Y + R for
     a's cached column echelon form a*V = H, each entry of R at pivot row k
@@ -545,9 +555,7 @@ def _back_substitute(a: IntMatrix, b: IntMatrix, caller: str, top: int = 0,
     pivot k, q times the first top entries of V's column k, which is row k
     of the cached V^T; with top = 0 the transform is not read.  A width
     (at least top) reads the factorization that carries only the first
-    width rows of V."""
-    if b.rows != a.rows:
-        raise ValueError(f"dimension mismatch in {caller}")
+    width rows of V.  Callers check b's row count."""
     ht, vt, pivot_rows = col_echelon(a) if width is None else col_echelon(a, width)
     he, ve, nr, nb, w = ht.entries, vt.entries, ht.cols, b.cols, vt.cols
     r, y, x = list(b.entries), [0] * (ht.rows * nb), [0] * (top * nb)
@@ -599,16 +607,16 @@ def solve(a: IntMatrix, b: IntMatrix, top: int | None = None,
     >>> solve(IntMatrix.from_rows([[1, 1, 0]]), IntMatrix.column([5]), top=1).entries
     (5,)
 
-    A right-hand side with no columns has the top x 0 answer, returned
-    without factoring a:
+    A right-hand side with no nonzero entry (or no columns) has the zero
+    answer, returned without factoring a:
 
-    >>> solve(IntMatrix.from_rows([[2, 0]]), IntMatrix.zeros(1, 0))
-    IntMatrix(2x0)
+    >>> solve(IntMatrix.from_rows([[2, 0]]), IntMatrix.zeros(1, 3)).to_lists()
+    [[0, 0, 0], [0, 0, 0]]
     """
     top = _check_top(a, top, width)
-    if not b.cols and b.rows == a.rows:
-        return IntMatrix._of(top, 0, ())
-    _, r, x = _back_substitute(a, b, "solve", top, width)
+    if _is_zero_rhs(a, b, "solve"):
+        return IntMatrix.zeros(top, b.cols)
+    _, r, x = _back_substitute(a, b, top, width)
     if any(r):
         return None
     return IntMatrix._of(top, b.cols, tuple(x))
@@ -637,7 +645,7 @@ def span_basis(a: IntMatrix) -> tuple:
     ((2,), (1, 2, 3))
     """
     h = hermite_basis(a)
-    y, _, _ = _back_substitute(a, a, "span_basis")
+    y, _, _ = _back_substitute(a, a)
     return h, IntMatrix._of(h.cols, a.cols, tuple(y[:h.cols * a.cols]))
 
 
@@ -666,19 +674,27 @@ def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
     True
     >>> in_col_span(a, IntMatrix.column([1, 0]))
     False
+
+    A zero b lies in every span, and is answered without factoring a:
+
+    >>> in_col_span(IntMatrix.from_rows([[2, 1]]), IntMatrix.zeros(1, 2))
+    True
     """
-    return not any(_back_substitute(a, b, "in_col_span")[1])
+    return _is_zero_rhs(a, b, "in_col_span") or not any(_back_substitute(a, b)[1])
 
 
 def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
     """m with each column replaced by its Hermite remainder modulo the
     column span of a: two matrices give the same result exactly when their
-    difference lies in the span.  m itself when it is reduced already.
+    difference lies in the span.  m itself when it is reduced already, as
+    a zero m is, without factoring a.
 
     >>> reduce_cols(IntMatrix.column([4]), IntMatrix.from_rows([[9, -1, 3]])).entries
     (1, 3, 3)
     """
-    y, r, _ = _back_substitute(a, m, "reduce_cols")
+    if _is_zero_rhs(a, m, "reduce_cols"):
+        return m
+    y, r, _ = _back_substitute(a, m)
     return IntMatrix._of(m.rows, m.cols, tuple(r)) if any(y) else m
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +168,28 @@ def test_kernel_and_image_out_of_free_group_factor_once(n):
     assert col_echelon.cache_info().misses - before == 1
 
 
+def test_exactness_factors_nothing_past_the_kernels():
+    """From cold caches, once kernel(a) and kernel(b) exist, is_exact_at(a, b)
+    adds no column echelon factorization: ker(b) is tested against
+    map_lattice(a), which kernel(a) factored, and b*a against b.dst's
+    relations, which kernel(b) factored.  The first pair's middle group has
+    a redundant relator, so [a | relations] would be another matrix."""
+    mid = FgAbGroup(1, m([[4, 8]]))  # Z/4
+    pairs = [(FgAbMap(Z2, mid, m([[2]])), FgAbMap(mid, Z2, m([[1]])))]
+    rng = random.Random(11)
+    for _ in range(20):
+        pairs += [composable_pair(rng), any_composable_pair(rng)]
+    verdicts = []
+    for a, b in pairs:
+        for cache in (col_echelon, snf, fgab.map_lattice, kernel, cokernel):
+            cache.cache_clear()
+        kernel(a), kernel(b)
+        before = col_echelon.cache_info().misses
+        verdicts.append(is_exact_at(a, b))
+        assert col_echelon.cache_info().misses == before
+    assert verdicts[0] and not all(verdicts)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_image_smith_form_is_target_sized(n, monkeypatch):
     """From cold caches, the image of a map out of Z^n calls snf only on
@@ -288,9 +311,11 @@ class TestExactness:
 
     def test_identity_exact_at_middle(self):
         z0 = FgAbGroup.trivial()
-        assert is_exact_at(FgAbMap.zero(z0, Z), FgAbMap.identity(Z)) is False or True
-        # 0 -> Z --id--> Z is exact at the middle
+        # 0 -> Z --id--> Z and Z --0--> Z --id--> Z are exact at the middle
         assert is_exact_at(FgAbMap.zero(z0, Z), FgAbMap.identity(Z))
+        assert is_exact_at(FgAbMap.zero(Z, Z), FgAbMap.identity(Z))
+        # Z --id--> Z --id--> Z is not: b*a = id is not zero
+        assert not is_exact_at(FgAbMap.identity(Z), FgAbMap.identity(Z))
 
     def test_zero_zero_not_exact(self):
         assert not is_exact_at(FgAbMap.zero(Z2, Z2), FgAbMap.zero(Z2, Z2))
@@ -338,9 +363,20 @@ def composable_pair(rng):
     return a, b
 
 
+def any_composable_pair(rng):
+    """a: A -> M and b: M -> C drawn apart, so b*a is often not zero."""
+    a_grp, m_grp, c_grp = (random_group(rng, max_order=8) for _ in range(3))
+    return random_map(rng, a_grp, m_grp), random_map(rng, m_grp, c_grp)
+
+
 def exact_by_subquotient(a, b):
     """The definition is_exact_at decides by membership: ker(b)/im(a) = 0."""
     return subquotient(a.src, a.matrix, b).group.is_trivial()
+
+
+def exact_by_definition(a, b):
+    """Exact at the middle: b*a is zero and ker(b)/im(a) is trivial."""
+    return (b * a).is_zero() and exact_by_subquotient(a, b)
 
 
 # use_true_random: the shrinkable streams repeat small draws, so a third of
@@ -352,6 +388,23 @@ def test_exactness_membership_matches_subquotient(rng):
     a, b = composable_pair(rng)
     assert (b * a).is_zero()
     assert is_exact_at(a, b) == exact_by_subquotient(a, b)
+    a, b = any_composable_pair(rng)
+    assert is_exact_at(a, b) == exact_by_definition(a, b)
+
+
+def test_exactness_sees_each_outcome_of_the_composite_test():
+    """Over pairs drawn both ways, b*a comes out a zero matrix (answered
+    with no factorization), a nonzero matrix inside b.dst's relations, and
+    a nonzero map, and each verdict is the definition's."""
+    rng = random.Random(9)
+    kinds = Counter()
+    for _ in range(60):
+        for a, b in (composable_pair(rng), any_composable_pair(rng)):
+            product = b.matrix * a.matrix
+            kinds["zero matrix" if not any(product.entries)
+                  else "zero map" if (b * a).is_zero() else "nonzero map"] += 1
+            assert is_exact_at(a, b) == exact_by_definition(a, b)
+    assert min(kinds[k] for k in ("zero matrix", "zero map", "nonzero map")) >= 5, kinds
 
 
 def test_exactness_membership_sees_both_verdicts():

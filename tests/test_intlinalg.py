@@ -518,6 +518,25 @@ def test_congruence_systems_carry_only_the_rows_of_x(monkeypatch):
     assert ks and all((k.rows, k.cols) == (2, 3) for k in ks)
 
 
+def test_zero_right_hand_side_looks_up_no_factorization():
+    """solve, in_col_span and reduce_cols answer a right-hand side with no
+    nonzero entry without a col_echelon lookup, hit or miss, and still
+    refuse one with the wrong row count."""
+    a = mat([[2, 1, 0], [0, 3, 6]])
+    zero = IntMatrix.zeros(2, 4)
+    before = col_echelon.cache_info()
+    assert in_col_span(a, zero)
+    assert reduce_cols(a, zero) is zero
+    assert solve(a, zero) == IntMatrix.zeros(3, 4)
+    assert solve(a, zero, top=1) == IntMatrix.zeros(1, 4)
+    assert solve(a, zero, width=2) == IntMatrix.zeros(2, 4)
+    for check in (in_col_span, reduce_cols, solve):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            check(a, IntMatrix.zeros(3, 1))
+    after = col_echelon.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_solve_congruences_recovers_a_planted_solution(data):
