@@ -25,7 +25,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .intlinalg import CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, in_col_span
+from .intlinalg import (
+    CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, in_col_span, congruent,
+)
 from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective, exact_verdicts,
@@ -64,22 +66,22 @@ class Butterfly(Record):
 def validate(b: Butterfly) -> list:
     """All axiom violations, in checking order; empty list means valid.
 
-    The four equations are membership tests on matrix differences, as in
-    TwoMorphism; no composite is built as a checked map.
+    The four equations are congruences, each decided on its entries as in
+    TwoMorphism: no product, difference or composite map is built.
     """
     bad = []
     q, j, p, i = b.q.matrix, b.j.matrix, b.p.matrix, b.i.matrix
     rel_e0, rel_f0 = b.src.deg_0.relations, b.dst.deg_0.relations
-    if not in_col_span(rel_e0, q * j - b.src.d.matrix):
+    if not congruent(rel_e0, q, j, b.src.d.matrix):
         bad.append("triangle qj=d violated")
-    if not in_col_span(rel_f0, p * i + b.dst.d.matrix):
+    if not congruent(rel_f0, p, i, -b.dst.d.matrix):
         bad.append("triangle pi=-d violated")
-    if not in_col_span(rel_f0, p * j):
+    if not congruent(rel_f0, p, j):
         bad.append("pj=0 violated")
     diagonal = ("diagonal not exact: i not injective", "diagonal not exact at carrier",
                 "diagonal not exact: q not surjective")
     bad += [msg for ok, msg in zip(exact_verdicts(b.i, b.q), diagonal) if not ok]
-    if not in_col_span(rel_e0, q * i):
+    if not congruent(rel_e0, q, i):
         bad.append("qi=0 violated")  # implied by exactness; sanity check
     return bad
 
@@ -93,9 +95,10 @@ class TwoMorphism(Record):
     inverse: FgAbMap  # target.carrier -> source.carrier
 
     def __post_init__(self):
-        """Each equation is a membership test on a matrix difference.  No
-        composite is built as a checked map: one of maps that descend
-        descends too."""
+        """Each equation f*g = c is a congruence modulo the relations of its
+        target, decided on the entries of f*g - c: no product, difference or
+        composite map is built, since one of maps that descend descends
+        too."""
         a, b = self.source, self.target
         if (a.src, a.dst) != (b.src, b.dst):
             raise ValueError("parallel butterflies required")
@@ -104,15 +107,15 @@ class TwoMorphism(Record):
         if (self.inverse.src, self.inverse.dst) != (b.carrier, a.carrier):
             raise ValueError("two-morphism condition inverse: Y' -> Y fails")
         m, inv = self.m.matrix, self.inverse.matrix
-        for rel, diff, name in [
-            (b.carrier.relations, m * a.i.matrix - b.i.matrix, "m*i = i'"),
-            (b.carrier.relations, m * a.j.matrix - b.j.matrix, "m*j = j'"),
-            (a.dst.deg_0.relations, b.p.matrix * m - a.p.matrix, "p'*m = p"),
-            (a.src.deg_0.relations, b.q.matrix * m - a.q.matrix, "q'*m = q"),
-            (a.carrier.relations, inv * m - IntMatrix.identity(a.carrier.ngens), "left inverse"),
-            (b.carrier.relations, m * inv - IntMatrix.identity(b.carrier.ngens), "right inverse"),
+        for rel, f, g, c, name in [
+            (b.carrier.relations, m, a.i.matrix, b.i.matrix, "m*i = i'"),
+            (b.carrier.relations, m, a.j.matrix, b.j.matrix, "m*j = j'"),
+            (a.dst.deg_0.relations, b.p.matrix, m, a.p.matrix, "p'*m = p"),
+            (a.src.deg_0.relations, b.q.matrix, m, a.q.matrix, "q'*m = q"),
+            (a.carrier.relations, inv, m, IntMatrix.identity(a.carrier.ngens), "left inverse"),
+            (b.carrier.relations, m, inv, IntMatrix.identity(b.carrier.ngens), "right inverse"),
         ]:
-            if not in_col_span(rel, diff):
+            if not congruent(rel, f, g, c):
                 raise ValueError(f"two-morphism condition {name} fails")
 
 
@@ -150,7 +153,7 @@ def to_chain_map(b: Butterfly, s: FgAbMap) -> ChainMap:
     if s.src != b.src.deg_0 or s.dst != b.carrier:
         raise ValueError("section endpoints mismatch")
     e0 = b.src.deg_0
-    if not in_col_span(e0.relations, b.q.matrix * s.matrix - IntMatrix.identity(e0.ngens)):
+    if not congruent(e0.relations, b.q.matrix, s.matrix, IntMatrix.identity(e0.ngens)):
         raise ValueError("s is not a section of q")
     fm1 = factor_through_injection(b.i, b.src.deg_m1, b.j.matrix - s.matrix * b.src.d.matrix)
     return ChainMap(b.src, b.dst, fm1, b.p * s)
@@ -375,9 +378,9 @@ def splitting_compose(z: Butterfly, y: Butterfly, phi: FgAbMap) -> ChainMap:
         raise ValueError("splitting endpoints mismatch")
     if phi.src != y.carrier or phi.dst != z.carrier:
         raise ValueError("phi endpoints mismatch")
-    if not in_col_span(z.carrier.relations, phi.matrix * y.i.matrix - z.j.matrix):
+    if not congruent(z.carrier.relations, phi.matrix, y.i.matrix, z.j.matrix):
         raise ValueError("phi*i = j condition fails")
-    if not in_col_span(y.dst.deg_0.relations, z.q.matrix * phi.matrix + y.p.matrix):
+    if not congruent(y.dst.deg_0.relations, z.q.matrix, phi.matrix, -y.p.matrix):
         raise ValueError("q*phi = -p condition fails")
     psi_m1 = factor_through_injection(z.i, y.src.deg_m1, phi.matrix * y.j.matrix)
     sect = generator_lift(y.q.matrix, y.q.dst, IntMatrix.identity(y.src.deg_0.ngens))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from itertools import islice
 
-from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, block, in_col_span
+from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, block, congruent
 from .fgab import (
     FgAbMap, direct_sum, kernel, cokernel, generator_lift,
     is_injective, is_surjective, exact_verdicts, hom_solve, random_map,
@@ -32,20 +32,20 @@ class ButterflyShortSeq(Record):
     phi: FgAbMap  # carrier(y) -> carrier(z)
 
     def __post_init__(self):
-        """Each condition is a membership test on a matrix difference, as in TwoMorphism."""
+        """Each condition f*g = c is a congruence decided on its entries, as in TwoMorphism."""
         y, z = self.y, self.z
         if y.dst != z.src:
             raise ValueError("witness butterflies are not composable")
         if self.phi.src != y.carrier or self.phi.dst != z.carrier:
             raise ValueError("phi endpoints mismatch")
         phi = self.phi.matrix
-        for rel, diff, name in [
-            (z.carrier.relations, phi * y.i.matrix - z.j.matrix, "phi*i = j"),
-            (y.dst.deg_0.relations, z.q.matrix * phi + y.p.matrix, "q*phi = -p"),
-            (z.dst.deg_0.relations, z.p.matrix * phi, "p*phi = 0"),
-            (z.carrier.relations, phi * y.j.matrix, "phi*j = 0"),
+        for rel, f, g, c, name in [
+            (z.carrier.relations, phi, y.i.matrix, z.j.matrix, "phi*i = j"),
+            (y.dst.deg_0.relations, z.q.matrix, phi, -y.p.matrix, "q*phi = -p"),
+            (z.dst.deg_0.relations, z.p.matrix, phi, None, "p*phi = 0"),
+            (z.carrier.relations, phi, y.j.matrix, None, "phi*j = 0"),
         ]:
-            if not in_col_span(rel, diff):
+            if not congruent(rel, f, g, c):
                 raise ValueError(f"zero witness condition {name} fails")
 
     @property

@@ -26,10 +26,11 @@ One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
 subquotient, Subquotient.lift_in and induce_out take the far endpoint group
 and a raw IntMatrix and return one checked map; Simplified.to and fro,
 Cokernel.fro and Ext1's coordinates are plain matrices.  generator_lift
-lifts through a raw matrix into a given group (one intlinalg.solve); hom_solve
-takes a map and a raw right-hand side per constraint.  Each fact is checked
-once: subquotient's b*a = 0 is the lift through ker(b), and a map's descent
-is its construction.
+lifts through a raw matrix into a given group (one intlinalg.solve), while
+factor_through_injection and lift_in lift through an injection on its
+memoized map_lattice; hom_solve takes a map and a raw right-hand side per
+constraint.  Each fact is checked once: subquotient's b*a = 0 is the lift
+through ker(b), and a map's descent is its construction.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from math import prod
 from .intlinalg import (
     CACHE_SIZE, IntMatrix, InvariantError, Record, hstack, vstack, block, kron, snf,
     solve, solve_congruences, particular_solution, kernel_basis, span_basis, in_col_span,
-    reduce_cols, hermite_basis, submatrix,
+    congruent, reduce_cols, hermite_basis, submatrix,
 )
 
 
@@ -163,13 +164,14 @@ def is_well_defined(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
 
     True at once, after the shape check, when src has no relations (is
     free): the product matrix * src.relations to test then has no columns.
+    Otherwise one congruence, decided on the product's entries.
     """
     if (matrix.rows, matrix.cols) != (dst.ngens, src.ngens):
         raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, "
                          f"expected {dst.ngens}x{src.ngens}")
     if not src.relations.cols:
         return True
-    return in_col_span(dst.relations, matrix * src.relations)
+    return congruent(dst.relations, matrix, src.relations)
 
 
 # -- direct sums -----------------------------------------------------------
@@ -258,8 +260,8 @@ class Cokernel(Record):
 
     def induce(self, dst: FgAbGroup, y: IntMatrix) -> FgAbMap:
         """Descend a matrix y: (the original map's dst) -> dst along proj.
-        ValueError unless y kills lattice (one membership test)."""
-        if not in_col_span(dst.relations, y * self.lattice):
+        ValueError unless y kills lattice (one congruence)."""
+        if not congruent(dst.relations, y, self.lattice):
             raise ValueError("matrix does not define a homomorphism on the presentations")
         return FgAbMap(self.group, dst, y * self.fro)
 
@@ -315,10 +317,7 @@ class Subquotient(Record):
         the one checked map proj * lift.  Raises ValueError when x does not
         land in ker(b).
         """
-        u = generator_lift(self.ker.incl.matrix, self.ker.incl.dst, x)
-        if u is None:
-            raise ValueError("map does not land in the subgroup")
-        return FgAbMap(src, self.group, self.cok.proj.matrix * u)
+        return FgAbMap(src, self.group, self.cok.proj.matrix * _injection_lift(self.ker.incl, x))
 
     def induce_out(self, dst: FgAbGroup, y: IntMatrix) -> FgAbMap:
         """A matrix y: mid -> dst with y*a = 0 induces H -> dst."""
@@ -339,16 +338,16 @@ def is_exact_at(a: FgAbMap, b: FgAbMap) -> bool:
     """im(a) = ker(b)?  False (not an error) when b*a is not even zero.
 
     Decided by two membership tests, with no subquotient built: b*a = 0
-    (its columns lie in the span of b.dst's relations; a product that is
-    zero as a matrix is answered without factoring), and then ker(b) lies
-    in im(a) + relations of the middle group, i.e. the kernel's generators
-    lie in the span of map_lattice(a), whose factorization kernel(a) and
-    image(a) share.  Given b*a = 0 that is the same as ker(b)/im(a) being
-    trivial.
+    (a congruence modulo b.dst's relations, on the product's entries; a
+    product with no nonzero entry is answered without factoring), and then
+    ker(b) lies in im(a) + relations of the middle group, i.e. the kernel's
+    generators lie in the span of map_lattice(a), whose factorization
+    kernel(a) and image(a) share.  Given b*a = 0 that is the same as
+    ker(b)/im(a) being trivial.
     """
     if a.dst != b.src:
         raise ValueError("exactness endpoints mismatch")
-    if not in_col_span(b.dst.relations, b.matrix * a.matrix):
+    if not congruent(b.dst.relations, b.matrix, a.matrix):
         return False
     return in_col_span(map_lattice(a), kernel(b).incl.matrix)
 
@@ -386,10 +385,19 @@ def generator_lift(m: IntMatrix, dst: FgAbGroup, targets: IntMatrix) -> IntMatri
 def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
     """For injective incl: K -> A and a matrix x: src -> A landing in the
     image, the map src -> K."""
-    u = generator_lift(incl.matrix, incl.dst, x)
+    return FgAbMap(src, incl.src, _injection_lift(incl, x))
+
+
+def _injection_lift(incl: FgAbMap, x: IntMatrix) -> IntMatrix:
+    """Raw preimages under an injective incl: K -> A of x's columns, on the
+    factorization of the memoized map_lattice(incl) that kernel(incl) and
+    image(incl) read.  Injectivity makes a lift unique modulo K's
+    relations, so every map built from it is too.  ValueError when x does
+    not land in the image."""
+    u = solve(map_lattice(incl), x, incl.src.ngens)
     if u is None:
         raise ValueError("map does not land in the subgroup")
-    return FgAbMap(src, incl.src, u)
+    return u
 
 
 # -- affine morphism solving -------------------------------------------------
@@ -419,18 +427,18 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
 def _hom_congruences(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple],
                      post: Sequence[tuple]) -> list:
     """hom_solve's constraints, and X's descent to src's relations, as
-    congruences (L, R, C, Rel) on X: L*X*R = C modulo Rel."""
-    na, nb = src.ngens, dst.ngens
-    congruences = [(IntMatrix.identity(nb), src.relations,
-                    IntMatrix.zeros(nb, src.relations.cols), dst.relations)]
+    congruences (L, R, C, Rel) on X: L*X*R = C modulo Rel, with None for
+    each identity factor."""
+    congruences = [(None, src.relations, IntMatrix.zeros(dst.ngens, src.relations.cols),
+                    dst.relations)]
     for f, g in pre:
         if f.dst != src:
             raise ValueError("pre-constraint endpoint mismatch")
-        congruences.append((IntMatrix.identity(nb), f.matrix, g, dst.relations))
+        congruences.append((None, f.matrix, g, dst.relations))
     for h, k in post:
         if h.src != dst:
             raise ValueError("post-constraint endpoint mismatch")
-        congruences.append((h.matrix, IntMatrix.identity(na), k, h.dst.relations))
+        congruences.append((h.matrix, None, k, h.dst.relations))
     return congruences
 
 

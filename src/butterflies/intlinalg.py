@@ -208,13 +208,7 @@ class IntMatrix:
             return IntMatrix._of(self.rows, self.cols, tuple(map(int(other).__mul__, self.entries)))
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        m, k = self.cols, other.cols
-        a, b = self.entries, other.entries
-        bcols = [b[j::k] for j in range(k)]
-        return IntMatrix._of(self.rows, k, tuple([sum(map(mul, a[i * m:(i + 1) * m], bj))
-                                                  for i in range(self.rows) for bj in bcols]))
+        return IntMatrix._of(self.rows, other.cols, tuple(_product(self, other)))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -267,6 +261,15 @@ def _fill(m: IntMatrix, rows: int, cols: int, ent: tuple) -> IntMatrix:
     _set_cols(m, cols)
     _set_entries(m, ent)
     return m
+
+
+def _product(a: IntMatrix, b: IntMatrix) -> list:
+    """The entries of a*b, row major, as a list."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+    m, k, ae, be = a.cols, b.cols, a.entries, b.entries
+    bcols = [be[j::k] for j in range(k)]
+    return [sum(map(mul, ae[i * m:(i + 1) * m], bj)) for i in range(a.rows) for bj in bcols]
 
 
 def _from_lists(rows: int, cols: int, lists: list) -> IntMatrix:
@@ -533,20 +536,22 @@ def col_echelon(a: IntMatrix, width: int | None = None) -> tuple:
             _from_lists(nc, w, (row[nr:] for row in rows)), tuple(c for _, c in pivots))
 
 
-def _is_zero_rhs(a: IntMatrix, b: IntMatrix, caller: str) -> bool:
-    """Does b, a right-hand side for a, have no nonzero entry?  Raises
-    ValueError first unless b has a's row count.  solve, in_col_span and
-    reduce_cols answer such a b without looking up a's factorization: its
-    quotients and remainders are all zero."""
-    if b.rows != a.rows:
+def _is_zero_rhs(a: IntMatrix, rows: int, ent: Sequence[int], caller: str) -> bool:
+    """Does a right-hand side for a, with rows rows and entries ent, have
+    no nonzero entry?  Raises ValueError first unless rows is a's row
+    count.  solve, in_col_span, reduce_cols and congruent answer such a
+    right-hand side without looking up a's factorization: its quotients
+    and remainders are all zero."""
+    if rows != a.rows:
         raise ValueError(f"dimension mismatch in {caller}")
-    return not any(b.entries)
+    return not any(ent)
 
 
-def _back_substitute(a: IntMatrix, b: IntMatrix, top: int = 0,
+def _back_substitute(a: IntMatrix, ent: Sequence[int], nb: int, top: int = 0,
                      width: int | None = None) -> tuple:
-    """(y, r, x): the entries, row major, of Y and R with b = H*Y + R for
-    a's cached column echelon form a*V = H, each entry of R at pivot row k
+    """(y, r, x) for the right-hand side b with nb columns and entries ent,
+    row major: the entries, row major, of Y and R with b = H*Y + R for a's
+    cached column echelon form a*V = H, each entry of R at pivot row k
     floored into [0, pivot k), and of the first top rows of X = V*Y.  So
     each column of R is one remainder per coset of a's column span (Cohen,
     GTM 138, section 2.4), zero exactly for the columns of b in the span.
@@ -557,8 +562,8 @@ def _back_substitute(a: IntMatrix, b: IntMatrix, top: int = 0,
     (at least top) reads the factorization that carries only the first
     width rows of V.  Callers check b's row count."""
     ht, vt, pivot_rows = col_echelon(a) if width is None else col_echelon(a, width)
-    he, ve, nr, nb, w = ht.entries, vt.entries, ht.cols, b.cols, vt.cols
-    r, y, x = list(b.entries), [0] * (ht.rows * nb), [0] * (top * nb)
+    he, ve, nr, w = ht.entries, vt.entries, ht.cols, vt.cols
+    r, y, x = list(ent), [0] * (ht.rows * nb), [0] * (top * nb)
     for k, p in enumerate(pivot_rows):
         hk = he[k * nr + p:(k + 1) * nr]  # column k of H, from its pivot down
         vk = ve[k * w:k * w + top]        # column k of V, its first top entries
@@ -614,9 +619,9 @@ def solve(a: IntMatrix, b: IntMatrix, top: int | None = None,
     [[0, 0, 0], [0, 0, 0]]
     """
     top = _check_top(a, top, width)
-    if _is_zero_rhs(a, b, "solve"):
+    if _is_zero_rhs(a, b.rows, b.entries, "solve"):
         return IntMatrix.zeros(top, b.cols)
-    _, r, x = _back_substitute(a, b, top, width)
+    _, r, x = _back_substitute(a, b.entries, b.cols, top, width)
     if any(r):
         return None
     return IntMatrix._of(top, b.cols, tuple(x))
@@ -645,7 +650,7 @@ def span_basis(a: IntMatrix) -> tuple:
     ((2,), (1, 2, 3))
     """
     h = hermite_basis(a)
-    y, _, _ = _back_substitute(a, a)
+    y, _, _ = _back_substitute(a, a.entries, a.cols)
     return h, IntMatrix._of(h.cols, a.cols, tuple(y[:h.cols * a.cols]))
 
 
@@ -680,7 +685,29 @@ def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
     >>> in_col_span(IntMatrix.from_rows([[2, 1]]), IntMatrix.zeros(1, 2))
     True
     """
-    return _is_zero_rhs(a, b, "in_col_span") or not any(_back_substitute(a, b)[1])
+    return (_is_zero_rhs(a, b.rows, b.entries, "in_col_span")
+            or not any(_back_substitute(a, b.entries, b.cols)[1]))
+
+
+def congruent(rel: IntMatrix, a: IntMatrix, b: IntMatrix, c: IntMatrix | None = None) -> bool:
+    """Is a*b = c modulo the column span of rel (c = 0 when None)?
+
+    in_col_span(rel, a*b - c), decided on the entries: a*b - c is computed
+    as one list, not as matrices, answered True at once when it has no
+    nonzero entry, and otherwise reduced on rel's cached factorization.
+
+    >>> rel = IntMatrix.from_rows([[2, 0], [0, 3]])
+    >>> a, b = IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.column([1, 2])
+    >>> congruent(rel, a, b, IntMatrix.column([1, 5])), congruent(rel, a, b)
+    (True, False)
+    """
+    d = _product(a, b)
+    if c is not None:
+        if (c.rows, c.cols) != (a.rows, b.cols):
+            raise ValueError("shape mismatch in -")
+        d = list(map(sub, d, c.entries))
+    return (_is_zero_rhs(rel, a.rows, d, "congruent")
+            or not any(_back_substitute(rel, d, b.cols)[1]))
 
 
 def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
@@ -692,9 +719,9 @@ def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
     >>> reduce_cols(IntMatrix.column([4]), IntMatrix.from_rows([[9, -1, 3]])).entries
     (1, 3, 3)
     """
-    if _is_zero_rhs(a, m, "reduce_cols"):
+    if _is_zero_rhs(a, m.rows, m.entries, "reduce_cols"):
         return m
-    y, r, _ = _back_substitute(a, m)
+    y, r, _ = _back_substitute(a, m.entries, m.cols)
     return IntMatrix._of(m.rows, m.cols, tuple(r)) if any(y) else m
 
 
@@ -704,22 +731,35 @@ def _congruence_system(rows: int, cols: int, congruences: Sequence[tuple]) -> tu
     coefficient.  Equation (u, v) of a congruence is (L*X*R)[u][v] = C[u][v]
     less Rel[u] times column v's slack block, so its row of A is row u of
     the Kronecker product L (x) R^T, then -Rel[u] in that block: block s of
-    its X part is L[u][s] times column v of R."""
-    for (lm, rm, cm, rel) in congruences:
-        if (lm.cols != rows or rm.rows != cols or rel.rows != lm.rows
-                or (cm.rows, cm.cols) != (lm.rows, rm.cols)):
+    its X part is L[u][s] times column v of R.  An L or R of None is the
+    identity, written without one: R's column v lands in block u alone, or
+    L's row u at the entries s*cols + v."""
+    shapes = [(rows if lm is None else lm.rows, cols if rm is None else rm.cols)
+              for (lm, rm, _, _) in congruences]
+    for (lm, rm, cm, rel), (nl, nr) in zip(congruences, shapes):
+        if ((lm is not None and lm.cols != rows) or (rm is not None and rm.rows != cols)
+                or rel.rows != nl or (cm.rows, cm.cols) != (nl, nr)):
             raise ValueError("solve_congruences: shape mismatch")
-    width = rows * cols + sum(rm.cols * rel.cols for (_, rm, _, rel) in congruences)
-    n = sum(lm.rows * rm.cols for (lm, rm, _, _) in congruences)
-    flat, rhs, at, slack = [0] * (n * width), [], 0, rows * cols
-    for (lm, rm, cm, rel) in congruences:
-        for v in range(rm.cols):
-            rv, cv = rm.col(v), cm.col(v)
-            for u in range(lm.rows):
-                for s, x in enumerate(lm.row(u)):
-                    if x:
-                        start = at + s * cols
-                        flat[start:start + cols] = rv if x == 1 else [x * y for y in rv]
+    nx = rows * cols
+    width = nx + sum(nr * rel.cols for (_, _, _, rel), (_, nr) in zip(congruences, shapes))
+    n = sum(nl * nr for nl, nr in shapes)
+    flat, rhs, at, slack = [0] * (n * width), [], 0, nx
+    for (lm, rm, cm, rel), (nl, nr) in zip(congruences, shapes):
+        for v in range(nr):
+            rv, cv = None if rm is None else rm.col(v), cm.col(v)
+            for u in range(nl):
+                if lm is None:
+                    if rm is None:
+                        flat[at + u * cols + v] = 1
+                    else:
+                        flat[at + u * cols:at + (u + 1) * cols] = rv
+                elif rm is None:
+                    flat[at + v:at + nx:cols] = lm.row(u)
+                else:
+                    for s, x in enumerate(lm.row(u)):
+                        if x:
+                            start = at + s * cols
+                            flat[start:start + cols] = rv if x == 1 else [x * y for y in rv]
                 flat[at + slack:at + slack + rel.cols] = map(neg, rel.row(u))
                 rhs.append(cv[u])
                 at += width
@@ -729,8 +769,9 @@ def _congruence_system(rows: int, cols: int, congruences: Sequence[tuple]) -> tu
 
 def particular_solution(rows: int, cols: int, congruences: Sequence[tuple]) -> IntMatrix | None:
     """One integer rows x cols matrix X0 with L*X0*R = C modulo the column
-    span of Rel, for every (L, R, C, Rel) in congruences, or None: the X0
-    of solve_congruences, without its homogeneous solutions.
+    span of Rel, for every (L, R, C, Rel) in congruences (an L or R of None
+    is the identity), or None: the X0 of solve_congruences, without its
+    homogeneous solutions.
 
     >>> particular_solution(1, 1, [(IntMatrix.identity(1), IntMatrix.identity(1),
     ...                             IntMatrix.column([3]), IntMatrix.column([4]))]).entries
@@ -743,7 +784,8 @@ def particular_solution(rows: int, cols: int, congruences: Sequence[tuple]) -> I
 
 def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tuple | None:
     """Integer rows x cols matrices X with L*X*R = C modulo the column span
-    of Rel, for every (L, R, C, Rel) in congruences.
+    of Rel, for every (L, R, C, Rel) in congruences; an L or R of None is
+    the identity.
 
     Returns (X0, Ks) with X0 one solution and Ks the nonzero matrices among
     a generating set of the solutions of the homogeneous system, so every

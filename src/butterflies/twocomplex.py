@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .intlinalg import CACHE_SIZE, IntMatrix, Record, block, in_col_span
+from .intlinalg import CACHE_SIZE, IntMatrix, Record, block, congruent
 from .fgab import (
     FgAbGroup, FgAbMap, Kernel, Cokernel, direct_sum,
     kernel, cokernel, random_group, random_map,
@@ -31,6 +31,10 @@ class TwoTermComplex(Record):
 
 
 class ChainMap(Record):
+    """Components f_m1, f_0 with f_0*d = d'*f_m1: one congruence modulo the
+    relations of dst's degree 0, decided on its entries, with the product
+    d'*f_m1 as the right-hand side."""
+
     src: TwoTermComplex
     dst: TwoTermComplex
     f_m1: FgAbMap
@@ -41,8 +45,8 @@ class ChainMap(Record):
             raise ValueError("degree -1 component endpoints mismatch")
         if self.f_0.src != self.src.deg_0 or self.f_0.dst != self.dst.deg_0:
             raise ValueError("degree 0 component endpoints mismatch")
-        if not in_col_span(self.dst.deg_0.relations, self.f_0.matrix * self.src.d.matrix
-                           - self.dst.d.matrix * self.f_m1.matrix):
+        if not congruent(self.dst.deg_0.relations, self.f_0.matrix, self.src.d.matrix,
+                         self.dst.d.matrix * self.f_m1.matrix):
             raise ValueError("components do not commute with the differentials")
 
     @staticmethod

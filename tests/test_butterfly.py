@@ -21,7 +21,9 @@ from butterflies.butterfly import (
     classify, pip, copip, image_b, coimage_b, middle_exact_iso,
     splitting_compose, pullback_compose, pushout_compose, random_butterfly,
 )
-from butterflies.exactness import LongExactSequence, les, random_exact_seq, standard_seq_10
+from butterflies.exactness import (
+    ButterflyShortSeq, LongExactSequence, les, random_exact_seq, standard_seq_10,
+)
 from butterflies.fixtures import k2, e2, bockstein, ik2, br, r_chain_map, Z, Z2, Z4
 
 
@@ -136,7 +138,7 @@ class TestToChainMap:
     def test_rejects_non_section(self):
         b = ik2()
         bad = FgAbMap.zero(b.src.deg_0, b.carrier)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^s is not a section of q$"):
             to_chain_map(b, bad)
 
     def test_arbitrary_section_stays_in_class(self):
@@ -605,7 +607,7 @@ class TestSplittingCompose:
     def test_rejects_bad_phi(self):
         b = identity_butterfly(e2())
         # i = (0;1) but j = (d;1): the identity carrier map is no witness here
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^phi\*i = j condition fails$"):
             splitting_compose(b, b, FgAbMap.identity(b.carrier))
 
     def test_section_independence(self):
@@ -845,7 +847,7 @@ class TestDescentCheckCounts:
             assert is_well_defined(f.src, f.dst, f.matrix)
 
 
-# (name, arguments built before counting, operation, in_col_span calls at most)
+# (name, arguments built before counting, operation, membership tests at most)
 MEMBERSHIP_CASES = [
     ("compose B B", lambda: (bockstein(), bockstein()), compose, 10),
     ("baer_sum B B", lambda: (bockstein(), bockstein()), baer_sum, 10),
@@ -856,26 +858,28 @@ MEMBERSHIP_CASES = [
 
 
 class TestMembershipTestCounts:
-    """Membership tests (calls of intlinalg.in_col_span, through every
-    module that binds it) per operation, from cold caches.  The bounds are
-    the counts once each fact is checked once: subquotient's b*a = 0 is the
-    lift through ker(b), and two_morphism_find's inverse equations are
-    TwoMorphism's alone."""
+    """Membership tests (calls of intlinalg.in_col_span and
+    intlinalg.congruent, through every module that binds them) per
+    operation, from cold caches.  The bounds are the counts once each fact
+    is checked once: subquotient's b*a = 0 is the lift through ker(b), and
+    two_morphism_find's inverse equations are TwoMorphism's alone."""
 
     @pytest.fixture
     def count_tests(self, monkeypatch):
         calls = []
-        original = intlinalg.in_col_span
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(original):
+            def count(*args):
+                calls.append(args)
+                return original(*args)
+            return count
 
+        wrapped = {id(f): counting(f) for f in (intlinalg.in_col_span, intlinalg.congruent)}
         for info in pkgutil.iter_modules(butterflies.__path__, "butterflies."):
             mod = importlib.import_module(info.name)
             for name, obj in list(vars(mod).items()):
-                if obj is original:
-                    monkeypatch.setattr(mod, name, counting)
+                if id(obj) in wrapped:
+                    monkeypatch.setattr(mod, name, wrapped[id(obj)])
 
         def run(op, args):
             _clear_caches()
@@ -888,6 +892,56 @@ class TestMembershipTestCounts:
                              ids=[c[0] for c in MEMBERSHIP_CASES])
     def test_membership_tests_bounded(self, count_tests, build, op, bound):
         assert count_tests(op, build()) <= bound
+
+
+class TestChecksBuildNoMatrix:
+    """Each check f*g = c is a congruence decided on its entries: no
+    IntMatrix.__mul__ or __sub__ runs inside FgAbMap's descent check (on
+    sources with relations), TwoMorphism, ButterflyShortSeq or validate,
+    on seeded inputs built before counting.  validate runs once first, so
+    the kernels and cokernels its exactness verdicts read are memoized."""
+
+    @pytest.fixture
+    def arithmetic(self, monkeypatch):
+        calls = []
+        for name in ("__mul__", "__sub__"):
+            def counting(self, other, _original=getattr(IntMatrix, name), _name=name):
+                calls.append(_name)
+                return _original(self, other)
+            monkeypatch.setattr(IntMatrix, name, counting)
+        return calls
+
+    def test_descent_check(self, arithmetic):
+        rng, built = random.Random(11), 0
+        while built < 20:
+            a, b = fgab.random_group(rng), fgab.random_group(rng)
+            if not a.relations.cols:
+                continue
+            m = fgab.random_map(rng, a, b).matrix
+            arithmetic.clear()
+            assert FgAbMap(a, b, m).matrix == m
+            assert arithmetic == []
+            built += 1
+
+    def test_two_morphism_and_validate(self, arithmetic):
+        rng = random.Random(5)
+        cxs = [random_complex(rng, max_rank=1, max_order=6) for _ in range(7)]
+        chain = [random_butterfly(a, b, rng) for a, b in zip(cxs, cxs[1:])]
+        for x, y, z in zip(chain, chain[1:], chain[2:]):
+            tm = two_morphism_find(compose(compose(z, y), x), compose(z, compose(y, x)))
+            assert validate(y) == []
+            arithmetic.clear()
+            TwoMorphism(tm.source, tm.target, tm.m, tm.inverse)
+            assert validate(y) == []
+            assert arithmetic == []
+
+    def test_zero_witness(self, arithmetic):
+        rng = random.Random(2)
+        for _ in range(8):
+            s = random_exact_seq(rng)
+            arithmetic.clear()
+            ButterflyShortSeq(s.y, s.z, s.phi)
+            assert arithmetic == []
 
 
 def _records_within(value):

@@ -19,7 +19,7 @@ from butterflies import intlinalg
 from butterflies.fgab import FgAbGroup, FgAbMap, simplify
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, Record, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
-    hstack, vstack, kron, submatrix, solve_congruences, particular_solution, col_echelon,
+    congruent, hstack, vstack, kron, submatrix, solve_congruences, particular_solution, col_echelon,
 )
 
 
@@ -470,25 +470,32 @@ def kronecker_system(rows, cols, congruences):
 @settings(max_examples=80, deadline=None)
 def test_congruence_system_is_the_kronecker_definition(data):
     """The system built by blocks (a row of R, or a multiple of one, per
-    nonzero entry of L) equals the per-entry definition, for identity and
-    dense L and R, any of whose dimensions may be 0."""
+    nonzero entry of L) equals the per-entry definition, for None (the
+    identity, written without one), identity and dense L and R, any of
+    whose dimensions may be 0."""
     rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-    congruences = []
+    congruences, stated = [], []
     for _ in range(data.draw(st.integers(0, 3))):
-        if data.draw(st.booleans()):
-            lm = IntMatrix.identity(rows)
-        else:
+        kind = data.draw(st.sampled_from(["none", "identity", "dense"]))
+        if kind == "dense":
             lm = data.draw(shaped(data.draw(st.integers(0, 3)), rows, bound=3))
-        if data.draw(st.booleans()):
-            rm = IntMatrix.identity(cols)
         else:
+            lm = IntMatrix.identity(rows)
+        lm_given = None if kind == "none" else lm
+        kind = data.draw(st.sampled_from(["none", "identity", "dense"]))
+        if kind == "dense":
             rm = data.draw(shaped(cols, data.draw(st.integers(0, 3)), bound=3))
+        else:
+            rm = IntMatrix.identity(cols)
+        rm_given = None if kind == "none" else rm
         cm = data.draw(shaped(lm.rows, rm.cols, bound=3))
         rel = data.draw(shaped(lm.rows, data.draw(st.integers(0, 2)), bound=3))
         congruences.append((lm, rm, cm, rel))
+        stated.append((lm_given, rm_given, cm, rel))
     want = kronecker_system(rows, cols, congruences)
+    assert intlinalg._congruence_system(rows, cols, stated) == want
     assert intlinalg._congruence_system(rows, cols, congruences) == want
-    res, x0 = solve_congruences(rows, cols, congruences), particular_solution(rows, cols, congruences)
+    res, x0 = solve_congruences(rows, cols, stated), particular_solution(rows, cols, stated)
     assert (res is None) == (x0 is None) == (solve(*want) is None)
     assert res is None or res[0] == x0
 
@@ -519,13 +526,15 @@ def test_congruence_systems_carry_only_the_rows_of_x(monkeypatch):
 
 
 def test_zero_right_hand_side_looks_up_no_factorization():
-    """solve, in_col_span and reduce_cols answer a right-hand side with no
-    nonzero entry without a col_echelon lookup, hit or miss, and still
-    refuse one with the wrong row count."""
+    """solve, in_col_span, reduce_cols and congruent answer a right-hand
+    side with no nonzero entry without a col_echelon lookup, hit or miss,
+    and still refuse one with the wrong row count."""
     a = mat([[2, 1, 0], [0, 3, 6]])
     zero = IntMatrix.zeros(2, 4)
     before = col_echelon.cache_info()
     assert in_col_span(a, zero)
+    assert congruent(a, mat([[1, 2], [2, 4]]), mat([[2, 0, 4, 0], [-1, 0, -2, 0]]))
+    assert congruent(a, zero, IntMatrix.zeros(4, 3), IntMatrix.zeros(2, 3))
     assert reduce_cols(a, zero) is zero
     assert solve(a, zero) == IntMatrix.zeros(3, 4)
     assert solve(a, zero, top=1) == IntMatrix.zeros(1, 4)
@@ -533,8 +542,37 @@ def test_zero_right_hand_side_looks_up_no_factorization():
     for check in (in_col_span, reduce_cols, solve):
         with pytest.raises(ValueError, match="dimension mismatch"):
             check(a, IntMatrix.zeros(3, 1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        congruent(a, IntMatrix.zeros(3, 1), IntMatrix.zeros(1, 1))
     after = col_echelon.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_congruent_is_membership_of_the_difference(data):
+    """congruent(rel, a, b, c) is in_col_span(rel, a*b - c), with c = None
+    meaning zeros, on shapes any of whose dimensions may be 0, a free rel
+    (no columns) included; a planted c, a*b less a combination of rel's
+    columns, is congruent.  Each mismatched shape raises ValueError."""
+    n, m, k = (data.draw(st.integers(0, 3)) for _ in range(3))
+    rel = data.draw(shaped(n, data.draw(st.integers(0, 3)), bound=4))
+    a, b = data.draw(shaped(n, m, bound=4)), data.draw(shaped(m, k, bound=4))
+    kind = data.draw(st.sampled_from(["none", "drawn", "planted"]))
+    if kind == "none":
+        c = None
+    elif kind == "drawn":
+        c = data.draw(shaped(n, k, bound=4))
+    else:
+        c = a * b - rel * data.draw(shaped(rel.cols, k, bound=3))
+    want = in_col_span(rel, a * b - (IntMatrix.zeros(n, k) if c is None else c))
+    assert congruent(rel, a, b, c) is want
+    assert want or kind != "planted"
+    for bad in ((rel, a, IntMatrix.zeros(m + 1, k), c),
+                (rel, a, b, IntMatrix.zeros(n, k + 1)),
+                (IntMatrix.zeros(n + 1, rel.cols), a, b, c)):
+        with pytest.raises(ValueError):
+            congruent(*bad)
 
 
 @given(st.data())
@@ -879,6 +917,19 @@ class TestSourceRules:
                 else:
                     continue
                 if "col_echelon" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_membership_is_never_asked_of_arithmetic(self):
+        """No in_col_span call takes a product, sum or difference: a test
+        x*y = z modulo a lattice is congruent(rel, x, y, z), decided on the
+        entries with no matrix built for x*y or x*y - z."""
+        found = []
+        for path in source_files():
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "in_col_span"
+                        and any(isinstance(arg, ast.BinOp) for arg in node.args)):
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 

@@ -34,6 +34,11 @@ def zero_q(b: Butterfly) -> Butterfly:
     return with_wing(b, "q", FgAbMap.zero(b.carrier, b.src.deg_0))
 
 
+def ie2_section(col) -> FgAbMap:
+    """A map Z -> Z + Z, the degree 0 of E2 into identity_butterfly(E2)'s carrier."""
+    return FgAbMap(e2().deg_0, identity_butterfly(e2()).carrier, IntMatrix.column(col))
+
+
 def ie2_map(rows) -> FgAbMap:
     """A map of the carrier Z + Z of identity_butterfly(E2) to itself."""
     car = identity_butterfly(e2()).carrier
@@ -63,10 +68,19 @@ REFUSALS = {
     # chain maps out of butterflies, and compositions with chain maps
     "to_chain_map": (lambda: to_chain_map(bockstein(), FgAbMap.identity(Z4)),
                      ValueError, "section endpoints mismatch"),
+    # q*s = -1, not 1: the congruence's right-hand side is the identity
+    "to_chain_map section": (lambda: to_chain_map(identity_butterfly(e2()), ie2_section([-1, 0])),
+                             ValueError, "s is not a section of q"),
     "splitting_compose endpoints": (lambda: splitting_compose(bockstein(), br(), FgAbMap.identity(Z4)),
                                     ValueError, "splitting endpoints mismatch"),
     "splitting_compose phi": (lambda: splitting_compose(bockstein(), bockstein(), FgAbMap.identity(Z2)),
                               ValueError, "phi endpoints mismatch"),
+    # phi*i = (2;0), not j = (2;1), while q*phi = -p holds
+    "splitting_compose phi*i": (lambda: splitting_compose(identity_butterfly(e2()), identity_butterfly(e2()),
+                                                          ie2_map([[-1, 2], [0, 0]])),
+                                ValueError, "phi*i = j condition fails"),
+    # q*phi = (0, 2), not -p = (-1, 2), while phi*i = j holds: the right-hand
+    # side is the negated wing
     "splitting_compose q*phi": (lambda: splitting_compose(identity_butterfly(e2()), identity_butterfly(e2()),
                                                           ie2_map([[0, 2], [0, 1]])),
                                 ValueError, "q*phi = -p condition fails"),
