@@ -31,7 +31,7 @@ from .intlinalg import (
 from .fgab import (
     FgAbGroup, FgAbMap, direct_sum, kernel, cokernel, image,
     subquotient, is_exact_at, is_injective, is_surjective, exact_verdicts,
-    factor_through_injection, generator_lift, hom_solve, hom_solve_all,
+    factor_through_injection, lift, hom_solve, hom_solve_all,
     ext1_realize, map_lattice, preimage_lattice, solution_at,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology
@@ -195,8 +195,8 @@ def two_morphism_find(a: Butterfly, b: Butterfly) -> TwoMorphism | None:
     """A 2-morphism a => b, or None when the carriers cannot be matched.
 
     Any carrier map m commuting with the wings is invertible (short five
-    lemma); the inverse is constructed, never assumed.  One generator lift
-    of the identity through m gives L with m*L = 1; the checked map on L
+    lemma); the inverse is constructed, never assumed.  One lift of the
+    identity through m gives L with m*L = 1; the checked map on L
     proves its descent, and TwoMorphism's two inverse equations are the one
     check that L inverts m.  No lift, or a refusal of either, would mean m
     is no isomorphism: an InvariantError.
@@ -208,11 +208,11 @@ def two_morphism_find(a: Butterfly, b: Butterfly) -> TwoMorphism | None:
                   post=[(b.p, a.p.matrix), (b.q, a.q.matrix)])
     if m is None:
         return None
-    lift = generator_lift(m.matrix, b.carrier, IntMatrix.identity(b.carrier.ngens))
+    inv = lift(m, IntMatrix.identity(b.carrier.ngens))
     cause = None
-    if lift is not None:
+    if inv is not None:
         try:
-            return TwoMorphism(a, b, m, FgAbMap(b.carrier, a.carrier, lift))
+            return TwoMorphism(a, b, m, FgAbMap(b.carrier, a.carrier, inv))
         except ValueError as exc:
             cause = exc
     raise InvariantError("five lemma: wing-commuting carrier map must be invertible") from cause
@@ -235,13 +235,15 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
 # -- homology functor --------------------------------------------------------
 
 def homology_action(y: Butterfly) -> tuple:
-    """(H^-1 src -> H^-1 dst, H^0 src -> H^0 dst): i^-1 j and p q^-1."""
+    """(H^-1 src -> H^-1 dst, H^0 src -> H^0 dst): i^-1 j and p q^-1, by lifts
+    through i and q.  Any lift through q serves: two differ by i(x) +
+    relations, and proj_dst * p * i = -proj_dst * d_dst = 0."""
     hs, hd = homology(y.src), homology(y.dst)
-    u = generator_lift(y.i.matrix * hd.incl.matrix, y.carrier, y.j.matrix * hs.incl.matrix)
+    u = lift(y.i, y.j.matrix * hs.incl.matrix)
     if u is None:
         raise ValueError("map does not land in the subgroup")
-    hm1 = FgAbMap(hs.hm1, hd.hm1, u)
-    lifts = generator_lift(y.q.matrix, y.q.dst, hs.cok.fro)
+    hm1 = hd.ker.factor(hs.hm1, u)
+    lifts = lift(y.q, hs.cok.fro)
     if lifts is None:
         raise ValueError("q is not surjective; butterfly invalid")
     h0 = FgAbMap(hs.h0, hd.h0, hd.proj.matrix * y.p.matrix * lifts)
@@ -383,7 +385,7 @@ def splitting_compose(z: Butterfly, y: Butterfly, phi: FgAbMap) -> ChainMap:
     if not congruent(y.dst.deg_0.relations, z.q.matrix, phi.matrix, -y.p.matrix):
         raise ValueError("q*phi = -p condition fails")
     psi_m1 = factor_through_injection(z.i, y.src.deg_m1, phi.matrix * y.j.matrix)
-    sect = generator_lift(y.q.matrix, y.q.dst, IntMatrix.identity(y.src.deg_0.ngens))
+    sect = lift(y.q, IntMatrix.identity(y.src.deg_0.ngens))
     if sect is None:
         raise ValueError("q is not surjective; butterfly invalid")
     psi_0 = FgAbMap(y.src.deg_0, z.dst.deg_0, -(z.p.matrix * phi.matrix * sect))

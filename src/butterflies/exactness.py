@@ -14,7 +14,7 @@ from itertools import islice
 
 from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, block, congruent
 from .fgab import (
-    FgAbMap, direct_sum, kernel, cokernel, generator_lift,
+    FgAbMap, direct_sum, kernel, cokernel, lift,
     is_injective, is_surjective, exact_verdicts, hom_solve, random_map,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology, embed0, shift1, random_complex
@@ -174,9 +174,10 @@ def les(s: ButterflyShortSeq) -> LongExactSequence | None:
     phibar: coker(j_Y) -> Z is induced by the witness and qbar: coker(j_Y)
     -> H^0 E by q_Y.  It is defined because the sequence is exact:
     seq75_exact makes 0 -> coker(j_Y) -> Z -> G^0 -> 0 exact, so phibar is
-    injective with image ker(p_Z), which holds i_Z(H^-1 G).  One generator
-    lift through phibar gives phibar^-1 * i_Z; the checked map proves that
-    the composite descends.
+    injective with image ker(p_Z), which holds i_Z(H^-1 G).  So one lift u
+    through phi gives the checked delta = proj_E * q_Y * u, and any u
+    serves: phi's lattice is im(j_Y) + rel(Y), and proj_E * q_Y * j_Y =
+    proj_E * d_E = 0.
 
     None when s is not two-sided exact: les is the one place that decides
     it, so callers do not run is_exact first.
@@ -187,12 +188,10 @@ def les(s: ButterflyShortSeq) -> LongExactSequence | None:
     m1y, h0y = homology_action(s.y)
     m1z, h0z = homology_action(s.z)
 
-    cj = cokernel(s.y.j)
-    u = generator_lift(s.phi.matrix * cj.fro, s.z.carrier,
-                       s.z.i.matrix * hg.incl.matrix)  # H^-1 G -> coker(j_Y)
+    u = lift(s.phi, s.z.i.matrix * hg.incl.matrix)  # H^-1 G -> Y, up to im(j_Y)
     if u is None:
         raise InvariantError("i_Z(H^-1 G) must lie in the image of coker(j_Y) -> Z")
-    delta = FgAbMap(hg.hm1, he.h0, he.proj.matrix * s.y.q.matrix * cj.fro * u)
+    delta = FgAbMap(hg.hm1, he.h0, he.proj.matrix * s.y.q.matrix * u)
 
     groups = (he.hm1, hf.hm1, hg.hm1, he.h0, hf.h0, hg.h0)
     maps = (m1y, m1z, delta, h0y, h0z)

@@ -25,12 +25,12 @@ exact_verdicts is the one statement of what an exact sequence is.
 One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
 subquotient, Subquotient.lift_in and induce_out take the far endpoint group
 and a raw IntMatrix and return one checked map; Simplified.to and fro,
-Cokernel.fro and Ext1's coordinates are plain matrices.  generator_lift
-lifts through a raw matrix into a given group (one intlinalg.solve), while
-factor_through_injection and lift_in lift through an injection on its
-memoized map_lattice; hom_solve takes a map and a raw right-hand side per
-constraint.  Each fact is checked once: subquotient's b*a = 0 is the lift
-through ker(b), and a map's descent is its construction.
+Cokernel.fro and Ext1's coordinates are plain matrices.  lift(f, targets)
+is the one preimage solver, on f's memoized map_lattice; two lifts differ by
+an element of f's lattice, which every caller's composite kills.  hom_solve
+takes a map and a raw right-hand side per constraint.  Each fact is checked
+once: subquotient's b*a = 0 is the lift through ker(b), and a map's descent
+is its construction.
 """
 
 from __future__ import annotations
@@ -317,7 +317,10 @@ class Subquotient(Record):
         the one checked map proj * lift.  Raises ValueError when x does not
         land in ker(b).
         """
-        return FgAbMap(src, self.group, self.cok.proj.matrix * _injection_lift(self.ker.incl, x))
+        u = lift(self.ker.incl, x)
+        if u is None:
+            raise ValueError("map does not land in the subgroup")
+        return FgAbMap(src, self.group, self.cok.proj.matrix * u)
 
     def induce_out(self, dst: FgAbGroup, y: IntMatrix) -> FgAbMap:
         """A matrix y: mid -> dst with y*a = 0 induces H -> dst."""
@@ -371,33 +374,21 @@ def exact_verdicts(*maps: FgAbMap):
     yield is_surjective(maps[-1])
 
 
-def generator_lift(m: IntMatrix, dst: FgAbGroup, targets: IntMatrix) -> IntMatrix | None:
-    """Generator-wise preimages: a raw matrix Y with m*Y = targets modulo
-    dst's relations, for a matrix m into dst: the top m.cols rows of one
-    solution of [m | dst.relations]*X = targets.
-
-    The result need not define a homomorphism on the source's relations;
-    callers compose it so the composite does.
-    """
-    return solve(hstack(m, dst.relations), targets, m.cols)
+def lift(f: FgAbMap, targets: IntMatrix) -> IntMatrix | None:
+    """A raw X with f*X = targets modulo dst's relations, or None: one solve
+    on the memoized map_lattice(f).  X is unique up to columns of f's
+    lattice {x : f*x in rel(dst)}, which is rel(src) for an injection and
+    which every other caller's composite kills; X itself need not descend."""
+    return solve(map_lattice(f), targets, f.src.ngens)
 
 
 def factor_through_injection(incl: FgAbMap, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
     """For injective incl: K -> A and a matrix x: src -> A landing in the
-    image, the map src -> K."""
-    return FgAbMap(src, incl.src, _injection_lift(incl, x))
-
-
-def _injection_lift(incl: FgAbMap, x: IntMatrix) -> IntMatrix:
-    """Raw preimages under an injective incl: K -> A of x's columns, on the
-    factorization of the memoized map_lattice(incl) that kernel(incl) and
-    image(incl) read.  Injectivity makes a lift unique modulo K's
-    relations, so every map built from it is too.  ValueError when x does
-    not land in the image."""
-    u = solve(map_lattice(incl), x, incl.src.ngens)
+    image, the map src -> K.  ValueError when x does not land in it."""
+    u = lift(incl, x)
     if u is None:
         raise ValueError("map does not land in the subgroup")
-    return u
+    return FgAbMap(src, incl.src, u)
 
 
 # -- affine morphism solving -------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 import butterflies
 from butterflies import butterfly, fgab, intlinalg
-from butterflies.intlinalg import IntMatrix, InvariantError, hstack, vstack, in_col_span, col_echelon
+from butterflies.intlinalg import (
+    IntMatrix, InvariantError, hstack, vstack, in_col_span, col_echelon, solve,
+)
 from butterflies.fgab import (
     FgAbGroup, FgAbMap, direct_sum, is_injective, is_surjective, hom_solve,
     is_well_defined, random_map,
@@ -297,7 +299,7 @@ class TestTwoMorphisms:
         if lift is not None:
             assert is_well_defined(y.carrier, y.carrier, lift) == descends
         # two_morphism_find inverts m by one lift of the identity, which this replaces
-        monkeypatch.setattr(butterfly, "generator_lift", lambda m, dst, targets: lift)
+        monkeypatch.setattr(butterfly, "lift", lambda f, targets: lift)
         with pytest.raises(InvariantError, match="^five lemma: wing-commuting carrier map must be invertible$"):
             two_morphism_find(y, y)
 
@@ -387,17 +389,18 @@ class TestHomologyAction:
         assert hm1.src.is_trivial()
         assert is_injective(h0) and is_surjective(h0)
 
-    def test_hm1_matches_two_step_lift(self):
-        """homology_action lifts j * incl_src once through i * incl_dst; the
-        map must agree with the two-step path: lift through i, then factor
-        through H^-1 dst's kernel inclusion."""
+    def test_hm1_matches_one_step_lift(self):
+        """homology_action lifts j * incl_src through i, then factors through
+        H^-1 dst's kernel inclusion; the map must agree with the one-step
+        path: one solve of the stacked [i * incl_dst | rel(Y)]."""
         from butterflies.selftest import butterfly_suite
         ours, reference = [], []
         for y in butterfly_suite():
             hs, hd = homology(y.src), homology(y.dst)
-            u = fgab.generator_lift(y.i.matrix, y.carrier, y.j.matrix * hs.incl.matrix)
+            u = solve(hstack(y.i.matrix * hd.incl.matrix, y.carrier.relations),
+                      y.j.matrix * hs.incl.matrix, hd.hm1.ngens)
             assert u is not None
-            reference.append(hd.ker.factor(hs.hm1, u))
+            reference.append(FgAbMap(hs.hm1, hd.hm1, u))
             ours.append(homology_action(y)[0])
         assert all(a == b for a, b in zip(ours, reference))
         # not vacuous: some actions are nonzero

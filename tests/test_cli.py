@@ -553,6 +553,13 @@ class TestRoundTrip:
         main(["gen", "sequence", "--seed", "4", "--out", b])
         assert Path(a).read_text() == Path(b).read_text()
 
+    @pytest.mark.parametrize("kind", ["group", "complex", "butterfly", "sequence"])
+    def test_gen_seed_defaults_to_zero(self, tmp_path, kind):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gen", kind, "--out", str(a)]) == 0
+        assert main(["gen", kind, "--seed", "0", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 # every --help screen, byte for byte (COLUMNS=80), keyed by subcommand
 # ("" is the top level)

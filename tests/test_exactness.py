@@ -230,10 +230,10 @@ class TestLes:
             assert les(s).all_exact
 
     def test_delta_matches_two_sided_solve(self):
-        """les lifts i_Z once through phibar: coker(j_Y) -> Z; its delta must
-        agree, as a map, with the proof's construction: kernels Y' and Z'
-        into G^0, the induced carrier map f: Y' -> Z' inverted as X with
-        X*f = 1 and f*X = 1, and projection to H^0 E."""
+        """les lifts i_Z once through phi, which is phibar: coker(j_Y) -> Z
+        on Y; its delta must agree, as a map, with the proof's construction:
+        kernels Y' and Z' into G^0, the induced carrier map f: Y' -> Z'
+        inverted as X with X*f = 1 and f*X = 1, and projection to H^0 E."""
         def reference_delta(s):
             he, hg = homology(s.e), homology(s.g)
             cj = cokernel(s.y.j)
@@ -260,10 +260,10 @@ class TestLes:
 
     def test_failed_lift_is_invariant_error(self, monkeypatch):
         # is_exact has shown phibar injective onto ker(p_Z), so the one lift
-        # through it cannot fail on a valid sequence
+        # through phi cannot fail on a valid sequence
         from butterflies import exactness
         from butterflies.intlinalg import InvariantError
-        monkeypatch.setattr(exactness, "generator_lift", lambda m, dst, targets: None)
+        monkeypatch.setattr(exactness, "lift", lambda f, targets: None)
         with pytest.raises(InvariantError, match="must lie in the image"):
             les(standard_seq_10(e2()))
 

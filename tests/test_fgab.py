@@ -14,7 +14,7 @@ from butterflies.fgab import (
     FgAbGroup, FgAbMap, is_well_defined, direct_sum, simplify,
     kernel, cokernel, image, subquotient, is_exact_at, is_injective,
     is_surjective, exact_verdicts, hom_solve, hom_solve_all, ext1_realize, hom_group,
-    random_group, random_map, factor_through_injection, generator_lift,
+    random_group, random_map, factor_through_injection, lift, map_lattice, preimage_lattice,
     precompose, dual_presentation, free_presentation,
 )
 
@@ -617,14 +617,47 @@ def test_dual_presentation_is_precompose_on_free_presentation():
         assert r == free_presentation(a) and f == precompose(r, Z4)
 
 
-def test_generator_lift_and_injection_factor():
+def test_lift_and_injection_factor():
     red = FgAbMap(Z4, Z2, m([[1]]))
-    lifts = generator_lift(red.matrix, red.dst, IntMatrix.identity(1))
+    lifts = lift(red, IntMatrix.identity(1))
     assert lifts is not None and lifts[0, 0] % 2 == 1
+    # 1 has no preimage under x2: Z -> Z
+    assert lift(FgAbMap(Z, Z, m([[2]])), IntMatrix.identity(1)) is None
     k = kernel(red)
     t2 = FgAbMap(Z2, Z4, m([[2]]))
     u = factor_through_injection(k.incl, t2.src, t2.matrix)
     assert k.incl * u == t2
+    # the identity of Z4 does not land in ker(red) = 2*Z4
+    with pytest.raises(ValueError, match="^map does not land in the subgroup$"):
+        factor_through_injection(k.incl, Z4, IntMatrix.identity(1))
+
+
+# use_true_random, for the reason given at the exactness property above
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=60, deadline=None)
+def test_lift_matches_the_stacked_solve(rng):
+    """lift solves on map_lattice(f) = [f | free_presentation(dst)], not on
+    a stacked [f | dst.relations]: the two agree on solvability, and two
+    solutions differ by columns of f's lattice, which every caller's
+    composite kills.  Targets are images f*x (always solvable) and random
+    columns."""
+    src = random_group(rng, max_order=8)
+    dst = random_group(rng, max_order=8)
+    if rng.random() < 0.5:
+        dst = _with_dependent_relator(rng, dst)
+    f = random_map(rng, src, dst)
+    k = rng.randint(1, 3)
+    x = IntMatrix(src.ngens, k, [rng.randint(-3, 3) for _ in range(src.ngens * k)])
+    noise = IntMatrix(dst.ngens, k, [rng.randint(-3, 3) for _ in range(dst.ngens * k)])
+    for targets in (f.matrix * x, noise):
+        ours = lift(f, targets)
+        stacked = solve(hstack(f.matrix, dst.relations), targets, src.ngens)
+        assert (ours is None) == (stacked is None)
+        if targets is not noise:
+            assert ours is not None
+        if ours is not None:
+            assert in_col_span(dst.relations, f.matrix * ours - targets)
+            assert in_col_span(preimage_lattice(f), ours - stacked)
 
 
 # use_true_random, for the reason given at the exactness property above
@@ -651,16 +684,18 @@ def test_kernel_cokernel_universal_properties(rng):
 
 
 def test_solvers_build_no_product_or_transpose(monkeypatch):
-    """solve, kernel_basis, generator_lift and hom_solve_all read each kept
-    row of a solution off the cached transform: no IntMatrix product or
-    transpose runs inside them, a count that does not depend on timing."""
+    """solve, kernel_basis, lift and hom_solve_all read each kept row of a
+    solution off the cached transform: no IntMatrix product or transpose
+    runs inside them, a count that does not depend on timing.  The lattice
+    is map_lattice(f), built before counting: it is the matrix lift reads,
+    and its memo miss runs free_presentation's transpose."""
     rng = random.Random(11)
     a, b = random_group(rng), random_group(rng)
     while not (a.ngens and b.ngens):
         a, b = random_group(rng), random_group(rng)
     f = random_map(rng, a, b)
     x = IntMatrix(a.ngens, 2, [rng.randint(-3, 3) for _ in range(2 * a.ngens)])
-    lattice, fx, one = hstack(f.matrix, b.relations), f.matrix * x, FgAbMap.identity(a)
+    lattice, fx, one = map_lattice(f), f.matrix * x, FgAbMap.identity(a)
     calls = {"__mul__": 0, "transpose": 0}
     with monkeypatch.context() as patch:
         for name in calls:
@@ -670,7 +705,7 @@ def test_solvers_build_no_product_or_transpose(monkeypatch):
             patch.setattr(IntMatrix, name, counted)
         solved = solve(lattice, fx, a.ngens)
         kern = kernel_basis(lattice, a.ngens)
-        lifted = generator_lift(f.matrix, b, fx)
+        lifted = lift(f, fx)
         homs = hom_solve_all(a, b, pre=[(one, f.matrix)])
     assert calls == {"__mul__": 0, "transpose": 0}
     assert in_col_span(b.relations, f.matrix * solved - fx)

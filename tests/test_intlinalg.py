@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import ast
 import importlib
 import io
@@ -868,6 +870,34 @@ class TestSourceRules:
                     if any(isinstance(t, ast.Name) and t.id == "AssertionError" for t in caught):
                         found.append(f"{path.name}:{node.lineno} except AssertionError")
         assert found == []
+
+    def test_record_subclasses_keep_their_annotations(self):
+        """Record reads a class's fields from the __annotations__ its body
+        leaves in the namespace.  Python 3.14 defers annotations (PEP 649)
+        and stores an annotate function there instead, unless the module
+        has from __future__ import annotations; so every file, library or
+        test, that subclasses a Record, directly or not, has that import."""
+        def base_name(node):
+            return getattr(node, "id", getattr(node, "attr", None))
+
+        trees = {path: ast.parse(path.read_text())
+                 for path in source_files() + sorted(Path(__file__).parent.glob("*.py"))}
+        classes = [(path, node) for path, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)]
+        records = {"Record"}
+        while True:
+            grown = records | {node.name for _, node in classes
+                               if any(base_name(b) in records for b in node.bases)}
+            if grown == records:
+                break
+            records = grown
+        users = {path for path, node in classes if any(base_name(b) in records for b in node.bases)}
+        assert {p.name for p in users} >= {"fgab.py", "butterfly.py", "test_intlinalg.py"}
+        missing = [path.name for path in users
+                   if not any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                              and any(a.name == "annotations" for a in node.names)
+                              for node in trees[path].body)]
+        assert missing == []
 
     def test_no_private_name_imported_from_another_module(self):
         """A module's _private names stay its own: no module of the package
