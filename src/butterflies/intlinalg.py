@@ -13,7 +13,7 @@ groups and zero complexes and must behave as zero objects.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain
 from operator import add, attrgetter, index, mul, neg, sub
@@ -57,6 +57,7 @@ class Record(metaclass=_RecordType):
     instances of the same class.  The hash is that of the field tuple,
     computed on first use and kept in a slot, so a memo key is walked once
     over its whole life.  Instances refuse assignment and deletion.
+    Matrices are Records too, but keep no hash: most are never hashed.
 
     >>> class Pair(Record):
     ...     a: int
@@ -112,24 +113,26 @@ class Record(metaclass=_RecordType):
 _set_hash = Record._hash.__set__
 
 
-class IntMatrix:
-    """An immutable rows x cols matrix of Python ints, row major.
-
-    The hash is computed when it is asked for, not stored: only cache keys
-    are ever hashed, and most matrices are intermediate results.
+class IntMatrix(Record):
+    """An immutable rows x cols matrix of Python ints, row major: a Record
+    whose __post_init__ checks the entries and stores them as a tuple.  It
+    does not keep its hash: only cache keys are ever hashed, and most
+    matrices are intermediate results.
 
     >>> m = IntMatrix(2, 2, [1, 2, 3, 4])
     >>> m, (m * m).entries
     (IntMatrix(1 2; 3 4), (7, 10, 15, 22))
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        rows, cols = index(rows), index(cols)  # refuses 2.0, which the checks below let by
+    def __post_init__(self):
+        rows, cols = index(self.rows), index(self.cols)  # refuses 2.0, which the checks below let by
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        given = tuple(entries)
+        given = tuple(self.entries)
         ent = tuple(map(int, given))
         # int() truncates 2.5 and Fraction(7, 2); a str is parsed, not compared
         if ent != given and any(not isinstance(x, str) and x != e for x, e in zip(given, ent)):
@@ -144,8 +147,9 @@ class IntMatrix:
         must already be a tuple of rows * cols ints, and nothing is checked."""
         return _fill(object.__new__(IntMatrix), rows, cols, ent)
 
-    def __setattr__(self, *a):
-        raise AttributeError("IntMatrix is immutable")
+    def __hash__(self):
+        # not kept in Record's slot, which would cost a store per matrix built
+        return hash((self.rows, self.cols, self.entries))
 
     # -- constructors ------------------------------------------------------
 
@@ -232,14 +236,6 @@ class IntMatrix:
     def __neg__(self):
         return IntMatrix._of(self.rows, self.cols, tuple(map(neg, self.entries)))
 
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"IntMatrix({self.rows}x{self.cols})"
@@ -251,7 +247,7 @@ class IntMatrix:
                              tuple(chain.from_iterable(self.entries[j::c] for j in range(c))))
 
 
-# The slots' own setters, which bypass the immutability guard in __setattr__.
+# The slots' own setters, which bypass Record's immutability guard.
 _set_rows, _set_cols, _set_entries = (
     IntMatrix.rows.__set__, IntMatrix.cols.__set__, IntMatrix.entries.__set__)
 
@@ -536,31 +532,27 @@ def col_echelon(a: IntMatrix, width: int | None = None) -> tuple:
             _from_lists(nc, w, (row[nr:] for row in rows)), tuple(c for _, c in pivots))
 
 
-def _is_zero_rhs(a: IntMatrix, rows: int, ent: Sequence[int], caller: str) -> bool:
-    """Does a right-hand side for a, with rows rows and entries ent, have
-    no nonzero entry?  Raises ValueError first unless rows is a's row
-    count.  solve, in_col_span, reduce_cols and congruent answer such a
-    right-hand side without looking up a's factorization: its quotients
-    and remainders are all zero."""
-    if rows != a.rows:
-        raise ValueError(f"dimension mismatch in {caller}")
-    return not any(ent)
-
-
-def _back_substitute(a: IntMatrix, ent: Sequence[int], nb: int, top: int = 0,
+def _back_substitute(a: IntMatrix, ent: Sequence[int], rows: int, nb: int, top: int = 0,
                      width: int | None = None) -> tuple:
-    """(y, r, x) for the right-hand side b with nb columns and entries ent,
-    row major: the entries, row major, of Y and R with b = H*Y + R for a's
-    cached column echelon form a*V = H, each entry of R at pivot row k
-    floored into [0, pivot k), and of the first top rows of X = V*Y.  So
-    each column of R is one remainder per coset of a's column span (Cohen,
-    GTM 138, section 2.4), zero exactly for the columns of b in the span.
+    """(y, r, x) for the right-hand side b with rows rows, nb columns and
+    entries ent, row major: the entries, row major, of Y and R with
+    b = H*Y + R for a's cached column echelon form a*V = H, each entry of R
+    at pivot row k floored into [0, pivot k), and of the first top rows of
+    X = V*Y.  So each column of R is one remainder per coset of a's column
+    span (Cohen, GTM 138, section 2.4), zero exactly for the columns of b
+    in the span.
 
     Y is zero below the pivots, so X sums, for each quotient q found at
     pivot k, q times the first top entries of V's column k, which is row k
     of the cached V^T; with top = 0 the transform is not read.  A width
     (at least top) reads the factorization that carries only the first
-    width rows of V.  Callers check b's row count."""
+    width rows of V.  The one gate for every right-hand side: it raises
+    ValueError unless rows is a's row count, and answers a b with no
+    nonzero entry with zero Y and X and ent as R, without factoring a."""
+    if rows != a.rows:
+        raise ValueError(f"dimension mismatch: {rows} rows against a {a.rows}x{a.cols} matrix")
+    if not any(ent):
+        return (0,) * (a.cols * nb), ent, (0,) * (top * nb)
     ht, vt, pivot_rows = col_echelon(a) if width is None else col_echelon(a, width)
     he, ve, nr, w = ht.entries, vt.entries, ht.cols, vt.cols
     r, y, x = list(ent), [0] * (ht.rows * nb), [0] * (top * nb)
@@ -619,9 +611,7 @@ def solve(a: IntMatrix, b: IntMatrix, top: int | None = None,
     [[0, 0, 0], [0, 0, 0]]
     """
     top = _check_top(a, top, width)
-    if _is_zero_rhs(a, b.rows, b.entries, "solve"):
-        return IntMatrix.zeros(top, b.cols)
-    _, r, x = _back_substitute(a, b.entries, b.cols, top, width)
+    _, r, x = _back_substitute(a, b.entries, b.rows, b.cols, top, width)
     if any(r):
         return None
     return IntMatrix._of(top, b.cols, tuple(x))
@@ -650,7 +640,7 @@ def span_basis(a: IntMatrix) -> tuple:
     ((2,), (1, 2, 3))
     """
     h = hermite_basis(a)
-    y, _, _ = _back_substitute(a, a.entries, a.cols)
+    y, _, _ = _back_substitute(a, a.entries, a.rows, a.cols)
     return h, IntMatrix._of(h.cols, a.cols, tuple(y[:h.cols * a.cols]))
 
 
@@ -685,8 +675,7 @@ def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
     >>> in_col_span(IntMatrix.from_rows([[2, 1]]), IntMatrix.zeros(1, 2))
     True
     """
-    return (_is_zero_rhs(a, b.rows, b.entries, "in_col_span")
-            or not any(_back_substitute(a, b.entries, b.cols)[1]))
+    return not any(_back_substitute(a, b.entries, b.rows, b.cols)[1])
 
 
 def congruent(rel: IntMatrix, a: IntMatrix, b: IntMatrix, c: IntMatrix | None = None) -> bool:
@@ -706,8 +695,7 @@ def congruent(rel: IntMatrix, a: IntMatrix, b: IntMatrix, c: IntMatrix | None = 
         if (c.rows, c.cols) != (a.rows, b.cols):
             raise ValueError("shape mismatch in -")
         d = list(map(sub, d, c.entries))
-    return (_is_zero_rhs(rel, a.rows, d, "congruent")
-            or not any(_back_substitute(rel, d, b.cols)[1]))
+    return not any(_back_substitute(rel, d, a.rows, b.cols)[1])
 
 
 def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
@@ -719,9 +707,7 @@ def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
     >>> reduce_cols(IntMatrix.column([4]), IntMatrix.from_rows([[9, -1, 3]])).entries
     (1, 3, 3)
     """
-    if _is_zero_rhs(a, m.rows, m.entries, "reduce_cols"):
-        return m
-    y, r, _ = _back_substitute(a, m.entries, m.cols)
+    y, r, _ = _back_substitute(a, m.entries, m.rows, m.cols)
     return IntMatrix._of(m.rows, m.cols, tuple(r)) if any(y) else m
 
 

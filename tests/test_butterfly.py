@@ -432,6 +432,40 @@ class TestInvertibility:
             invert(z)
 
 
+def fraction(y: Butterfly) -> Butterfly:
+    """g * s^-1 for y: E -> F with carrier Y, where s = ((1 0), q): E^ -> E
+    is a quasi-isomorphism and g = ((0 -1), p): E^ -> F a chain map out of
+    E^ = [E^-1 (+) F^-1 --(j | i)--> Y]."""
+    e, f = y.src, y.dst
+    m1, n1 = e.deg_m1.ngens, f.deg_m1.ngens
+    sum_m1 = direct_sum(e.deg_m1, f.deg_m1)
+    hat = TwoTermComplex(FgAbMap(sum_m1, y.carrier, hstack(y.j.matrix, y.i.matrix)))
+    s = ChainMap(hat, e, FgAbMap(sum_m1, e.deg_m1, hstack(IntMatrix.identity(m1), IntMatrix.zeros(m1, n1))),
+                 y.q)
+    g = ChainMap(hat, f, FgAbMap(sum_m1, f.deg_m1, hstack(IntMatrix.zeros(n1, m1), -IntMatrix.identity(n1))),
+                 y.p)
+    return compose(from_chain_map(g), invert(from_chain_map(s)))
+
+
+class TestButterfliesAreFractions:
+    """Every butterfly y: E -> F is 2-isomorphic to its fraction g * s^-1
+    (Noohi, On weak maps between 2-groups, arXiv math/0506313).  The check
+    reaches from_chain_map, is_invertible, invert, compose and
+    two_morphism_find at once, and needs no oracle."""
+
+    def test_fixtures(self):
+        for y in (bockstein(), ik2(), br(), identity_butterfly(e2()), zero_butterfly(k2(), e2())):
+            assert two_morphism_find(fraction(y), y) is not None
+        # the check can fail: B's fraction is B, not the identity of K2
+        assert two_morphism_find(fraction(bockstein()), ik2()) is None
+
+    def test_random_pairs(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            y = random_butterfly(random_complex(rng), random_complex(rng), rng)
+            assert two_morphism_find(fraction(y), y) is not None
+
+
 class TestKernelCokernel:
     def test_bockstein_quasi_trivial(self):
         kcx, kbf = kernel_b(bockstein())

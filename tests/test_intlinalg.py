@@ -782,11 +782,19 @@ class TestCachePolicy:
 
 
 def assert_as_checked(m):
-    """m is what the checked public constructor makes of its own entries."""
+    """m is what the checked public constructor makes of its own entries,
+    and refuses assignment and deletion of each field, staying equal to
+    that rebuilt copy after each refusal."""
     rebuilt = IntMatrix(m.rows, m.cols, list(m.entries))
-    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert m == rebuilt and hash(m) == hash(rebuilt) == hash((m.rows, m.cols, m.entries))
     assert type(m.entries) is tuple
     assert all(type(e) is int for e in m.entries)
+    for field in ("rows", "cols", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, getattr(rebuilt, field))
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+        assert m == rebuilt and hash(m) == hash(rebuilt)
 
 
 class TestTrustedResults:
@@ -808,7 +816,7 @@ class TestTrustedResults:
                    hstack(a, a2), vstack(a, a2), kron(a, b), kernel_basis(a),
                    IntMatrix.identity(r), IntMatrix.zeros(r, c), submatrix(a, range(r // 2)),
                    submatrix(a, range(r // 2, r), range(k // 2, k)),
-                   *hnf(a), *snf(a), x0, *ks]
+                   *hnf(a), *snf(a), x0, *ks, IntMatrix(r, k, a.entries)]
         for m in results:
             assert_as_checked(m)
 
@@ -898,6 +906,25 @@ class TestSourceRules:
                               and any(a.name == "annotations" for a in node.names)
                               for node in trees[path].body)]
         assert missing == []
+
+    def test_only_record_states_the_value_rules(self):
+        """Equality and the refusal of assignment and deletion are said once,
+        in Record: no other class under src/ defines __setattr__,
+        __delattr__ or __eq__, by def or by assignment."""
+        rules = {"__setattr__", "__delattr__", "__eq__"}
+        found = []
+        for path in source_files():
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and node.name != "Record":
+                    for item in node.body:
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            names = [item.name]
+                        elif isinstance(item, ast.Assign):
+                            names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                        else:
+                            continue
+                        found += [f"{path.name}:{item.lineno} {node.name}.{n}" for n in names if n in rules]
+        assert found == []
 
     def test_no_private_name_imported_from_another_module(self):
         """A module's _private names stay its own: no module of the package
