@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import chain
-from operator import add, attrgetter, index, mul, neg, sub
+from itertools import chain, compress
+from operator import add, attrgetter, getitem, index, mul, neg, sub
 
 
 # The one bound on every memo cache in the package: results are pure
@@ -53,10 +53,12 @@ class Record(metaclass=_RecordType):
     each gets a slot, so instances have no __dict__.  Each subclass gets,
     compiled once, what a frozen dataclass would get: an __init__ taking the
     fields by position or keyword (it then calls self.__post_init__() when
-    the class has one), and an == that compares the field tuples of two
-    instances of the same class.  The hash is that of the field tuple,
-    computed on first use and kept in a slot, so a memo key is walked once
-    over its whole life.  Instances refuse assignment and deletion.
+    the class has one), unless its body defines its own, and an == that
+    compares the field tuples of two instances of the same class.  The hash
+    is that of the field tuple, computed on first use and kept in a slot,
+    so a memo key is walked once over its whole life.  Instances refuse
+    assignment and deletion; copy and pickle rebuild them from their field
+    tuples through the class, so a copy is checked as the original was.
     Matrices are Records too, but keep no hash: most are never hashed.
 
     >>> class Pair(Record):
@@ -64,6 +66,8 @@ class Record(metaclass=_RecordType):
     ...     b: int
     >>> Pair(1, b=2), Pair(1, 2) == Pair(1, 2), hash(Pair(1, 2)) == hash((1, 2))
     (Pair(a=1, b=2), True, True)
+    >>> Pair(1, 2).__reduce__()
+    (<class 'butterflies.intlinalg.Pair'>, (1, 2))
     """
 
     __slots__ = ("_hash",)
@@ -76,9 +80,9 @@ class Record(metaclass=_RecordType):
         sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
         post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
         # _hash is set last: __post_init__ may still replace a field
-        src = (f"def __init__(self, {', '.join(names)}):\n{sets}{post}"
-               "    _set_hash(self, None)\n"
-               "def __eq__(self, other):\n"
+        init = (f"def __init__(self, {', '.join(names)}):\n{sets}{post}"
+                "    _set_hash(self, None)\n") if "__init__" not in vars(cls) else ""
+        src = (f"{init}def __eq__(self, other):\n"
                "    if other.__class__ is not self.__class__:\n"
                "        return NotImplemented\n"
                f"    return ({mine}) == ({theirs})\n")
@@ -99,6 +103,10 @@ class Record(metaclass=_RecordType):
             _set_hash(self, h)
         return h
 
+    def __reduce__(self):
+        # restoring slot state would go through the refused __setattr__
+        return type(self), self._field_tuple(self)
+
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -115,9 +123,9 @@ _set_hash = Record._hash.__set__
 
 class IntMatrix(Record):
     """An immutable rows x cols matrix of Python ints, row major: a Record
-    whose __post_init__ checks the entries and stores them as a tuple.  It
-    does not keep its hash: only cache keys are ever hashed, and most
-    matrices are intermediate results.
+    whose own __init__ checks the entries and stores each field once, as a
+    tuple for the entries.  It does not keep its hash: only cache keys are
+    ever hashed, and most matrices are intermediate results.
 
     >>> m = IntMatrix(2, 2, [1, 2, 3, 4])
     >>> m, (m * m).entries
@@ -128,11 +136,11 @@ class IntMatrix(Record):
     cols: int
     entries: tuple
 
-    def __post_init__(self):
-        rows, cols = index(self.rows), index(self.cols)  # refuses 2.0, which the checks below let by
+    def __init__(self, rows, cols, entries):
+        rows, cols = index(rows), index(cols)  # refuses 2.0, which the checks below let by
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        given = tuple(self.entries)
+        given = tuple(entries)
         ent = tuple(map(int, given))
         # int() truncates 2.5 and Fraction(7, 2); a str is parsed, not compared
         if ent != given and any(not isinstance(x, str) and x != e for x, e in zip(given, ent)):
@@ -403,7 +411,8 @@ def hnf(m: IntMatrix) -> tuple:
 
     U is unimodular; H is in row echelon form with positive pivots and the
     entries above each pivot reduced into [0, pivot).  It is the cached
-    column echelon factorization of m's transpose, read as is.
+    column echelon factorization of m's transpose: the rows of H are its
+    pivot plan written out, and U is its V^T as is.
 
     >>> h, u = hnf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> h.to_lists()
@@ -411,7 +420,10 @@ def hnf(m: IntMatrix) -> tuple:
     >>> (u * IntMatrix.from_rows([[2, 4], [6, 8]])) == h
     True
     """
-    return col_echelon(m.transpose())[:2]
+    a = m.transpose()
+    h = hermite_basis(a).transpose()  # the rows of H after these are zero
+    return (IntMatrix._of(m.rows, m.cols, h.entries + (0,) * ((m.rows - h.rows) * m.cols)),
+            col_echelon(a)[3])
 
 
 def _is_diagonal(a: list) -> bool:
@@ -501,12 +513,15 @@ def snf(m: IntMatrix) -> tuple:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def col_echelon(a: IntMatrix, width: int | None = None) -> tuple:
-    """Cached column echelon factorization a*V = H, kept transposed.
+    """Cached column echelon factorization a*V = H, kept as a pivot plan.
 
-    Returns (H^T, V^T, pivot rows per pivot column), where (H^T, V^T) is the
-    row HNF of a^T; column k of H is row k of H^T.  The elimination runs on
-    the rows [column j of a | row j of I], so each ends as [row j of H^T |
-    row j of V^T], and the pivots it finds are the pivot rows.
+    Returns (pivot rows, pivot values, tails, V^T): column k of H is zero
+    above its pivot row p_k, holds the pivot value at p_k, and below it the
+    nonzero entries listed in tails[k] as (row, entry) pairs, most often
+    none (the empty tuple, which every such column shares); the columns of
+    H after the pivots are zero.  No dense H is kept.  The elimination runs
+    on the rows [column j of a | row j of I], so each ends as [row j of H^T
+    | row j of V^T], and the pivots it finds are the pivot rows.
 
     With a width, each row starts with the first width entries of row j of
     I instead, and V^T keeps only its first width columns.  They equal the
@@ -515,9 +530,11 @@ def col_echelon(a: IntMatrix, width: int | None = None) -> tuple:
     its own.  lru_cache keys col_echelon(a) and col_echelon(a, None) apart,
     so callers without a width call col_echelon(a).
 
-    >>> a = IntMatrix.from_rows([[2, 3]])
-    >>> col_echelon(a)[1].to_lists(), col_echelon(a, 1)[1].to_lists()
-    ([[-1, 1], [3, -2]], [[-1], [3]])
+    >>> a = IntMatrix.from_rows([[2, 3], [1, 4]])
+    >>> col_echelon(a)[:3]
+    ((0, 1), (1, 5), (((1, 3),), ()))
+    >>> col_echelon(a)[3].to_lists(), col_echelon(a, 1)[3].to_lists()
+    ([[-1, 1], [-3, 2]], [[-1], [-3]])
     """
     nr, nc = a.rows, a.cols
     w = nc if width is None else width
@@ -527,9 +544,13 @@ def col_echelon(a: IntMatrix, width: int | None = None) -> tuple:
     rows = [[*ent[j::nc], *pad] for j in range(nc)]
     for j in range(w):
         rows[j][nr + j] = 1
-    pivots = _hermite(rows, [[]] * nc, nr)
-    return (_from_lists(nc, nr, (row[:nr] for row in rows)),
-            _from_lists(nc, w, (row[nr:] for row in rows)), tuple(c for _, c in pivots))
+    pivot_rows = tuple([p for _, p in _hermite(rows, [[]] * nc, nr)])
+    tails = []
+    for row, p in zip(rows, pivot_rows):  # row k of H^T is column k of H
+        below = row[p + 1:nr]
+        tails.append(tuple(compress(zip(range(p + 1, nr), below), below)) if any(below) else ())
+    return (pivot_rows, tuple(map(getitem, rows, pivot_rows)), tuple(tails),
+            _from_lists(nc, w, (row[nr:] for row in rows)))
 
 
 def _back_substitute(a: IntMatrix, ent: Sequence[int], rows: int, nb: int, top: int = 0,
@@ -542,34 +563,36 @@ def _back_substitute(a: IntMatrix, ent: Sequence[int], rows: int, nb: int, top: 
     span (Cohen, GTM 138, section 2.4), zero exactly for the columns of b
     in the span.
 
-    Y is zero below the pivots, so X sums, for each quotient q found at
-    pivot k, q times the first top entries of V's column k, which is row k
-    of the cached V^T; with top = 0 the transform is not read.  A width
-    (at least top) reads the factorization that carries only the first
-    width rows of V.  The one gate for every right-hand side: it raises
-    ValueError unless rows is a's row count, and answers a b with no
-    nonzero entry with zero Y and X and ent as R, without factoring a."""
+    It walks the cached pivot plan: at pivot k, each quotient q takes q
+    times the pivot from R's pivot row and q times each listed entry below
+    it from that entry's row, so a column with nothing below its pivot
+    costs one division.  Y is zero below the pivots, so X sums, for each q,
+    q times the first top entries of V's column k, which is row k of the
+    cached V^T; with top = 0 the transform is not read.  A width (at least
+    top) reads the factorization that carries only the first width rows of
+    V.  The one gate for every right-hand side: it raises ValueError unless
+    rows is a's row count, and answers a b with no nonzero entry with zero
+    Y and X and ent as R, without factoring a."""
     if rows != a.rows:
         raise ValueError(f"dimension mismatch: {rows} rows against a {a.rows}x{a.cols} matrix")
     if not any(ent):
         return (0,) * (a.cols * nb), ent, (0,) * (top * nb)
-    ht, vt, pivot_rows = col_echelon(a) if width is None else col_echelon(a, width)
-    he, ve, nr, w = ht.entries, vt.entries, ht.cols, vt.cols
-    r, y, x = list(ent), [0] * (ht.rows * nb), [0] * (top * nb)
-    for k, p in enumerate(pivot_rows):
-        hk = he[k * nr + p:(k + 1) * nr]  # column k of H, from its pivot down
-        vk = ve[k * w:k * w + top]        # column k of V, its first top entries
+    pivot_rows, pivots, tails, vt = col_echelon(a) if width is None else col_echelon(a, width)
+    ve, w = vt.entries, vt.cols
+    r, y, x = list(ent), [0] * (a.cols * nb), [0] * (top * nb)
+    for k, (p, h, tail) in enumerate(zip(pivot_rows, pivots, tails)):
         for j in range(nb):
-            q = r[p * nb + j] // hk[0]
+            i = p * nb + j
+            q = r[i] // h
             if q:
+                r[i] -= q * h
                 y[k * nb + j] = q
-                for i, hik in zip(range(p * nb + j, nr * nb, nb), hk):
-                    if hik:
-                        r[i] -= q * hik
+                for t, e in tail:
+                    r[t * nb + j] -= q * e
                 if top:
-                    for i, vik in zip(range(j, top * nb, nb), vk):
+                    for t, vik in zip(range(j, top * nb, nb), ve[k * w:k * w + top]):
                         if vik:
-                            x[i] += q * vik
+                            x[t] += q * vik
     return y, r, x
 
 
@@ -619,14 +642,21 @@ def solve(a: IntMatrix, b: IntMatrix, top: int | None = None,
 
 def hermite_basis(a: IntMatrix) -> IntMatrix:
     """The Hermite basis, as columns, of a's column span: the first r
-    columns of H, for a's cached column echelon form a*V = H.  Its columns
-    are independent and span the same lattice as a's.
+    columns of H, for a's cached column echelon form a*V = H, written out
+    from its pivot plan.  Its columns are independent and span the same
+    lattice as a's.
 
     >>> hermite_basis(IntMatrix.from_rows([[2, 4, 6], [0, 1, 1]])).to_lists()
     [[2, 0], [0, 1]]
     """
-    ht, _, pivot_rows = col_echelon(a)
-    return submatrix(ht, range(len(pivot_rows))).transpose()
+    pivot_rows, pivots, tails, _ = col_echelon(a)
+    r = len(pivot_rows)
+    h = [0] * (a.rows * r)
+    for k, (p, piv, tail) in enumerate(zip(pivot_rows, pivots, tails)):
+        h[p * r + k] = piv
+        for i, e in tail:
+            h[i * r + k] = e
+    return IntMatrix._of(a.rows, r, tuple(h))
 
 
 def span_basis(a: IntMatrix) -> tuple:
@@ -654,7 +684,7 @@ def kernel_basis(a: IntMatrix, top: int | None = None, width: int | None = None)
     [[-1, 0], [1, 0]]
     """
     top = _check_top(a, top, width)
-    _, vt, pivot_rows = col_echelon(a) if width is None else col_echelon(a, width)
+    pivot_rows, _, _, vt = col_echelon(a) if width is None else col_echelon(a, width)
     w = vt.cols
     tail = vt.entries[len(pivot_rows) * w:]  # the rows of V^T after the pivots
     return IntMatrix._of(top, a.cols - len(pivot_rows),

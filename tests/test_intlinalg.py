@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
 import io
 import itertools
@@ -22,6 +23,7 @@ from butterflies.fgab import FgAbGroup, FgAbMap, simplify
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, Record, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
     congruent, hstack, vstack, kron, submatrix, solve_congruences, particular_solution, col_echelon,
+    hermite_basis, span_basis,
 )
 
 
@@ -95,17 +97,18 @@ class TestHnf:
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3, 3)])
     def test_col_echelon_of_empty_and_zero_shapes(self, shape):
-        ht, vt, pivot_rows = col_echelon(IntMatrix.zeros(*shape))
-        assert ht == IntMatrix.zeros(shape[1], shape[0])
+        pivot_rows, pivots, tails, vt = col_echelon(IntMatrix.zeros(*shape))
+        assert hnf(IntMatrix.zeros(*shape).transpose())[0] == IntMatrix.zeros(shape[1], shape[0])
         assert vt == IntMatrix.identity(shape[1])
-        assert pivot_rows == ()
+        assert pivot_rows == pivots == tails == ()
 
     @staticmethod
     def assert_hermite(m):
         """U*m = H with U unimodular, and H is in row echelon form with
         positive pivots and the entries above each pivot in [0, pivot).
-        col_echelon of m's transpose is (H, U, p), with p the first nonzero
-        column of each nonzero row of H."""
+        col_echelon of m's transpose is the pivot plan of H and U: the first
+        nonzero column p of each nonzero row of H, the entry there, and the
+        (column, entry) pairs of the row's nonzero entries after p."""
         h, u = hnf(m)
         assert u * m == h
         if m.rows:
@@ -124,7 +127,10 @@ class TestHnf:
             for ii in range(i):
                 assert 0 <= h[ii, nz[0]] < piv
         assert not any(h.entries[len(firsts) * h.cols:])  # zero rows last
-        assert col_echelon(m.transpose()) == (h, u, tuple(firsts))
+        assert col_echelon(m.transpose()) == (
+            tuple(firsts), tuple(h[k, p] for k, p in enumerate(firsts)),
+            tuple(tuple((j, h[k, j]) for j in range(p + 1, h.cols) if h[k, j])
+                  for k, p in enumerate(firsts)), u)
 
     @given(small_matrices)
     @settings(max_examples=60, deadline=None)
@@ -307,9 +313,11 @@ class TestSolve:
     @staticmethod
     def reference_solve(a, b, top):
         """X by the product construction: Y and R by back-substitution on
-        a's column echelon form a*V = H, then (Y^T * V^T)^T cut to its
-        first top rows; None when R is not zero."""
-        ht, vt, pivot_rows = col_echelon(a)
+        a's column echelon form a*V = H, read densely as (H^T, V^T) =
+        hnf(a^T), then (Y^T * V^T)^T cut to its first top rows; None when R
+        is not zero."""
+        ht, vt = hnf(a.transpose())
+        pivot_rows = [next(j for j, e in enumerate(row) if e) for row in ht.to_lists() if any(row)]
         y = [[0] * b.cols for _ in range(a.cols)]
         r = b.to_lists()
         for k, p in enumerate(pivot_rows):
@@ -325,8 +333,9 @@ class TestSolve:
 
     @staticmethod
     def reference_kernel(a, top):
-        _, vt, pivot_rows = col_echelon(a)
-        return submatrix(submatrix(vt, range(len(pivot_rows), a.cols)).transpose(), range(top))
+        ht, vt = hnf(a.transpose())
+        rank = sum(1 for row in ht.to_lists() if any(row))
+        return submatrix(submatrix(vt, range(rank, a.cols)).transpose(), range(top))
 
     @given(small_matrices, st.data())
     @settings(max_examples=80, deadline=None)
@@ -354,14 +363,13 @@ class TestSolve:
     @settings(max_examples=80, deadline=None)
     def test_a_width_keeps_the_first_rows_of_the_transform(self, a, data):
         """col_echelon(a, width) carries the first width rows of V only:
-        its H, pivots and V^T's first width columns are the full
+        its pivot plan and V^T's first width columns are the full
         factorization's, and solve and kernel_basis with a width give the
         product reference for every top up to it."""
         b = data.draw(shaped(a.rows, data.draw(st.integers(0, 2))))
-        ht, vt, pivot_rows = col_echelon(a)
+        *plan, vt = col_echelon(a)
         for width in range(a.cols + 1):
-            assert col_echelon(a, width) == (ht, submatrix(vt, range(a.cols), range(width)),
-                                             pivot_rows)
+            assert col_echelon(a, width) == (*plan, submatrix(vt, range(a.cols), range(width)))
             for top in range(width + 1):
                 assert solve(a, b, top, width) == self.reference_solve(a, b, top)
                 assert kernel_basis(a, top, width) == self.reference_kernel(a, top)
@@ -510,7 +518,7 @@ def test_congruence_systems_carry_only_the_rows_of_x(monkeypatch):
 
     def spy(a, *width):
         out = col_echelon(a, *width)
-        seen.append((a.cols, width, out[1].cols))
+        seen.append((a.cols, width, out[3].cols))
         return out
 
     monkeypatch.setattr(intlinalg, "col_echelon", spy)
@@ -548,6 +556,89 @@ def test_zero_right_hand_side_looks_up_no_factorization():
         congruent(a, IntMatrix.zeros(3, 1), IntMatrix.zeros(1, 1))
     after = col_echelon.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def dense_col_echelon(a, width=None):
+    """(H^T, V^T, pivot rows) of a*V = H, dense: the row HNF of a^T with
+    its transform, from the one elimination, as col_echelon kept it before
+    its pivot plan."""
+    nr, nc = a.rows, a.cols
+    w = nc if width is None else width
+    rows = [[*a.entries[j::nc], *(int(i == j) for i in range(w))] for j in range(nc)]
+    pivots = intlinalg._hermite(rows, [[]] * nc, nr)
+    return (IntMatrix(nc, nr, [e for row in rows for e in row[:nr]]),
+            IntMatrix(nc, w, [e for row in rows for e in row[nr:]]), tuple(p for _, p in pivots))
+
+
+def dense_back_substitute(a, ent, rows, nb, top=0, width=None):
+    """The back-substitution loop on the dense factorization: at pivot k it
+    slices column k of H from its pivot down and the first top entries of
+    V's column k, and subtracts q times each nonzero entry of the slice."""
+    if rows != a.rows:
+        raise ValueError("dimension mismatch")
+    if not any(ent):
+        return (0,) * (a.cols * nb), ent, (0,) * (top * nb)
+    ht, vt, pivot_rows = dense_col_echelon(a, width)
+    he, ve, nr, w = ht.entries, vt.entries, ht.cols, vt.cols
+    r, y, x = list(ent), [0] * (ht.rows * nb), [0] * (top * nb)
+    for k, p in enumerate(pivot_rows):
+        hk = he[k * nr + p:(k + 1) * nr]
+        vk = ve[k * w:k * w + top]
+        for j in range(nb):
+            q = r[p * nb + j] // hk[0]
+            if q:
+                y[k * nb + j] = q
+                for i, hik in zip(range(p * nb + j, nr * nb, nb), hk):
+                    if hik:
+                        r[i] -= q * hik
+                if top:
+                    for i, vik in zip(range(j, top * nb, nb), vk):
+                        if vik:
+                            x[i] += q * vik
+    return y, r, x
+
+
+@st.composite
+def plan_matrices(draw):
+    """Matrices of rank at most k, so with dependent columns once there are
+    more than k, with drawn rows and columns zeroed, and with only their
+    diagonal kept when drawn so (every tail of their plan is empty)."""
+    r, k, c = draw(st.integers(0, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    a = draw(shaped(r, k, bound=9)) * draw(shaped(k, c, bound=3))
+    zero_rows, zero_cols = (draw(st.lists(st.booleans(), min_size=n, max_size=n)) for n in (r, c))
+    diagonal = draw(st.booleans())
+    return IntMatrix(r, c, [0 if zero_rows[i] or zero_cols[j] or (diagonal and i != j) else a[i, j]
+                            for i in range(r) for j in range(c)])
+
+
+@given(plan_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_plan_back_substitution_equals_the_dense_loop(a, data):
+    """The back-substitution on col_echelon's pivot plan gives the (Y, R, X)
+    of the dense loop for every width and every top up to it, on right-hand
+    sides in a's span, outside it and zero; hnf, hermite_basis, span_basis
+    and kernel_basis equal their dense definitions."""
+    nb = data.draw(st.integers(0, 3))
+    kind = data.draw(st.sampled_from(["any", "in span", "zero"]))
+    b = {"any": lambda: data.draw(shaped(a.rows, nb)),
+         "in span": lambda: a * data.draw(shaped(a.cols, nb, bound=5)),
+         "zero": lambda: IntMatrix.zeros(a.rows, nb)}[kind]()
+    for width in (None, *range(a.cols + 1)):
+        for top in range(a.cols + 1 if width is None else width + 1):
+            want = dense_back_substitute(a, b.entries, b.rows, nb, top, width)
+            got = intlinalg._back_substitute(a, b.entries, b.rows, nb, top, width)
+            assert tuple(map(tuple, got)) == tuple(map(tuple, want))
+    ht, vt, pivot_rows = dense_col_echelon(a)
+    rank = len(pivot_rows)
+    assert hnf(a.transpose()) == (ht, vt)
+    assert hermite_basis(a) == submatrix(ht, range(rank)).transpose()
+    y, _, _ = dense_back_substitute(a, a.entries, a.rows, a.cols)
+    assert span_basis(a) == (hermite_basis(a), IntMatrix(rank, a.cols, y[:rank * a.cols]))
+    for width in (None, *range(a.cols + 1)):
+        vtw = vt if width is None else dense_col_echelon(a, width)[1]
+        for top in range(vtw.cols + 1):
+            kernel = submatrix(vtw, range(rank, a.cols), range(top)).transpose()
+            assert kernel_basis(a, top, width) == kernel
 
 
 @given(st.data())
@@ -694,6 +785,20 @@ def _post_init_patched_after_the_class():
     return Late(1)
 
 
+def _copies_rebuild_through_post_init():
+    made = []
+
+    class Logged(Record):
+        a: int
+
+        def __post_init__(self):
+            made.append(self.a)
+
+    value = Logged(1)
+    copy.copy(value), copy.deepcopy(value)
+    return made
+
+
 class Counted:
     """A field value that counts how often it is hashed."""
 
@@ -745,6 +850,11 @@ RECORD_CONTRACT = [
     ("__post_init__ may set a field", lambda: FgAbMap(FgAbGroup.free(1), Z2, IntMatrix(1, 1, [3])).matrix,
      IntMatrix(1, 1, [1])),
     ("repr", lambda: repr(Pair(1, "x")), "Pair(a=1, b='x')"),
+    ("copy rebuilds through the class", lambda: copy.copy(Pair(1, (2, 3))), Pair(1, (2, 3))),
+    ("copy and deepcopy run __post_init__", _copies_rebuild_through_post_init, [1, 1, 1]),
+    ("IntMatrix keeps its own __init__, by keyword too",
+     lambda: IntMatrix(rows=1, cols=2, entries=[3, 4]) == IntMatrix(1, 2, (3, 4)), True),
+    ("a checked matrix sets no kept hash", lambda: hasattr(IntMatrix(1, 1, [1]), "_hash"), False),
 ]
 
 
@@ -959,8 +1069,7 @@ class TestSourceRules:
         assert found == []
 
     def test_only_intlinalg_reads_col_echelon(self):
-        """col_echelon's transposed (H^T, V^T, pivots) triple stays in
-        intlinalg: other modules read hermite_basis, span_basis,
+        """col_echelon's pivot plan and V^T stay in intlinalg: other modules read hermite_basis, span_basis,
         kernel_basis or solve, and neither import nor name col_echelon."""
         found = []
         for path in source_files():
