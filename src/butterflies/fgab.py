@@ -198,16 +198,31 @@ def simplify(g: FgAbGroup):
     group is trivial exactly when the presentation has no generators.
 
     Internal constructions (kernels, subquotients, ...) pass through this so
-    presentations never accumulate redundant generators.
+    presentations never accumulate redundant generators.  A presentation
+    already in the form this returns (_in_simplified_form) is its own Smith
+    form with U = W = I (Cohen, GTM 138, section 2.4), so it comes back as
+    it is, with identity maps and no snf: a free group, say, or a cyclic one.
     """
-    s, u, uinv = snf(g.relations)
     n = g.ngens
+    if _in_simplified_form(g.relations):
+        eye = IntMatrix.identity(n)
+        return Simplified(g, eye, eye)
+    s, u, uinv = snf(g.relations)
     diag = [s[i, i] for i in range(min(s.rows, s.cols))]
     # the divisor chain runs units, torsion orders, zeros: the kept generators are a tail
     units, nonzero = diag.count(1), len(diag) - diag.count(0)
     kept = range(units, n)
     group = FgAbGroup(len(kept), submatrix(s, kept, range(units, nonzero)))
     return Simplified(group, submatrix(u, kept), submatrix(uinv, range(n), kept))
+
+
+def _in_simplified_form(rel: IntMatrix) -> bool:
+    """Is rel what simplify returns: t <= rel.rows columns, a divisor chain
+    d_1 | ... | d_t >= 2 on the diagonal and zeros elsewhere (t = 0: free)?"""
+    t, e = rel.cols, rel.entries
+    d = e[::t + 1][:t]
+    return (t <= rel.rows and e.count(0) == len(e) - t and min(d, default=2) >= 2
+            and all(b % a == 0 for a, b in zip(d, d[1:])))
 
 
 # -- kernels, cokernels, images, subquotients --------------------------------

@@ -216,10 +216,18 @@ class IntMatrix(Record):
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other):
+        """The product by a matrix or an int.  When the shapes agree and one
+        factor is an identity matrix, the product is the other factor itself:
+        no entry is computed and no matrix built."""
         if isinstance(other, int):
             return IntMatrix._of(self.rows, self.cols, tuple(map(int(other).__mul__, self.entries)))
         if not isinstance(other, IntMatrix):
             return NotImplemented
+        if self.cols == other.rows:
+            if _is_identity(other):
+                return self
+            if _is_identity(self):
+                return other
         return IntMatrix._of(self.rows, other.cols, tuple(_product(self, other)))
 
     def __rmul__(self, other):
@@ -267,6 +275,12 @@ def _fill(m: IntMatrix, rows: int, cols: int, ent: tuple) -> IntMatrix:
     return m
 
 
+def _is_identity(m: IntMatrix) -> bool:
+    """Is m square with n ones on its diagonal and n*n - n zeros?"""
+    n, e = m.rows, m.entries
+    return n == m.cols and e[::n + 1].count(1) == n and e.count(0) == n * n - n
+
+
 def _product(a: IntMatrix, b: IntMatrix) -> list:
     """The entries of a*b, row major, as a list."""
     if a.cols != b.rows:
@@ -282,15 +296,19 @@ def _from_lists(rows: int, cols: int, lists: list) -> IntMatrix:
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
-    """Concatenate matrices left to right (all must share a row count)."""
+    """Concatenate matrices left to right (all must share a row count).
+    When one operand alone has columns, it is the result itself, not a copy."""
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack: row counts differ")
+    wide = [m for m in mats if m.cols]
+    if len(wide) == 1:
+        return wide[0]
     flat = []
     for i in range(rows):
-        for m in mats:
+        for m in wide:
             flat.extend(m.row(i))
-    return IntMatrix._of(rows, sum(m.cols for m in mats), tuple(flat))
+    return IntMatrix._of(rows, sum(m.cols for m in wide), tuple(flat))
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:

@@ -15,7 +15,7 @@ from butterflies.fgab import (
     kernel, cokernel, image, subquotient, is_exact_at, is_injective,
     is_surjective, exact_verdicts, hom_solve, hom_solve_all, ext1_realize, hom_group,
     random_group, random_map, factor_through_injection, lift, map_lattice, preimage_lattice,
-    precompose, dual_presentation, free_presentation,
+    precompose, dual_presentation, free_presentation, Simplified,
 )
 
 Z = FgAbGroup.free(1)
@@ -143,15 +143,22 @@ def test_kernel_on_lattice_basis_matches_span_construction(rng):
     assert image(f).group.invariant_factors() == FgAbGroup(src.ngens, gens).invariant_factors()
 
 
+def _dense_pair(n):
+    """Two dense n x n matrices with entries in [-9, 9], seeded by n: the
+    relations M of _map_out_of_free_group(n)'s target, then its map."""
+    rng = random.Random(n)
+    return [IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]) for _ in range(2)]
+
+
 def _map_out_of_free_group(n):
     """From cleared caches, a map Z^n -> Z^n/M for a random dense M, given
     by a random dense matrix: the shape of the presentations benchmark."""
-    rng = random.Random(n)
+    rel, matrix = _dense_pair(n)
     free = FgAbGroup.free(n)
     for cache in (col_echelon, snf, kernel, cokernel):
         cache.cache_clear()
-    cok = cokernel(FgAbMap(free, free, IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])))
-    return FgAbMap(free, cok.group, cok.proj.matrix * IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)]))
+    cok = cokernel(FgAbMap(free, free, rel))
+    return FgAbMap(free, cok.group, cok.proj.matrix * matrix)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -192,22 +199,52 @@ def test_exactness_factors_nothing_past_the_kernels():
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_image_smith_form_is_target_sized(n, monkeypatch):
-    """From cold caches, the image of a map out of Z^n calls snf only on
-    matrices with at most dst.ngens rows: it is presented in dst's
-    coordinates, not as Z^n modulo the map's lattice (n rows)."""
+    """From cold caches, the image of a map out of Z^n simplifies a group on
+    at most dst.ngens generators, and calls snf only on matrices with at
+    most dst.ngens rows: it is presented in dst's coordinates, not as Z^n
+    modulo the map's lattice (n rows).  Here that group is often simplified
+    already and takes no snf, so the group itself is what is bounded."""
     f = _map_out_of_free_group(n)
     for cache in (col_echelon, snf):
         cache.cache_clear()
     assert f.dst.ngens < n
-    rows = []
+    rows, ngens = [], []
+    original = fgab.simplify
 
     def counted(m):
         rows.append(m.rows)
         return snf(m)
 
+    def spied(g):
+        ngens.append(g.ngens)
+        return original(g)
+
     monkeypatch.setattr(fgab, "snf", counted)
+    monkeypatch.setattr(fgab, "simplify", spied)
     image(f)
-    assert rows and max(rows) <= f.dst.ngens
+    assert ngens and max(ngens) <= f.dst.ngens
+    assert max(rows, default=0) <= f.dst.ngens
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_simplified_presentations_take_no_smith_form(n, monkeypatch):
+    """From cold caches, building the map out of Z^n and taking its kernel
+    and image calls snf on no matrix but the relations M of the cokernel
+    that makes the target: the kernel's group is free and the image's is
+    the target's own diagonal presentation, both already what simplify
+    returns.  And simplify of simplify's own output calls no snf."""
+    seen = []
+    monkeypatch.setattr(fgab, "snf", lambda m: seen.append(m) or snf(m))
+    f = _map_out_of_free_group(n)
+    kernel(f), image(f)
+    rel = _dense_pair(n)[0]
+    assert seen and all(m == rel for m in seen)
+    rng = random.Random(n)
+    for _ in range(20):
+        g = simplify(random_group(rng, max_rank=3)).group
+        seen.clear()
+        simplify(g)
+        assert not seen
 
 
 def _image_on_source(f):
@@ -472,6 +509,66 @@ def test_simplify_keeps_free_and_trivial_groups(g):
     s = simplify(g)
     assert s.group == g
     assert s.to == s.fro == IntMatrix.identity(g.ngens)
+
+
+def _simplify_by_snf(g):
+    """simplify with no shortcut: cut the group and both maps out of snf's
+    S, U and U^-1, whatever the presentation."""
+    s, u, w = snf(g.relations)
+    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
+    units, nonzero = diag.count(1), len(diag) - diag.count(0)
+    kept = range(units, g.ngens)
+    group = FgAbGroup(len(kept), submatrix(s, kept, range(units, nonzero)))
+    return Simplified(group, submatrix(u, kept), submatrix(w, range(g.ngens), kept))
+
+
+def _near_simplified(rng):
+    """A relation matrix near simplify's output form: a diagonal chain
+    d_1 | ... | d_t on t columns of at least t rows, then sometimes one
+    flaw: a chain that does not divide, a unit or a negative entry on the
+    diagonal, an entry off it, a zero column, or one more column than rows
+    with one nonzero entry in it."""
+    t = rng.randint(0, 3)
+    d = [rng.choice([2, 3, 4])]
+    for _ in range(t - 1):
+        d.append(d[-1] * rng.choice([1, 2, 3]))
+    d = d[:t]
+    rows = t + rng.randint(0, 2)
+    ent = [[d[j] if i == j else 0 for j in range(t)] for i in range(rows)]
+    flaw = rng.randrange(8)
+    if t and flaw == 0:
+        ent[t - 1][t - 1] += 1
+    elif t and flaw == 1:
+        ent[0][0] = rng.choice([1, -2])
+    elif t and rows > 1 and flaw == 2:
+        ent[rng.randrange(1, rows)][0] = rng.randint(1, 5)
+    elif flaw == 3:
+        ent = [row + [0] for row in ent]
+    elif t and flaw == 4:
+        ent = [row + [0] for row in ent[:t]]
+        ent[rng.randrange(t)][t] = rng.randint(1, 5)
+    cols = len(ent[0]) if ent else t
+    return FgAbGroup(len(ent), IntMatrix(len(ent), cols, [e for row in ent for e in row]))
+
+
+# use_true_random, for the reason given at the exactness property below
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=100, deadline=None)
+def test_simplified_presentations_come_back_as_they_are(rng):
+    """simplify hands back what is already simplified, and only that: on a
+    random presentation, simplify of its output is (that group, I, I); on
+    every presentation, the shortcut and snf give the same Simplified, and
+    the form test accepts exactly those snf leaves as they are."""
+    r, c = rng.randint(0, 4), rng.randint(0, 4)
+    g = FgAbGroup(r, IntMatrix(r, c, [rng.randint(-6, 6) for _ in range(r * c)]))
+    group = simplify(g).group
+    eye = IntMatrix.identity(group.ngens)
+    assert simplify(group) == Simplified(group, eye, eye)
+    for h in (g, group, random_group(rng, max_rank=3), _near_simplified(rng)):
+        by_snf = _simplify_by_snf(h)
+        assert simplify(h) == by_snf
+        eye = IntMatrix.identity(h.ngens)
+        assert fgab._in_simplified_form(h.relations) == (by_snf == Simplified(h, eye, eye))
 
 
 def test_cached_kernel_and_cokernel_match_fresh():

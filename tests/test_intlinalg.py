@@ -745,6 +745,40 @@ def test_transpose_product_reference(m):
                               for i in range(m.rows) for j in range(m.rows))
 
 
+@given(small_matrices, st.data())
+@settings(max_examples=60, deadline=None)
+def test_identity_factors_and_lone_stack_operands_are_handed_back(m, data):
+    """A product by an identity matrix is the other factor itself, equal to
+    the product by the triple loop, while a product by a matrix one entry
+    away from the identity is computed; an identity of the wrong size still
+    raises.  hstack of one operand with columns among ones without is that
+    operand itself."""
+    def by_loop(a, b):
+        return tuple(sum(a.row(i)[k] * b.col(j)[k] for k in range(a.cols))
+                     for i in range(a.rows) for j in range(b.cols))
+
+    right, left = IntMatrix.identity(m.cols), IntMatrix.identity(m.rows)
+    for p, eye, full in ((m * right, right, by_loop(m, right)), (left * m, left, by_loop(left, m))):
+        # when m is an identity too, either factor is the other
+        assert p is m or (p is eye and m == eye)
+        assert p.entries == full
+    if m.cols:
+        ent = list(right.entries)
+        at = data.draw(st.integers(0, len(ent) - 1))
+        ent[at] = data.draw(st.integers(-3, 3).filter(lambda x: x != ent[at]))
+        near = IntMatrix(m.cols, m.cols, ent)
+        assert (m * near).entries == by_loop(m, near)
+        assert (near * m.transpose()).entries == by_loop(near, m.transpose())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m * IntMatrix.identity(m.cols + 1)
+    empties = [IntMatrix.zeros(m.rows, 0) for _ in range(data.draw(st.integers(0, 2)))]
+    at = data.draw(st.integers(0, len(empties)))
+    if m.cols:
+        assert hstack(*empties[:at], m, *empties[at:]) is m
+    assert hstack(*empties[:at], m, *empties[at:], m) == IntMatrix(
+        m.rows, 2 * m.cols, [e for i in range(m.rows) for e in m.row(i) * 2])
+
+
 def test_immutability_and_hash():
     m = mat([[1, 2], [3, 4]])
     with pytest.raises(AttributeError):
