@@ -14,10 +14,11 @@ composition complex uses (i; -j) and (-p, q), the cokernel differential is
 -p) and pinned by the chain-map compatibility tests: flipping any of them
 breaks the roundtrip through from_chain_map.
 
-identity_butterfly and compose are memoized (bounded by
-intlinalg.CACHE_SIZE).  Keys are presentation identity and a hit returns the
-immutable object the first call built; a miss runs every check, and a call
-that raises caches nothing.
+identity_butterfly, compose and homology_action are memoized (bounded by
+intlinalg.CACHE_SIZE), so the homology functor is memoized on 1-morphisms
+as twocomplex.homology is on objects.  Keys are presentation identity and a
+hit returns the immutable object the first call built; a miss runs every
+check, and a call that raises caches nothing.
 """
 
 from __future__ import annotations
@@ -234,10 +235,13 @@ def baer_sum(a: Butterfly, b: Butterfly) -> Butterfly:
 
 # -- homology functor --------------------------------------------------------
 
+@lru_cache(maxsize=CACHE_SIZE)
 def homology_action(y: Butterfly) -> tuple:
     """(H^-1 src -> H^-1 dst, H^0 src -> H^0 dst): i^-1 j and p q^-1, by lifts
     through i and q.  Any lift through q serves: two differ by i(x) +
-    relations, and proj_dst * p * i = -proj_dst * d_dst = 0."""
+    relations, and proj_dst * p * i = -proj_dst * d_dst = 0.
+
+    Memoized: an equal butterfly gets the identical pair of maps back."""
     hs, hd = homology(y.src), homology(y.dst)
     u = lift(y.i, y.j.matrix * hs.incl.matrix)
     if u is None:

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import math
 import pickle
 import pkgutil
 import random
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import butterflies
-from butterflies import butterfly, derived, fgab, intlinalg, oracle
+from butterflies import butterfly, cli, derived, fgab, intlinalg, jsonio, oracle
 from butterflies.intlinalg import (
     IntMatrix, InvariantError, hstack, vstack, in_col_span, col_echelon, solve,
 )
@@ -409,6 +410,53 @@ class TestHomologyAction:
         assert sum(not a.is_zero() for a in ours) >= 10
 
 
+class TestHomologyActionMemo:
+    """homology_action is memoized like homology: each miss runs the body
+    once, a hit hands back the identical pair, equal butterflies share one
+    entry, and a refusal caches nothing."""
+
+    def test_report_runs_the_body_once(self, tmp_path):
+        path = tmp_path / "B.json"
+        path.write_text(jsonio.emit(jsonio.document("butterfly", jsonio.butterfly_to_json(bockstein()))))
+        _clear_caches()
+        assert cli.main(["report", str(path)]) == 0
+        info = homology_action.cache_info()
+        assert (info.misses, info.hits) == (1, 1)  # report, then classify
+
+    def test_les_twice_builds_each_action_once(self):
+        s = standard_seq_10(e2())
+        assert s.y != s.z
+        _clear_caches()
+        first = les(s)
+        assert first is not None and les(s) == first
+        info = homology_action.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_second_call_returns_the_identical_pair(self):
+        homology_action.cache_clear()
+        first = homology_action(bockstein())
+        second = homology_action(bockstein())
+        assert second is first
+
+    def test_equal_butterflies_share_one_entry(self):
+        text = jsonio.emit(jsonio.document("butterfly", jsonio.butterfly_to_json(br())))
+        (_, a), (_, b) = jsonio.parse_document(text), jsonio.parse_document(text)
+        assert a == b and a is not b
+        homology_action.cache_clear()
+        assert homology_action(a) is homology_action(b)
+        assert homology_action.cache_info().currsize == 1
+        assert homology_action(b) == homology_action.__wrapped__(b)
+
+    def test_invalid_butterfly_raises_every_time(self):
+        y = with_wing(ik2(), "q", FgAbMap.zero(ik2().carrier, ik2().src.deg_0))
+        homology_action.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="q is not surjective; butterfly invalid"):
+                homology_action(y)
+        info = homology_action.cache_info()
+        assert (info.misses, info.currsize) == (3, 0)
+
+
 class TestInvertibility:
     def test_bockstein(self):
         b = bockstein()
@@ -466,6 +514,39 @@ class TestButterfliesAreFractions:
         for _ in range(300):
             y = random_butterfly(random_complex(rng), random_complex(rng), rng)
             assert two_morphism_find(fraction(y), y) is not None
+
+
+def hom_order(a: FgAbGroup, b: FgAbGroup) -> int:
+    """|Hom(A, B)| for finite A and B: the product of gcd(a_i, b_j) over
+    their invariant factors."""
+    (ra, ta), (rb, tb) = a.invariant_factors(), b.invariant_factors()
+    assert ra == rb == 0
+    return math.prod(math.gcd(x, y) for x in ta for y in tb)
+
+
+class TestTwoAutomorphismsAreHom:
+    """The 2-automorphisms y => y of a butterfly y: E -> F form a group
+    isomorphic to Hom(H^0 E, H^-1 F) (Deligne, SGA 4, XVIII, 1.4): the
+    oracle's count of them equals |Hom|, which the invariant factors give.
+    Only finite complexes, since the oracle enumerates elements."""
+
+    def law_holds(self, y: Butterfly) -> int:
+        order = hom_order(homology(y.src).h0, homology(y.dst).hm1)
+        assert len(oracle.enumerate_two_morphisms(y, y)) == order
+        return order
+
+    def test_fixtures(self):
+        for y in (bockstein(), ik2(), zero_butterfly(k2(), k2()), identity_butterfly(k2())):
+            assert self.law_holds(y) == 2
+
+    def test_random_pairs(self):
+        rng = random.Random(11)
+        orders = []
+        for _ in range(60):
+            e = random_complex(rng, max_rank=0, max_order=4)
+            f = random_complex(rng, max_rank=0, max_order=4)
+            orders.append(self.law_holds(random_butterfly(e, f, rng)))
+        assert sum(n > 1 for n in orders) >= 10  # not vacuous
 
 
 class TestKernelCokernel:
