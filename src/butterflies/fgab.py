@@ -112,7 +112,8 @@ class FgAbGroup(Record):
 
 class FgAbMap(Record):
     """A homomorphism src -> dst given by a dst.ngens x src.ngens matrix,
-    kept as reduce_cols(dst.relations, matrix), so == is map equality.
+    kept as reduce_cols(dst.relations, matrix), so == is map equality; into
+    a free dst, reduce_cols's gate hands the matrix back without a lookup.
 
     Construction checks that the matrix descends to the presented quotients
     (matrix * src.relations lands in the column span of dst.relations) and
@@ -126,8 +127,7 @@ class FgAbMap(Record):
     def __post_init__(self):
         if not is_well_defined(self.src, self.dst, self.matrix):
             raise ValueError("matrix does not define a homomorphism on the presentations")
-        if self.dst.relations.cols:  # into a free group every matrix is reduced
-            object.__setattr__(self, "matrix", reduce_cols(self.dst.relations, self.matrix))
+        object.__setattr__(self, "matrix", reduce_cols(self.dst.relations, self.matrix))
 
     @staticmethod
     def identity(g: FgAbGroup) -> "FgAbMap":

@@ -545,8 +545,8 @@ def col_echelon(a: IntMatrix, width: int | None = None) -> tuple:
     I instead, and V^T keeps only its first width columns.  They equal the
     full V^T's entry for entry: _hermite picks each pivot and quotient from
     the first a.rows entries of the rows, and updates every later entry on
-    its own.  lru_cache keys col_echelon(a) and col_echelon(a, None) apart,
-    so callers without a width call col_echelon(a).
+    its own.  Only the two Hom-system readers pass a width; lru_cache keys
+    col_echelon(a) and col_echelon(a, None) apart, so the rest call col_echelon(a).
 
     >>> a = IntMatrix.from_rows([[2, 3], [1, 4]])
     >>> col_echelon(a)[:3]
@@ -589,11 +589,11 @@ def _back_substitute(a: IntMatrix, ent: Sequence[int], rows: int, nb: int, top: 
     cached V^T; with top = 0 the transform is not read.  A width (at least
     top) reads the factorization that carries only the first width rows of
     V.  The one gate for every right-hand side: it raises ValueError unless
-    rows is a's row count, and answers a b with no nonzero entry with zero
-    Y and X and ent as R, without factoring a."""
+    rows is a's row count, and answers an a with no columns (an empty
+    lattice) or a b with no nonzero entry with zero Y and X and ent as R."""
     if rows != a.rows:
         raise ValueError(f"dimension mismatch: {rows} rows against a {a.rows}x{a.cols} matrix")
-    if not any(ent):
+    if not a.cols or not any(ent):
         return (0,) * (a.cols * nb), ent, (0,) * (top * nb)
     pivot_rows, pivots, tails, vt = col_echelon(a) if width is None else col_echelon(a, width)
     ve, w = vt.entries, vt.cols
@@ -614,25 +614,19 @@ def _back_substitute(a: IntMatrix, ent: Sequence[int], rows: int, nb: int, top: 
     return y, r, x
 
 
-def _check_top(a: IntMatrix, top: int | None, width: int | None) -> int:
-    """The count of a solution's rows to keep: all rows of V that the
-    factorization carries (width, or a.cols without one) when top is None."""
-    n = a.cols if width is None else width
-    if not 0 <= n <= a.cols:
-        raise ValueError(f"width = {width} of a transform with {a.cols} rows")
+def _check_top(a: IntMatrix, top: int | None) -> int:
+    """The count of a solution's rows to keep: all a.cols of them by default."""
     if top is None:
-        return n
-    if not 0 <= top <= n:
-        raise ValueError(f"top = {top} rows of a solution with {n}")
+        return a.cols
+    if not 0 <= top <= a.cols:
+        raise ValueError(f"top = {top} rows of a solution with {a.cols}")
     return top
 
 
-def solve(a: IntMatrix, b: IntMatrix, top: int | None = None,
-          width: int | None = None) -> IntMatrix | None:
+def solve(a: IntMatrix, b: IntMatrix, top: int | None = None) -> IntMatrix | None:
     """Solve a*X = b over the integers, one column of b at a time on a's
     one cached factorization, and return the first top rows of X (all of
-    them by default).  With a width, a is factored carrying only the first
-    width rows of V, and top is at most width (width by default).
+    them by default).
 
     Returns X, or None when some column has no integer solution
     ("unsolvable" is a normal answer, not an error).  kernel_basis(a)
@@ -651,8 +645,8 @@ def solve(a: IntMatrix, b: IntMatrix, top: int | None = None,
     >>> solve(IntMatrix.from_rows([[2, 0]]), IntMatrix.zeros(1, 3)).to_lists()
     [[0, 0, 0], [0, 0, 0]]
     """
-    top = _check_top(a, top, width)
-    _, r, x = _back_substitute(a, b.entries, b.rows, b.cols, top, width)
+    top = _check_top(a, top)
+    _, r, x = _back_substitute(a, b.entries, b.rows, b.cols, top)
     if any(r):
         return None
     return IntMatrix._of(top, b.cols, tuple(x))
@@ -692,21 +686,19 @@ def span_basis(a: IntMatrix) -> tuple:
     return h, IntMatrix._of(h.cols, a.cols, tuple(y[:h.cols * a.cols]))
 
 
-def kernel_basis(a: IntMatrix, top: int | None = None, width: int | None = None) -> IntMatrix:
+def kernel_basis(a: IntMatrix, top: int | None = None) -> IntMatrix:
     """Columns generate {x : a*x = 0}: the columns of V after the pivots,
     for a's cached column echelon form a*V = H, each cut to its first top
-    entries (all of them by default).  A width reads the factorization that
-    carries only the first width rows of V, as in solve.
+    entries (all of them by default).
 
     >>> kernel_basis(IntMatrix.from_rows([[1, 1, 0]]), top=2).to_lists()
     [[-1, 0], [1, 0]]
     """
-    top = _check_top(a, top, width)
-    pivot_rows, _, _, vt = col_echelon(a) if width is None else col_echelon(a, width)
-    w = vt.cols
-    tail = vt.entries[len(pivot_rows) * w:]  # the rows of V^T after the pivots
+    top = _check_top(a, top)
+    pivot_rows, _, _, vt = col_echelon(a)
+    tail = vt.entries[len(pivot_rows) * a.cols:]  # the rows of V^T after the pivots
     return IntMatrix._of(top, a.cols - len(pivot_rows),
-                         tuple(chain.from_iterable(tail[i::w] for i in range(top))))
+                         tuple(chain.from_iterable(tail[i::a.cols] for i in range(top))))
 
 
 def in_col_span(a: IntMatrix, b: IntMatrix) -> bool:
@@ -804,16 +796,17 @@ def _congruence_system(rows: int, cols: int, congruences: Sequence[tuple]) -> tu
 def particular_solution(rows: int, cols: int, congruences: Sequence[tuple]) -> IntMatrix | None:
     """One integer rows x cols matrix X0 with L*X0*R = C modulo the column
     span of Rel, for every (L, R, C, Rel) in congruences (an L or R of None
-    is the identity), or None: the X0 of solve_congruences, without its
-    homogeneous solutions.
+    is the identity), or None: the X0 of solve_congruences, back-substituted
+    on the same factorization, without its homogeneous solutions.
 
     >>> particular_solution(1, 1, [(IntMatrix.identity(1), IntMatrix.identity(1),
     ...                             IntMatrix.column([3]), IntMatrix.column([4]))]).entries
     (3,)
     """
     system, rhs = _congruence_system(rows, cols, congruences)
-    x0 = solve(system, rhs, rows * cols, rows * cols)
-    return None if x0 is None else IntMatrix._of(rows, cols, x0.entries)
+    nx = rows * cols
+    _, r, x0 = _back_substitute(system, rhs.entries, rhs.rows, 1, nx, nx)
+    return None if any(r) else IntMatrix._of(rows, cols, tuple(x0))
 
 
 def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tuple | None:
@@ -825,8 +818,8 @@ def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tup
     a generating set of the solutions of the homogeneous system, so every
     solution is X0 plus an integer combination of Ks; or None.  Everything is
     flattened to one system in the entries of X (row major) plus one slack
-    unknown per relation coefficient, factored carrying only the nx =
-    rows * cols rows of its transform that X reads.
+    unknown per relation coefficient, factored carrying only the nx = rows *
+    cols rows of V that X reads; each K is a row of V^T after the pivots.
 
     >>> x0, ks = solve_congruences(1, 1, [(IntMatrix.identity(1), IntMatrix.identity(1),
     ...                                     IntMatrix.column([3]), IntMatrix.column([4]))])
@@ -835,9 +828,10 @@ def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tup
     """
     system, rhs = _congruence_system(rows, cols, congruences)
     nx = rows * cols
-    x0 = solve(system, rhs, nx, nx)
-    if x0 is None:
+    _, r, x0 = _back_substitute(system, rhs.entries, rhs.rows, 1, nx, nx)
+    if any(r):
         return None
-    kern = kernel_basis(system, nx, nx)
-    ks = [IntMatrix._of(rows, cols, k) for k in map(kern.col, range(kern.cols)) if any(k)]
-    return IntMatrix._of(rows, cols, x0.entries), ks
+    pivot_rows, _, _, vt = col_echelon(system, nx)
+    ks = [IntMatrix._of(rows, cols, k)
+          for k in map(vt.row, range(len(pivot_rows), vt.rows)) if any(k)]
+    return IntMatrix._of(rows, cols, tuple(x0)), ks

@@ -549,6 +549,58 @@ class TestTwoAutomorphismsAreHom:
         assert sum(n > 1 for n in orders) >= 10  # not vacuous
 
 
+class TestCompositionIsBiadditive:
+    """Law 3: composition is additive in each variable over the Baer sum,
+    z1 * (y1 + y2) = z1 * y1 + z1 * y2 and (z1 + z2) * y1 = z1 * y1 + z2 * y1
+    up to 2-isomorphism, so the Hom-groupoids are Picard groupoids that
+    composition respects (Aldrovandi and Noohi, Butterflies I, Adv. Math.
+    221, 2009).  It needs no oracle."""
+
+    def test_random_triples(self):
+        rng = random.Random(11)
+        apart = 0
+        for _ in range(150):
+            e, f, g = (random_complex(rng, max_rank=1, max_order=6) for _ in range(3))
+            y1, y2 = random_butterfly(e, f, rng), random_butterfly(e, f, rng)
+            z1, z2 = random_butterfly(f, g, rng), random_butterfly(f, g, rng)
+            assert two_morphism_find(compose(z1, baer_sum(y1, y2)),
+                                     baer_sum(compose(z1, y1), compose(z1, y2))) is not None
+            assert two_morphism_find(compose(baer_sum(z1, z2), y1),
+                                     baer_sum(compose(z1, y1), compose(z2, y1))) is not None
+            apart += two_morphism_find(y1, y2) is None
+        assert apart >= 50  # not vacuous: y1 and y2 are often in different classes
+
+
+class TestComponentsAreTheDerivedHom:
+    """Law 4, as an upper bound: over Z, which is hereditary, a complex is
+    H^-1 E[1] + H^0 E in the derived category, so for finite homology
+    |pi_0 Hom(E, F)| = |Hom(H^-1 E, H^-1 F)| |Hom(H^0 E, H^0 F)|
+    |Ext^1(H^0 E, H^-1 F)|, and |Ext^1(A, B)| = |Hom(A, B)| for finite A
+    and B.  The 2-isomorphism classes reached never exceed it: those of
+    random draws, deduplicated with two_morphism_find, and the doubles
+    y + y of those classes, which are classes too since pi_0 is a group
+    under the Baer sum.  The doubles reach the classes with a coordinate 2
+    in a Z/4, which draws with coefficients in {-1, 0, 1} miss."""
+
+    def test_random_pairs(self):
+        rng = random.Random(11)
+        equal = 0
+        for _ in range(40):
+            e, f = (random_complex(rng, max_rank=0, max_order=8) for _ in range(2))
+            he, hf = homology(e), homology(f)
+            bound = hom_order(he.hm1, hf.hm1) * hom_order(he.h0, hf.h0) * hom_order(he.h0, hf.hm1)
+            classes = []
+            for y in [random_butterfly(e, f, rng) for _ in range(60)]:
+                if all(two_morphism_find(c, y) is None for c in classes):
+                    classes.append(y)
+            for y in [baer_sum(c, c) for c in classes]:
+                if all(two_morphism_find(c, y) is None for c in classes):
+                    classes.append(y)
+            assert len(classes) <= bound
+            equal += len(classes) == bound
+        assert equal >= 37  # not vacuous: the classes reached fill the bound
+
+
 class TestKernelCokernel:
     def test_bockstein_quasi_trivial(self):
         kcx, kbf = kernel_b(bockstein())

@@ -1,7 +1,7 @@
 """The CLI's stdout bytes beyond the golden commands, pinned by digest.
 
 `cli_bytes.json` holds the sha256 of stdout for `gen butterfly` and `gen
-sequence` on seeds 0-9, and for `report` and self-`iso2` on each generated
+sequence` on seeds 0-19, and for `report` and self-`iso2` on each generated
 butterfly and `les` on each generated sequence.  A change that moves any of
 these bytes fails here, naming the commands whose bytes moved.  When a move
 is intended (a new elimination order, say), check that each moved output
@@ -21,7 +21,7 @@ from pathlib import Path
 from butterflies.cli import main
 
 MANIFEST = Path(__file__).with_name("cli_bytes.json")
-SEEDS = range(10)
+SEEDS = range(20)
 # the commands run on each generated document, with how many times it is passed
 FOLLOW_UPS = {"butterfly": (("report", 1), ("iso2", 2)), "sequence": (("les", 1),)}
 

@@ -813,21 +813,23 @@ def test_solvers_build_no_product_or_transpose(monkeypatch):
 
 def test_hom_solve_factors_no_kernel_of_its_system(monkeypatch):
     """hom_solve, and two_morphism_find through it, read one solution of the
-    flattened Hom system and never its kernel basis; hom_solve_all, which
-    returns the homogeneous solutions too, still computes it."""
+    flattened Hom system from one lookup of its factorization with a width,
+    and never its homogeneous solutions; hom_solve_all, which returns those
+    too, reads them in a second lookup of the same system's factorization."""
     systems = []
 
-    def counted(a, *args):
-        systems.append(a)
-        return kernel_basis(a, *args)
+    def counted(a, *width):
+        if width:
+            systems.append(a)
+        return col_echelon(a, *width)
 
-    monkeypatch.setattr(intlinalg, "kernel_basis", counted)
+    monkeypatch.setattr(intlinalg, "col_echelon", counted)
     b = bockstein()
     one = FgAbMap.identity(b.carrier)
     x = hom_solve(b.carrier, b.carrier, pre=[(one, one.matrix)])
-    assert x == one and systems == []
-    assert two_morphism_find(b, b) is not None and systems == []
-    assert two_morphism_find(ik2(), b) is None and systems == []
+    assert x == one and len(systems) == 1
+    assert two_morphism_find(b, b) is not None and len(systems) == 2
+    assert two_morphism_find(ik2(), b) is None and len(systems) == 3
     base, kmats = hom_solve_all(b.carrier, b.carrier, pre=[(one, one.matrix)])
     assert FgAbMap(b.carrier, b.carrier, base) == one
-    assert len(systems) == 1
+    assert len(systems) == 5 and systems[3] is systems[4]
