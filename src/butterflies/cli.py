@@ -9,9 +9,9 @@ butterfly they hold, and only then runs the handler on the parsed objects.
 Exit codes: 0 success, 1 mathematical refusal (axiom or precondition
 violated), 2 I/O, usage or schema error (including an unwritable --out
 path, an unknown selftest criterion and a selftest --scale that is not a
-finite number above 0), 3 internal error (a failed invariant of this
-library or any other unexpected exception, never bad input; one line, no
-traceback).
+number above 0 with every suite size finite, so 1e308 too), 3 internal
+error (a failed invariant of this library or any other unexpected
+exception, never bad input; one line, no traceback).
 """
 
 from __future__ import annotations
@@ -183,14 +183,15 @@ def cmd_selftest(args) -> int:
 
 
 def _scale(text: str) -> float:
-    """--scale: a finite number above 0 (selftest.scale_ok)."""
+    """--scale: a number above 0 with every suite size finite (selftest.scale_ok)."""
     from . import selftest
     try:
         x = float(text)
     except ValueError:
         x = math.nan
     if not selftest.scale_ok(x):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a number above 0 with every suite size finite, "
+                                         f"got {text!r}")
     return x
 
 

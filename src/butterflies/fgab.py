@@ -419,7 +419,7 @@ def hom_solve(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
     one integer system in the entries of X and relation coefficients, for
     one solution only: the homogeneous ones are hom_solve_all's.
     """
-    x = particular_solution(dst.ngens, src.ngens, _hom_congruences(src, dst, pre, post))
+    x = particular_solution(dst.ngens, src.ngens, *_hom_congruences(src, dst, pre, post))
     return None if x is None else FgAbMap(src, dst, x)
 
 
@@ -427,25 +427,20 @@ def hom_solve_all(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple] = (),
                   post: Sequence[tuple] = ()):
     """Like hom_solve but returns raw matrices, (one solution, the kernel
     generators), so callers that combine them build no map for the parts."""
-    return solve_congruences(dst.ngens, src.ngens, _hom_congruences(src, dst, pre, post))
+    return solve_congruences(dst.ngens, src.ngens, *_hom_congruences(src, dst, pre, post))
 
 
 def _hom_congruences(src: FgAbGroup, dst: FgAbGroup, pre: Sequence[tuple],
-                     post: Sequence[tuple]) -> list:
-    """hom_solve's constraints, and X's descent to src's relations, as
-    congruences (L, R, C, Rel) on X: L*X*R = C modulo Rel, with None for
-    each identity factor."""
-    congruences = [(None, src.relations, IntMatrix.zeros(dst.ngens, src.relations.cols),
-                    dst.relations)]
-    for f, g in pre:
-        if f.dst != src:
-            raise ValueError("pre-constraint endpoint mismatch")
-        congruences.append((None, f.matrix, g, dst.relations))
-    for h, k in post:
-        if h.src != dst:
-            raise ValueError("post-constraint endpoint mismatch")
-        congruences.append((h.matrix, None, k, h.dst.relations))
-    return congruences
+                     post: Sequence[tuple]) -> tuple:
+    """(pre, post) for intlinalg's solvers: X's descent to src's relations
+    and hom_solve's pre constraints as (R, C, Rel), its post ones as (L, C, Rel)."""
+    if any(f.dst != src for f, _ in pre):
+        raise ValueError("pre-constraint endpoint mismatch")
+    if any(h.src != dst for h, _ in post):
+        raise ValueError("post-constraint endpoint mismatch")
+    descent = (src.relations, IntMatrix.zeros(dst.ngens, src.relations.cols), dst.relations)
+    return ([descent, *((f.matrix, g, dst.relations) for f, g in pre)],
+            [(h.matrix, k, h.dst.relations) for h, k in post])
 
 
 def solution_at(solutions: tuple, coeffs: Sequence[int]) -> IntMatrix:

@@ -751,41 +751,30 @@ def reduce_cols(a: IntMatrix, m: IntMatrix) -> IntMatrix:
     return IntMatrix._of(m.rows, m.cols, tuple(r)) if any(y) else m
 
 
-def _congruence_system(rows: int, cols: int, congruences: Sequence[tuple]) -> tuple:
-    """(A, c): the congruences L*X*R = C modulo Rel as one system A*z = c.
+def _congruence_system(rows: int, cols: int, pre: Sequence[tuple], post: Sequence[tuple]) -> tuple:
+    """(A, c): the congruences X*R = C for each (R, C, Rel) in pre, then
+    L*X = C for each (L, C, Rel) in post, modulo Rel, as one system A*z = c.
     z holds the entries of X, row major, then one slack unknown per relation
-    coefficient.  Equation (u, v) of a congruence is (L*X*R)[u][v] = C[u][v]
-    less Rel[u] times column v's slack block, so its row of A is row u of
-    the Kronecker product L (x) R^T, then -Rel[u] in that block: block s of
-    its X part is L[u][s] times column v of R.  An L or R of None is the
-    identity, written without one: R's column v lands in block u alone, or
-    L's row u at the entries s*cols + v."""
-    shapes = [(rows if lm is None else lm.rows, cols if rm is None else rm.cols)
-              for (lm, rm, _, _) in congruences]
-    for (lm, rm, cm, rel), (nl, nr) in zip(congruences, shapes):
-        if ((lm is not None and lm.cols != rows) or (rm is not None and rm.rows != cols)
-                or rel.rows != nl or (cm.rows, cm.cols) != (nl, nr)):
-            raise ValueError("solve_congruences: shape mismatch")
+    coefficient.  Equation (u, v) of a congruence, in column-major order, is
+    column v of R in X's row u, or row u of L down X's column v, then
+    -Rel[u] in column v's slack block, with right-hand side C[u][v]."""
+    both = (*pre, *post)
+    if (any(m.rows != cols or (c.rows, c.cols) != (rows, m.cols) for m, c, _ in pre)
+            or any(m.cols != rows or (c.rows, c.cols) != (m.rows, cols) for m, c, _ in post)
+            or any(rel.rows != c.rows for _, c, rel in both)):
+        raise ValueError("solve_congruences: shape mismatch")
     nx = rows * cols
-    width = nx + sum(nr * rel.cols for (_, _, _, rel), (_, nr) in zip(congruences, shapes))
-    n = sum(nl * nr for nl, nr in shapes)
+    width = nx + sum(c.cols * rel.cols for _, c, rel in both)
+    n = sum(c.rows * c.cols for _, c, _ in both)
     flat, rhs, at, slack = [0] * (n * width), [], 0, nx
-    for (lm, rm, cm, rel), (nl, nr) in zip(congruences, shapes):
-        for v in range(nr):
-            rv, cv = None if rm is None else rm.col(v), cm.col(v)
-            for u in range(nl):
-                if lm is None:
-                    if rm is None:
-                        flat[at + u * cols + v] = 1
-                    else:
-                        flat[at + u * cols:at + (u + 1) * cols] = rv
-                elif rm is None:
-                    flat[at + v:at + nx:cols] = lm.row(u)
+    for k, (m, cm, rel) in enumerate(both):
+        for v in range(cm.cols):
+            mv, cv = m.col(v) if k < len(pre) else None, cm.col(v)
+            for u in range(cm.rows):
+                if mv is None:
+                    flat[at + v:at + nx:cols] = m.row(u)
                 else:
-                    for s, x in enumerate(lm.row(u)):
-                        if x:
-                            start = at + s * cols
-                            flat[start:start + cols] = rv if x == 1 else [x * y for y in rv]
+                    flat[at + u * cols:at + (u + 1) * cols] = mv
                 flat[at + slack:at + slack + rel.cols] = map(neg, rel.row(u))
                 rhs.append(cv[u])
                 at += width
@@ -793,26 +782,28 @@ def _congruence_system(rows: int, cols: int, congruences: Sequence[tuple]) -> tu
     return IntMatrix._of(n, width, tuple(flat)), IntMatrix._of(n, 1, tuple(rhs))
 
 
-def particular_solution(rows: int, cols: int, congruences: Sequence[tuple]) -> IntMatrix | None:
-    """One integer rows x cols matrix X0 with L*X0*R = C modulo the column
-    span of Rel, for every (L, R, C, Rel) in congruences (an L or R of None
-    is the identity), or None: the X0 of solve_congruences, back-substituted
-    on the same factorization, without its homogeneous solutions.
+def particular_solution(rows: int, cols: int, pre: Sequence[tuple],
+                        post: Sequence[tuple]) -> IntMatrix | None:
+    """One integer rows x cols matrix X0 with X0*R = C for each (R, C, Rel)
+    in pre and L*X0 = C for each (L, C, Rel) in post, modulo the column span
+    of Rel, or None: the X0 of solve_congruences, back-substituted on the
+    same factorization, without its homogeneous solutions.
 
-    >>> particular_solution(1, 1, [(IntMatrix.identity(1), IntMatrix.identity(1),
-    ...                             IntMatrix.column([3]), IntMatrix.column([4]))]).entries
+    >>> particular_solution(1, 1, [(IntMatrix.identity(1), IntMatrix.column([3]),
+    ...                             IntMatrix.column([4]))], []).entries
     (3,)
     """
-    system, rhs = _congruence_system(rows, cols, congruences)
+    system, rhs = _congruence_system(rows, cols, pre, post)
     nx = rows * cols
     _, r, x0 = _back_substitute(system, rhs.entries, rhs.rows, 1, nx, nx)
     return None if any(r) else IntMatrix._of(rows, cols, tuple(x0))
 
 
-def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tuple | None:
-    """Integer rows x cols matrices X with L*X*R = C modulo the column span
-    of Rel, for every (L, R, C, Rel) in congruences; an L or R of None is
-    the identity.
+def solve_congruences(rows: int, cols: int, pre: Sequence[tuple],
+                      post: Sequence[tuple]) -> tuple | None:
+    """Integer rows x cols matrices X with X*R = C for each (R, C, Rel) in
+    pre and L*X = C for each (L, C, Rel) in post, modulo the column span of
+    Rel.
 
     Returns (X0, Ks) with X0 one solution and Ks the nonzero matrices among
     a generating set of the solutions of the homogeneous system, so every
@@ -821,12 +812,12 @@ def solve_congruences(rows: int, cols: int, congruences: Sequence[tuple]) -> tup
     unknown per relation coefficient, factored carrying only the nx = rows *
     cols rows of V that X reads; each K is a row of V^T after the pivots.
 
-    >>> x0, ks = solve_congruences(1, 1, [(IntMatrix.identity(1), IntMatrix.identity(1),
-    ...                                     IntMatrix.column([3]), IntMatrix.column([4]))])
+    >>> x0, ks = solve_congruences(1, 1, [], [(IntMatrix.identity(1), IntMatrix.column([3]),
+    ...                                        IntMatrix.column([4]))])
     >>> x0.entries, [k.entries for k in ks]
     ((3,), [(4,)])
     """
-    system, rhs = _congruence_system(rows, cols, congruences)
+    system, rhs = _congruence_system(rows, cols, pre, post)
     nx = rows * cols
     _, r, x0 = _back_substitute(system, rhs.entries, rhs.rows, 1, nx, nx)
     if any(r):

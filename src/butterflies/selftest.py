@@ -470,8 +470,9 @@ def criterion_numbers() -> list:
 
 
 def scale_ok(scale: float) -> bool:
-    """Is scale a suite size factor run() accepts: a finite number above 0?"""
-    return 0 < scale < math.inf
+    """Is scale a suite size factor run() accepts: a number above 0 at which
+    every suite size, the largest being _n(500, scale), is a finite integer?"""
+    return 0 < scale and math.isfinite(500 * scale)
 
 
 def run(scale: float = 1.0, only=None, out=print) -> bool:
@@ -481,7 +482,7 @@ def run(scale: float = 1.0, only=None, out=print) -> bool:
     only is a str, is empty or has a member whose str() names no criterion.
     """
     if not scale_ok(scale):
-        raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
+        raise ValueError(f"scale must be a number above 0 with every suite size finite, got {scale!r}")
     if isinstance(only, str):
         raise ValueError(f"only must be a collection of criterion numbers, not the str {only!r}")
     if only is not None:

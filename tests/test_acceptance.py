@@ -196,10 +196,12 @@ class TestCriterion10Cli:
 
     def test_run_rejects_bad_scale(self):
         lines = []
-        for scale in (float("nan"), float("inf"), -float("inf"), 0, -3, -0.5):
-            with pytest.raises(ValueError, match="^scale must be a finite number above 0"):
+        for scale in (float("nan"), float("inf"), -float("inf"), 0, -3, -0.5, 1e308):
+            with pytest.raises(ValueError, match="^scale must be a number above 0 with every "
+                                                 "suite size finite, got "):
                 selftest.run(scale=scale, only={"8"}, out=lines.append)
         assert lines == []
+        assert selftest.scale_ok(3e305)    # 500 * 3e305 is still a finite float
 
     def test_round_trip_byte_stable(self, tmp_path):
         docs = [

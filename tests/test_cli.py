@@ -291,13 +291,15 @@ class TestExitCodes:
 
     def test_selftest_bad_scale_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        for scale in ("nan", "inf", "-inf", "0", "-0.5", "x"):
+        # 1e308 is finite, but 500 * 1e308, the size of the largest suite,
+        # overflows to inf, whose round() would be an internal error
+        for scale in ("nan", "inf", "-inf", "0", "-0.5", "x", "1e308"):
             with pytest.raises(SystemExit) as exc:
                 main(["selftest", f"--scale={scale}", "--suite", "8"])
             assert exc.value.code == 2
             assert capsys.readouterr() == ("", SELFTEST_USAGE + "butterflies selftest: error: "
-                                           "argument --scale: must be a finite number above 0, "
-                                           f"got '{scale}'\n")
+                                           "argument --scale: must be a number above 0 with "
+                                           f"every suite size finite, got '{scale}'\n")
 
     @staticmethod
     def assert_refused(tmp_path, capsys, doc, msg):

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import butterflies
-from butterflies import intlinalg
-from butterflies.fgab import FgAbGroup, FgAbMap, simplify
+from butterflies import fgab, intlinalg
+from butterflies.fgab import FgAbGroup, FgAbMap, random_group, random_map, simplify
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, Record, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
     congruent, hstack, vstack, kron, submatrix, solve_congruences, particular_solution, col_echelon,
@@ -443,12 +443,16 @@ def test_solve_matrix_and_kernel_basis():
 
 
 def test_solve_congruences_checks_shapes():
-    one, none = IntMatrix.identity(1), IntMatrix.zeros(1, 0)
+    one, none, c12 = IntMatrix.identity(1), IntMatrix.zeros(1, 0), IntMatrix.zeros(1, 2)
     for solver in (solve_congruences, particular_solution):
         with pytest.raises(ValueError, match="shape mismatch"):
-            solver(1, 2, [(one, one, one, none)])      # R has 1 row, X 2 columns
+            solver(1, 2, [(one, one, none)], [])       # pre R has 1 row, X 2 columns
         with pytest.raises(ValueError, match="shape mismatch"):
-            solver(1, 1, [(one, one, one, IntMatrix.zeros(2, 0))])
+            solver(2, 1, [], [(one, one, none)])       # post L has 1 column, X 2 rows
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solver(1, 2, [], [(one, c12, IntMatrix.zeros(2, 0))])   # Rel 2 rows, C 1
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solver(1, 1, [(one, one, IntMatrix.zeros(2, 0))], [])
 
 
 def kronecker_system(rows, cols, congruences):
@@ -476,35 +480,55 @@ def kronecker_system(rows, cols, congruences):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_congruence_system_is_the_kronecker_definition(data):
-    """The system built by blocks (a row of R, or a multiple of one, per
-    nonzero entry of L) equals the per-entry definition, for None (the
-    identity, written without one), identity and dense L and R, any of
-    whose dimensions may be 0."""
+    """The system built by rows (a column of R in one row of X for pre, a
+    row of L down one column of X for post) equals the per-entry definition
+    on (L, R, C, Rel) with the other factor the identity, pre's congruences
+    first, for identity and dense R and L, any of whose dimensions may be 0."""
     rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-    congruences, stated = [], []
-    for _ in range(data.draw(st.integers(0, 3))):
-        kind = data.draw(st.sampled_from(["none", "identity", "dense"]))
-        if kind == "dense":
-            lm = data.draw(shaped(data.draw(st.integers(0, 3)), rows, bound=3))
-        else:
-            lm = IntMatrix.identity(rows)
-        lm_given = None if kind == "none" else lm
-        kind = data.draw(st.sampled_from(["none", "identity", "dense"]))
-        if kind == "dense":
-            rm = data.draw(shaped(cols, data.draw(st.integers(0, 3)), bound=3))
-        else:
-            rm = IntMatrix.identity(cols)
-        rm_given = None if kind == "none" else rm
-        cm = data.draw(shaped(lm.rows, rm.cols, bound=3))
-        rel = data.draw(shaped(lm.rows, data.draw(st.integers(0, 2)), bound=3))
-        congruences.append((lm, rm, cm, rel))
-        stated.append((lm_given, rm_given, cm, rel))
-    want = kronecker_system(rows, cols, congruences)
-    assert intlinalg._congruence_system(rows, cols, stated) == want
-    assert intlinalg._congruence_system(rows, cols, congruences) == want
-    res, x0 = solve_congruences(rows, cols, stated), particular_solution(rows, cols, stated)
+    sides, congruences = ([], []), ([], [])
+    for side in (0, 1):             # pre, then post
+        for _ in range(data.draw(st.integers(0, 3))):
+            if data.draw(st.booleans()):
+                m = IntMatrix.identity(rows if side else cols)
+            else:
+                n = data.draw(st.integers(0, 3))
+                m = data.draw(shaped(n, rows, bound=3) if side else shaped(cols, n, bound=3))
+            lm, rm = (m, IntMatrix.identity(cols)) if side else (IntMatrix.identity(rows), m)
+            cm = data.draw(shaped(lm.rows, rm.cols, bound=3))
+            rel = data.draw(shaped(lm.rows, data.draw(st.integers(0, 2)), bound=3))
+            congruences[side].append((lm, rm, cm, rel))
+            sides[side].append((m, cm, rel))
+    want = kronecker_system(rows, cols, congruences[0] + congruences[1])
+    assert intlinalg._congruence_system(rows, cols, *sides) == want
+    res, x0 = solve_congruences(rows, cols, *sides), particular_solution(rows, cols, *sides)
     assert (res is None) == (x0 is None) == (solve(*want) is None)
     assert res is None or res[0] == x0
+
+
+def test_hom_congruences_are_the_kronecker_definition():
+    """hom_solve's system is the per-entry definition on X's descent
+    (I, rel(src), 0, rel(dst)), then (I, f, g, rel(dst)) for each pre
+    constraint (f, g), then (h, I, k, rel(W)) for each post constraint
+    (h, k) with h: dst -> W, in that order."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        src, dst = (random_group(rng, max_rank=1, max_order=8) for _ in range(2))
+        pre, post = [], []
+        for _ in range(rng.randint(0, 2)):
+            f = random_map(rng, random_group(rng, max_rank=1, max_order=8), src)
+            pre.append((f, random_map(rng, f.src, dst).matrix))
+        for _ in range(rng.randint(0, 2)):
+            h = random_map(rng, dst, random_group(rng, max_rank=1, max_order=8))
+            post.append((h, random_map(rng, src, h.dst).matrix))
+        rows, cols = dst.ngens, src.ngens
+        eye_r, eye_c = IntMatrix.identity(rows), IntMatrix.identity(cols)
+        congruences = [(eye_r, src.relations, IntMatrix.zeros(rows, src.relations.cols),
+                        dst.relations)]
+        congruences += [(eye_r, f.matrix, g, dst.relations) for f, g in pre]
+        congruences += [(h.matrix, eye_c, k, h.dst.relations) for h, k in post]
+        stated = fgab._hom_congruences(src, dst, pre, post)
+        assert intlinalg._congruence_system(rows, cols, *stated) == kronecker_system(
+            rows, cols, congruences)
 
 
 def test_congruence_systems_carry_only_the_rows_of_x(monkeypatch):
@@ -521,12 +545,11 @@ def test_congruence_systems_carry_only_the_rows_of_x(monkeypatch):
     monkeypatch.setattr(intlinalg, "col_echelon", spy)
     # X: 2 x 3 and one relation column per congruence: 6 + 1 + 3 unknowns
     x = mat([[1, 0, 2], [0, 1, 1]])
-    congruences = [(lm, rm, lm * x * rm, rel) for lm, rm, rel in (
-        (IntMatrix.identity(2), mat([[1], [2], [3]]), mat([[4], [6]])),
-        (mat([[1, 1]]), IntMatrix.identity(3), mat([[5]])))]
+    rm, lm = mat([[1], [2], [3]]), mat([[1, 1]])
+    congruences = [(rm, x * rm, mat([[4], [6]]))], [(lm, lm * x, mat([[5]]))]
     col_echelon.cache_clear()
-    x0, ks = solve_congruences(2, 3, congruences)
-    assert particular_solution(2, 3, congruences) == x0
+    x0, ks = solve_congruences(2, 3, *congruences)
+    assert particular_solution(2, 3, *congruences) == x0
     assert seen == [(6 + 1 + 3, (6,), 6)] * 3
     assert col_echelon.cache_info().misses == 1
     assert ks and all((k.rows, k.cols) == (2, 3) for k in ks)
@@ -686,22 +709,20 @@ def test_congruent_is_membership_of_the_difference(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_solve_congruences_recovers_a_planted_solution(data):
-    """Two congruences L*X*R = C modulo Rel on a planted X that is not
-    square, the first with L and R not square either: x0 and each K pass
-    by membership, and the planted X is x0 plus an integer combination of
-    the Ks."""
+    """A pre congruence X*R = C and a post congruence L*X = C, modulo Rel,
+    on a planted X that is not square, with R and L not square either: x0
+    and each K pass by membership, and the planted X is x0 plus an integer
+    combination of the Ks."""
     rows = data.draw(st.integers(1, 3))
     cols = data.draw(st.integers(1, 3).filter(lambda c: c != rows))
     x = data.draw(shaped(rows, cols, bound=5))
-    congruences = []
-    for a, b in ((rows + 1, cols + 1), (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))):
-        lm, rm = data.draw(shaped(a, rows, bound=5)), data.draw(shaped(cols, b, bound=5))
-        rel = data.draw(shaped(a, data.draw(st.integers(0, 2)), bound=5))
-        congruences.append((lm, rm, lm * x * rm, rel))
-    x0, ks = solve_congruences(rows, cols, congruences)
-    for lm, rm, cm, rel in congruences:
-        assert in_col_span(rel, lm * x0 * rm - cm)
-        assert all(in_col_span(rel, lm * k * rm) for k in ks)
+    rm = data.draw(shaped(cols, cols + 1, bound=5))
+    lm = data.draw(shaped(data.draw(st.integers(0, 3).filter(lambda a: a != rows)), rows, bound=5))
+    pre_rel, post_rel = (data.draw(shaped(n, data.draw(st.integers(0, 2)), bound=5))
+                         for n in (rows, lm.rows))
+    x0, ks = solve_congruences(rows, cols, [(rm, x * rm, pre_rel)], [(lm, lm * x, post_rel)])
+    assert in_col_span(pre_rel, x0 * rm - x * rm) and in_col_span(post_rel, lm * x0 - lm * x)
+    assert all(in_col_span(pre_rel, k * rm) and in_col_span(post_rel, lm * k) for k in ks)
     n = rows * cols
     span = IntMatrix(n, len(ks), [k.entries[i] for i in range(n) for k in ks])
     assert solve(span, IntMatrix.column((x - x0).entries)) is not None
@@ -968,7 +989,7 @@ class TestTrustedResults:
         b = data.draw(shaped(k, c))
         n = data.draw(st.integers(-9, 9))
         # X * b = a * b modulo the columns of a2: solved by X = a
-        x0, ks = solve_congruences(r, k, [(IntMatrix.identity(r), b, a * b, a2)])
+        x0, ks = solve_congruences(r, k, [(b, a * b, a2)], [])
         assert in_col_span(a2, (x0 - a) * b)
         assert all(in_col_span(a2, km * b) for km in ks)
         results = [a * b, a + a2, a - a2, -a, a * n, n * a, a.transpose(),
