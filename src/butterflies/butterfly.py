@@ -1,6 +1,6 @@
 """Butterflies between 2-term complexes: the 1-morphisms of the 2-category.
 
-A butterfly src -> dst is a carrier group Y with four wings
+A butterfly src -> dst is a carrier group Y with four wings (wing_ends):
     i: dst.deg_m1 -> Y,   j: src.deg_m1 -> Y,
     p: Y -> dst.deg_0,    q: Y -> src.deg_0,
 such that q*j = d_src, p*i = -d_dst, p*j = 0 and the NE-SW diagonal
@@ -38,6 +38,12 @@ from .fgab import (
 from .twocomplex import TwoTermComplex, ChainMap, homology
 
 
+def wing_ends(src: TwoTermComplex, dst: TwoTermComplex, carrier: FgAbGroup) -> dict:
+    """Each wing's (source, target) in the order i, j, p, q: a butterfly's shape."""
+    return {"i": (dst.deg_m1, carrier), "j": (src.deg_m1, carrier),
+            "p": (carrier, dst.deg_0), "q": (carrier, src.deg_0)}
+
+
 class Butterfly(Record):
     """Four wings meeting in one carrier, i.dst; each wing is checked once."""
 
@@ -49,15 +55,10 @@ class Butterfly(Record):
     q: FgAbMap  # carrier -> src.deg_0
 
     def __post_init__(self):
-        car = self.i.dst
-        if self.i.src != self.dst.deg_m1:
-            raise ValueError("wing i endpoints mismatch")
-        if self.j.src != self.src.deg_m1 or self.j.dst != car:
-            raise ValueError("wing j endpoints mismatch")
-        if self.p.src != car or self.p.dst != self.dst.deg_0:
-            raise ValueError("wing p endpoints mismatch")
-        if self.q.src != car or self.q.dst != self.src.deg_0:
-            raise ValueError("wing q endpoints mismatch")
+        for name, ends in wing_ends(self.src, self.dst, self.i.dst).items():
+            wing = getattr(self, name)
+            if (wing.src, wing.dst) != ends:
+                raise ValueError(f"wing {name} endpoints mismatch")
 
     @property
     def carrier(self) -> FgAbGroup:
@@ -246,7 +247,7 @@ def homology_action(y: Butterfly) -> tuple:
     u = lift(y.i, y.j.matrix * hs.incl.matrix)
     if u is None:
         raise ValueError("map does not land in the subgroup")
-    hm1 = hd.ker.factor(hs.hm1, u)
+    hm1 = factor_through_injection(hd.ker.incl, hs.hm1, u)
     lifts = lift(y.q, hs.cok.fro)
     if lifts is None:
         raise ValueError("q is not surjective; butterfly invalid")
@@ -278,7 +279,7 @@ def kernel_b(y: Butterfly):
     """The kernel complex [src.deg_m1 -> ker(p)] and its inclusion butterfly,
     the chain map (identity, q restricted)."""
     kp = kernel(y.p)
-    dk = kp.factor(y.src.deg_m1, y.j.matrix)
+    dk = factor_through_injection(kp.incl, y.src.deg_m1, y.j.matrix)
     kcx = TwoTermComplex(dk)
     incl = ChainMap(kcx, y.src, FgAbMap.identity(y.src.deg_m1), y.q * kp.incl)
     return kcx, from_chain_map(incl)
@@ -366,7 +367,7 @@ def middle_exact_iso(y: Butterfly) -> tuple:
     c2, coim = coimage_b(y)  # coim: c2 -> c4; coim.p is p corestricted to im(p)
     c1, c4 = img.src, coim.dst
     kp, cj = kernel(y.p), cokernel(y.j)
-    into_kp = kp.factor(c1.deg_m1, img.j.matrix)
+    into_kp = factor_through_injection(kp.incl, c1.deg_m1, img.j.matrix)
     bf_a = from_chain_map(ChainMap(c1, c2, into_kp, FgAbMap.identity(y.src.deg_0)))
     bf_b = Butterfly(c2, c3, y.i, kp.incl, cj.proj, y.q)
     pbar = cj.induce(c4.deg_0, coim.p.matrix)
@@ -428,11 +429,10 @@ def pushout_compose(g: ChainMap, y: Butterfly) -> Butterfly:
 
 # -- randomized instances ------------------------------------------------------
 
-def random_butterfly(e: TwoTermComplex, f: TwoTermComplex, seed) -> Butterfly:
+def random_butterfly(e: TwoTermComplex, f: TwoTermComplex, rng: random.Random) -> Butterfly:
     """A random valid butterfly e -> f: sample a class in Ext^1(E^0, F^-1),
     realize the carrier, then solve for compatible (j, p), resampling on
-    failure.  Deterministic per seed; the zero composite is the fallback."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    failure.  Deterministic per rng state; the zero composite is the fallback."""
     ext = ext1_realize(e.deg_0, f.deg_m1)
     ng = ext.group.ngens
     for _ in range(6):

@@ -24,7 +24,7 @@ from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, kron, 
 from .fgab import (
     FgAbGroup, FgAbMap, kernel, cokernel, hom_group, power_group,
     free_presentation, dual_presentation, precompose, precompose_matrix, ext1_realize,
-    hom_solve_all, solution_at,
+    hom_solve_all, solution_at, factor_through_injection,
 )
 from .twocomplex import TwoTermComplex, homology, shift1
 from .butterfly import Butterfly, two_morphism_find, validate
@@ -75,13 +75,14 @@ def biext_groups(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup) -> BiextGroups:
 
     # (c, v) blocks, copy-major, subject to v*R1 + c*D' = 0
     pk = kernel(precompose(vstack(dprime, r1), c))
-    u = pk.factor(power_group(c, k0.ngens),  # coboundaries (g*R0, -g*D)
-                  precompose_matrix(hstack(r0, -dmat), c))
+    u = factor_through_injection(pk.incl, power_group(c, k0.ngens),  # coboundaries (g*R0, -g*D)
+                                 precompose_matrix(hstack(r0, -dmat), c))
     pi0 = cokernel(u).group
 
     # filtration pieces, for cross-checks
     hom0, hom1 = kernel(pre0), kernel(pre1)
-    hom_d = hom1.factor(hom0.group, precompose_matrix(dmat, c) * hom0.incl.matrix)
+    hom_d = factor_through_injection(hom1.incl, hom0.group,
+                                     precompose_matrix(dmat, c) * hom0.incl.matrix)
     filtration_sub = cokernel(hom_d).group
     ext0, ext1 = cokernel(pre0), cokernel(pre1)
     ext_d = ext0.induce(ext1.group, ext1.proj.matrix * precompose_matrix(dprime, c))

@@ -14,7 +14,7 @@ from itertools import islice
 
 from .intlinalg import IntMatrix, InvariantError, Record, hstack, vstack, block, congruent
 from .fgab import (
-    FgAbMap, direct_sum, kernel, cokernel, lift,
+    FgAbMap, direct_sum, kernel, cokernel, lift, factor_through_injection,
     is_injective, is_surjective, exact_verdicts, hom_solve, random_map,
 )
 from .twocomplex import TwoTermComplex, ChainMap, homology, embed0, shift1, random_complex
@@ -86,7 +86,7 @@ def is_right_exact(s: ButterflyShortSeq) -> bool:
 def seq74_exact(s: ButterflyShortSeq) -> bool:
     """0 -> E^-1 -> Y -> ker(p_Z) -> 0, i.e. E ~ ker(Z)."""
     kp = kernel(s.z.p)
-    phit = kp.factor(s.y.carrier, s.phi.matrix)
+    phit = factor_through_injection(kp.incl, s.y.carrier, s.phi.matrix)
     return all(exact_verdicts(s.y.j, phit))
 
 
@@ -228,11 +228,12 @@ def twisted_extension_seq(rng: random.Random, e: TwoTermComplex,
     return chain_map_seq(u, v, IntMatrix.zeros(ng1, ne0))
 
 
-def cokernel_seq(e: TwoTermComplex, f: TwoTermComplex, seed) -> ButterflyShortSeq | None:
+def cokernel_seq(e: TwoTermComplex, f: TwoTermComplex,
+                 rng: random.Random) -> ButterflyShortSeq | None:
     """0 -> E -> F -> coker(Y) -> 0 for a random monomorphism Y, with the
     witness resolved by the morphism solver; None when Y is not mono or no
     witness choice is exact."""
-    y = random_butterfly(e, f, seed)
+    y = random_butterfly(e, f, rng)
     _, z = cokernel_b(y)
     s = zero_witness_find(z, y)
     return s if s is not None and is_exact(s) else None

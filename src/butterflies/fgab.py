@@ -22,10 +22,10 @@ same factored lattice kernel(a) and image(a) read), never by building the
 subquotient; subquotient is for the callers that need the group itself.
 exact_verdicts is the one statement of what an exact sequence is.
 
-One way in and out: Kernel.factor, Cokernel.induce, factor_through_injection,
-subquotient, Subquotient.lift_in and induce_out take the far endpoint group
-and a raw IntMatrix and return one checked map; Simplified.to and fro,
-Cokernel.fro and Ext1's coordinates are plain matrices.  lift(f, targets)
+One way in and out: Cokernel.induce, factor_through_injection, subquotient,
+Subquotient.lift_in and induce_out take the far endpoint group and a raw
+IntMatrix and return one checked map; Simplified.to and fro, Cokernel.fro
+and Ext1's coordinates are plain matrices.  lift(f, targets)
 is the one preimage solver, on f's memoized map_lattice; two lifts differ by
 an element of f's lattice, which every caller's composite kills.  hom_solve
 takes a map and a raw right-hand side per constraint.  Each fact is checked
@@ -231,10 +231,6 @@ class Kernel(Record):
     group: FgAbGroup
     incl: FgAbMap  # group -> src of the original map; injective
 
-    def factor(self, src: FgAbGroup, x: IntMatrix) -> FgAbMap:
-        """Factor a matrix x: src -> incl.dst, killed by the original map, through incl."""
-        return factor_through_injection(self.incl, src, x)
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def map_lattice(f: FgAbMap) -> IntMatrix:
@@ -313,7 +309,7 @@ class Subquotient(Record):
     """H = ker(b)/im(a) for composable a, b with b*a = 0: the cokernel of a
     factored through ker(b).
 
-    Like Kernel.factor and Cokernel.induce, subquotient, lift_in and
+    Like factor_through_injection and Cokernel.induce, subquotient, lift_in and
     induce_out take the far endpoint group and a raw matrix, so callers that
     hold only blocks build no map for them; each returns one checked map.
     """
@@ -349,7 +345,7 @@ def subquotient(src: FgAbGroup, a: IntMatrix, b: FgAbMap) -> Subquotient:
     if (a.rows, a.cols) != (b.src.ngens, src.ngens):
         raise ValueError("subquotient endpoints mismatch")
     ker = kernel(b)
-    return Subquotient(ker, cokernel(ker.factor(src, a)))
+    return Subquotient(ker, cokernel(factor_through_injection(ker.incl, src, a)))
 
 
 def is_exact_at(a: FgAbMap, b: FgAbMap) -> bool:

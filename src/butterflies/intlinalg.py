@@ -33,17 +33,39 @@ _RESERVED = frozenset(("_hash", "_field_tuple"))
 
 
 class _RecordType(type):
-    """Gives each Record subclass __slots__ for the names its body annotates.
-    Slots must be in the class namespace before the class exists, which is
-    too early for __init_subclass__."""
+    """Builds each Record subclass: __slots__ for the names its body
+    annotates, which must be in the namespace before the class exists, then
+    the compiled __init__ and == over them."""
 
     def __new__(mcs, name, bases, ns):
-        if bases:
-            names = tuple(ns.get("__annotations__", ()))
-            for n in _RESERVED.intersection(names):
-                raise TypeError(f"{name}: field {n!r} is a name Record keeps for itself")
-            ns["__slots__"] = names
-        return super().__new__(mcs, name, bases, ns)
+        if not bases:
+            return super().__new__(mcs, name, bases, ns)
+        names = tuple(ns.get("__annotations__", ()))
+        for n in _RESERVED.intersection(names):
+            raise TypeError(f"{name}: field {n!r} is a name Record keeps for itself")
+        ns["__slots__"] = names
+        cls = super().__new__(mcs, name, bases, ns)
+        mine = "".join(f"self.{n}, " for n in names)
+        theirs = "".join(f"other.{n}, " for n in names)
+        sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
+        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        # _hash is set last: __post_init__ may still replace a field
+        init = (f"def __init__(self, {', '.join(names)}):\n{sets}{post}"
+                "    _set_hash(self, None)\n") if "__init__" not in ns else ""
+        src = (f"{init}def __eq__(self, other):\n"
+               "    if other.__class__ is not self.__class__:\n"
+               "        return NotImplemented\n"
+               f"    return ({mine}) == ({theirs})\n")
+        fns: dict = {}
+        exec(src, {"_setattr": object.__setattr__, "_set_hash": _set_hash}, fns)
+        for fname, fn in fns.items():
+            fn.__qualname__ = f"{cls.__qualname__}.{fname}"
+            setattr(cls, fname, fn)
+        cls.__match_args__ = names
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._field_tuple = staticmethod(attrgetter(*names) if len(names) > 1
+                                        else lambda self: tuple(getattr(self, n) for n in names))
+        return cls
 
 
 class Record(metaclass=_RecordType):
@@ -71,30 +93,6 @@ class Record(metaclass=_RecordType):
     """
 
     __slots__ = ("_hash",)
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        names = cls.__slots__
-        mine = "".join(f"self.{n}, " for n in names)
-        theirs = "".join(f"other.{n}, " for n in names)
-        sets = "".join(f"    _setattr(self, {n!r}, {n})\n" for n in names)
-        post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-        # _hash is set last: __post_init__ may still replace a field
-        init = (f"def __init__(self, {', '.join(names)}):\n{sets}{post}"
-                "    _set_hash(self, None)\n") if "__init__" not in vars(cls) else ""
-        src = (f"{init}def __eq__(self, other):\n"
-               "    if other.__class__ is not self.__class__:\n"
-               "        return NotImplemented\n"
-               f"    return ({mine}) == ({theirs})\n")
-        ns: dict = {}
-        exec(src, {"_setattr": object.__setattr__, "_set_hash": _set_hash}, ns)
-        for name, fn in ns.items():
-            fn.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, fn)
-        cls.__match_args__ = names
-        # attrgetter of one name returns the bare value, not a 1-tuple
-        cls._field_tuple = staticmethod(attrgetter(*names) if len(names) > 1
-                                        else lambda self: tuple(getattr(self, n) for n in names))
 
     def __hash__(self):
         h = self._hash
@@ -235,19 +233,18 @@ class IntMatrix(Record):
             return self * other
         return NotImplemented
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, symbol: str):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in +")
-        return IntMatrix._of(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
+            raise ValueError(f"shape mismatch in {symbol}")
+        return IntMatrix._of(self.rows, self.cols, tuple(map(op, self.entries, other.entries)))
+
+    def __add__(self, other):
+        return self._entrywise(other, add, "+")
 
     def __sub__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in -")
-        return IntMatrix._of(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
+        return self._entrywise(other, sub, "-")
 
     def __neg__(self):
         return IntMatrix._of(self.rows, self.cols, tuple(map(neg, self.entries)))

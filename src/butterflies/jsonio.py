@@ -21,7 +21,7 @@ import re
 from .intlinalg import IntMatrix
 from .fgab import FgAbGroup, FgAbMap
 from .twocomplex import TwoTermComplex
-from .butterfly import Butterfly
+from .butterfly import Butterfly, wing_ends
 from .exactness import ButterflyShortSeq
 
 
@@ -173,11 +173,9 @@ def butterfly_from_json(data) -> Butterfly:
     src = complex_from_json(data.get("src"))
     dst = complex_from_json(data.get("dst"))
     car = group_from_json(data.get("carrier"))
-    i = FgAbMap(dst.deg_m1, car, matrix_from_json(data.get("i"), car.ngens, dst.deg_m1.ngens))
-    j = FgAbMap(src.deg_m1, car, matrix_from_json(data.get("j"), car.ngens, src.deg_m1.ngens))
-    p = FgAbMap(car, dst.deg_0, matrix_from_json(data.get("p"), dst.deg_0.ngens, car.ngens))
-    q = FgAbMap(car, src.deg_0, matrix_from_json(data.get("q"), src.deg_0.ngens, car.ngens))
-    return Butterfly(src, dst, i, j, p, q)
+    wings = {name: FgAbMap(a, b, matrix_from_json(data.get(name), b.ngens, a.ngens))
+             for name, (a, b) in wing_ends(src, dst, car).items()}
+    return Butterfly(src, dst, **wings)
 
 
 def sequence_from_json(data) -> ButterflyShortSeq:

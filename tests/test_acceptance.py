@@ -106,6 +106,15 @@ DEFECTS = [
     ("7-two_morphism_find-always", 7, "two_morphism_find", lambda a, b: object(),
      "2-morphism existence disagrees with enumeration on B and IK2"),
     ("8-is_invertible", 8, "is_invertible", lambda y: False, "B is not invertible"),
+    # a solver that never or always finds a 2-morphism fails at the first row
+    # expecting the other answer, and a Baer sum that returns its first summand
+    # at the first row it reaches
+    ("8-two_morphism_find-never", 8, "two_morphism_find", lambda a, b: None,
+     "B*B should be 2-isomorphic to the identity"),
+    ("8-two_morphism_find-always", 8, "two_morphism_find", lambda a, b: object(),
+     "B should not be 2-isomorphic to the identity"),
+    ("8-baer_sum", 8, "baer_sum", lambda a, b: a,
+     "B+B should be 2-isomorphic to the Baer-neutral class"),
     ("9-derived_tensor", 9, "derived_tensor", lambda a, b: derived_tensor(b, b),
      "Tor1(Z/1,Z/2) = (0, (2,)), want (0, ())"),
 ]

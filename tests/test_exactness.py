@@ -6,7 +6,7 @@ import pytest
 from butterflies.intlinalg import IntMatrix, hstack, vstack, block
 from butterflies.fgab import (
     FgAbGroup, FgAbMap, is_injective, is_surjective, is_exact_at, hom_solve, kernel,
-    cokernel,
+    cokernel, factor_through_injection,
 )
 from butterflies.twocomplex import (
     TwoTermComplex, ChainMap, homology, embed0, shift1, zero_complex, random_complex,
@@ -239,11 +239,13 @@ class TestLes:
             cj = cokernel(s.y.j)
             yprime = kernel(cj.induce(s.g.deg_0, s.z.p.matrix * s.phi.matrix))
             zprime = kernel(s.z.p)
-            f = zprime.factor(yprime.group, s.phi.matrix * cj.fro * yprime.incl.matrix)
+            f = factor_through_injection(zprime.incl, yprime.group,
+                                         s.phi.matrix * cj.fro * yprime.incl.matrix)
             rho = hom_solve(f.dst, f.src, pre=[(f, IntMatrix.identity(f.src.ngens))],
                             post=[(f, IntMatrix.identity(f.dst.ngens))])
             assert rho is not None
-            into_zprime = zprime.factor(hg.hm1, s.z.i.matrix * hg.incl.matrix)
+            into_zprime = factor_through_injection(zprime.incl, hg.hm1,
+                                                   s.z.i.matrix * hg.incl.matrix)
             qbar = he.proj.matrix * s.y.q.matrix * cj.fro
             raw = qbar * yprime.incl.matrix * rho.matrix * into_zprime.matrix
             return raw, FgAbMap(hg.hm1, he.h0, raw)

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import butterflies
 from butterflies import fgab, intlinalg
 from butterflies.fgab import FgAbGroup, FgAbMap, random_group, random_map, simplify
+from butterflies.twocomplex import ChainMap, TwoTermComplex
 from butterflies.intlinalg import (
     CACHE_SIZE, IntMatrix, Record, hnf, snf, solve, kernel_basis, in_col_span, reduce_cols,
     congruent, hstack, vstack, kron, submatrix, solve_congruences, particular_solution, col_echelon,
@@ -75,6 +76,24 @@ low_rank_matrices = st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(
 @pytest.mark.parametrize("n", range(9))
 def test_identity_matches_its_definition(n):
     assert IntMatrix.identity(n) == IntMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+
+@pytest.mark.parametrize("operation", [
+    lambda m, f, c: m + 1, lambda m, f, c: m - 1, lambda m, f, c: m * "x",
+    lambda m, f, c: "x" * m, lambda m, f, c: f * 1, lambda m, f, c: c * 1,
+], ids=["matrix+int", "matrix-int", "matrix*str", "str*matrix", "map*int", "chain_map*int"])
+def test_a_wrong_type_operand_is_a_type_error(operation):
+    """Each operator hands an operand it does not know back as NotImplemented,
+    so Python raises TypeError instead of computing something else."""
+    m, f = mat([[1, 2]]), FgAbMap.identity(FgAbGroup.cyclic(2))
+    c = ChainMap.identity(TwoTermComplex(f))
+    with pytest.raises(TypeError):
+        operation(m, f, c)
+
+
+def test_repr_names_the_shape_of_an_empty_matrix():
+    assert repr(IntMatrix.zeros(0, 3)) == "IntMatrix(0x3)"
+    assert repr(IntMatrix.zeros(2, 0)) == "IntMatrix(2x0)"
 
 
 class TestHnf:
